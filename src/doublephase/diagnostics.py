@@ -21,10 +21,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import flux, spaces
-from .fields import ExponentData, Field
+from .fields import ExponentData, Field, sample_field, tensor_points
 from .galerkin import SolverConfig, Trajectory, solve
 
 _REL_FLOOR = 1e-30
+# Lattice points per basis-gradient table in second_order_flux_norm.
+_SECOND_ORDER_CHUNK = 8192
 
 
 @dataclass(eq=False)
@@ -49,11 +51,7 @@ class TrajectoryView:
 
     def fields(self):
         if self._fields is None:
-            x = self.grid.space_nodes
-            d = self.traj.data
-            stacks = [np.stack([getattr(d, n)(x, t) for t in self.times], axis=0)
-                      for n in ("a", "b", "p", "q")]
-            self._fields = tuple(stacks)
+            self._fields = self.traj.data.sample(self.grid.space_nodes, self.times)
         return self._fields
 
     def s_lower(self):
@@ -101,9 +99,8 @@ class CoreSeries:
 
 
 def lattice_points(dim: int, n: int) -> np.ndarray:
-    axes = [np.linspace(0.0, 1.0, n)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    """Uniform lattice of n^dim points on the closed unit box."""
+    return tensor_points(np.linspace(0.0, 1.0, n), dim)
 
 
 def core_series(traj: Trajectory, f_field: Field, linf_lattice: int = 65) -> CoreSeries:
@@ -121,10 +118,8 @@ def core_series(traj: Trajectory, f_field: Field, linf_lattice: int = 65) -> Cor
     fe_0 = view.flux_energy(0.0)
     grads = view.grads()
     grad_l2 = np.einsum("kmn,kmn,m->k", grads, grads, traj.grid.space_weights, optimize=True)
-    u_vals = view.values()
-    x = traj.grid.space_nodes
-    f_vals = np.stack([f_field(x, t) for t in times], axis=0)
-    work = (u_vals * f_vals) @ traj.grid.space_weights
+    f_vals = sample_field(f_field, traj.grid.space_nodes, times)
+    work = (view.values() * f_vals) @ traj.grid.space_weights
 
     lat = lattice_points(traj.data.dim, linf_lattice)
     phi_lat = traj.basis.values(lat)
@@ -164,9 +159,8 @@ def apriori_energy_bound(traj: Trajectory, f_field: Field,
     """sup_t ||u||^2 + int_QT F_eps|grad u|^2 against C1 e^T (||f||^2 + ||u0||^2)."""
     series = series or core_series(traj, f_field)
     lhs = float(series.l2_sq.max() + np.trapezoid(series.flux_energy_eps, traj.times))
-    st = traj.spacetime_grid()
-    f_vals = np.stack([f_field(traj.grid.space_nodes, t) for t in traj.times], axis=0)
-    f_sq = st.integrate(f_vals ** 2)
+    f_vals = sample_field(f_field, traj.grid.space_nodes, traj.times)
+    f_sq = traj.spacetime_grid().integrate(f_vals ** 2)
     rhs = APRIORI_CONSTANT * np.exp(traj.horizon) * (f_sq + series.l2_sq[0])
     slack = 1e-8 * max(1.0, rhs)
     return BoundReport(name="apriori_energy_bound", lhs=lhs, rhs=float(rhs),
@@ -256,9 +250,8 @@ def time_derivative_bound(traj: Trajectory, f_field: Field) -> BoundReport:
     a0, b0, p0, q0 = a[0], b[0], p[0], q[0]
     fv0 = flux.vector_kernel(a0, b0, p0, q0, g0, 0.0)
     ini = float((np.sum(fv0 * g0, axis=-1)) @ traj.grid.space_weights)
-    st = traj.spacetime_grid()
-    f_vals = np.stack([f_field(traj.grid.space_nodes, t) for t in traj.times], axis=0)
-    f_sq = st.integrate(f_vals ** 2)
+    f_vals = sample_field(f_field, traj.grid.space_nodes, traj.times)
+    f_sq = traj.spacetime_grid().integrate(f_vals ** 2)
     rhs = 1.0 + ini + f_sq
     return BoundReport(name="time_derivative_bound", lhs=lhs, rhs=float(rhs),
                        passed=bool(np.isfinite(lhs)),
@@ -273,7 +266,6 @@ class SecondOrderReport:
     margin: float
     norms: np.ndarray        # (N, N): ||D_i(sqrt(F_eps) D_j u)||^2 over the cylinder
     total: float
-    conditioning_warning: bool
 
 
 def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
@@ -289,12 +281,10 @@ def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
     """
     if margin < 2.0 * h:
         raise ValueError("margin must be at least 2h to avoid the boundary layer")
-    warn = h < 1e-7
     dim = traj.data.dim
     n_inner = int(np.floor((1.0 - 2.0 * margin) / h + 0.5)) + 1
     axis = margin + h * np.arange(-1, n_inner + 1)  # one ghost layer each side
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = tensor_points(axis, dim)
     shape = (len(axis),) * dim
 
     idx = list(range(0, len(traj.times), max(1, time_stride)))
@@ -302,19 +292,14 @@ def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
         idx.append(len(traj.times) - 1)
     sel_times = traj.times[idx]
 
-    # keep the basis-gradient table only when it fits comfortably
-    keep_table = pts.shape[0] * dim * traj.basis.size <= 20_000_000
-    gp = traj.basis.gradients(pts) if keep_table else None
-
-    def gradient_at(coeffs):
-        if gp is not None:
-            return np.tensordot(gp, coeffs, axes=([2], [0]))
-        out = np.empty((pts.shape[0], dim))
-        step = 8192
-        for lo in range(0, pts.shape[0], step):
-            chunk = traj.basis.gradients(pts[lo:lo + step])
-            out[lo:lo + step] = np.tensordot(chunk, coeffs, axes=([2], [0]))
-        return out
+    # composite at every kept checkpoint, one basis-gradient table per point chunk
+    composite = np.empty((len(idx), pts.shape[0], dim))
+    for lo in range(0, pts.shape[0], _SECOND_ORDER_CHUNK):
+        x = pts[lo:lo + _SECOND_ORDER_CHUNK]
+        gp = traj.basis.gradients(x)
+        grad_u = np.stack([np.tensordot(gp, traj.coeffs[k], axes=([2], [0])) for k in idx])
+        dens = flux.density_kernel(*traj.data.sample(x, sel_times), grad_u, traj.eps)
+        composite[:, lo:lo + _SECOND_ORDER_CHUNK] = np.sqrt(dens)[..., None] * grad_u
 
     # trapezoid weights over the interior lattice (endpoints half-weight)
     w1 = np.full(n_inner, h)
@@ -324,14 +309,8 @@ def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
         w_spatial = np.multiply.outer(w_spatial, w1)
 
     accum = np.zeros((len(idx), dim, dim))
-    for row, k in enumerate(idx):
-        t = traj.times[k]
-        grad_u = gradient_at(traj.coeffs[k])
-        a = traj.data.a(pts, t); b = traj.data.b(pts, t)
-        p = traj.data.p(pts, t); q = traj.data.q(pts, t)
-        dens = flux.density_kernel(a, b, p, q, grad_u, traj.eps)
-        comp = np.sqrt(dens)[:, None] * grad_u            # (M, N)
-        comp = comp.reshape(shape + (dim,))
+    for row in range(len(idx)):
+        comp = composite[row].reshape(shape + (dim,))
         for i in range(dim):
             upper = [slice(1, -1)] * dim
             lower = [slice(1, -1)] * dim
@@ -341,8 +320,7 @@ def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
             for j in range(dim):
                 accum[row, i, j] = np.sum(diff[..., j] ** 2 * w_spatial)
     norms = np.trapezoid(accum, sel_times, axis=0)
-    return SecondOrderReport(h=h, margin=margin, norms=norms,
-                             total=float(norms.sum()), conditioning_warning=warn)
+    return SecondOrderReport(h=h, margin=margin, norms=norms, total=float(norms.sum()))
 
 
 @dataclass(frozen=True)
@@ -370,7 +348,7 @@ def stability_experiment(traj_u: Trajectory, traj_v: Trajectory,
     diff = np.einsum("kj,kj->k", dc, dc)
     st = traj_u.spacetime_grid()
     x = traj_u.grid.space_nodes
-    fg = np.stack([f_field(x, t) - g_field(x, t) for t in traj_u.times], axis=0)
+    fg = sample_field(f_field, x, traj_u.times) - sample_field(g_field, x, traj_u.times)
     fg_sq = st.integrate(fg ** 2)
     bound = np.exp(traj_u.horizon) * (diff[0] + fg_sq)
     slack = 1e-6 * max(1.0, bound)

@@ -52,6 +52,19 @@ class Field:
         return np.broadcast_to(out, x.shape[:1]).copy() if out.ndim == 0 else out
 
 
+def sample_field(fld, x, t) -> np.ndarray:
+    """fld at points x: (M,) for a scalar t, (K, M) for K times, one time at a time."""
+    if np.ndim(t) == 0:
+        return fld(x, t)
+    return np.stack([fld(x, tk) for tk in t], axis=0)
+
+
+def tensor_points(axis, dim: int) -> np.ndarray:
+    """Tensor lattice axis^dim as (len(axis)^dim, dim) points, first axis slowest."""
+    mesh = np.meshgrid(*([np.asarray(axis, dtype=float)] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 def eigenfunction(k: Sequence[int], x: np.ndarray) -> np.ndarray:
     """Dirichlet-Laplacian eigenfunction on the unit box.
 
@@ -60,12 +73,6 @@ def eigenfunction(k: Sequence[int], x: np.ndarray) -> np.ndarray:
     x = _as_points(x)
     k = np.asarray(k, dtype=float)
     return 2.0 ** (len(k) / 2.0) * np.prod(np.sin(np.pi * k * x), axis=-1)
-
-
-def eigenvalue(k: Sequence[int]) -> float:
-    """Eigenvalue pi^2 * sum k_i^2 of the mode with multi-index k."""
-    k = np.asarray(k, dtype=float)
-    return float(np.pi ** 2 * np.sum(k ** 2))
 
 
 def make_field(spec, dim: int) -> Field:
@@ -239,24 +246,22 @@ class ExponentData:
     def r_star(self) -> float:
         return 2.0 / (self.dim + 2.0)
 
+    def sample(self, x, t):
+        """(a, b, p, q) at points x: (M,) arrays for a scalar t, (K, M) for K times."""
+        return tuple(sample_field(fld, x, t) for fld in (self.a, self.b, self.p, self.q))
+
     def probe_lattice(self):
         """Uniform probe lattice on [0,1]^N x [0,T] used by validate()."""
-        n = self.lipschitz_probe_resolution
-        axes = [np.linspace(0.0, 1.0, n)] * self.dim
-        mesh = np.meshgrid(*axes, indexing="ij")
-        x = np.stack([m.ravel() for m in mesh], axis=-1)
+        x = tensor_points(np.linspace(0.0, 1.0, self.lipschitz_probe_resolution), self.dim)
         times = np.linspace(0.0, self.horizon, self.time_probe_resolution)
         return x, times
 
     def _probe_values(self):
         x, times = self.probe_lattice()
-        vals = {}
-        for name in ("p", "q", "a", "b"):
-            fld = getattr(self, name)
-            rows = np.stack([fld(x, t) for t in times], axis=0)  # (Kt, M)
-            if not np.all(np.isfinite(rows)):
+        vals = dict(zip("abpq", self.sample(x, times)))  # (Kt, M) each
+        for name in "pqab":
+            if not np.all(np.isfinite(vals[name])):
                 raise ConfigurationError(f"field '{name}' is not finite on the probe lattice")
-            vals[name] = rows
         return x, times, vals
 
     def validate(self) -> ValidationReport:
@@ -350,7 +355,7 @@ class DerivedExponents:
 
     s_lower/s_upper are the pointwise min/max of p and q; r1 and r2 are the
     shift exponents ``s_lower + r_sharp - p`` and ``s_lower + r_sharp - q``
-    used by the higher-integrability diagnostics; r_max2 is max(2, s_upper).
+    used by the higher-integrability diagnostics.
     """
 
     data: ExponentData
@@ -363,26 +368,11 @@ class DerivedExponents:
     def s_upper(self, x, t):
         return np.maximum(self.data.p(x, t), self.data.q(x, t))
 
-    def r_max2(self, x, t):
-        return np.maximum(2.0, self.s_upper(x, t))
-
     def r1(self, x, t):
         return self.s_lower(x, t) + self.r_sharp - self.data.p(x, t)
 
     def r2(self, x, t):
         return self.s_lower(x, t) + self.r_sharp - self.data.q(x, t)
-
-    def musielak_exponents(self, x):
-        """Exponent triple (s, r, sigma) of the generating function at t=0.
-
-        s = max(2, min(p,q)), r = max(2, p), sigma = max(2, q), all at the
-        initial instant; used to certify initial data membership.
-        """
-        t = 0.0
-        p0, q0 = self.data.p(x, t), self.data.q(x, t)
-        return (np.maximum(2.0, np.minimum(p0, q0)),
-                np.maximum(2.0, p0),
-                np.maximum(2.0, q0))
 
 
 def derive(data: ExponentData) -> DerivedExponents:

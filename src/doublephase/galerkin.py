@@ -83,18 +83,17 @@ class EigenBasis:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        parts = [fn(x[i:i + _CHUNK]) for i in range(0, x.shape[0], _CHUNK)]
+        parts = [fn(*self._trig(x[i:i + _CHUNK])) for i in range(0, x.shape[0], _CHUNK)]
         return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
 
-    def _values_chunk(self, x):
-        s, _ = self._trig(x)
+    # The chunk kernels take the sin/cos tables of _trig for a block of points.
+    def _values_chunk(self, s, c):
         return 2.0 ** (self.dim / 2.0) * np.prod(s, axis=-1)
 
-    def _gradients_chunk(self, x):
-        s, c = self._trig(x)
+    def _gradients_chunk(self, s, c):
         norm = 2.0 ** (self.dim / 2.0)
         kpi = np.pi * self.modes.T  # (N, m)
-        out = np.empty((x.shape[0], self.dim, self.size))
+        out = np.empty((s.shape[0], self.dim, self.size))
         for d in range(self.dim):
             prod = norm * kpi[d] * c[:, :, d]
             for l in range(self.dim):
@@ -103,12 +102,11 @@ class EigenBasis:
             out[:, d, :] = prod
         return out
 
-    def _hessians_chunk(self, x):
-        s, c = self._trig(x)
+    def _hessians_chunk(self, s, c):
         norm = 2.0 ** (self.dim / 2.0)
         kpi = np.pi * self.modes.T
         vals = norm * np.prod(s, axis=-1)
-        out = np.empty((x.shape[0], self.dim, self.dim, self.size))
+        out = np.empty((s.shape[0], self.dim, self.dim, self.size))
         for d in range(self.dim):
             out[:, d, d, :] = -(kpi[d] ** 2) * vals
             for e in range(d + 1, self.dim):
@@ -197,28 +195,20 @@ class SolverConfig:
 class Workspace:
     """Precomputed basis matrices on the solver quadrature grid."""
 
-    def __init__(self, basis: EigenBasis, grid: QuadratureGrid, data: ExponentData):
+    def __init__(self, basis: EigenBasis, grid: QuadratureGrid):
         self.basis = basis
         self.grid = grid
-        self.data = data
         self.x = grid.space_nodes
         self.w = grid.space_weights
         self.phi = basis.values(self.x)          # (M, m)
         self.grad_phi = basis.gradients(self.x)  # (M, N, m)
-        self._field_cache: dict = {}
-
-    def fields_at(self, t: float):
-        key = round(float(t), 15)
-        if key not in self._field_cache:
-            d = self.data
-            self._field_cache[key] = (d.a(self.x, t), d.b(self.x, t),
-                                      d.p(self.x, t), d.q(self.x, t))
-            if len(self._field_cache) > 8:
-                self._field_cache.pop(next(iter(self._field_cache)))
-        return self._field_cache[key]
 
     def gradient_of(self, coeffs) -> np.ndarray:
         return np.tensordot(self.grad_phi, coeffs, axes=([2], [0]))
+
+    def stiffness(self, fvec) -> np.ndarray:
+        """Projection int F . grad phi_j dx of a flux field fvec (M, N) onto the basis."""
+        return np.einsum("mn,mnj->j", self.w[:, None] * fvec, self.grad_phi)
 
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
         return self.phi.T @ (self.w * f_field(self.x, t))
@@ -236,11 +226,9 @@ def project_initial(u0: Field, basis: EigenBasis, grid: QuadratureGrid) -> Spect
 def ode_rhs(state: SpectralState, t: float, eps: float, data: ExponentData,
             f_field: Field, ws: Workspace) -> np.ndarray:
     """Right-hand side of the coefficient ODE system at time t."""
-    a, b, p, q = ws.fields_at(t)
-    grad_u = ws.gradient_of(state.coeffs)
-    fvec = flux.vector_kernel(a, b, p, q, grad_u, eps)
-    stiff = np.einsum("mn,mnj->j", ws.w[:, None] * fvec, ws.grad_phi)
-    return -stiff + ws.source_vector(f_field, t)
+    a, b, p, q = data.sample(ws.x, t)
+    fvec = flux.vector_kernel(a, b, p, q, ws.gradient_of(state.coeffs), eps)
+    return -ws.stiffness(fvec) + ws.source_vector(f_field, t)
 
 
 @dataclass
@@ -261,15 +249,14 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     """
     t1 = state.t + tau
     u = state.coeffs
-    a, b, p, q = ws.fields_at(t1)
+    a, b, p, q = data.sample(ws.x, t1)
     f_vec = ws.source_vector(f_field, t1)
     w = ws.w
 
     def residual(v):
         grad_v = ws.gradient_of(v)
         fvec = flux.vector_kernel(a, b, p, q, grad_v, eps)
-        stiff = np.einsum("mn,mnj->j", w[:, None] * fvec, ws.grad_phi)
-        return v - u + tau * (stiff - f_vec), grad_v, fvec
+        return v - u + tau * (ws.stiffness(fvec) - f_vec), grad_v, fvec
 
     tol = cfg.newton_tol * (1.0 + np.linalg.norm(u))
     v = u.copy()
@@ -360,7 +347,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
         data.validate().raise_if_failed()
     basis = build_basis(data.dim, cfg.m_per_dim)
     grid = tensor_gauss_legendre(data.dim, cfg.resolved_quad_order)
-    ws = Workspace(basis, grid, data)
+    ws = Workspace(basis, grid)
 
     n_steps = max(1, int(round(data.horizon / cfg.tau)))
     tau = data.horizon / n_steps
@@ -431,34 +418,6 @@ def _field_spatial_gradient(fld: Field, x, t, h: float = 1e-6) -> np.ndarray:
     return out
 
 
-def mode_value_grad_hess(k, x):
-    """phi_k, grad phi_k, hess phi_k at points x for one mode k (analytic)."""
-    x = np.asarray(x, dtype=float)
-    k = np.asarray(k, dtype=int)
-    dim = len(k)
-    norm = 2.0 ** (dim / 2.0)
-    ang = np.pi * x * k
-    s, c = np.sin(ang), np.cos(ang)
-    val = norm * np.prod(s, axis=-1)
-    grad = np.empty_like(x)
-    hess = np.empty(x.shape[:-1] + (dim, dim))
-    for d in range(dim):
-        prod = norm * np.pi * k[d] * c[..., d]
-        for l in range(dim):
-            if l != d:
-                prod = prod * s[..., l]
-        grad[..., d] = prod
-        hess[..., d, d] = -(np.pi * k[d]) ** 2 * val
-        for e in range(d + 1, dim):
-            pr = norm * (np.pi * k[d]) * (np.pi * k[e]) * c[..., d] * c[..., e]
-            for l in range(dim):
-                if l != d and l != e:
-                    pr = pr * s[..., l]
-            hess[..., d, e] = pr
-            hess[..., e, d] = pr
-    return val, grad, hess
-
-
 def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
                         amplitude: float = 1.0, rate: float = 1.0) -> Field:
     """Forcing that makes u = amplitude * e^(-rate*t) * phi_mode exact.
@@ -471,10 +430,15 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
     if eps <= 0:
         raise ValueError("manufactured source needs eps > 0")
     mode = tuple(int(m) for m in mode)
+    k = np.array([mode])
+    single = EigenBasis(dim=len(mode), m_per_dim=max(mode), modes=k,
+                        eigenvalues=np.pi ** 2 * np.sum(k ** 2, axis=-1).astype(float))
 
     def fn(x, t):
         decay = amplitude * np.exp(-rate * np.asarray(t, dtype=float))
-        val, grad, hess = mode_value_grad_hess(mode, x)
+        trig = single._trig(x)  # shared by the value, gradient and Hessian
+        val, grad, hess = (part(*trig)[..., 0] for part in (
+            single._values_chunk, single._gradients_chunk, single._hessians_chunk))
         u = decay * val
         gu = np.atleast_1d(decay)[..., None] * grad
         hu = np.atleast_1d(decay)[..., None, None] * hess

@@ -173,9 +173,7 @@ def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict
     Probes f = 0 on the boundary and finiteness of the squared spatial
     gradient over the cylinder (finite differences on a lattice).
     """
-    axes = [np.linspace(0.0, 1.0, n)] * data.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = dg.lattice_points(data.dim, n)
     boundary = pts[np.any((pts == 0.0) | (pts == 1.0), axis=1)]
     times = np.linspace(0.0, data.horizon, 5)
     bmax = max(float(np.abs(f_field(boundary, t)).max()) for t in times) if len(boundary) else 0.0
@@ -424,7 +422,7 @@ def replace_config(config: RunConfig, **kw) -> RunConfig:
 
 
 def _table_ratio(tables):
-    """Max over sigma of max/min of the modular table across sweep members."""
+    """Max over table keys of max/min of the entries across sweep members."""
     tables = [t for t in tables if t]
     if len(tables) < 2:
         return None
@@ -486,33 +484,25 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     # cross-member regression checks
     checks: list[Check] = []
     ceil = dict(config.sweep.get("ceilings", {}))
-    hi_ratio = _table_ratio([res["summary"].get("higher_integrability")
-                             for res in results if res["code"] in (0, 2)])
-    if hi_ratio is not None:
-        bound = float(ceil.get("higher_integrability_ratio", 3.0))
-        checks.append(Check("higher_integrability_uniform", "regression",
-                            hi_ratio <= bound, hi_ratio, bound,
-                            "max/min of the gradient modular table across members"))
-        summary_rows.append(_member_entry("higher_integrability_ratio", "all", hi_ratio,
-                                          hi_ratio <= bound))
-    so_vals = [res["summary"]["second_order_total"] for res in results
-               if res["code"] in (0, 2) and "second_order_total" in res["summary"]]
-    if len(so_vals) > 1 and min(so_vals) > 0:
-        ratio = max(so_vals) / min(so_vals)
-        bound = float(ceil.get("second_order_ratio", 3.0))
-        checks.append(Check("second_order_uniform", "regression", ratio <= bound,
-                            ratio, bound, "eps/m-uniformity of the square-root-flux norms"))
-        summary_rows.append(_member_entry("second_order_ratio", "all", ratio, ratio <= bound))
-    td_vals = [res["summary"]["time_derivative"]["lhs"] for res in results
-               if res["code"] in (0, 2) and "time_derivative" in res["summary"]]
-    if len(td_vals) > 1 and min(td_vals) > 0:
-        ratio = max(td_vals) / min(td_vals)
-        bound = float(ceil.get("time_derivative_ratio", 3.0))
-        checks.append(Check("time_derivative_uniform", "regression", ratio <= bound,
-                            ratio, bound,
-                            "eps/m-uniformity of accumulated u_t plus the sup modular"))
-        summary_rows.append(_member_entry("time_derivative_ratio", "all", ratio,
-                                          ratio <= bound))
+    # (check, ratio name = ceiling key, member table, detail), in summary order
+    uniformity = (
+        ("higher_integrability_uniform", "higher_integrability_ratio",
+         lambda s: s.get("higher_integrability"),
+         "max/min of the gradient modular table across members"),
+        ("second_order_uniform", "second_order_ratio",
+         lambda s: {"total": s["second_order_total"]} if "second_order_total" in s else None,
+         "eps/m-uniformity of the square-root-flux norms"),
+        ("time_derivative_uniform", "time_derivative_ratio",
+         lambda s: {"lhs": s["time_derivative"]["lhs"]} if "time_derivative" in s else None,
+         "eps/m-uniformity of accumulated u_t plus the sup modular"),
+    )
+    summaries = [res["summary"] for res in results if res["code"] in (0, 2)]
+    for check_name, ratio_name, table, detail in uniformity:
+        ratio = _table_ratio([table(s) for s in summaries])
+        if ratio is not None:
+            bound = float(ceil.get(ratio_name, 3.0))
+            checks.append(Check(check_name, "regression", ratio <= bound, ratio, bound, detail))
+            summary_rows.append(_member_entry(ratio_name, "all", ratio, ratio <= bound))
 
     # vanishing-regularization Cauchy study per m row
     if len(eps_list) > 1:

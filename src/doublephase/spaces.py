@@ -18,13 +18,14 @@ numpy's pairwise summation, so results are bit-stable for a fixed grid.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import flux
-from .fields import ExponentData
+from .fields import ExponentData, tensor_points
 
 # Conjugate exponents are capped here; a larger cap only tightens the
 # constant-field norms the cap is used for (upper-bound checks stay valid).
@@ -85,10 +86,6 @@ class QuadratureGrid:
         w[1:] += dt / 2.0
         return QuadratureGrid(self.space_nodes, self.space_weights, times, w)
 
-    def integrate_space(self, values) -> np.ndarray:
-        """Integrate over the box; contracts the trailing node axis."""
-        return np.asarray(values) @ self.space_weights
-
     def integrate(self, values) -> float:
         """Integrate scalar node values over the box or the cylinder.
 
@@ -107,12 +104,8 @@ def tensor_gauss_legendre(dim: int, order: int) -> QuadratureGrid:
     nodes1, weights1 = np.polynomial.legendre.leggauss(order)
     nodes1 = 0.5 * (nodes1 + 1.0)
     weights1 = 0.5 * weights1
-    axes = np.meshgrid(*([nodes1] * dim), indexing="ij")
-    x = np.stack([a.ravel() for a in axes], axis=-1)
-    w = np.ones(x.shape[0])
-    for d in range(dim):
-        w *= weights1[np.unravel_index(np.arange(x.shape[0]), (order,) * dim)[d]]
-    return QuadratureGrid(space_nodes=x, space_weights=w)
+    return QuadratureGrid(space_nodes=tensor_points(nodes1, dim),
+                          space_weights=np.prod(tensor_points(weights1, dim), axis=-1))
 
 
 def same_grid(g1: QuadratureGrid, g2: QuadratureGrid) -> bool:
@@ -191,13 +184,18 @@ def _scaled(f: SampledField, lam: float) -> SampledField:
 
 
 def luxemburg_norm(f: SampledField, r, rel_tol: float = 1e-10) -> float:
-    """Luxemburg norm inf{lam > 0 : modular(f/lam) <= 1} by bisection.
+    """Luxemburg norm inf{lam > 0 : modular(f/lam) <= 1}.
 
     The bracket starts from the constant-exponent closed forms
     ``A^(1/r_max)``, ``A^(1/r_min)`` and is expanded geometrically (up to 60
-    doublings each way).  On return, modular(f/lam) lies in
-    [1 - 10*rel_tol, 1] whenever lam > 0; the termination width is tightened
-    by min(1, 10/r_max) so this holds for arbitrarily large exponents.
+    doublings each way).  Inside it, a safeguarded Illinois false-position
+    iteration runs on log modular(f/lam) against log lam; that relation is
+    linear for a constant exponent, so one step lands on the closed form.
+    Its slope lies in [-r_max, -r_min], so modular(f/lam) >= exp(-r_min*width)
+    places lam within the relative width of the root.  On return,
+    modular(f/lam) lies in [1 - 10*rel_tol, 1] whenever lam > 0; the width is
+    rel_tol tightened by min(1, 10/r_max) so this holds for arbitrarily large
+    exponents.
     """
     if not (1e-14 < rel_tol < 1e-2):
         raise ValueError("rel_tol must lie in (1e-14, 1e-2)")
@@ -209,43 +207,67 @@ def luxemburg_norm(f: SampledField, r, rel_tol: float = 1e-10) -> float:
         return 0.0
     rmin = float(r.min())
     rmax = float(np.broadcast_to(r, mag.shape)[mag > 0].max())
+    width = rel_tol * min(1.0, 10.0 / rmax)
 
-    mod = lambda lam: _modular_allow_inf(_scaled(f, lam), r)
+    def log_mod(lam):
+        # -inf for a modular that underflows to 0, inf for one that overflows
+        with np.errstate(divide="ignore"):
+            return float(np.log(_modular_allow_inf(_scaled(f, lam), r)))
+
     a0 = _modular_allow_inf(f, r)
     if np.isfinite(a0) and a0 > 0:
-        cands = sorted((a0 ** (1.0 / rmin), a0 ** (1.0 / rmax)))
-        lo, hi = cands
+        lo, hi = sorted((a0 ** (1.0 / rmin), a0 ** (1.0 / rmax)))
     else:
         lo = hi = 1.0
     for _ in range(60):
-        if mod(hi) <= 1.0:
+        g_hi = log_mod(hi)
+        if g_hi <= 0.0:
             break
         hi *= 2.0
     else:
         raise NumericsError("luxemburg bracket expansion failed on the upper end")
+    if -g_hi <= rmin * width:
+        return hi
+    if lo >= hi:
+        lo = hi / 2.0
     for _ in range(60):
-        if mod(lo) >= 1.0 or lo >= hi:
+        g_lo = log_mod(lo)
+        if g_lo >= 0.0:
             break
         lo /= 2.0
     else:
         raise NumericsError("luxemburg bracket expansion failed on the lower end")
-    if lo >= hi:
-        lo = hi / 2.0
 
-    width = rel_tol * min(1.0, 10.0 / rmax)
+    u_lo, u_hi = math.log(lo), math.log(hi)
+    kept = 0  # +1 if the last step kept hi (replaced lo), -1 if it kept lo
     for _ in range(500):
         if (hi - lo) <= width * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break  # bracket at float resolution
-        if mod(mid) > 1.0:
-            lo = mid
+            return hi
+        lam = 0.5 * (lo + hi)
+        if math.isfinite(g_lo) and math.isfinite(g_hi):
+            lam = math.exp(u_lo + g_lo * (u_hi - u_lo) / (g_lo - g_hi))
+            if lam <= lo:
+                # the root sits on lo: step to the slope bound from lo, which
+                # cannot undershoot the root
+                lam = max(lo * math.exp(g_lo / rmin), float(np.nextafter(lo, hi)))
+            if lam >= hi:
+                lam = 0.5 * (lo + hi)
+        if not lo < lam < hi:
+            return hi  # bracket at float resolution
+        g = log_mod(lam)
+        if g > 0.0:
+            lo, u_lo, g_lo = lam, math.log(lam), g
+            if kept > 0:
+                g_hi *= 0.5  # Illinois: hi kept twice running
+            kept = 1
         else:
-            hi = mid
-    else:
-        raise NumericsError("luxemburg bisection failed to converge")
-    return hi
+            if -g <= rmin * width:
+                return lam
+            hi, u_hi, g_hi = lam, math.log(lam), g
+            if kept < 0:
+                g_lo *= 0.5
+            kept = -1
+    raise NumericsError("luxemburg iteration failed to converge")
 
 
 @dataclass(frozen=True)
@@ -319,9 +341,7 @@ def musielak_modular(u: SampledField, data: ExponentData) -> float:
     s = max(2, min(p0, q0)), r = max(2, p0), sigma = max(2, q0).  Finiteness
     of this modular for u0 and |grad u0| certifies admissible initial data.
     """
-    x = u.grid.space_nodes
-    p0, q0 = data.p(x, 0.0), data.q(x, 0.0)
-    a0, b0 = data.a(x, 0.0), data.b(x, 0.0)
+    a0, b0, p0, q0 = data.sample(u.grid.space_nodes, 0.0)
     s = np.maximum(2.0, np.minimum(p0, q0))
     rr = np.maximum(2.0, p0)
     sg = np.maximum(2.0, q0)
@@ -333,12 +353,7 @@ def musielak_modular(u: SampledField, data: ExponentData) -> float:
 def _spacetime_fields(data: ExponentData, grid: QuadratureGrid):
     if not grid.is_spacetime:
         raise ValueError("cylinder integrals need a grid with a time rule")
-    x = grid.space_nodes
-    out = []
-    for name in ("a", "b", "p", "q"):
-        fn = getattr(data, name)
-        out.append(np.stack([fn(x, t) for t in grid.time_nodes], axis=0))
-    return out
+    return data.sample(grid.space_nodes, grid.time_nodes)
 
 
 def composite_N(grad_w: SampledField, data: ExponentData) -> float:

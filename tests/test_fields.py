@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from doublephase.fields import (
-    ConfigurationError, ExponentData, ValidationError, derive, make_field,
+    ConfigurationError, ExponentData, ValidationError, derive, make_field, tensor_points,
 )
 
 
@@ -123,6 +123,31 @@ def test_gap_implies_shift_exponents_positive():
         assert np.all(der.r1(x, t) >= floor - 1e-12)
         assert np.all(der.r2(x, t) >= floor - 1e-12)
         assert np.all(2.0 * (der.s_upper(x, t) - der.s_lower(x, t)) < der.r_sharp)
+
+
+def test_sample_stacks_per_time_calls_and_tensor_points_order():
+    dim = 2
+    data = ExponentData(
+        dim=dim, horizon=0.1,
+        p=make_field({"family": "affine", "base": 1.9, "slope": [0.1, 0.0], "tslope": 1.0}, dim),
+        q=make_field({"family": "sinusoidal", "base": 2.0, "amp": 0.1, "tfreq": 3.0}, dim),
+        a=make_field({"family": "bump", "amp": 0.3, "base": 0.4, "tdecay": 2.0}, dim),
+        b=make_field(0.5, dim), alpha=0.9)
+    axis = [0.0, 0.3, 1.0]
+    x = tensor_points(axis, dim)
+    # first axis slowest, the node order of tensor_gauss_legendre
+    assert x.tolist() == [[u, v] for u in axis for v in axis]
+    assert tensor_points(axis, 1).tolist() == [[u] for u in axis]
+
+    times = np.linspace(0.0, data.horizon, 4)
+    stacked = data.sample(x, times)
+    for rows, fld in zip(stacked, (data.a, data.b, data.p, data.q)):
+        assert rows.shape == (len(times), len(x))
+        for k, t in enumerate(times):
+            assert np.array_equal(rows[k], fld(x, t))
+    single = data.sample(x, times[2])
+    assert [v.shape for v in single] == [(len(x),)] * 4
+    assert all(np.array_equal(v, rows[2]) for v, rows in zip(single, stacked))
 
 
 def test_derive_refuses_invalid_data():

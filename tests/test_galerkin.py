@@ -7,7 +7,7 @@ from doublephase import flux, spaces
 from doublephase.fields import ExponentData, make_field
 from doublephase.galerkin import (
     SolverConfig, SolverError, SpectralState, StepFailure, Workspace, build_basis,
-    evaluate, manufactured_source, mode_value_grad_hess, ode_rhs, project_initial,
+    evaluate, manufactured_source, ode_rhs, project_initial,
     solve, step_implicit,
 )
 
@@ -108,7 +108,7 @@ def test_ode_rhs_zero_and_heat_diagonal():
     data = data_const()
     basis = build_basis(2, 3)
     grid = spaces.tensor_gauss_legendre(2, 16)
-    ws = Workspace(basis, grid, data)
+    ws = Workspace(basis, grid)
     zero = SpectralState(t=0.0, coeffs=np.zeros(basis.size), basis=basis)
     assert np.abs(ode_rhs(zero, 0.0, 0.1, data, ZERO2, ws)).max() == 0.0
     for k in (0, 2, 5):
@@ -136,7 +136,7 @@ def test_ode_rhs_matches_refined_quadrature_oracle():
     base_order = SolverConfig(4, 0.1, 0.1).resolved_quad_order
     vals = {}
     for order in (base_order, 2 * base_order):
-        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order), data)
+        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
         vals[order] = ode_rhs(state, 0.03, 0.1, data, f, ws)
     scale = max(1, np.abs(vals[2 * base_order]).max())
     assert np.abs(vals[base_order] - vals[2 * base_order]).max() < 1e-8 * scale
@@ -154,7 +154,7 @@ def test_ode_rhs_refined_quadrature_nonquadratic_flux():
     f = mode_field([[1, 2, 0.7]])
     vals = {}
     for order in (SolverConfig(4, 0.1, 0.1).resolved_quad_order, 60):
-        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order), data)
+        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
         vals[order] = ode_rhs(state, 0.03, 0.1, data, f, ws)
     scale = max(1, np.abs(vals[60]).max())
     assert np.abs(vals[18] - vals[60]).max() < 1e-4 * scale
@@ -165,7 +165,7 @@ def test_step_implicit_zero_and_heat_closed_form():
     cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1e-2)
     basis = build_basis(2, cfg.m_per_dim)
     grid = spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order)
-    ws = Workspace(basis, grid, data)
+    ws = Workspace(basis, grid)
     zero = SpectralState(t=0.0, coeffs=np.zeros(basis.size), basis=basis)
     new, stats = step_implicit(zero, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
     assert np.abs(new.coeffs).max() == 0.0
@@ -183,7 +183,7 @@ def test_step_failure_raises_with_trace():
     data = data_const(p=1.8, q=1.8, a=1.0, b=0.0)
     cfg = SolverConfig(m_per_dim=2, eps=1e-6, tau=50.0, newton_max_iter=1)
     basis = build_basis(2, cfg.m_per_dim)
-    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
     state = SpectralState(t=0.0, coeffs=np.full(basis.size, 2.0), basis=basis)
     with pytest.raises(StepFailure) as info:
         step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
@@ -315,10 +315,11 @@ def test_manufactured_source_consistency():
         lipschitz_probe_resolution=9, time_probe_resolution=3)
     eps, t, rate = 0.3, 0.04, 1.0
     f = manufactured_source(data, eps, mode=(1, 1), amplitude=1.0, rate=rate)
+    mode11 = build_basis(2, 1)  # the single mode (1, 1)
 
     def flux_field(x):
         decay = math.exp(-rate * t)
-        _, grad, _ = mode_value_grad_hess((1, 1), x)
+        grad = mode11.gradients(x)[..., 0]
         return flux.flux_vector(x, t, decay * grad, eps, data)
 
     rng = np.random.default_rng(23)
@@ -329,6 +330,6 @@ def test_manufactured_source_consistency():
         e = np.zeros(2); e[d] = h
         div_fd += (flux_field(pts + e)[:, d] - flux_field(pts - e)[:, d]) / (2 * h)
     decay = math.exp(-rate * t)
-    val, _, _ = mode_value_grad_hess((1, 1), pts)
+    val = mode11.values(pts)[:, 0]
     expect_f = -rate * decay * val - div_fd
     assert np.abs(f(pts, t) - expect_f).max() < 1e-6

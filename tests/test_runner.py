@@ -126,6 +126,23 @@ def test_sweep_single_member_matches_run(tmp_path):
     assert (tmp_path / "sweep" / "sweep_summary.csv").exists()
 
 
+def test_sweep_outputs_byte_identical_for_any_worker_count(tmp_path):
+    raw = small_heat_raw(fields={"p": {"family": "affine", "base": 1.9, "slope": [0.1, 0.0]},
+                                 "q": 2.0, "a": 0.5, "b": 0.5},
+                         sweep={"eps": [1.0e-1, 1.0e-2], "m_per_dim": [3, 4]})
+    raw["horizon"] = 0.01
+    config = runner.load_config(write_config(tmp_path, raw))
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers), out)
+        assert code == 0
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
+    assert Path("sweep_summary.csv") in outputs[0]
+    assert len([p for p in outputs[0] if p.name == "timeseries.csv"]) == 4
+    assert outputs[0] == outputs[1]
+
+
 def test_sweep_member_failure_recorded_and_continues(tmp_path):
     raw = small_heat_raw(sweep={"eps": [1.0e-2, 1.0e-3]})
     raw["fields"] = {"p": 2.0, "q": 2.6, "a": 0.5, "b": 0.5}
