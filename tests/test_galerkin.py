@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from doublephase import flux, spaces
 from doublephase.fields import ExponentData, make_field
 from doublephase.galerkin import (
-    SolverConfig, SolverError, SpectralState, StepFailure, Workspace, build_basis,
-    evaluate, manufactured_source, ode_rhs, project_initial,
+    _CHUNK, EigenBasis, SolverConfig, SolverError, SpectralState, StepFailure, Workspace,
+    build_basis, evaluate, manufactured_source, ode_rhs, project_initial,
     solve, step_implicit,
 )
 
@@ -47,6 +48,56 @@ def test_basis_orthonormal_under_solver_quadrature():
     gp = basis.gradients(grid.space_nodes)
     stiff = np.einsum("mnj,mnl,m->jl", gp, gp, grid.space_weights, optimize=True)
     assert np.abs(stiff - np.diag(basis.eigenvalues)).max() < 1e-8 * basis.eigenvalues.max()
+
+
+def _direct_trig(basis, x):
+    angles = np.pi * x[:, None, :] * basis.modes[None, :, :]
+    return np.sin(angles), np.cos(angles)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m_per_dim", [1, 4, 16])
+def test_trig_tables_equal_direct_formula_bitwise(dim, m_per_dim):
+    basis = build_basis(dim, m_per_dim)
+    x = np.random.default_rng(dim * 100 + m_per_dim).uniform(size=(7, dim))
+    for got, want in zip(basis._trig(x), _direct_trig(basis, x)):
+        assert got.shape == (7, basis.size, dim)
+        assert np.array_equal(got, want)
+
+
+def test_trig_tables_of_single_mode_basis_equal_direct_formula_bitwise():
+    k = np.array([[3, 1]])  # the one-mode basis as manufactured_source builds it
+    basis = EigenBasis(dim=2, m_per_dim=3, modes=k,
+                       eigenvalues=np.pi ** 2 * np.sum(k ** 2, axis=-1).astype(float))
+    x = np.random.default_rng(31).uniform(size=(50, 2))
+    for got, want in zip(basis._trig(x), _direct_trig(basis, x)):
+        assert got.shape == (50, 1, 2)
+        assert np.array_equal(got, want)
+
+
+def test_tables_across_a_chunk_boundary_equal_one_chunk_row_for_row():
+    basis = build_basis(2, 3)
+    x = np.random.default_rng(5).uniform(size=(_CHUNK + 1, 2))
+    one_chunk = _direct_trig(basis, x)
+    for got, want in zip(basis._trig(x), one_chunk):
+        assert np.array_equal(got, want)
+    assert np.array_equal(basis.values(x), basis._values_chunk(*one_chunk))
+    assert np.array_equal(basis.gradients(x), basis._gradients_chunk(*one_chunk))
+    assert np.array_equal(basis.hessians(x), basis._hessians_chunk(*one_chunk))
+
+
+@pytest.mark.parametrize("method, shape", [
+    ("values", (0, 9)), ("gradients", (0, 2, 9)), ("hessians", (0, 2, 2, 9))])
+def test_basis_tables_on_zero_points_are_empty(method, shape):
+    basis = build_basis(2, 3)
+    assert getattr(basis, method)(np.zeros((0, 2))).shape == shape
+
+
+def test_evaluate_on_zero_points_is_empty():
+    basis = build_basis(2, 3)
+    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
+    u, grad = evaluate(state, np.zeros((0, 2)))
+    assert u.shape == (0,) and grad.shape == (0, 2)
 
 
 def test_project_initial_eigenmode_and_zero():
@@ -302,6 +353,18 @@ def test_solver_error_carries_partial_trajectory():
         solve(cfg, data, mode_field([[1, 1, 5.0]]), ZERO2, validate=False)
     partial = info.value.partial
     assert partial is not None and len(partial.times) >= 1
+
+
+def test_failed_step_recovers_by_halving_within_retry_cap():
+    # three Newton iterations cannot take the full step; two halvings can
+    data = data_const(p=1.6, q=1.6, a=1.0, b=0.0)
+    u0 = mode_field([[1, 1, 5.0]])
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.05, newton_max_iter=3, tau_retry_cap=0)
+    with pytest.raises(SolverError):
+        solve(cfg, data, u0, ZERO2)
+    traj = solve(replace(cfg, tau_retry_cap=2), data, u0, ZERO2)
+    assert traj.horizon == pytest.approx(0.1)  # the sub-steps end at 0.09999999999999999
+    assert list(traj.newton_iters) == [0, 8, 8]  # merged over each step's sub-steps
 
 
 def test_manufactured_source_consistency():

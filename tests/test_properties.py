@@ -1,0 +1,79 @@
+"""Property tests of the documented contracts, driven by hypothesis.
+
+Skipped as a whole where hypothesis is not installed.  The examples are
+derandomized, so every run checks the same cases.
+"""
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
+
+from doublephase import flux, spaces  # noqa: E402
+
+GRID = spaces.tensor_gauss_legendre(2, 4)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# field values whose largest magnitude keeps the modular at lam = 1 away from
+# underflow, the documented NumericsError case
+field_values = hnp.arrays(float, GRID.n_space, elements=st.floats(-1e3, 1e3)).filter(
+    lambda v: np.abs(v).max() > 1e-3)
+exponents = hnp.arrays(float, GRID.n_space, elements=st.floats(1.05, 6.0))
+rel_tols = st.sampled_from([1e-10, 1e-8, 1e-6])
+scales = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+
+
+@PROPERTY
+@given(values=field_values, r=exponents, rel_tol=rel_tols)
+def test_luxemburg_norm_meets_modular_contract(values, r, rel_tol):
+    f = spaces.SampledField(values, GRID)
+    lam = spaces.luxemburg_norm(f, r, rel_tol=rel_tol)
+    assert lam > 0
+    mod = spaces.modular(spaces.SampledField(values / lam, GRID), r)
+    assert 1.0 - 10.0 * rel_tol <= mod <= 1.0
+
+
+@PROPERTY
+@given(values=field_values, r=exponents, rel_tol=rel_tols, c=scales)
+def test_luxemburg_norm_is_absolutely_homogeneous(values, r, rel_tol, c):
+    lam = spaces.luxemburg_norm(spaces.SampledField(values, GRID), r, rel_tol=rel_tol)
+    scaled = spaces.luxemburg_norm(spaces.SampledField(c * values, GRID), r, rel_tol=rel_tol)
+    assert scaled == pytest.approx(abs(c) * lam, rel=rel_tol)
+
+
+coefficient = st.floats(0.0, 5.0)
+exponent = st.floats(1.05, 6.0)
+vectors = st.integers(1, 3).flatmap(
+    lambda n: hnp.arrays(float, n, elements=st.floats(-1e3, 1e3)))
+vector_pairs = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    *[hnp.arrays(float, n, elements=st.floats(-1e3, 1e3))] * 2))
+
+
+@PROPERTY
+@given(a=coefficient, b=coefficient, p=exponent, q=exponent, xi=vectors,
+       eps=st.floats(1e-6, 1.0))
+def test_flux_jacobian_is_symmetric_psd(a, b, p, q, xi, eps):
+    jac = flux.jacobian_kernel(a, b, p, q, xi, eps)
+    assert jac.shape == (xi.size, xi.size)
+    assert np.array_equal(jac, jac.T)
+    scale = np.abs(jac).max()
+    assert np.linalg.eigvalsh(jac).min() >= -1e-12 * scale
+
+
+@PROPERTY
+@given(pair=vector_pairs, p=exponent, eps=st.floats(0.0, 0.99))
+def test_monotonicity_gap_is_nonnegative(pair, p, eps):
+    xi, eta = pair
+    assert flux.monotonicity_gap(xi, eta, p, eps) >= 0.0
+
+
+@PROPERTY
+@given(pair=vector_pairs, a=coefficient, b=coefficient, p=exponent, q=exponent,
+       eps=st.floats(0.0, 0.99), t=st.floats(0.0, 1.0))
+def test_energy_density_is_convex(pair, a, b, p, q, eps, t):
+    xi, eta = pair
+    energy = [flux.energy_kernel(a, b, p, q, v, eps)
+              for v in (xi, eta, (1 - t) * xi + t * eta)]
+    chord = (1 - t) * energy[0] + t * energy[1]
+    assert energy[2] <= chord + 1e-12 * max(energy[0], energy[1])
