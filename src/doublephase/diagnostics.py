@@ -22,58 +22,21 @@ import numpy as np
 
 from . import flux, spaces
 from .fields import ExponentData, Field, sample_field, tensor_points
-from .galerkin import SolverConfig, Trajectory, solve
+from .galerkin import _CHUNK, SolverConfig, Trajectory, solve
 
 _REL_FLOOR = 1e-30
-# Lattice points per basis-gradient table in second_order_flux_norm.
-_SECOND_ORDER_CHUNK = 8192
 
 
-@dataclass(eq=False)
-class TrajectoryView:
-    """Lazy per-checkpoint arrays shared by the monitors."""
+def _flux_energy(traj: Trajectory, eps) -> np.ndarray:
+    """int F_eps(z, grad u)|grad u|^2 dx at every checkpoint."""
+    fv = flux.vector_kernel(*traj.fields, traj.grads, eps)
+    return np.einsum("kmn,kmn,m->k", fv, traj.grads, traj.grid.space_weights, optimize=True)
 
-    traj: Trajectory
-    _fields: Optional[tuple] = None
-    _grads: Optional[np.ndarray] = None
-    _values: Optional[np.ndarray] = None
 
-    @property
-    def grid(self):
-        return self.traj.grid
-
-    @property
-    def times(self):
-        return self.traj.times
-
-    def st_grid(self):
-        return self.traj.spacetime_grid()
-
-    def fields(self):
-        if self._fields is None:
-            self._fields = self.traj.data.sample(self.grid.space_nodes, self.times)
-        return self._fields
-
-    def s_lower(self):
-        a, b, p, q = self.fields()
-        return np.minimum(p, q)
-
-    def grads(self):
-        if self._grads is None:
-            self._grads = self.traj.gradients_on_grid()
-        return self._grads
-
-    def values(self):
-        if self._values is None:
-            self._values = self.traj.values_on_grid()
-        return self._values
-
-    def flux_energy(self, eps) -> np.ndarray:
-        """int F_eps(z, grad u)|grad u|^2 dx at every checkpoint."""
-        a, b, p, q = self.fields()
-        g = self.grads()
-        fv = flux.vector_kernel(a, b, p, q, g, eps)
-        return np.einsum("kmn,kmn,m->k", fv, g, self.grid.space_weights, optimize=True)
+def _s_lower(traj: Trajectory) -> np.ndarray:
+    """min(p, q) at every checkpoint on the solver grid."""
+    a, b, p, q = traj.fields
+    return np.minimum(p, q)
 
 
 def _cumtrapz(y, t):
@@ -111,15 +74,14 @@ def core_series(traj: Trajectory, f_field: Field, linf_lattice: int = 65) -> Cor
     with the time integrals taken by the trapezoid rule on checkpoints; the
     relative form divides by the largest participating term.
     """
-    view = TrajectoryView(traj)
     times = traj.times
     l2 = np.einsum("kj,kj->k", traj.coeffs, traj.coeffs)
-    fe_eps = view.flux_energy(traj.eps)
-    fe_0 = view.flux_energy(0.0)
-    grads = view.grads()
+    fe_eps = _flux_energy(traj, traj.eps)
+    fe_0 = _flux_energy(traj, 0.0)
+    grads = traj.grads
     grad_l2 = np.einsum("kmn,kmn,m->k", grads, grads, traj.grid.space_weights, optimize=True)
     f_vals = sample_field(f_field, traj.grid.space_nodes, times)
-    work = (view.values() * f_vals) @ traj.grid.space_weights
+    work = (traj.values * f_vals) @ traj.grid.space_weights
 
     lat = lattice_points(traj.data.dim, linf_lattice)
     phi_lat = traj.basis.values(lat)
@@ -175,9 +137,7 @@ def gradbound_check(traj: Trajectory, series: CoreSeries) -> BoundReport:
     int F_0 |grad u|^2 <= 2 int F_eps |grad u|^2 + int small-gradient branch
     constant; both sides are evaluated on the same quadrature.
     """
-    view = TrajectoryView(traj)
-    a, b, p, q = view.fields()
-    c3 = flux.null_eps_branch_bound(a, b, p, q, traj.eps) @ traj.grid.space_weights
+    c3 = flux.null_eps_branch_bound(*traj.fields, traj.eps) @ traj.grid.space_weights
     rhs = 2.0 * series.flux_energy_eps + c3
     slack = 1e-8 * np.maximum(1.0, rhs)
     worst = float((series.flux_energy_0 - rhs).max())
@@ -193,10 +153,9 @@ def higher_integrability(traj: Trajectory, sigma_grid: Sequence[float]) -> dict:
     for s in sigma_grid:
         if not (0.0 < s < r_sharp):
             raise ValueError(f"sigma {s} outside (0, {r_sharp})")
-    view = TrajectoryView(traj)
-    s_low = view.s_lower()
-    mag = np.sqrt(np.sum(view.grads() ** 2, axis=-1))
-    st = view.st_grid()
+    s_low = _s_lower(traj)
+    mag = np.sqrt(np.sum(traj.grads ** 2, axis=-1))
+    st = traj.spacetime_grid()
     return {float(s): float(st.integrate(flux.powf(mag, s_low + r_sharp - s)))
             for s in sigma_grid}
 
@@ -219,14 +178,12 @@ def interpolation_ratio(traj: Trajectory, varsigma: float, beta: float) -> Inter
     """
     h = higher_integrability(traj, [varsigma])[float(varsigma)]
     lhs = traj.data.alpha * h
-    view = TrajectoryView(traj)
-    a, b, p, q = view.fields()
-    grads = view.grads()
+    grads = traj.grads
     hess_basis = traj.basis.hessians(traj.grid.space_nodes)
     hess = np.einsum("mdej,kj->kmde", hess_basis, traj.coeffs, optimize=True)
     uxx_sq = np.sum(hess ** 2, axis=(-2, -1))
-    dens = flux.density_kernel(a, b, p, q, grads, traj.eps)
-    term = view.st_grid().integrate(dens * uxx_sq)
+    dens = flux.density_kernel(*traj.fields, grads, traj.eps)
+    term = traj.spacetime_grid().integrate(dens * uxx_sq)
     return InterpolationReport(varsigma=float(varsigma), beta=float(beta), lhs=float(lhs),
                                second_order_term=float(term),
                                implied_constant=float(lhs - beta * term))
@@ -238,9 +195,8 @@ def time_derivative_bound(traj: Trajectory, f_field: Field) -> BoundReport:
     The right-hand side carries the analysis' unquantified constant, so this
     is a monitored ratio (finiteness asserted, magnitude reported).
     """
-    view = TrajectoryView(traj)
-    a, b, p, q = view.fields()
-    grads = view.grads()
+    a, b, p, q = traj.fields
+    grads = traj.grads
     beta = flux.beta_eps(grads, traj.eps)
     full_power = (a * flux.powf(beta, p / 2.0) + b * flux.powf(beta, q / 2.0))
     sup_modular = float((full_power @ traj.grid.space_weights).max())
@@ -294,12 +250,12 @@ def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
 
     # composite at every kept checkpoint, one basis-gradient table per point chunk
     composite = np.empty((len(idx), pts.shape[0], dim))
-    for lo in range(0, pts.shape[0], _SECOND_ORDER_CHUNK):
-        x = pts[lo:lo + _SECOND_ORDER_CHUNK]
+    for lo in range(0, pts.shape[0], _CHUNK):
+        x = pts[lo:lo + _CHUNK]
         gp = traj.basis.gradients(x)
         grad_u = np.stack([np.tensordot(gp, traj.coeffs[k], axes=([2], [0])) for k in idx])
         dens = flux.density_kernel(*traj.data.sample(x, sel_times), grad_u, traj.eps)
-        composite[:, lo:lo + _SECOND_ORDER_CHUNK] = np.sqrt(dens)[..., None] * grad_u
+        composite[:, lo:lo + _CHUNK] = np.sqrt(dens)[..., None] * grad_u
 
     # trapezoid weights over the interior lattice (endpoints half-weight)
     w1 = np.full(n_inner, h)
@@ -353,12 +309,10 @@ def stability_experiment(traj_u: Trajectory, traj_v: Trajectory,
     bound = np.exp(traj_u.horizon) * (diff[0] + fg_sq)
     slack = 1e-6 * max(1.0, bound)
 
-    view_u, view_v = TrajectoryView(traj_u), TrajectoryView(traj_v)
-    dgrad = view_u.grads() - view_v.grads()
-    s_low = view_u.s_lower()
-    grad_mod = st.integrate(flux.powf(np.sqrt(np.sum(dgrad ** 2, axis=-1)), s_low))
-    gu = spaces.SampledField(view_u.grads(), st, vector=True)
-    gv = spaces.SampledField(view_v.grads(), st, vector=True)
+    dgrad = traj_u.grads - traj_v.grads
+    grad_mod = st.integrate(flux.powf(np.sqrt(np.sum(dgrad ** 2, axis=-1)), _s_lower(traj_u)))
+    gu = spaces.SampledField(traj_u.grads, st, vector=True)
+    gv = spaces.SampledField(traj_v.grads, st, vector=True)
     pairing = spaces.pairing_G_eps(gu, gv, traj_u.eps, traj_u.data)
     return GronwallReport(times=traj_u.times, diff_l2_sq=diff, bound=float(bound),
                           slack=slack, grad_modular=float(grad_mod), pairing=float(pairing),
@@ -393,25 +347,6 @@ def linf_bound_check(traj: Trajectory, u0_field: Field, f_field: Field,
                           slack=slack, passed=bool(np.all(sup_u <= envelope)))
 
 
-@dataclass(eq=False)
-class DiagnosticsReport:
-    """Everything one run is monitored for, in one bundle.
-
-    All time-series entries are finite by construction and the accumulators
-    are nondecreasing; the runner turns the bundle into check rows and CSV
-    artifacts.
-    """
-
-    series: CoreSeries
-    higher_integrability: dict
-    interpolation: InterpolationReport
-    apriori: BoundReport
-    gradbound: BoundReport
-    time_derivative: BoundReport
-    second_order: SecondOrderReport
-    envelope: EnvelopeReport
-
-
 @dataclass(frozen=True)
 class CauchyReport:
     labels: list
@@ -426,8 +361,7 @@ def _gradient_cauchy(trajs: Sequence[Trajectory], labels, tolerance: float,
                      pair_eps=None) -> CauchyReport:
     base = trajs[-1]
     st = base.spacetime_grid()
-    view = TrajectoryView(base)
-    s_low = view.s_lower()
+    s_low = _s_lower(base)
     grads = []
     for tr in trajs:
         gp = tr.basis.gradients(base.grid.space_nodes)

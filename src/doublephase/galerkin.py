@@ -16,7 +16,8 @@ convex minimization.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -229,6 +230,16 @@ class Workspace:
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
         return self.phi.T @ (self.w * f_field(self.x, t))
 
+    def rhs(self, coeffs, fields, eps: float, f_vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Galerkin right-hand side -int F_eps(z, grad u) grad u . grad phi_j dx + f_vec.
+
+        fields are (a, b, p, q) on the nodes and f_vec the projected source,
+        both frozen at one time; returns (rhs, grad u, flux vector field).
+        """
+        grad = self.gradient_of(coeffs)
+        fvec = flux.vector_kernel(*fields, grad, eps)
+        return -self.stiffness(fvec) + f_vec, grad, fvec
+
 
 def project_initial(u0: Field, basis: EigenBasis, grid: QuadratureGrid) -> SpectralState:
     """L2 projection of the initial datum onto the first m eigenfunctions."""
@@ -242,9 +253,7 @@ def project_initial(u0: Field, basis: EigenBasis, grid: QuadratureGrid) -> Spect
 def ode_rhs(state: SpectralState, t: float, eps: float, data: ExponentData,
             f_field: Field, ws: Workspace) -> np.ndarray:
     """Right-hand side of the coefficient ODE system at time t."""
-    a, b, p, q = data.sample(ws.x, t)
-    fvec = flux.vector_kernel(a, b, p, q, ws.gradient_of(state.coeffs), eps)
-    return -ws.stiffness(fvec) + ws.source_vector(f_field, t)
+    return ws.rhs(state.coeffs, data.sample(ws.x, t), eps, ws.source_vector(f_field, t))[0]
 
 
 @dataclass
@@ -265,14 +274,13 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     """
     t1 = state.t + tau
     u = state.coeffs
-    a, b, p, q = data.sample(ws.x, t1)
+    fields = data.sample(ws.x, t1)
     f_vec = ws.source_vector(f_field, t1)
     w = ws.w
 
     def residual(v):
-        grad_v = ws.gradient_of(v)
-        fvec = flux.vector_kernel(a, b, p, q, grad_v, eps)
-        return v - u + tau * (ws.stiffness(fvec) - f_vec), grad_v, fvec
+        rhs, grad_v, fvec = ws.rhs(v, fields, eps, f_vec)
+        return v - u - tau * rhs, grad_v, fvec
 
     tol = cfg.newton_tol * (1.0 + np.linalg.norm(u))
     v = u.copy()
@@ -283,7 +291,7 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     for it in range(cfg.newton_max_iter):
         if norm_res <= tol:
             break
-        jac_flux = flux.jacobian_kernel(a, b, p, q, grad_v, eps)
+        jac_flux = flux.jacobian_kernel(*fields, grad_v, eps)
         jac = eye + tau * np.einsum("map,mab,mbq->pq", ws.grad_phi,
                                     w[:, None, None] * jac_flux, ws.grad_phi,
                                     optimize=True)
@@ -326,26 +334,28 @@ class Trajectory:
     newton_iters: np.ndarray
     newton_residual: np.ndarray
     energy_slack: np.ndarray      # per-checkpoint proximal inequality slack
-    f_descriptor: dict = field(default_factory=dict)
-    _grad_cache: Optional[np.ndarray] = None
 
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def state(self, k: int) -> SpectralState:
-        return SpectralState(t=float(self.times[k]), coeffs=self.coeffs[k], basis=self.basis)
+    # Per-checkpoint arrays on the solver grid, computed once and shared by
+    # every monitor that reads the trajectory.
+    @cached_property
+    def fields(self) -> tuple:
+        """(a, b, p, q) at every checkpoint, each (K+1, M)."""
+        return self.data.sample(self.grid.space_nodes, self.times)
 
-    def gradients_on_grid(self) -> np.ndarray:
-        """Gradients at all checkpoints on the solver grid, (K+1, M, N)."""
-        if self._grad_cache is None:
-            gp = self.basis.gradients(self.grid.space_nodes)
-            self._grad_cache = np.einsum("mnj,kj->kmn", gp, self.coeffs)
-        return self._grad_cache
+    @cached_property
+    def grads(self) -> np.ndarray:
+        """Gradients at every checkpoint, (K+1, M, N)."""
+        gp = self.basis.gradients(self.grid.space_nodes)
+        return np.einsum("mnj,kj->kmn", gp, self.coeffs)
 
-    def values_on_grid(self) -> np.ndarray:
-        phi = self.basis.values(self.grid.space_nodes)
-        return self.coeffs @ phi.T
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Values at every checkpoint, (K+1, M)."""
+        return self.coeffs @ self.basis.values(self.grid.space_nodes).T
 
     def spacetime_grid(self) -> QuadratureGrid:
         return self.grid.with_time(self.times)
@@ -402,8 +412,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
                 data=data, cfg=cfg, eps=cfg.eps, basis=basis, grid=grid,
                 times=np.asarray(times), coeffs=np.asarray(coeffs),
                 ut_sq_accum=np.asarray(ut_accum), newton_iters=np.asarray(iters),
-                newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks),
-                f_descriptor=dict(getattr(f_field, "descriptor", {})))
+                newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks))
             raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}", partial) from exc
         running_ut += st.ut_sq_increment
         if (k + 1) % cfg.output_cadence == 0 or (k + 1) == n_steps:
@@ -418,8 +427,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
         data=data, cfg=cfg, eps=cfg.eps, basis=basis, grid=grid,
         times=np.asarray(times), coeffs=np.asarray(coeffs),
         ut_sq_accum=np.asarray(ut_accum), newton_iters=np.asarray(iters),
-        newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks),
-        f_descriptor=dict(getattr(f_field, "descriptor", {})))
+        newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks))
 
 
 def _field_spatial_gradient(fld: Field, x, t, h: float = 1e-6) -> np.ndarray:

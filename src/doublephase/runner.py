@@ -222,12 +222,12 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
     manifest["timings"]["solve"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    checks, report, extras = run_diagnostics(traj, config, f_field)
+    checks, series, extras = run_diagnostics(traj, config, f_field)
     manifest["timings"]["diagnostics"] = time.perf_counter() - t2
     manifest["checks"] = [c.as_dict() for c in checks]
     manifest["summary"] = extras
 
-    _write_timeseries(outdir, report.series, traj)
+    _write_timeseries(outdir, series, traj)
     if "higher_integrability" in extras:
         _write_csv(outdir / "higher_integrability.csv", ["varsigma", "value"],
                    sorted(extras["higher_integrability"].items()))
@@ -244,7 +244,7 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
 
 
 def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
-    """Evaluate every per-run monitor; returns (checks, report, extras)."""
+    """Evaluate every per-run monitor; returns (checks, core series, extras)."""
     opts = config.diagnostics
     ceil = dict(opts.get("ceilings", {}))
     checks: list[Check] = []
@@ -339,11 +339,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
     else:
         checks.append(Check("second_order_regularity", "monitor", np.isfinite(so.total),
                             so.total, None, f"norms at h={so.h} (finiteness)"))
-
-    report = dg.DiagnosticsReport(
-        series=series, higher_integrability=hi, interpolation=ir, apriori=ap,
-        gradbound=gb, time_derivative=td, second_order=so, envelope=env)
-    return checks, report, extras
+    return checks, series, extras
 
 
 def _write_timeseries(outdir: Path, series: dg.CoreSeries, traj: Trajectory):
@@ -414,11 +410,7 @@ def _run_member(args):
 
 
 def replace_config(config: RunConfig, **kw) -> RunConfig:
-    fields = {k: getattr(config, k) for k in
-              ("name", "data", "initial", "source_descriptor", "solver", "diagnostics",
-               "sweep", "output", "workers", "seed", "raw")}
-    fields.update(kw)
-    return RunConfig(**fields)
+    return replace(config, **kw)
 
 
 def _table_ratio(tables):

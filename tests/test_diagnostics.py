@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from doublephase import diagnostics as dg, spaces
+from doublephase import diagnostics as dg, runner, spaces
 from doublephase.fields import ExponentData, make_field
 from doublephase.galerkin import SolverConfig, solve
 
@@ -190,6 +190,31 @@ def test_stability_identical_and_heat_perturbation():
     expect = delta ** 2 * (1.0 + lam21 * cfg.tau) ** (-2.0 * k.astype(float))
     assert np.allclose(rep2.diff_l2_sq, expect, rtol=1e-6)
     assert rep2.bound == pytest.approx(math.exp(0.1) * delta ** 2, rel=1e-9)
+
+
+def test_run_diagnostics_samples_solver_fields_once(monkeypatch):
+    # every monitor reads a, b, p, q on the solver grid from the trajectory
+    config = runner.config_from_dict({
+        "name": "count_samples", "dim": 2, "horizon": 0.02, "alpha": 0.9,
+        "fields": {"p": {"family": "affine", "base": 1.9, "slope": [0.1, 0.0]},
+                   "q": 2.1, "a": 0.5, "b": 0.5},
+        "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]}, "source": 0.0,
+        "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3},
+        "diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0}}})
+    f_field = config.source_field()
+    traj = solve(config.solver, config.data, config.initial, f_field, validate=False)
+    nodes = traj.grid.space_nodes
+    calls = []
+    original = ExponentData.sample
+
+    def counting(self, x, t):
+        if np.shape(x) == nodes.shape and np.array_equal(x, nodes):
+            calls.append(np.ndim(t))
+        return original(self, x, t)
+
+    monkeypatch.setattr(ExponentData, "sample", counting)
+    runner.run_diagnostics(traj, config, f_field)
+    assert calls == [1]
 
 
 def test_linf_envelope_with_unit_source():
