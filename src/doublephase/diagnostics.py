@@ -362,10 +362,12 @@ def _gradient_cauchy(trajs: Sequence[Trajectory], labels, tolerance: float,
     base = trajs[-1]
     st = base.spacetime_grid()
     s_low = _s_lower(base)
-    grads = []
+    grads, tables = [], {}  # one gradient table per distinct basis, keyed by its modes
     for tr in trajs:
-        gp = tr.basis.gradients(base.grid.space_nodes)
-        grads.append(np.einsum("mnj,kj->kmn", gp, tr.coeffs, optimize=True))
+        key = (tr.basis.modes.shape, tr.basis.modes.tobytes())
+        if key not in tables:
+            tables[key] = tr.basis.gradients(base.grid.space_nodes)
+        grads.append(np.einsum("mnj,kj->kmn", tables[key], tr.coeffs, optimize=True))
     dist, pair = [], []
     for k in range(len(trajs) - 1):
         d = grads[k] - grads[k + 1]

@@ -21,9 +21,10 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from . import flux
-from .fields import ExponentData, Field
+from .fields import ExponentData, Field, tensor_points
 from .spaces import QuadratureGrid, tensor_gauss_legendre
 
 _CHUNK = 4096
@@ -210,7 +211,11 @@ class SolverConfig:
 
 
 class Workspace:
-    """Precomputed basis matrices on the solver quadrature grid."""
+    """Precomputed basis matrices on the solver quadrature grid.
+
+    The grid must be a tensor lattice in `tensor_points` order (as from
+    `tensor_gauss_legendre`): the Newton matrix is assembled one axis at a time.
+    """
 
     def __init__(self, basis: EigenBasis, grid: QuadratureGrid):
         self.basis = basis
@@ -219,6 +224,20 @@ class Workspace:
         self.w = grid.space_weights
         self.phi = basis.values(self.x)          # (M, m)
         self.grad_phi = basis.gradients(self.x)  # (M, N, m)
+
+        dim, m1 = basis.dim, basis.m_per_dim
+        n = round(self.x.shape[0] ** (1.0 / dim))
+        axis = self.x[:n, -1]  # the last coordinate varies fastest
+        if not np.array_equal(tensor_points(axis, dim), self.x):
+            raise ValueError("Workspace needs a tensor-product grid in tensor_points order")
+        # 1D factors sqrt(2) sin(k pi x) and their derivatives, k = 1..m_per_dim,
+        # from the basis' own convention; pairs[dp, dq][x, (k, l)] is the
+        # product of factor k (derivative if dp) and factor l (derivative if dq)
+        line = build_basis(1, m1)
+        f = np.stack([line.values(axis[:, None]), line.gradients(axis[:, None])[:, 0, :]])
+        self._pairs = (f[:, None, :, :, None] * f[None, :, :, None, :]).reshape(2, 2, n, m1 * m1)
+        # row of each sorted mode in the lexicographic tensor order
+        self._pos = np.ravel_multi_index(tuple((basis.modes - 1).T), (m1,) * dim)
 
     def gradient_of(self, coeffs) -> np.ndarray:
         return np.tensordot(self.grad_phi, coeffs, axes=([2], [0]))
@@ -229,6 +248,28 @@ class Workspace:
 
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
         return self.phi.T @ (self.w * f_field(self.x, t))
+
+    def step_matrix(self, jac_flux, tau: float) -> np.ndarray:
+        """Newton matrix I + tau * int grad phi_p . J grad phi_q dx for J (M, N, N).
+
+        Sum-factorized: each (a, b) term contracts the tensor axes one at a
+        time against the 1D pair tables, derivative factors on axes a and b.
+        """
+        dim, m1 = self.basis.dim, self.basis.m_per_dim
+        n = self._pairs.shape[2]
+        wj = self.w[:, None, None] * jac_flux
+        acc = 0.0
+        for a in range(dim):
+            for b in range(dim):
+                c = wj[:, a, b]
+                for i in range(dim):  # contracted axis moves to the end as (p_i, q_i)
+                    c = c.reshape(n, -1).T @ self._pairs[int(i == a), int(i == b)]
+                acc = acc + c
+        order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
+        full = np.reshape(acc, (m1,) * (2 * dim)).transpose(order).reshape(m1 ** dim, -1)
+        mat = tau * full[np.ix_(self._pos, self._pos)]
+        mat.flat[::mat.shape[0] + 1] += 1.0
+        return mat
 
     def rhs(self, coeffs, fields, eps: float, f_vec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Galerkin right-hand side -int F_eps(z, grad u) grad u . grad phi_j dx + f_vec.
@@ -276,7 +317,6 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     u = state.coeffs
     fields = data.sample(ws.x, t1)
     f_vec = ws.source_vector(f_field, t1)
-    w = ws.w
 
     def residual(v):
         rhs, grad_v, fvec = ws.rhs(v, fields, eps, f_vec)
@@ -287,15 +327,13 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     res, grad_v, fvec = residual(v)
     norm_res = np.linalg.norm(res)
     trace = [norm_res]
-    eye = np.eye(len(u))
     for it in range(cfg.newton_max_iter):
         if norm_res <= tol:
             break
         jac_flux = flux.jacobian_kernel(*fields, grad_v, eps)
-        jac = eye + tau * np.einsum("map,mab,mbq->pq", ws.grad_phi,
-                                    w[:, None, None] * jac_flux, ws.grad_phi,
-                                    optimize=True)
-        delta = np.linalg.solve(jac, -res)
+        # I plus a weighted Gram form of the PSD flux Jacobian: positive definite
+        chol = cho_factor(ws.step_matrix(jac_flux, tau), check_finite=False)
+        delta = cho_solve(chol, -res, check_finite=False)
         alpha = 1.0
         for _ in range(cfg.max_damping_halvings):
             cand = v + alpha * delta
@@ -311,7 +349,7 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     else:
         raise StepFailure(f"newton did not converge at t={t1:.6g}", trace)
 
-    flux_energy = float(w @ np.sum(fvec * grad_v, axis=-1))
+    flux_energy = float(ws.w @ np.sum(fvec * grad_v, axis=-1))
     source_work = float(f_vec @ v)
     slack = (v @ v - u @ u) / (2.0 * tau) + flux_energy - source_work
     stats = StepStats(newton_iters=len(trace) - 1, residual_norm=norm_res,
@@ -361,6 +399,29 @@ class Trajectory:
         return self.grid.with_time(self.times)
 
 
+def _advance(s, dt, depth, data, f_field, cfg, ws):
+    """One implicit step of dt, retried on two halved substeps on failure.
+
+    A module function, not a closure in `solve`: a self-referencing closure
+    is a reference cycle that keeps the Workspace alive until the cyclic
+    garbage collector runs.
+    """
+    try:
+        new, st = step_implicit(s, dt, cfg.eps, data, f_field, cfg, ws)
+    except StepFailure:
+        if depth >= cfg.tau_retry_cap:
+            raise
+        half, st1 = _advance(s, dt / 2.0, depth + 1, data, f_field, cfg, ws)
+        full, st2 = _advance(half, dt / 2.0, depth + 1, data, f_field, cfg, ws)
+        merged = StepStats(
+            newton_iters=st1.newton_iters + st2.newton_iters,
+            residual_norm=max(st1.residual_norm, st2.residual_norm),
+            energy_slack=st1.energy_slack + st2.energy_slack,
+            ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
+        return full, merged
+    return new, st
+
+
 def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
           validate: bool = True) -> Trajectory:
     """March the implicit scheme over [0, T] and record the trajectory.
@@ -387,26 +448,9 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
     slacks = [0.0]
     running_ut = 0.0
 
-    def advance(s, dt, depth):
-        nonlocal running_ut
-        try:
-            new, st = step_implicit(s, dt, cfg.eps, data, f_field, cfg, ws)
-        except StepFailure:
-            if depth >= cfg.tau_retry_cap:
-                raise
-            half, st1 = advance(s, dt / 2.0, depth + 1)
-            full, st2 = advance(half, dt / 2.0, depth + 1)
-            merged = StepStats(
-                newton_iters=st1.newton_iters + st2.newton_iters,
-                residual_norm=max(st1.residual_norm, st2.residual_norm),
-                energy_slack=st1.energy_slack + st2.energy_slack,
-                ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
-            return full, merged
-        return new, st
-
     for k in range(n_steps):
         try:
-            state, st = advance(state, tau, 0)
+            state, st = _advance(state, tau, 0, data, f_field, cfg, ws)
         except StepFailure as exc:
             partial = Trajectory(
                 data=data, cfg=cfg, eps=cfg.eps, basis=basis, grid=grid,

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from doublephase import diagnostics as dg, runner, spaces
 from doublephase.fields import ExponentData, make_field
-from doublephase.galerkin import SolverConfig, solve
+from doublephase.galerkin import EigenBasis, SolverConfig, solve
 
 LAM11 = 2.0 * math.pi ** 2
 
@@ -248,6 +249,28 @@ def test_eps_continuation_plap_decreasing():
     assert np.all(rep.pairings >= 0.0)
     with pytest.raises(ValueError):
         dg.eps_continuation_study(cfg, data, ZERO2, ZERO2, [1e-2, 1e-1])
+
+
+def test_gradient_cauchy_builds_one_gradient_table_per_basis(monkeypatch):
+    # the members of an eps study share one basis, so its gradient table on
+    # the base grid is built once, not once per member
+    data = data_const(p=1.8, q=1.8, a=1.0, b=0.0, horizon=0.01)
+    cfg = SolverConfig(m_per_dim=3, eps=1e-1, tau=2.5e-3)
+    eps_seq = [1e-1, 5e-2, 2.5e-2]
+    trajs = [solve(replace(cfg, eps=e), data, mode_field([[1, 1, 0.8]]), ZERO2)
+             for e in eps_seq]
+    calls = []
+    original = EigenBasis.gradients
+
+    def counting(self, x):
+        calls.append(self.m_per_dim)
+        return original(self, x)
+
+    monkeypatch.setattr(EigenBasis, "gradients", counting)
+    rep = dg._gradient_cauchy(trajs, [f"eps={e:g}" for e in eps_seq], 0.1,
+                              pair_eps=eps_seq[1:])
+    assert calls == [3]
+    assert rep.distances.shape == (2,) and np.all(rep.distances > 0.0)
 
 
 def test_one_dimensional_pipeline_end_to_end():

@@ -1,10 +1,13 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doublephase import flux, spaces
+from doublephase import flux, galerkin, runner, spaces
 from doublephase.fields import ExponentData, make_field
 from doublephase.galerkin import (
     _CHUNK, EigenBasis, SolverConfig, SolverError, SpectralState, StepFailure, Workspace,
@@ -12,6 +15,7 @@ from doublephase.galerkin import (
     solve, step_implicit,
 )
 
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 LAM11 = 2.0 * math.pi ** 2
 
 
@@ -239,6 +243,84 @@ def test_step_failure_raises_with_trace():
     with pytest.raises(StepFailure) as info:
         step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
     assert len(info.value.trace) >= 1
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m_per_dim", [1, 3, 5])
+@pytest.mark.parametrize("order", [7, 8])
+def test_step_matrix_equals_dense_gram_form(dim, m_per_dim, order):
+    # reference: the dense three-operand contraction over all quadrature nodes
+    basis = build_basis(dim, m_per_dim)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(dim, order))
+    rng = np.random.default_rng(100 * dim + 10 * m_per_dim + order)
+    m = ws.x.shape[0]
+    a, b = rng.uniform(0.1, 1.0, size=(2, m))
+    p, q = rng.uniform(1.5, 2.5, size=(2, m))
+    jac_flux = flux.jacobian_kernel(a, b, p, q, rng.normal(size=(m, dim)), 0.1)
+    tau = 0.37
+    ref = np.eye(basis.size) + tau * np.einsum(
+        "map,mab,mbq->pq", ws.grad_phi, ws.w[:, None, None] * jac_flux, ws.grad_phi,
+        optimize=True)
+    got = ws.step_matrix(jac_flux, tau)
+    assert got.shape == ref.shape
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_workspace_rejects_non_tensor_grid():
+    basis = build_basis(2, 3)
+    grid = spaces.tensor_gauss_legendre(2, 8)
+    # the same lattice with the first axis fastest, and scattered nodes
+    first_fastest = spaces.QuadratureGrid(grid.space_nodes[:, ::-1], grid.space_weights)
+    rng = np.random.default_rng(5)
+    scattered = spaces.QuadratureGrid(rng.uniform(size=(64, 2)), np.full(64, 1.0 / 64))
+    for bad in (first_fastest, scattered):
+        with pytest.raises(ValueError, match="tensor"):
+            Workspace(basis, bad)
+
+
+def test_newton_iterations_of_unordered_sweep_member():
+    # an inexact Newton matrix (e.g. one without the a != b cross terms)
+    # still converges but needs more iterations: 60 here instead of 2 per step
+    config = runner.load_config(SCENARIOS / "unordered_sweep.yaml")
+    cfg = replace(config.solver, m_per_dim=4, eps=1e-4, tau=2.5e-3)
+    traj = solve(cfg, config.data, config.initial, config.source_field(), validate=False)
+    assert len(traj.times) == 21
+    assert traj.newton_iters.sum() == 40
+
+
+def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
+    # unchecked Cholesky passes NaN on to the damping loop, which fails the
+    # step, so the solve's retry by halving still applies
+    data = data_const(p=1.8, q=2.1)
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
+    basis = build_basis(2, cfg.m_per_dim)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
+    nan_jacobian = np.full((ws.x.shape[0], 2, 2), np.nan)
+    monkeypatch.setattr(flux, "jacobian_kernel", lambda *args: nan_jacobian)
+    with pytest.raises(StepFailure):
+        step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+
+
+def test_solve_frees_its_workspace_without_the_cycle_collector(monkeypatch):
+    # a reference cycle through the workspace would hold its basis tables
+    # (about 11 MB at m_per_dim=16) until the cyclic collector runs
+    made = []
+
+    class Tracked(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(galerkin, "Workspace", Tracked)
+    gc.disable()
+    try:
+        solve(SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2), data_const(),
+              mode_field([[1, 1, 1.0]]), ZERO2)
+        alive = [ref() is not None for ref in made]
+    finally:
+        gc.enable()
+    assert alive == [False]
 
 
 def test_solve_heat_benchmark_small():
