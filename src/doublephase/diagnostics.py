@@ -16,13 +16,14 @@ ratios against regression ceilings frozen in the scenario configs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import flux, spaces
-from .fields import ExponentData, Field, sample_field, tensor_points
-from .galerkin import _CHUNK, SolverConfig, Trajectory, solve
+from .fields import ExponentData, Field, sample_field, tensor_axis, tensor_points
+from .galerkin import SolverConfig, Trajectory, solve
 
 _REL_FLOOR = 1e-30
 
@@ -66,6 +67,12 @@ def lattice_points(dim: int, n: int) -> np.ndarray:
     return tensor_points(np.linspace(0.0, 1.0, n), dim)
 
 
+def _lattice_sup(traj: Trajectory, n: int) -> np.ndarray:
+    """max |u| over the uniform n^dim lattice at every checkpoint."""
+    lines = traj.basis.line_tables(np.linspace(0.0, 1.0, n))
+    return np.abs(traj.basis.lattice(lines, traj.coeffs)).max(axis=1)
+
+
 def core_series(traj: Trajectory, f_field: Field, linf_lattice: int = 65) -> CoreSeries:
     """Assemble the monitored time series, including the energy residual.
 
@@ -83,9 +90,7 @@ def core_series(traj: Trajectory, f_field: Field, linf_lattice: int = 65) -> Cor
     f_vals = sample_field(f_field, traj.grid.space_nodes, times)
     work = (traj.values * f_vals) @ traj.grid.space_weights
 
-    lat = lattice_points(traj.data.dim, linf_lattice)
-    phi_lat = traj.basis.values(lat)
-    linf = np.abs(traj.coeffs @ phi_lat.T).max(axis=1)
+    linf = _lattice_sup(traj, linf_lattice)
 
     diss = _cumtrapz(fe_eps, times)
     pumped = _cumtrapz(work, times)
@@ -179,8 +184,7 @@ def interpolation_ratio(traj: Trajectory, varsigma: float, beta: float) -> Inter
     h = higher_integrability(traj, [varsigma])[float(varsigma)]
     lhs = traj.data.alpha * h
     grads = traj.grads
-    hess_basis = traj.basis.hessians(traj.grid.space_nodes)
-    hess = np.einsum("mdej,kj->kmde", hess_basis, traj.coeffs, optimize=True)
+    hess = traj.basis.lattice(traj.lines, traj.coeffs, 2)
     uxx_sq = np.sum(hess ** 2, axis=(-2, -1))
     dens = flux.density_kernel(*traj.fields, grads, traj.eps)
     term = traj.spacetime_grid().integrate(dens * uxx_sq)
@@ -242,20 +246,12 @@ def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
     axis = margin + h * np.arange(-1, n_inner + 1)  # one ghost layer each side
     pts = tensor_points(axis, dim)
     shape = (len(axis),) * dim
+    lines = traj.basis.line_tables(axis)
 
     idx = list(range(0, len(traj.times), max(1, time_stride)))
     if idx[-1] != len(traj.times) - 1:
         idx.append(len(traj.times) - 1)
     sel_times = traj.times[idx]
-
-    # composite at every kept checkpoint, one basis-gradient table per point chunk
-    composite = np.empty((len(idx), pts.shape[0], dim))
-    for lo in range(0, pts.shape[0], _CHUNK):
-        x = pts[lo:lo + _CHUNK]
-        gp = traj.basis.gradients(x)
-        grad_u = np.stack([np.tensordot(gp, traj.coeffs[k], axes=([2], [0])) for k in idx])
-        dens = flux.density_kernel(*traj.data.sample(x, sel_times), grad_u, traj.eps)
-        composite[:, lo:lo + _CHUNK] = np.sqrt(dens)[..., None] * grad_u
 
     # trapezoid weights over the interior lattice (endpoints half-weight)
     w1 = np.full(n_inner, h)
@@ -264,9 +260,13 @@ def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
     for _ in range(dim - 1):
         w_spatial = np.multiply.outer(w_spatial, w1)
 
+    # one kept checkpoint at a time, so the lattice arrays do not grow with
+    # the number of checkpoints
     accum = np.zeros((len(idx), dim, dim))
-    for row in range(len(idx)):
-        comp = composite[row].reshape(shape + (dim,))
+    for row, k in enumerate(idx):
+        grad_u = traj.basis.lattice(lines, traj.coeffs[k], 1)
+        dens = flux.density_kernel(*traj.data.sample(pts, traj.times[k]), grad_u, traj.eps)
+        comp = (np.sqrt(dens)[:, None] * grad_u).reshape(shape + (dim,))
         for i in range(dim):
             upper = [slice(1, -1)] * dim
             lower = [slice(1, -1)] * dim
@@ -335,9 +335,7 @@ def linf_bound_check(traj: Trajectory, u0_field: Field, f_field: Field,
     The lattice maximum underestimates the true sup, which the absolute
     slack covers; the data sups use a twice-finer lattice.
     """
-    lat = lattice_points(traj.data.dim, lattice_n)
-    phi = traj.basis.values(lat)
-    sup_u = np.abs(traj.coeffs @ phi.T).max(axis=1)
+    sup_u = _lattice_sup(traj, lattice_n)
 
     fine = lattice_points(traj.data.dim, 2 * lattice_n - 1)
     u0_sup = float(np.abs(u0_field(fine, 0.0)).max())
@@ -362,12 +360,12 @@ def _gradient_cauchy(trajs: Sequence[Trajectory], labels, tolerance: float,
     base = trajs[-1]
     st = base.spacetime_grid()
     s_low = _s_lower(base)
-    grads, tables = [], {}  # one gradient table per distinct basis, keyed by its modes
-    for tr in trajs:
-        key = (tr.basis.modes.shape, tr.basis.modes.tobytes())
-        if key not in tables:
-            tables[key] = tr.basis.gradients(base.grid.space_nodes)
-        grads.append(np.einsum("mnj,kj->kmn", tables[key], tr.coeffs, optimize=True))
+    axis = tensor_axis(base.grid.space_nodes, base.data.dim)
+    grads = []  # one lattice evaluation per run of members sharing a basis
+    for _, group in groupby(trajs, key=lambda tr: (tr.basis.modes.shape, tr.basis.modes.tobytes())):
+        group = list(group)
+        basis = group[0].basis
+        grads.extend(basis.lattice(basis.line_tables(axis), np.stack([tr.coeffs for tr in group]), 1))
     dist, pair = [], []
     for k in range(len(trajs) - 1):
         d = grads[k] - grads[k + 1]

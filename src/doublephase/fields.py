@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -65,14 +65,17 @@ def tensor_points(axis, dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def eigenfunction(k: Sequence[int], x: np.ndarray) -> np.ndarray:
-    """Dirichlet-Laplacian eigenfunction on the unit box.
+def tensor_axis(nodes, dim: int) -> np.ndarray:
+    """The axis of nodes = tensor_points(axis, dim); the inverse of tensor_points.
 
-    ``phi_k(x) = 2^(N/2) prod_i sin(k_i pi x_i)``, L2-orthonormal on (0,1)^N.
+    Raises ValueError when the nodes are no tensor lattice in that order.
     """
-    x = _as_points(x)
-    k = np.asarray(k, dtype=float)
-    return 2.0 ** (len(k) / 2.0) * np.prod(np.sin(np.pi * k * x), axis=-1)
+    nodes = np.asarray(nodes, dtype=float)
+    n = round(nodes.shape[0] ** (1.0 / dim))
+    axis = nodes[:n, -1]  # the last coordinate varies fastest
+    if not np.array_equal(tensor_points(axis, dim), nodes):
+        raise ValueError("nodes are not a tensor lattice in tensor_points order")
+    return axis
 
 
 def make_field(spec, dim: int) -> Field:
@@ -144,11 +147,9 @@ def make_field(spec, dim: int) -> Field:
             if len(k) != dim or any(ki < 1 for ki in k):
                 raise ConfigurationError(f"mode index {k} invalid for dim {dim}")
 
-        def fn(x, t, ks=ks, cs=cs, tdecay=tdecay):
-            out = np.zeros(x.shape[0])
-            for k, c in zip(ks, cs):
-                out += c * eigenfunction(k, x)
-            return out * np.exp(-tdecay * t)
+        from .galerkin import mode_basis  # galerkin imports this module
+        basis, cs = mode_basis(ks, dim), np.asarray(cs)
+        fn = lambda x, t: (basis.values(x) @ cs) * np.exp(-tdecay * t)
     elif fam == "bubble":
         amp = float(need("amp"))
         tdecay = float(need("tdecay", 0.0))

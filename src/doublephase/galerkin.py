@@ -17,14 +17,15 @@ convex minimization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import product
 from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import flux
-from .fields import ExponentData, Field, tensor_points
+from .fields import ExponentData, Field, tensor_axis
 from .spaces import QuadratureGrid, tensor_gauss_legendre
 
 _CHUNK = 4096
@@ -83,6 +84,49 @@ class EigenBasis:
             np.take(np.cos(angles), inv, axis=1, out=c[d], mode="clip")
         return np.moveaxis(s, 0, -1), np.moveaxis(c, 0, -1)
 
+    @cached_property
+    def tensor_index(self) -> np.ndarray:
+        """Flat index of each mode in the lexicographic (m_per_dim,) * dim mode tensor."""
+        return np.ravel_multi_index(tuple((self.modes - 1).T), (self.m_per_dim,) * self.dim)
+
+    def line_tables(self, axis) -> np.ndarray:
+        """sqrt(2) sin(k pi x) and its first two derivatives on 1D points, (3, n, m_per_dim).
+
+        Built as a one-dimensional basis, so the factors are the basis' own.
+        """
+        line = build_basis(1, self.m_per_dim)
+        x = np.asarray(axis, dtype=float)[:, None]
+        return np.stack([line.values(x), line.gradients(x)[:, 0], line.hessians(x)[:, 0, 0]])
+
+    def lattice(self, lines, coeffs, order: int = 0) -> np.ndarray:
+        """Values (order 0), gradients (1) or Hessians (2) on a tensor lattice.
+
+        lines = line_tables(axis); coeffs (..., m) -> (..., n^N) + (N,) * order on
+        tensor_points(axis, dim).  Each component contracts the mode tensor one
+        axis at a time, O(n * m_per_dim) tables instead of (n^N, m) ones.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        rows = coeffs.reshape(-1, self.size)
+        full = np.zeros((rows.shape[0], self.m_per_dim ** self.dim))
+        full[:, self.tensor_index] = rows
+        comps = _components(self.dim, order)
+        parts = {d: _axiswise(full, [lines[i] for i in d]) for d in dict.fromkeys(comps)}
+        out = np.stack([parts[d] for d in comps], axis=-1)
+        return out.reshape(coeffs.shape[:-1] + (lines.shape[1] ** self.dim,) + (self.dim,) * order)
+
+    def lattice_adjoint(self, lines, values, order: int = 0) -> np.ndarray:
+        """Transpose of `lattice`: values (..., n^N) + (N,) * order -> (..., m).
+
+        Entry j sums values times the order-th derivatives of phi_j over the
+        lattice points and the derivative components.
+        """
+        values = np.asarray(values, dtype=float)
+        lead = values.shape[:values.ndim - 1 - order]
+        comps = _components(self.dim, order)
+        flat = values.reshape(-1, lines.shape[1] ** self.dim, len(comps))
+        full = sum(_axiswise(flat[..., c], [lines[i].T for i in d]) for c, d in enumerate(comps))
+        return full[:, self.tensor_index].reshape(lead + (self.size,))
+
     def values(self, x) -> np.ndarray:
         """Basis values at points x (M, N) -> (M, m), chunked over points."""
         return self._chunked(x, self._values_chunk)
@@ -137,6 +181,28 @@ class EigenBasis:
         return out
 
 
+@cache
+def _components(dim: int, order: int) -> list:
+    """Derivative degree on each axis, per component of the order-th derivative tensor."""
+    return [tuple(c.count(i) for i in range(dim)) for c in product(range(dim), repeat=order)]
+
+
+def _axiswise(arr, mats) -> np.ndarray:
+    """Contract tensor axis i of arr (K, a^N) with mats[i] (b, a), one at a time -> (K, b^N)."""
+    k = arr.shape[0]
+    c = arr.T
+    for mat in mats:  # the contracted axis moves to the end
+        c = c.reshape(mat.shape[1], -1).T @ mat.T
+    return c.reshape(k, -1)
+
+
+def mode_basis(modes, dim: int) -> EigenBasis:
+    """Sine basis over the given mode rows (m, N), in that order."""
+    modes = np.asarray(modes, dtype=int).reshape(-1, dim)
+    return EigenBasis(dim=dim, m_per_dim=int(modes.max(initial=1)), modes=modes,
+                      eigenvalues=np.pi ** 2 * np.sum(modes.astype(float) ** 2, axis=-1))
+
+
 def build_basis(dim: int, m_per_dim: int) -> EigenBasis:
     """Assemble the sorted tensor sine basis with m_per_dim modes per axis."""
     if m_per_dim < 1:
@@ -145,9 +211,7 @@ def build_basis(dim: int, m_per_dim: int) -> EigenBasis:
     modes = np.stack([g.ravel() for g in grids], axis=-1)
     lam = np.pi ** 2 * np.sum(modes.astype(float) ** 2, axis=-1)
     order = np.lexsort(tuple(modes[:, d] for d in reversed(range(dim))) + (lam,))
-    modes = modes[order]
-    return EigenBasis(dim=dim, m_per_dim=m_per_dim, modes=modes,
-                      eigenvalues=np.pi ** 2 * np.sum(modes.astype(float) ** 2, axis=-1))
+    return mode_basis(modes[order], dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,10 +275,11 @@ class SolverConfig:
 
 
 class Workspace:
-    """Precomputed basis matrices on the solver quadrature grid.
+    """Basis tables on the solver quadrature grid.
 
     The grid must be a tensor lattice in `tensor_points` order (as from
-    `tensor_gauss_legendre`): the Newton matrix is assembled one axis at a time.
+    `tensor_gauss_legendre`): every table is one-dimensional, and fields and
+    the Newton matrix are contracted one axis at a time.
     """
 
     def __init__(self, basis: EigenBasis, grid: QuadratureGrid):
@@ -222,32 +287,22 @@ class Workspace:
         self.grid = grid
         self.x = grid.space_nodes
         self.w = grid.space_weights
-        self.phi = basis.values(self.x)          # (M, m)
-        self.grad_phi = basis.gradients(self.x)  # (M, N, m)
-
-        dim, m1 = basis.dim, basis.m_per_dim
-        n = round(self.x.shape[0] ** (1.0 / dim))
-        axis = self.x[:n, -1]  # the last coordinate varies fastest
-        if not np.array_equal(tensor_points(axis, dim), self.x):
-            raise ValueError("Workspace needs a tensor-product grid in tensor_points order")
-        # 1D factors sqrt(2) sin(k pi x) and their derivatives, k = 1..m_per_dim,
-        # from the basis' own convention; pairs[dp, dq][x, (k, l)] is the
-        # product of factor k (derivative if dp) and factor l (derivative if dq)
-        line = build_basis(1, m1)
-        f = np.stack([line.values(axis[:, None]), line.gradients(axis[:, None])[:, 0, :]])
+        self._lines = basis.line_tables(tensor_axis(self.x, basis.dim))
+        # pairs[dp, dq][x, (k, l)] is the product of 1D factor k (derivative
+        # if dp) and factor l (derivative if dq)
+        f = self._lines[:2]
+        n, m1 = f.shape[1:]
         self._pairs = (f[:, None, :, :, None] * f[None, :, :, None, :]).reshape(2, 2, n, m1 * m1)
-        # row of each sorted mode in the lexicographic tensor order
-        self._pos = np.ravel_multi_index(tuple((basis.modes - 1).T), (m1,) * dim)
 
     def gradient_of(self, coeffs) -> np.ndarray:
-        return np.tensordot(self.grad_phi, coeffs, axes=([2], [0]))
+        return self.basis.lattice(self._lines, coeffs, 1)
 
     def stiffness(self, fvec) -> np.ndarray:
         """Projection int F . grad phi_j dx of a flux field fvec (M, N) onto the basis."""
-        return np.einsum("mn,mnj->j", self.w[:, None] * fvec, self.grad_phi)
+        return self.basis.lattice_adjoint(self._lines, self.w[:, None] * fvec, 1)
 
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
-        return self.phi.T @ (self.w * f_field(self.x, t))
+        return self.basis.lattice_adjoint(self._lines, self.w * f_field(self.x, t))
 
     def step_matrix(self, jac_flux, tau: float) -> np.ndarray:
         """Newton matrix I + tau * int grad phi_p . J grad phi_q dx for J (M, N, N).
@@ -267,7 +322,8 @@ class Workspace:
                 acc = acc + c
         order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
         full = np.reshape(acc, (m1,) * (2 * dim)).transpose(order).reshape(m1 ** dim, -1)
-        mat = tau * full[np.ix_(self._pos, self._pos)]
+        pos = self.basis.tensor_index
+        mat = tau * full[np.ix_(pos, pos)]
         mat.flat[::mat.shape[0] + 1] += 1.0
         return mat
 
@@ -287,7 +343,8 @@ def project_initial(u0: Field, basis: EigenBasis, grid: QuadratureGrid) -> Spect
     vals = u0(grid.space_nodes, 0.0)
     if not np.all(np.isfinite(vals)):
         raise ValueError("initial datum is not finite on the quadrature nodes")
-    coeffs = basis.values(grid.space_nodes).T @ (grid.space_weights * vals)
+    lines = basis.line_tables(tensor_axis(grid.space_nodes, basis.dim))
+    coeffs = basis.lattice_adjoint(lines, grid.space_weights * vals)
     return SpectralState(t=0.0, coeffs=coeffs, basis=basis)
 
 
@@ -385,15 +442,19 @@ class Trajectory:
         return self.data.sample(self.grid.space_nodes, self.times)
 
     @cached_property
+    def lines(self) -> np.ndarray:
+        """The basis' 1D tables on the solver grid's axis (`EigenBasis.line_tables`)."""
+        return self.basis.line_tables(tensor_axis(self.grid.space_nodes, self.basis.dim))
+
+    @cached_property
     def grads(self) -> np.ndarray:
         """Gradients at every checkpoint, (K+1, M, N)."""
-        gp = self.basis.gradients(self.grid.space_nodes)
-        return np.einsum("mnj,kj->kmn", gp, self.coeffs)
+        return self.basis.lattice(self.lines, self.coeffs, 1)
 
     @cached_property
     def values(self) -> np.ndarray:
         """Values at every checkpoint, (K+1, M)."""
-        return self.coeffs @ self.basis.values(self.grid.space_nodes).T
+        return self.basis.lattice(self.lines, self.coeffs)
 
     def spacetime_grid(self) -> QuadratureGrid:
         return self.grid.with_time(self.times)
@@ -498,9 +559,7 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
     if eps <= 0:
         raise ValueError("manufactured source needs eps > 0")
     mode = tuple(int(m) for m in mode)
-    k = np.array([mode])
-    single = EigenBasis(dim=len(mode), m_per_dim=max(mode), modes=k,
-                        eigenvalues=np.pi ** 2 * np.sum(k ** 2, axis=-1).astype(float))
+    single = mode_basis([mode], len(mode))
 
     def fn(x, t):
         decay = amplitude * np.exp(-rate * np.asarray(t, dtype=float))

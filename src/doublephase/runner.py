@@ -357,12 +357,11 @@ def _write_snapshots(outdir: Path, traj: Trajectory, config: RunConfig):
         return
     n = int(config.output.get("snapshot_resolution", 33))
     lat = dg.lattice_points(traj.data.dim, n)
-    phi = traj.basis.values(lat)
-    grad_phi = traj.basis.gradients(lat)
+    lines = traj.basis.line_tables(np.linspace(0.0, 1.0, n))
     for t_want in snaps:
         k = int(np.argmin(np.abs(traj.times - float(t_want))))
-        u = phi @ traj.coeffs[k]
-        g = np.tensordot(grad_phi, traj.coeffs[k], axes=([2], [0]))
+        u = traj.basis.lattice(lines, traj.coeffs[k])
+        g = traj.basis.lattice(lines, traj.coeffs[k], 1)
         rows = [list(map(float, lat[i])) + [float(u[i]), float(np.linalg.norm(g[i]))]
                 for i in range(len(lat))]
         name = f"snapshot_t{traj.times[k]:.6g}.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,22 @@ def test_run_diagnostics_samples_solver_fields_once(monkeypatch):
     monkeypatch.setattr(ExponentData, "sample", counting)
     runner.run_diagnostics(traj, config, f_field)
     assert calls == [1]
+
+
+def test_second_order_peak_memory_does_not_grow_with_checkpoints(heat_traj):
+    # the composite is formed one kept checkpoint at a time; forming it for
+    # all kept checkpoints at once roughly doubles the peak here
+    def peak(stride):
+        tracemalloc.start()
+        try:
+            dg.second_order_flux_norm(heat_traj, h=1.0 / 128.0, margin=1.0 / 64.0,
+                                      time_stride=stride)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(heat_traj.times) == 101  # 51 checkpoints kept at stride 2, 101 at stride 1
+    assert peak(1) <= 1.25 * peak(2)
 
 
 def test_linf_envelope_with_unit_source():

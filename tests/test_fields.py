@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from doublephase.fields import (
-    ConfigurationError, ExponentData, ValidationError, derive, make_field, tensor_points,
+    ConfigurationError, ExponentData, ValidationError, derive, make_field, tensor_axis,
+    tensor_points,
 )
 
 
@@ -123,6 +124,21 @@ def test_gap_implies_shift_exponents_positive():
         assert np.all(der.r1(x, t) >= floor - 1e-12)
         assert np.all(der.r2(x, t) >= floor - 1e-12)
         assert np.all(2.0 * (der.s_upper(x, t) - der.s_lower(x, t)) < der.r_sharp)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_tensor_axis_inverts_tensor_points(dim):
+    axis = np.array([0.1, 0.5, 0.2, 0.9])
+    x = tensor_points(axis, dim)
+    assert np.array_equal(tensor_axis(x, dim), axis)
+    # a lattice of another dimension, one point missing, the first axis
+    # fastest, scattered points
+    bad = [tensor_points(axis, dim + 1)]
+    if dim > 1:
+        bad += [x[:-1], x[:, ::-1], np.random.default_rng(dim).uniform(size=x.shape)]
+    for nodes in bad:
+        with pytest.raises(ValueError, match="tensor"):
+            tensor_axis(nodes, dim)
 
 
 def test_sample_stacks_per_time_calls_and_tensor_points_order():

@@ -9,9 +9,10 @@ import pytest
 
 from doublephase import flux, galerkin, runner, spaces
 from doublephase.fields import ExponentData, make_field
+from doublephase.fields import tensor_points
 from doublephase.galerkin import (
     _CHUNK, EigenBasis, SolverConfig, SolverError, SpectralState, StepFailure, Workspace,
-    build_basis, evaluate, manufactured_source, ode_rhs, project_initial,
+    build_basis, evaluate, manufactured_source, mode_basis, ode_rhs, project_initial,
     solve, step_implicit,
 )
 
@@ -95,6 +96,57 @@ def test_tables_across_a_chunk_boundary_equal_one_chunk_row_for_row():
 def test_basis_tables_on_zero_points_are_empty(method, shape):
     basis = build_basis(2, 3)
     assert getattr(basis, method)(np.zeros((0, 2))).shape == shape
+
+
+def _assert_lattice_matches_dense(basis, axis, coeffs):
+    x = tensor_points(axis, basis.dim)
+    lines = basis.line_tables(axis)
+    dense = (basis.values(x), basis.gradients(x), basis.hessians(x))
+    for order, table in enumerate(dense):
+        want = np.moveaxis(np.tensordot(table, np.atleast_2d(coeffs), axes=([-1], [-1])), -1, 0)
+        want = want if coeffs.ndim == 2 else want[0]
+        got = basis.lattice(lines, coeffs, order)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m_per_dim", [1, 4, 16])
+@pytest.mark.parametrize("rows", [1, 3])
+def test_lattice_equals_dense_tables_on_tensor_points(dim, m_per_dim, rows):
+    basis = build_basis(dim, m_per_dim)
+    rng = np.random.default_rng(100 * dim + m_per_dim)
+    axis = rng.uniform(size={1: 9, 2: 7, 3: 4}[dim])
+    _assert_lattice_matches_dense(basis, axis, rng.normal(size=(rows, basis.size)))
+
+
+def test_lattice_of_single_mode_basis_equals_dense_tables():
+    basis = mode_basis([(1, 1)], 2)  # the basis manufactured_source builds by default
+    _assert_lattice_matches_dense(basis, np.linspace(0.0, 1.0, 11), np.array([[0.7], [-2.0]]))
+    _assert_lattice_matches_dense(mode_basis([(3, 1)], 2), np.linspace(0.0, 1.0, 11),
+                                  np.array([1.3]))
+
+
+@pytest.mark.parametrize("dim, m_per_dim", [(1, 4), (2, 3), (2, 16), (3, 3)])
+def test_workspace_contractions_equal_dense_forms(dim, m_per_dim):
+    basis = build_basis(dim, m_per_dim)
+    grid = spaces.tensor_gauss_legendre(dim, SolverConfig(m_per_dim, 0.1, 0.1).resolved_quad_order)
+    ws = Workspace(basis, grid)
+    x, w = grid.space_nodes, grid.space_weights
+    phi, gp = basis.values(x), basis.gradients(x)
+    rng = np.random.default_rng(dim * 10 + m_per_dim)
+    coeffs = rng.normal(size=basis.size)
+    fvec = rng.normal(size=(x.shape[0], dim))
+    field = make_field({"family": "bump", "amp": 1.0, "center": [0.3] * dim}, dim)
+
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    close(ws.gradient_of(coeffs), np.tensordot(gp, coeffs, axes=([2], [0])))
+    close(ws.stiffness(fvec), np.einsum("mn,mnj->j", w[:, None] * fvec, gp))
+    close(ws.source_vector(field, 0.0), phi.T @ (w * field(x, 0.0)))
+    close(project_initial(field, basis, grid).coeffs, phi.T @ (w * field(x, 0.0)))
 
 
 def test_evaluate_on_zero_points_is_empty():
@@ -258,9 +310,9 @@ def test_step_matrix_equals_dense_gram_form(dim, m_per_dim, order):
     p, q = rng.uniform(1.5, 2.5, size=(2, m))
     jac_flux = flux.jacobian_kernel(a, b, p, q, rng.normal(size=(m, dim)), 0.1)
     tau = 0.37
+    gp = basis.gradients(ws.x)
     ref = np.eye(basis.size) + tau * np.einsum(
-        "map,mab,mbq->pq", ws.grad_phi, ws.w[:, None, None] * jac_flux, ws.grad_phi,
-        optimize=True)
+        "map,mab,mbq->pq", gp, ws.w[:, None, None] * jac_flux, gp, optimize=True)
     got = ws.step_matrix(jac_flux, tau)
     assert got.shape == ref.shape
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
