@@ -16,7 +16,6 @@ ratios against regression ceilings frozen in the scenario configs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import groupby
 from typing import Optional, Sequence
 
 import numpy as np
@@ -361,11 +360,15 @@ def _gradient_cauchy(trajs: Sequence[Trajectory], labels, tolerance: float,
     st = base.spacetime_grid()
     s_low = _s_lower(base)
     axis = tensor_axis(base.grid.space_nodes, base.data.dim)
-    grads = []  # one lattice evaluation per run of members sharing a basis
-    for _, group in groupby(trajs, key=lambda tr: (tr.basis.modes.shape, tr.basis.modes.tobytes())):
-        group = list(group)
-        basis = group[0].basis
-        grads.extend(basis.lattice(basis.line_tables(axis), np.stack([tr.coeffs for tr in group]), 1))
+    members = {}  # one lattice evaluation per distinct basis, keyed by its modes
+    for k, tr in enumerate(trajs):
+        members.setdefault((tr.basis.modes.shape, tr.basis.modes.tobytes()), []).append(k)
+    grads = [None] * len(trajs)
+    for ks in members.values():
+        basis = trajs[ks[0]].basis
+        stacked = np.stack([trajs[k].coeffs for k in ks])
+        for k, g in zip(ks, basis.lattice(basis.line_tables(axis), stacked, 1)):
+            grads[k] = g
     dist, pair = [], []
     for k in range(len(trajs) - 1):
         d = grads[k] - grads[k + 1]

@@ -76,13 +76,25 @@ class EigenBasis:
         # one block for both tables: two separate blocks left the allocator
         # holding more heap, about 5 % more peak RSS on a whole run
         s, c = np.empty((2, self.dim, x.shape[0], self.size))
+        for d, (k, inv) in enumerate(self._axis_modes):
+            angles = (np.pi * x[:, d])[:, None] * k
+            if inv is None:
+                np.sin(angles, out=s[d])
+                np.cos(angles, out=c[d])
+            else:  # inv is in range; mode="raise" would buffer the out= copy
+                np.take(np.sin(angles), inv, axis=1, out=s[d], mode="clip")
+                np.take(np.cos(angles), inv, axis=1, out=c[d], mode="clip")
+        return s.transpose(1, 2, 0), c.transpose(1, 2, 0)
+
+    @cached_property
+    def _axis_modes(self) -> list:
+        """Per axis, the distinct mode indices and where each mode's index sits
+        among them; None where they are the modes' own (a 1D or one-mode basis)."""
+        out = []
         for d in range(self.dim):
             k, inv = np.unique(self.modes[:, d], return_inverse=True)
-            angles = (np.pi * x[:, d])[:, None] * k
-            # inv is in range; mode="raise" would buffer the out= copy
-            np.take(np.sin(angles), inv, axis=1, out=s[d], mode="clip")
-            np.take(np.cos(angles), inv, axis=1, out=c[d], mode="clip")
-        return np.moveaxis(s, 0, -1), np.moveaxis(c, 0, -1)
+            out.append((k, None if np.array_equal(k, self.modes[:, d]) else inv))
+        return out
 
     @cached_property
     def tensor_index(self) -> np.ndarray:
@@ -110,9 +122,11 @@ class EigenBasis:
         full = np.zeros((rows.shape[0], self.m_per_dim ** self.dim))
         full[:, self.tensor_index] = rows
         comps = _components(self.dim, order)
-        parts = {d: _axiswise(full, [lines[i] for i in d]) for d in dict.fromkeys(comps)}
-        out = np.stack([parts[d] for d in comps], axis=-1)
-        return out.reshape(coeffs.shape[:-1] + (lines.shape[1] ** self.dim,) + (self.dim,) * order)
+        out = np.empty((rows.shape[0], lines.shape[1] ** self.dim, len(comps)))
+        for c, d in enumerate(comps):
+            first = comps.index(d)  # a mixed Hessian entry copies its transpose
+            out[..., c] = out[..., first] if first < c else _axiswise(full, [lines[i] for i in d])
+        return out.reshape(coeffs.shape[:-1] + out.shape[1:2] + (self.dim,) * order)
 
     def lattice_adjoint(self, lines, values, order: int = 0) -> np.ndarray:
         """Transpose of `lattice`: values (..., n^N) + (N,) * order -> (..., m).
@@ -182,9 +196,9 @@ class EigenBasis:
 
 
 @cache
-def _components(dim: int, order: int) -> list:
+def _components(dim: int, order: int) -> tuple:
     """Derivative degree on each axis, per component of the order-th derivative tensor."""
-    return [tuple(c.count(i) for i in range(dim)) for c in product(range(dim), repeat=order)]
+    return tuple(tuple(c.count(i) for i in range(dim)) for c in product(range(dim), repeat=order))
 
 
 def _axiswise(arr, mats) -> np.ndarray:
@@ -311,15 +325,11 @@ class Workspace:
         time against the 1D pair tables, derivative factors on axes a and b.
         """
         dim, m1 = self.basis.dim, self.basis.m_per_dim
-        n = self._pairs.shape[2]
         wj = self.w[:, None, None] * jac_flux
-        acc = 0.0
-        for a in range(dim):
-            for b in range(dim):
-                c = wj[:, a, b]
-                for i in range(dim):  # contracted axis moves to the end as (p_i, q_i)
-                    c = c.reshape(n, -1).T @ self._pairs[int(i == a), int(i == b)]
-                acc = acc + c
+        # each contracted axis becomes the pair (p_i, q_i)
+        acc = sum(_axiswise(wj[None, :, a, b], [self._pairs[int(i == a), int(i == b)].T
+                                                for i in range(dim)])
+                  for a in range(dim) for b in range(dim))
         order = list(range(0, 2 * dim, 2)) + list(range(1, 2 * dim, 2))
         full = np.reshape(acc, (m1,) * (2 * dim)).transpose(order).reshape(m1 ** dim, -1)
         pos = self.basis.tensor_index

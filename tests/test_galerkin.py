@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from doublephase import flux, galerkin, runner, spaces
-from doublephase.fields import ExponentData, make_field
-from doublephase.fields import tensor_points
+from doublephase.fields import ExponentData, make_field, tensor_points
 from doublephase.galerkin import (
     _CHUNK, EigenBasis, SolverConfig, SolverError, SpectralState, StepFailure, Workspace,
     build_basis, evaluate, manufactured_source, mode_basis, ode_rhs, project_initial,
