@@ -78,23 +78,15 @@ class EigenBasis:
         s, c = np.empty((2, self.dim, x.shape[0], self.size))
         for d, (k, inv) in enumerate(self._axis_modes):
             angles = (np.pi * x[:, d])[:, None] * k
-            if inv is None:
-                np.sin(angles, out=s[d])
-                np.cos(angles, out=c[d])
-            else:  # inv is in range; mode="raise" would buffer the out= copy
-                np.take(np.sin(angles), inv, axis=1, out=s[d], mode="clip")
-                np.take(np.cos(angles), inv, axis=1, out=c[d], mode="clip")
-        return s.transpose(1, 2, 0), c.transpose(1, 2, 0)
+            # inv is in range; mode="raise" would buffer the out= copy
+            np.take(np.sin(angles), inv, axis=1, out=s[d], mode="clip")
+            np.take(np.cos(angles), inv, axis=1, out=c[d], mode="clip")
+        return np.moveaxis(s, 0, -1), np.moveaxis(c, 0, -1)
 
     @cached_property
     def _axis_modes(self) -> list:
-        """Per axis, the distinct mode indices and where each mode's index sits
-        among them; None where they are the modes' own (a 1D or one-mode basis)."""
-        out = []
-        for d in range(self.dim):
-            k, inv = np.unique(self.modes[:, d], return_inverse=True)
-            out.append((k, None if np.array_equal(k, self.modes[:, d]) else inv))
-        return out
+        """Per axis, the distinct mode indices and where each mode's index sits among them."""
+        return [np.unique(self.modes[:, d], return_inverse=True) for d in range(self.dim)]
 
     @cached_property
     def tensor_index(self) -> np.ndarray:
@@ -318,6 +310,14 @@ class Workspace:
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
         return self.basis.lattice_adjoint(self._lines, self.w * f_field(self.x, t))
 
+    def project(self, u0: Field) -> SpectralState:
+        """L2 projection of the initial datum onto the basis (`project_initial`)."""
+        vals = u0(self.x, 0.0)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("initial datum is not finite on the quadrature nodes")
+        coeffs = self.basis.lattice_adjoint(self._lines, self.w * vals)
+        return SpectralState(t=0.0, coeffs=coeffs, basis=self.basis)
+
     def step_matrix(self, jac_flux, tau: float) -> np.ndarray:
         """Newton matrix I + tau * int grad phi_p . J grad phi_q dx for J (M, N, N).
 
@@ -350,12 +350,7 @@ class Workspace:
 
 def project_initial(u0: Field, basis: EigenBasis, grid: QuadratureGrid) -> SpectralState:
     """L2 projection of the initial datum onto the first m eigenfunctions."""
-    vals = u0(grid.space_nodes, 0.0)
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("initial datum is not finite on the quadrature nodes")
-    lines = basis.line_tables(tensor_axis(grid.space_nodes, basis.dim))
-    coeffs = basis.lattice_adjoint(lines, grid.space_weights * vals)
-    return SpectralState(t=0.0, coeffs=coeffs, basis=basis)
+    return Workspace(basis, grid).project(u0)
 
 
 def ode_rhs(state: SpectralState, t: float, eps: float, data: ExponentData,
@@ -509,7 +504,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
 
     n_steps = max(1, int(round(data.horizon / cfg.tau)))
     tau = data.horizon / n_steps
-    state = project_initial(u0, basis, grid)
+    state = ws.project(u0)
 
     times = [0.0]
     coeffs = [state.coeffs.copy()]
