@@ -43,76 +43,83 @@ def powf(base, exponent):
 def beta_eps(xi, eps) -> np.ndarray:
     """beta_eps(xi) = eps^2 + |xi|^2 for xi of shape (..., N)."""
     xi = np.asarray(xi, dtype=float)
-    return np.asarray(eps, dtype=float) ** 2 + np.sum(xi * xi, axis=-1)
+    # one pass per component: a reduction over the short last axis is slower
+    mag_sq = sum(xi[..., i] * xi[..., i] for i in range(xi.shape[-1]))
+    return np.asarray(eps, dtype=float) ** 2 + mag_sq
 
 
-def _term(coef, exponent, beta, *, what: str):
-    """coef * beta**exponent with the zero-coefficient and singularity rules."""
-    scalar = np.ndim(beta) == 0
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    coef = np.broadcast_to(np.asarray(coef, dtype=float), beta.shape)
-    exponent = np.broadcast_to(np.asarray(exponent, dtype=float), beta.shape)
-    singular = (beta == 0.0) & (exponent < 0.0) & (coef != 0.0)
-    if np.any(singular):
-        raise FluxSingularityError(
-            f"{what}: beta_eps = 0 with negative effective exponent; "
-            "use the flux vector, which extends by zero"
-        )
-    out = np.zeros_like(beta)
-    live = coef != 0.0
-    out[live] = coef[live] * powf(beta[live], exponent[live])
-    return out[0] if scalar else out
+def _term(coef, exponent, beta):
+    """coef * beta**exponent in one elementwise pass, exactly 0 where coef is 0.
+
+    The zero coefficient wins even where the power overflows or, at beta = 0,
+    divides by zero; `_checked_sum` refuses the singular point for the raw
+    densities, and the flux vector zeroes it.
+    """
+    coef = np.asarray(coef, dtype=float)
+    with np.errstate(invalid="ignore"):
+        return np.where(coef != 0.0, coef * powf(beta, exponent), 0.0)
+
+
+def _checked_sum(beta, p_term, q_term, *, what: str):
+    """Sum of two (coef, exponent) terms; refuses beta = 0 where a negative
+    exponent meets a nonzero coefficient."""
+    if not np.all(beta):  # beta vanishes only at eps = 0, xi = 0
+        for coef, exponent in (p_term, q_term):
+            if np.any((beta == 0.0) & (np.asarray(exponent) < 0.0) & (np.asarray(coef) != 0.0)):
+                raise FluxSingularityError(
+                    f"{what}: beta_eps = 0 with negative effective exponent; "
+                    "use the flux vector, which extends by zero"
+                )
+    return _term(*p_term, beta) + _term(*q_term, beta)
 
 
 def density_kernel(a, b, p, q, xi, eps, s1=0.0, s2=0.0) -> np.ndarray:
     """Shifted flux density a*beta^((p+s1-2)/2) + b*beta^((q+s2-2)/2)."""
-    beta = beta_eps(xi, eps)
-    return (_term(a, (np.asarray(p) + s1 - 2.0) / 2.0, beta, what="density p-term")
-            + _term(b, (np.asarray(q) + s2 - 2.0) / 2.0, beta, what="density q-term"))
+    return _checked_sum(beta_eps(xi, eps), (a, (np.asarray(p) + s1 - 2.0) / 2.0),
+                        (b, (np.asarray(q) + s2 - 2.0) / 2.0), what="density")
 
 
 def vector_kernel(a, b, p, q, xi, eps) -> np.ndarray:
     """Flux vector density*xi, extended by zero where beta_eps vanishes.
 
     The extension is continuous because |xi|^(p-1) -> 0 as xi -> 0 for any
-    p > 1, and likewise for q.
+    p > 1, and likewise for q.  The density is zeroed before it meets xi, so
+    an infinite density at beta = 0 never multiplies a zero gradient.
     """
     xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 1
-    if scalar:
-        xi = xi[None, :]
     beta = beta_eps(xi, eps)
-    out = np.zeros_like(xi)
-    live = beta > 0.0
-    if np.any(live):
-        sub = np.broadcast_arrays(np.asarray(a, float), np.asarray(b, float),
-                                  np.asarray(p, float), np.asarray(q, float), beta)
-        a_, b_, p_, q_, beta_ = (s[live] for s in sub)
-        dens = (_term(a_, (p_ - 2.0) / 2.0, beta_, what="vector p-term")
-                + _term(b_, (q_ - 2.0) / 2.0, beta_, what="vector q-term"))
-        out[live] = dens[..., None] * xi[live]
-    return out[0] if scalar else out
+    dens = (_term(a, (np.asarray(p) - 2.0) / 2.0, beta)
+            + _term(b, (np.asarray(q) - 2.0) / 2.0, beta))
+    return np.where(beta > 0.0, dens, 0.0)[..., None] * xi
 
 
 def jacobian_kernel(a, b, p, q, xi, eps) -> np.ndarray:
     """xi-derivative of the flux vector, shape (..., N, N).
 
-    Equals density*I + (a(p-2)beta^((p-4)/2) + b(q-2)beta^((q-4)/2)) xi xi^T,
+    Equals density*I + rank1 xi xi^T with A = a beta^((p-2)/2),
+    B = b beta^((q-2)/2), density = A + B and rank1 = ((p-2)A + (q-2)B)/beta:
     the Hessian of the convex energy density, hence symmetric positive
     semidefinite.  Requires eps > 0.
     """
     if not np.all(np.asarray(eps) > 0):
         raise ValueError("flux jacobian requires eps > 0")
     xi = np.asarray(xi, dtype=float)
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
     beta = beta_eps(xi, eps)
-    dens = density_kernel(a, b, p, q, xi, eps)
-    rank1 = (_term(np.asarray(a, float) * (np.asarray(p, float) - 2.0),
-                   (np.asarray(p, float) - 4.0) / 2.0, beta, what="jacobian p-term")
-             + _term(np.asarray(b, float) * (np.asarray(q, float) - 2.0),
-                     (np.asarray(q, float) - 4.0) / 2.0, beta, what="jacobian q-term"))
+    ta = _term(a, (p - 2.0) / 2.0, beta)
+    tb = _term(b, (q - 2.0) / 2.0, beta)
+    dens = ta + tb
+    rank1 = ((p - 2.0) * ta + (q - 2.0) * tb) / beta
     n = xi.shape[-1]
-    eye = np.eye(n)
-    return dens[..., None, None] * eye + rank1[..., None, None] * (xi[..., :, None] * xi[..., None, :])
+    jac = np.empty(dens.shape + (n, n))
+    for i in range(n):
+        for j in range(i, n):
+            # xi_i * xi_j before the scaling, and one value for both
+            # triangles, keep the matrix exactly symmetric
+            jac[..., i, j] = jac[..., j, i] = rank1 * (xi[..., i] * xi[..., j])
+        jac[..., i, i] += dens
+    return jac
 
 
 def energy_kernel(a, b, p, q, xi, eps) -> np.ndarray:
@@ -120,8 +127,8 @@ def energy_kernel(a, b, p, q, xi, eps) -> np.ndarray:
     beta = beta_eps(xi, eps)
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    return (_term(np.asarray(a, float) / p, p / 2.0, beta, what="energy p-term")
-            + _term(np.asarray(b, float) / q, q / 2.0, beta, what="energy q-term"))
+    return _checked_sum(beta, (np.asarray(a, float) / p, p / 2.0),
+                        (np.asarray(b, float) / q, q / 2.0), what="energy")
 
 
 def monotonicity_gap(xi, eta, p_val, eps) -> np.ndarray:

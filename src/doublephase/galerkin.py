@@ -578,7 +578,6 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
         a, b = data.a(x, t), data.b(x, t)
         p, q = data.p(x, t), data.q(x, t)
         beta = flux.beta_eps(gu, eps)
-        dens = flux.density_kernel(a, b, p, q, gu, eps)
         lap = np.trace(hu, axis1=-2, axis2=-1)
 
         grad_a = _field_spatial_gradient(data.a, x, t)
@@ -590,12 +589,14 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
 
         ta = flux.powf(beta, (p - 2.0) / 2.0)
         tb = flux.powf(beta, (q - 2.0) / 2.0)
+        a_ta, b_tb = a * ta, b * tb
+        dens = a_ta + b_tb  # the flux density, from the powers taken here
         grad_f = (grad_a * ta[..., None]
-                  + (a * ta)[..., None] * (0.5 * grad_p * log_beta[..., None]
-                                           + (0.5 * (p - 2.0) / beta)[..., None] * beta_x)
+                  + a_ta[..., None] * (0.5 * grad_p * log_beta[..., None]
+                                       + (0.5 * (p - 2.0) / beta)[..., None] * beta_x)
                   + grad_b * tb[..., None]
-                  + (b * tb)[..., None] * (0.5 * grad_q * log_beta[..., None]
-                                           + (0.5 * (q - 2.0) / beta)[..., None] * beta_x))
+                  + b_tb[..., None] * (0.5 * grad_q * log_beta[..., None]
+                                       + (0.5 * (q - 2.0) / beta)[..., None] * beta_x))
         div_flux = dens * lap + np.sum(grad_f * gu, axis=-1)
         return -rate * u - div_flux
 

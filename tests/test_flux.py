@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,80 @@ def test_identity_jacobian_for_linear_flux():
     xi = np.array([[0.3, -1.1]])
     jac = flux.flux_jacobian(x, 0.0, xi, 0.2, d)
     assert np.allclose(jac[0], np.eye(2), atol=1e-14)
+
+
+def _masked_term(coef, exponent, beta):
+    # reference term: broadcast, then take the power only where the
+    # coefficient is nonzero (a boolean-mask gather and scatter)
+    beta = np.atleast_1d(np.asarray(beta, dtype=float))
+    coef = np.broadcast_to(np.asarray(coef, dtype=float), beta.shape)
+    exponent = np.broadcast_to(np.asarray(exponent, dtype=float), beta.shape)
+    out = np.zeros_like(beta)
+    live = coef != 0.0
+    out[live] = coef[live] * flux.powf(beta[live], exponent[live])
+    return out
+
+
+def _masked_kernels(a, b, p, q, xi, eps):
+    beta = eps ** 2 + np.sum(xi * xi, axis=-1)
+    dens = _masked_term(a, (p - 2.0) / 2.0, beta) + _masked_term(b, (q - 2.0) / 2.0, beta)
+    rank1 = (_masked_term(a * (p - 2.0), (p - 4.0) / 2.0, beta)
+             + _masked_term(b * (q - 2.0), (q - 4.0) / 2.0, beta))
+    jac = (dens[..., None, None] * np.eye(xi.shape[-1])
+           + rank1[..., None, None] * (xi[..., :, None] * xi[..., None, :]))
+    return dens[..., None] * xi, dens, jac
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernels_match_the_masked_definition(seed):
+    rng = np.random.default_rng(seed)
+    n, dim = 3000, 2 + seed % 2
+    a = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7)  # a = 0 at ~30 %
+    b = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7)
+    p, q = rng.uniform(1.05, 4.5, size=(2, n))
+    # gradients on two time levels over the same nodes, as diagnostics passes them
+    xi = rng.normal(size=(2, n, dim)) * 10.0 ** rng.uniform(-4, 2, size=(2, n, 1))
+    eps = 10.0 ** rng.uniform(-6, -0.1)
+    vec, dens, jac = _masked_kernels(a, b, p, q, xi, eps)
+    assert np.array_equal(flux.vector_kernel(a, b, p, q, xi, eps), vec)
+    assert np.array_equal(flux.density_kernel(a, b, p, q, xi, eps), dens)
+    got = flux.jacobian_kernel(a, b, p, q, xi, eps)
+    # beta^((p-4)/2) against beta^((p-2)/2)/beta: the exponents round apart,
+    # which moves the power by about one ulp times |ln beta|
+    log_beta = np.abs(np.log(eps ** 2 + np.sum(xi * xi, axis=-1)))
+    scale = np.abs(jac).max(axis=(-2, -1)) * np.maximum(1.0, log_beta)
+    assert np.all(np.abs(got - jac) <= 1e-15 * scale[..., None, None])
+
+
+def test_zero_coefficient_term_is_zero_where_the_power_overflows():
+    xi = np.array([1e200, 0.0])
+    with np.errstate(over="ignore"):  # beta itself overflows to inf
+        alone = flux.density_kernel(0.0, 0.0, 4.0, 1.5, xi, 0.1)
+        dens = flux.density_kernel(0.0, 0.5, 4.0, 1.5, xi, 0.1)
+        vec = flux.vector_kernel(0.0, 0.5, 4.0, 1.5, xi, 0.1)
+    assert alone == 0.0
+    assert dens == 0.0  # the q-term decays, the p-term adds 0, not NaN
+    assert np.array_equal(vec, np.zeros(2))
+
+
+def test_degenerate_point_rules_at_eps_zero():
+    rng = np.random.default_rng(11)
+    n = 50
+    a, b = rng.uniform(0.2, 1.0, size=(2, n))
+    p, q = rng.uniform(1.2, 1.9, size=(2, n))  # negative density exponents
+    xi = rng.normal(size=(n, 2))
+    xi[::3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no inf * 0 on the way
+        vec = flux.vector_kernel(a, b, p, q, xi, 0.0)
+    assert np.array_equal(vec[::3], np.zeros_like(vec[::3]))
+    live = np.any(xi != 0.0, axis=-1)
+    oracle = _masked_kernels(a[live], b[live], p[live], q[live], xi[live], 0.0)[0]
+    assert np.array_equal(vec[live], oracle)
+    with pytest.raises(flux.FluxSingularityError):
+        flux.density_kernel(a, b, p, q, xi, 0.0)
+    with pytest.raises(ValueError):
+        flux.jacobian_kernel(a, b, p, q, xi, 0.0)
 
 
 def test_monotonicity_gap_cases():

@@ -339,6 +339,33 @@ def test_newton_iterations_of_unordered_sweep_member():
     assert traj.newton_iters.sum() == 40
 
 
+def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch):
+    # perfbench counts Newton iterations and residual evaluations from the
+    # flux.vector_kernel / flux.jacobian_kernel spans under step_implicit
+    data = data_const(p=1.1, q=2.0)
+    cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1.0)
+    basis = build_basis(2, cfg.m_per_dim)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
+    calls = []
+
+    def counting(name, kernel):
+        def wrapped(*args):
+            calls.append(name)
+            return kernel(*args)
+        return wrapped
+
+    monkeypatch.setattr(flux, "vector_kernel", counting("residual", flux.vector_kernel))
+    monkeypatch.setattr(flux, "jacobian_kernel", counting("jacobian", flux.jacobian_kernel))
+    _, stats = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+    # a halving is a residual evaluation right after another one
+    halvings = sum(1 for prev, cur in zip(calls, calls[1:]) if prev == cur == "residual")
+    assert stats.newton_iters > 0 and halvings > 0  # both branches of the loop ran
+    assert calls[0] == "residual"
+    assert calls.count("jacobian") == stats.newton_iters
+    assert calls.count("residual") == 1 + stats.newton_iters + halvings
+
+
 def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
     # unchecked Cholesky passes NaN on to the damping loop, which fails the
     # step, so the solve's retry by halving still applies
