@@ -11,8 +11,7 @@ from doublephase.runner import load_config
 from doublephase.galerkin import solve
 
 config = load_config("scenarios/heat_mms.yaml")
-f_field = config.source_field()
-traj = solve(config.solver, config.data, config.initial, f_field)
+traj = solve(config.solver, config.data, config.initial, config.source_field())
 
 lam = 2.0 * math.pi ** 2
 exact = math.exp(-lam * config.data.horizon)
@@ -21,12 +20,12 @@ print(f"final first coefficient  = {traj.coeffs[-1][0]:.8f}")
 print(f"exact                    = {exact:.8f}")
 print(f"absolute error           = {err:.3e}  (tau = {config.solver.tau:g})")
 
-series = dg.core_series(traj, f_field)
+series = dg.core_series(traj)
 print(f"\nmax relative energy-identity residual = {series.energy_residual_rel.max():.3e}")
 print("t, ||u||^2, flux energy, sup|u|:")
 for k in range(0, len(traj.times), 20):
     print(f"  {traj.times[k]:5.3f}  {series.l2_sq[k]:.6f}  "
           f"{series.flux_energy_eps[k]:.6f}  {series.linf[k]:.6f}")
 
-rep = dg.apriori_energy_bound(traj, f_field, series)
+rep = dg.apriori_energy_bound(traj, series)
 print(f"\nenergy bound: lhs = {rep.lhs:.4f} <= {rep.rhs:.4f}  (ratio {rep.ratio:.3f})")

@@ -16,12 +16,12 @@ ratios against regression ceilings frozen in the scenario configs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import flux, spaces
-from .fields import ExponentData, Field, sample_field, tensor_axis, tensor_points
+from .fields import ExponentData, Field, tensor_axis, tensor_points
 from .galerkin import SolverConfig, Trajectory, solve
 
 _REL_FLOOR = 1e-30
@@ -72,7 +72,7 @@ def _lattice_sup(traj: Trajectory, n: int) -> np.ndarray:
     return np.abs(traj.basis.lattice(lines, traj.coeffs)).max(axis=1)
 
 
-def core_series(traj: Trajectory, f_field: Field, linf_lattice: int = 65) -> CoreSeries:
+def core_series(traj: Trajectory, linf_lattice: int = 65) -> CoreSeries:
     """Assemble the monitored time series, including the energy residual.
 
     The energy residual at each checkpoint is
@@ -86,8 +86,7 @@ def core_series(traj: Trajectory, f_field: Field, linf_lattice: int = 65) -> Cor
     fe_0 = _flux_energy(traj, 0.0)
     grads = traj.grads
     grad_l2 = np.einsum("kmn,kmn,m->k", grads, grads, traj.grid.space_weights, optimize=True)
-    f_vals = sample_field(f_field, traj.grid.space_nodes, times)
-    work = (traj.values * f_vals) @ traj.grid.space_weights
+    work = (traj.values * traj.source_values) @ traj.grid.space_weights
 
     linf = _lattice_sup(traj, linf_lattice)
 
@@ -120,13 +119,10 @@ class BoundReport:
 APRIORI_CONSTANT = 1.5
 
 
-def apriori_energy_bound(traj: Trajectory, f_field: Field,
-                         series: Optional[CoreSeries] = None) -> BoundReport:
+def apriori_energy_bound(traj: Trajectory, series: CoreSeries) -> BoundReport:
     """sup_t ||u||^2 + int_QT F_eps|grad u|^2 against C1 e^T (||f||^2 + ||u0||^2)."""
-    series = series or core_series(traj, f_field)
     lhs = float(series.l2_sq.max() + np.trapezoid(series.flux_energy_eps, traj.times))
-    f_vals = sample_field(f_field, traj.grid.space_nodes, traj.times)
-    f_sq = traj.spacetime_grid().integrate(f_vals ** 2)
+    f_sq = traj.spacetime_grid().integrate(traj.source_values ** 2)
     rhs = APRIORI_CONSTANT * np.exp(traj.horizon) * (f_sq + series.l2_sq[0])
     slack = 1e-8 * max(1.0, rhs)
     return BoundReport(name="apriori_energy_bound", lhs=lhs, rhs=float(rhs),
@@ -192,7 +188,7 @@ def interpolation_ratio(traj: Trajectory, varsigma: float, beta: float) -> Inter
                                implied_constant=float(lhs - beta * term))
 
 
-def time_derivative_bound(traj: Trajectory, f_field: Field) -> BoundReport:
+def time_derivative_bound(traj: Trajectory) -> BoundReport:
     """Accumulated ||u_t||^2 plus the sup of the full-power modular, as a ratio.
 
     The right-hand side carries the analysis' unquantified constant, so this
@@ -209,8 +205,7 @@ def time_derivative_bound(traj: Trajectory, f_field: Field) -> BoundReport:
     a0, b0, p0, q0 = a[0], b[0], p[0], q[0]
     fv0 = flux.vector_kernel(a0, b0, p0, q0, g0, 0.0)
     ini = float((np.sum(fv0 * g0, axis=-1)) @ traj.grid.space_weights)
-    f_vals = sample_field(f_field, traj.grid.space_nodes, traj.times)
-    f_sq = traj.spacetime_grid().integrate(f_vals ** 2)
+    f_sq = traj.spacetime_grid().integrate(traj.source_values ** 2)
     rhs = 1.0 + ini + f_sq
     return BoundReport(name="time_derivative_bound", lhs=lhs, rhs=float(rhs),
                        passed=bool(np.isfinite(lhs)),
@@ -289,22 +284,21 @@ class GronwallReport:
     passed: bool
 
 
-def stability_experiment(traj_u: Trajectory, traj_v: Trajectory,
-                         f_field: Field, g_field: Field) -> GronwallReport:
+def stability_experiment(traj_u: Trajectory, traj_v: Trajectory) -> GronwallReport:
     """Gronwall stability of two solves on identical grids.
 
     Checks ||(u-v)(t)||^2 <= e^T (||u0-v0||^2 + ||f-g||^2) at every
-    checkpoint and reports the gradient modular int |grad(u-v)|^(s_lower)
-    plus the monotonicity pairing of the two gradient fields.
+    checkpoint, with f and g the two trajectories' own sources, and reports
+    the gradient modular int |grad(u-v)|^(s_lower) plus the monotonicity
+    pairing of the two gradient fields.
     """
-    if traj_u.basis.size != traj_v.basis.size or not np.array_equal(traj_u.times, traj_v.times):
+    st = traj_u.spacetime_grid()
+    if (traj_u.basis.size != traj_v.basis.size
+            or not spaces.same_grid(st, traj_v.spacetime_grid())):
         raise ValueError("stability experiment needs identical discretizations")
     dc = traj_u.coeffs - traj_v.coeffs
     diff = np.einsum("kj,kj->k", dc, dc)
-    st = traj_u.spacetime_grid()
-    x = traj_u.grid.space_nodes
-    fg = sample_field(f_field, x, traj_u.times) - sample_field(g_field, x, traj_u.times)
-    fg_sq = st.integrate(fg ** 2)
+    fg_sq = st.integrate((traj_u.source_values - traj_v.source_values) ** 2)
     bound = np.exp(traj_u.horizon) * (diff[0] + fg_sq)
     slack = 1e-6 * max(1.0, bound)
 
@@ -327,9 +321,8 @@ class EnvelopeReport:
     passed: bool
 
 
-def linf_bound_check(traj: Trajectory, u0_field: Field, f_field: Field,
-                     lattice_n: int = 65, slack: float = 1e-3) -> EnvelopeReport:
-    """Lattice sup of |u| against ||u0||_inf + int_0^t ||f||_inf ds.
+def linf_bound_check(traj: Trajectory, lattice_n: int = 65, slack: float = 1e-3) -> EnvelopeReport:
+    """Lattice sup of |u| against ||u0||_inf + int_0^t ||f||_inf ds, from the trajectory's data.
 
     The lattice maximum underestimates the true sup, which the absolute
     slack covers; the data sups use a twice-finer lattice.
@@ -337,8 +330,8 @@ def linf_bound_check(traj: Trajectory, u0_field: Field, f_field: Field,
     sup_u = _lattice_sup(traj, lattice_n)
 
     fine = lattice_points(traj.data.dim, 2 * lattice_n - 1)
-    u0_sup = float(np.abs(u0_field(fine, 0.0)).max())
-    f_sup = np.array([np.abs(f_field(fine, t)).max() for t in traj.times])
+    u0_sup = float(np.abs(traj.initial(fine, 0.0)).max())
+    f_sup = np.array([np.abs(traj.source(fine, t)).max() for t in traj.times])
     envelope = u0_sup + _cumtrapz(f_sup, traj.times) + slack
     return EnvelopeReport(times=traj.times, lattice_sup=sup_u, envelope=envelope,
                           slack=slack, passed=bool(np.all(sup_u <= envelope)))
@@ -354,29 +347,29 @@ class CauchyReport:
     tolerance: float
 
 
-def _gradient_cauchy(trajs: Sequence[Trajectory], labels, tolerance: float,
-                     pair_eps=None) -> CauchyReport:
-    base = trajs[-1]
-    st = base.spacetime_grid()
-    s_low = _s_lower(base)
-    axis = tensor_axis(base.grid.space_nodes, base.data.dim)
-    members = {}  # one lattice evaluation per distinct basis, keyed by its modes
-    for k, tr in enumerate(trajs):
-        members.setdefault((tr.basis.modes.shape, tr.basis.modes.tobytes()), []).append(k)
-    grads = [None] * len(trajs)
-    for ks in members.values():
-        basis = trajs[ks[0]].basis
-        stacked = np.stack([trajs[k].coeffs for k in ks])
-        for k, g in zip(ks, basis.lattice(basis.line_tables(axis), stacked, 1)):
-            grads[k] = g
+def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Sequence[tuple],
+                     labels, tolerance: float) -> CauchyReport:
+    """Gradient distances and pairings of consecutive (basis, coeffs, eps) members.
+
+    st is the finest member's space-time grid; a pairing uses the finer member's eps.
+    """
+    s_low = np.minimum(*data.sample(st.space_nodes, st.time_nodes)[2:])
+    axis = tensor_axis(st.space_nodes, data.dim)
+    by_basis = {}  # one lattice evaluation per distinct basis, keyed by its modes
+    for k, (basis, _, _) in enumerate(members):
+        by_basis.setdefault((basis.modes.shape, basis.modes.tobytes()), []).append(k)
+    grads = {}
+    for ks in by_basis.values():
+        basis = members[ks[0]][0]
+        stacked = np.stack([members[k][1] for k in ks])
+        grads.update(zip(ks, basis.lattice(basis.line_tables(axis), stacked, 1)))
     dist, pair = [], []
-    for k in range(len(trajs) - 1):
+    for k in range(len(members) - 1):
         d = grads[k] - grads[k + 1]
         dist.append(st.integrate(flux.powf(np.sqrt(np.sum(d * d, axis=-1)), s_low)))
-        eps_k = pair_eps[k] if pair_eps is not None else trajs[k + 1].eps
         gu = spaces.SampledField(grads[k], st, vector=True)
         gv = spaces.SampledField(grads[k + 1], st, vector=True)
-        pair.append(spaces.pairing_G_eps(gu, gv, eps_k, base.data))
+        pair.append(spaces.pairing_G_eps(gu, gv, members[k + 1][2], data))
     dist = np.asarray(dist)
     floor = 1e-14 * max(1.0, float(dist.max(initial=0.0)))
     monotone = bool(np.all(dist[1:] <= (1.0 + tolerance) * dist[:-1] + floor))
@@ -399,8 +392,9 @@ def eps_continuation_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_f
         raise ValueError("eps sequence must be strictly decreasing")
     data.validate().raise_if_failed()
     trajs = [solve(replace(cfg, eps=e), data, u0, f_field, validate=False) for e in eps_seq]
-    return _gradient_cauchy(trajs, [f"eps={e:g}" for e in eps_seq], tolerance,
-                            pair_eps=eps_seq[1:])
+    return _gradient_cauchy(data, trajs[-1].spacetime_grid(),
+                            [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
+                            [f"eps={e:g}" for e in eps_seq], tolerance)
 
 
 def m_refinement_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
@@ -411,4 +405,6 @@ def m_refinement_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_field
         raise ValueError("m list must be strictly increasing")
     data.validate().raise_if_failed()
     trajs = [solve(replace(cfg, m_per_dim=m), data, u0, f_field, validate=False) for m in m_list]
-    return _gradient_cauchy(trajs, [f"m={m}" for m in m_list], tolerance)
+    return _gradient_cauchy(data, trajs[-1].spacetime_grid(),
+                            [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
+                            [f"m={m}" for m in m_list], tolerance)

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import flux
-from .fields import ExponentData, Field, tensor_axis
+from .fields import ExponentData, Field, sample_field, tensor_axis
 from .spaces import QuadratureGrid, tensor_gauss_legendre
 
 _CHUNK = 4096
@@ -421,9 +421,11 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
 
 @dataclass(eq=False)
 class Trajectory:
-    """A computed trajectory plus the per-step bookkeeping diagnostics need."""
+    """A computed trajectory, the data it was solved from, and per-step bookkeeping."""
 
     data: ExponentData
+    initial: Field                # the initial datum u(., 0) given to `solve`
+    source: Field                 # the source f given to `solve`
     cfg: SolverConfig
     eps: float
     basis: EigenBasis
@@ -445,6 +447,11 @@ class Trajectory:
     def fields(self) -> tuple:
         """(a, b, p, q) at every checkpoint, each (K+1, M)."""
         return self.data.sample(self.grid.space_nodes, self.times)
+
+    @cached_property
+    def source_values(self) -> np.ndarray:
+        """The source f at every checkpoint, (K+1, M)."""
+        return sample_field(self.source, self.grid.space_nodes, self.times)
 
     @cached_property
     def lines(self) -> np.ndarray:
@@ -519,8 +526,8 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
             state, st = _advance(state, tau, 0, data, f_field, cfg, ws)
         except StepFailure as exc:
             partial = Trajectory(
-                data=data, cfg=cfg, eps=cfg.eps, basis=basis, grid=grid,
-                times=np.asarray(times), coeffs=np.asarray(coeffs),
+                data=data, initial=u0, source=f_field, cfg=cfg, eps=cfg.eps, basis=basis,
+                grid=grid, times=np.asarray(times), coeffs=np.asarray(coeffs),
                 ut_sq_accum=np.asarray(ut_accum), newton_iters=np.asarray(iters),
                 newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks))
             raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}", partial) from exc
@@ -534,8 +541,8 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
             slacks.append(st.energy_slack)
 
     return Trajectory(
-        data=data, cfg=cfg, eps=cfg.eps, basis=basis, grid=grid,
-        times=np.asarray(times), coeffs=np.asarray(coeffs),
+        data=data, initial=u0, source=f_field, cfg=cfg, eps=cfg.eps, basis=basis,
+        grid=grid, times=np.asarray(times), coeffs=np.asarray(coeffs),
         ut_sq_accum=np.asarray(ut_accum), newton_iters=np.asarray(iters),
         newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks))
 

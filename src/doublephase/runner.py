@@ -28,8 +28,7 @@ import yaml
 from . import __version__, diagnostics as dg
 from .fields import ConfigurationError, ExponentData, Field, make_field
 from .galerkin import (SolverConfig, SolverError, Trajectory, _field_spatial_gradient,
-                       build_basis, manufactured_source, solve)
-from .spaces import tensor_gauss_legendre
+                       manufactured_source, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +111,15 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
                for k, v in solver_block.items()},
         )
         initial = make_field(need("initial"), dim)
+        diagnostics = dict(raw.get("diagnostics", {}))
+        sweep = dict(raw.get("sweep", {}))
+        eps_axis = [float(e) for e in sweep.get("eps", [])]
+        m_axis = [int(m) for m in sweep.get("m_per_dim", [])]
+        if eps_axis != sorted(set(eps_axis), reverse=True) or m_axis != sorted(set(m_axis)):
+            raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly")
+        _check_diagnostics(diagnostics, data.r_sharp)
+        _check_diagnostics(diagnostics | dict(sweep.get("diagnostics_overrides", {})),
+                           data.r_sharp)
     except KeyError as exc:
         raise ConfigurationError(f"{where}: missing key {exc}")
     except (TypeError, ValueError) as exc:
@@ -123,13 +131,28 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
         initial=initial,
         source_descriptor=raw.get("source", 0.0),
         solver=solver,
-        diagnostics=dict(raw.get("diagnostics", {})),
-        sweep=dict(raw.get("sweep", {})),
+        diagnostics=diagnostics,
+        sweep=sweep,
         output=dict(raw.get("output", {})),
         workers=int(raw.get("workers", int(os.environ.get("DOUBLEPHASE_WORKERS", "1")))),
         seed=int(raw.get("seed", 0)),
         raw=raw,
     )
+
+
+# defaults of the diagnostics options `_check_diagnostics` checks
+SIGMA_GRID, VARSIGMA, SECOND_ORDER_H, SECOND_ORDER_MARGIN = (0.1, 0.3, 0.5), 0.5, 1 / 256, 1 / 64
+
+
+def _check_diagnostics(opts: dict, r_sharp: float):
+    """Refuse at load the options a monitor would refuse only after the solve."""
+    varsigma = dict(opts.get("interpolation", {})).get("varsigma", VARSIGMA)
+    for s in list(opts.get("sigma_grid", SIGMA_GRID)) + [varsigma]:
+        if not 0.0 < float(s) < r_sharp:
+            raise ValueError(f"sigma {s} outside (0, {r_sharp})")
+    so = dict(opts.get("second_order", {}))
+    if float(so.get("margin", SECOND_ORDER_MARGIN)) < 2.0 * float(so.get("h", SECOND_ORDER_H)):
+        raise ValueError("second_order margin below 2h")
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +239,13 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
         manifest["failure"] = str(exc)
         partial = exc.partial
         if partial is not None and len(partial.times) > 1:
-            _write_timeseries(outdir, dg.core_series(partial, f_field), partial)
+            _write_timeseries(outdir, dg.core_series(partial), partial)
         _write_manifest(outdir, manifest, exit_code=3)
         return 3, manifest, None
     manifest["timings"]["solve"] = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    checks, series, extras = run_diagnostics(traj, config, f_field)
+    checks, series, extras = run_diagnostics(traj, config)
     manifest["timings"]["diagnostics"] = time.perf_counter() - t2
     manifest["checks"] = [c.as_dict() for c in checks]
     manifest["summary"] = extras
@@ -243,14 +266,14 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
     return code, manifest, traj
 
 
-def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
+def run_diagnostics(traj: Trajectory, config: RunConfig):
     """Evaluate every per-run monitor; returns (checks, core series, extras)."""
     opts = config.diagnostics
     ceil = dict(opts.get("ceilings", {}))
     checks: list[Check] = []
     extras: dict = {}
 
-    series = dg.core_series(traj, f_field, linf_lattice=int(opts.get("linf_lattice", 65)))
+    series = dg.core_series(traj, linf_lattice=int(opts.get("linf_lattice", 65)))
 
     res_ceiling = float(opts.get("energy_residual_ceiling", 1e-2))
     worst_rel = float(series.energy_residual_rel.max())
@@ -258,7 +281,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
                         worst_rel, res_ceiling,
                         "max relative residual of the energy identity"))
 
-    ap = dg.apriori_energy_bound(traj, f_field, series)
+    ap = dg.apriori_energy_bound(traj, series)
     checks.append(Check("apriori_energy_bound", "exact", ap.passed, ap.ratio, 1.0,
                         f"lhs={ap.lhs:.6g} rhs={ap.rhs:.6g} (constant {dg.APRIORI_CONSTANT})"))
 
@@ -284,14 +307,12 @@ def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
                         float(traj.energy_slack.max()), float(slack_bound.max()),
                         "per-step discrete energy inequality up to Newton tolerance"))
 
-    env = dg.linf_bound_check(traj, config.initial, f_field,
-                              lattice_n=int(opts.get("linf_lattice", 65)))
+    env = dg.linf_bound_check(traj, lattice_n=int(opts.get("linf_lattice", 65)))
     checks.append(Check("sup_envelope", "exact", env.passed,
                         float((env.lattice_sup - env.envelope).max()), 0.0,
                         "lattice sup of |u| against data envelope"))
 
-    sigma_grid = opts.get("sigma_grid", [0.1, 0.3, 0.5])
-    hi = dg.higher_integrability(traj, sigma_grid)
+    hi = dg.higher_integrability(traj, opts.get("sigma_grid", SIGMA_GRID))
     extras["higher_integrability"] = hi
     finite = all(np.isfinite(v) for v in hi.values())
     if "higher_integrability" in ceil:
@@ -304,7 +325,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
                             max(hi.values()), None, "gradient modular table (finiteness)"))
 
     interp = opts.get("interpolation", {})
-    ir = dg.interpolation_ratio(traj, float(interp.get("varsigma", 0.5)),
+    ir = dg.interpolation_ratio(traj, float(interp.get("varsigma", VARSIGMA)),
                                 float(interp.get("beta", 0.5)))
     extras["interpolation"] = {"varsigma": ir.varsigma, "beta": ir.beta, "lhs": ir.lhs,
                                "second_order_term": ir.second_order_term,
@@ -313,7 +334,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
                         ir.implied_constant, None,
                         "additive constant implied by the interpolation inequality"))
 
-    td = dg.time_derivative_bound(traj, f_field)
+    td = dg.time_derivative_bound(traj)
     extras["time_derivative"] = td.detail | {"lhs": td.lhs, "rhs": td.rhs}
     if "time_derivative_ratio" in ceil:
         bound = float(ceil["time_derivative_ratio"])
@@ -326,8 +347,8 @@ def run_diagnostics(traj: Trajectory, config: RunConfig, f_field: Field):
 
     so_opts = opts.get("second_order", {})
     so = dg.second_order_flux_norm(
-        traj, h=float(so_opts.get("h", 1.0 / 256.0)),
-        margin=float(so_opts.get("margin", 1.0 / 64.0)),
+        traj, h=float(so_opts.get("h", SECOND_ORDER_H)),
+        margin=float(so_opts.get("margin", SECOND_ORDER_MARGIN)),
         time_stride=int(so_opts.get("time_stride", max(1, (len(traj.times) - 1) // 8))))
     extras["second_order_norms"] = so.norms.tolist()
     extras["second_order_total"] = so.total
@@ -402,8 +423,8 @@ def _run_member(args):
     member = replace_config(config, solver=solver, diagnostics=diag, name=name)
     code, manifest, traj = perform_run(member, outdir)
     return {"name": name, "code": code, "overrides": member_overrides,
-            "coeffs": None if traj is None else traj.coeffs,
-            "times": None if traj is None else traj.times,
+            "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
+            "grid": None if traj is None else traj.spacetime_grid(),
             "summary": manifest.get("summary", {}),
             "checks": manifest.get("checks", [])}
 
@@ -499,11 +520,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     if len(eps_list) > 1:
         for m in m_list:
             rows = [by_key[(m, e)] for e in eps_list]
-            if any(r["coeffs"] is None for r in rows):
+            if any(r["member"] is None for r in rows):
                 continue
-            trajs = [_rebuild_trajectory(config, m, e, r) for e, r in zip(eps_list, rows)]
-            rep = dg._gradient_cauchy(trajs, [f"eps={e:g}" for e in eps_list], tol,
-                                      pair_eps=eps_list[1:])
+            rep = dg._gradient_cauchy(config.data, rows[-1]["grid"], [r["member"] for r in rows],
+                                      [f"eps={e:g}" for e in eps_list], tol)
             for k, d in enumerate(rep.distances):
                 summary_rows.append(_member_entry("eps_cauchy_distance",
                                                   f"m{m}_k{k}", d))
@@ -523,9 +543,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     if len(m_list) > 1:
         e = eps_list[-1]
         rows = [by_key[(m, e)] for m in m_list]
-        if all(r["coeffs"] is not None for r in rows):
-            trajs = [_rebuild_trajectory(config, m, e, r) for m, r in zip(m_list, rows)]
-            rep = dg._gradient_cauchy(trajs, [f"m={m}" for m in m_list], tol)
+        if all(r["member"] is not None for r in rows):
+            rep = dg._gradient_cauchy(config.data, rows[-1]["grid"], [r["member"] for r in rows],
+                                      [f"m={m}" for m in m_list], tol)
             for k, d in enumerate(rep.distances):
                 summary_rows.append(_member_entry("m_cauchy_distance", f"eps{e:g}_k{k}", d))
             checks.append(Check("m_refinement", "regression", rep.monotone,
@@ -541,12 +561,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         checks.extend(stab_checks)
         summary_rows.extend(stab_rows)
 
-    rows = [[r["kind"], r["label"], float(r["value"]), str(r["passed"])]
-            for r in summary_rows]
-    with open(outdir / "sweep_summary.csv", "w") as fh:
-        fh.write("kind,label,value,passed\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]},{_fmt(row[2])},{row[3]}\n")
+    _write_csv(outdir / "sweep_summary.csv", ["kind", "label", "value", "passed"],
+               [[r["kind"], r["label"], float(r["value"]), str(r["passed"])]
+                for r in summary_rows])
 
     manifest = {"name": config.name, "version": __version__, "kind": "sweep",
                 "members": [{"name": r["name"], "exit": r["code"]} for r in results],
@@ -555,18 +572,6 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     code = worst if worst else (0 if all(c.passed for c in checks) else 2)
     _write_manifest(outdir, manifest, exit_code=code)
     return code, manifest
-
-
-def _rebuild_trajectory(config: RunConfig, m: int, eps: float, res: dict) -> Trajectory:
-    cfg = replace(config.solver, m_per_dim=m, eps=eps)
-    basis = build_basis(config.data.dim, m)
-    grid = tensor_gauss_legendre(config.data.dim, cfg.resolved_quad_order)
-    n = len(res["times"])
-    zeros = np.zeros(n)
-    return Trajectory(data=config.data, cfg=cfg, eps=eps, basis=basis, grid=grid,
-                      times=np.asarray(res["times"]), coeffs=np.asarray(res["coeffs"]),
-                      ut_sq_accum=zeros, newton_iters=zeros, newton_residual=zeros,
-                      energy_slack=zeros)
 
 
 def _stability_block(config: RunConfig, stab: dict, outdir: Path):
@@ -597,7 +602,7 @@ def _stability_block(config: RunConfig, stab: dict, outdir: Path):
         else:
             g_field = f_field
         other = solve(config.solver, config.data, u0p, g_field, validate=False)
-        rep = dg.stability_experiment(base, other, f_field, g_field)
+        rep = dg.stability_experiment(base, other)
         margin = float((rep.diff_l2_sq - rep.bound).max())
         worst_margin = max(worst_margin, margin)
         all_pass = all_pass and rep.passed
@@ -617,7 +622,7 @@ def _stability_block(config: RunConfig, stab: dict, outdir: Path):
         u0p = _field_sum(config.initial, make_field(
             {"family": "modes", "coeffs": [list(modes) + [delta]]}, config.data.dim))
         other = solve(config.solver, config.data, u0p, f_field, validate=False)
-        rep = dg.stability_experiment(base, other, f_field, f_field)
+        rep = dg.stability_experiment(base, other)
         mods.append(rep.grad_modular)
         rows.append(_member_entry("stability_shrink", f"delta{delta:g}", rep.grad_modular))
     decreasing = all(m2 <= m1 * 1.10 + 1e-14 for m1, m2 in zip(mods, mods[1:]))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -151,15 +151,6 @@ class SampledField:
         if self.vector:
             return np.sqrt(np.sum(self.values ** 2, axis=-1))
         return np.abs(self.values)
-
-
-def sample(fn: Callable, grid: QuadratureGrid, spacetime: bool = False, vector: bool = False) -> SampledField:
-    """Evaluate fn(x, t) on the grid nodes and wrap as a SampledField."""
-    x = grid.space_nodes
-    if spacetime:
-        rows = [np.asarray(fn(x, t), dtype=float) for t in grid.time_nodes]
-        return SampledField(np.stack(rows, axis=0), grid, vector=vector)
-    return SampledField(np.asarray(fn(x, 0.0), dtype=float), grid, vector=vector)
 
 
 def modular(f: SampledField, r) -> float:

@@ -55,7 +55,7 @@ def residual_table():
         for tau in (1e-3, 5e-4):
             traj = solve(replace(config.solver, tau=tau), config.data,
                          config.initial, f_field, validate=False)
-            series = dg.core_series(traj, f_field)
+            series = dg.core_series(traj)
             table[(name, tau)] = float(series.energy_residual_rel.max())
     return table
 
@@ -121,7 +121,7 @@ def test_criterion_4_gronwall_stability():
         else:
             g_field = f_field
         other = solve(config.solver, config.data, u0p, g_field, validate=False)
-        rep = dg.stability_experiment(base, other, f_field, g_field)
+        rep = dg.stability_experiment(base, other)
         if not rep.passed:
             violations += 1
     verdict(4, "gronwall stability over 20 pairs", violations == 0,
@@ -288,11 +288,11 @@ def test_criterion_10_sup_envelope_random_scenarios():
             f = make_field(float(rng.uniform(0.0, 0.5)), 2)
         cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3)
         traj = solve(cfg, data, u0, f, validate=False)
-        rep = dg.linf_bound_check(traj, u0, f)
+        rep = dg.linf_bound_check(traj)
         if not rep.passed:
             violations += 1
-        series = dg.core_series(traj, f)
-        if not dg.apriori_energy_bound(traj, f, series).passed:
+        series = dg.core_series(traj)
+        if not dg.apriori_energy_bound(traj, series).passed:
             apriori_violations += 1
     verdict(10, "sup envelope over 50 random scenarios",
             violations == 0 and apriori_violations == 0,

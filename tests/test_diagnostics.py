@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from doublephase import diagnostics as dg, runner, spaces
-from doublephase.fields import ExponentData, make_field
+from doublephase.fields import ExponentData, Field, make_field
 from doublephase.galerkin import EigenBasis, SolverConfig, solve
 
 LAM11 = 2.0 * math.pi ** 2
@@ -35,7 +35,7 @@ def test_zero_solution_all_monitors_trivial():
     cfg = SolverConfig(m_per_dim=2, eps=1e-1, tau=5e-3)
     data = data_const(p=1.8, q=2.1)
     traj = solve(cfg, data, ZERO2, ZERO2)
-    series = dg.core_series(traj, ZERO2)
+    series = dg.core_series(traj)
     assert np.all(series.energy_residual == 0.0)
     assert np.all(series.l2_sq == 0.0)
     hi = dg.higher_integrability(traj, [0.1, 0.5])
@@ -44,10 +44,10 @@ def test_zero_solution_all_monitors_trivial():
     assert ir.implied_constant == 0.0
     so = dg.second_order_flux_norm(traj, h=1.0 / 64.0, margin=1.0 / 32.0)
     assert so.total == 0.0
-    ap = dg.apriori_energy_bound(traj, ZERO2, series)
+    ap = dg.apriori_energy_bound(traj, series)
     assert ap.lhs == 0.0 and ap.passed
     # stationary zero state: the sup modular equals the analytic constant
-    td = dg.time_derivative_bound(traj, ZERO2)
+    td = dg.time_derivative_bound(traj)
     expect = 0.5 * cfg.eps ** 1.8 + 0.5 * cfg.eps ** 2.1
     assert td.detail["sup_modular"] == pytest.approx(expect, rel=1e-12)
     assert td.detail["ut_sq"] == 0.0
@@ -57,7 +57,7 @@ def test_heat_series_match_discrete_closed_form(heat_traj):
     # every step multiplies the first coefficient by 1/(1 + lambda tau); the
     # flux energy is lambda * ||u||^2
     traj = heat_traj
-    series = dg.core_series(traj, ZERO2)
+    series = dg.core_series(traj)
     k = np.arange(len(traj.times))
     u_hat = (1.0 + LAM11 * traj.cfg.tau) ** (-k.astype(float))
     assert np.allclose(series.l2_sq, u_hat ** 2, rtol=1e-7)
@@ -75,22 +75,22 @@ def test_energy_residual_halves_with_tau():
     for tau in (1e-3, 5e-4):
         traj = solve(SolverConfig(m_per_dim=4, eps=1e-2, tau=tau), data, u0, ZERO2,
                      validate=False)
-        rels[tau] = dg.core_series(traj, ZERO2).energy_residual_rel.max()
+        rels[tau] = dg.core_series(traj).energy_residual_rel.max()
     assert rels[1e-3] <= 1e-2
     ratio = rels[1e-3] / rels[5e-4]
     assert 1.5 <= ratio <= 3.0
 
 
 def test_apriori_bound_heat_ratio_below_one(heat_traj):
-    series = dg.core_series(heat_traj, ZERO2)
-    rep = dg.apriori_energy_bound(heat_traj, ZERO2, series)
+    series = dg.core_series(heat_traj)
+    rep = dg.apriori_energy_bound(heat_traj, series)
     assert rep.passed and rep.ratio < 1.0
     # analytic check of the left side: sup ||u||^2 = 1, dissipation ~ (1-e^(-2 lam T))/2
     assert rep.lhs == pytest.approx(1.0 + 0.5 * (1 - math.exp(-2 * LAM11 * 0.1)), rel=2e-2)
 
 
 def test_gradbound_checkpointwise(heat_traj):
-    series = dg.core_series(heat_traj, ZERO2)
+    series = dg.core_series(heat_traj)
     rep = dg.gradbound_check(heat_traj, series)
     assert rep.passed
 
@@ -125,7 +125,7 @@ def test_interpolation_constant_stable_under_tau_halving():
 
 
 def test_time_derivative_bound_heat(heat_traj):
-    rep = dg.time_derivative_bound(heat_traj, ZERO2)
+    rep = dg.time_derivative_bound(heat_traj)
     assert rep.passed and np.isfinite(rep.ratio)
     # accumulated tau*||u_t||^2 for the discrete heat flow has a closed form
     tau = heat_traj.cfg.tau
@@ -178,13 +178,13 @@ def test_stability_identical_and_heat_perturbation():
     u0 = mode_field([[1, 1, 1.0]])
     base = solve(cfg, data, u0, ZERO2)
     same = solve(cfg, data, u0, ZERO2)
-    rep = dg.stability_experiment(base, same, ZERO2, ZERO2)
+    rep = dg.stability_experiment(base, same)
     assert rep.passed and np.all(rep.diff_l2_sq == 0.0)
 
     delta = 1e-2
     pert = mode_field([[1, 1, 1.0], [2, 1, delta]])
     other = solve(cfg, data, pert, ZERO2, validate=False)
-    rep2 = dg.stability_experiment(base, other, ZERO2, ZERO2)
+    rep2 = dg.stability_experiment(base, other)
     assert rep2.passed
     # linear decoupling: the difference is the (2,1) mode decaying at 5 pi^2
     lam21 = 5.0 * math.pi ** 2
@@ -194,8 +194,7 @@ def test_stability_identical_and_heat_perturbation():
     assert rep2.bound == pytest.approx(math.exp(0.1) * delta ** 2, rel=1e-9)
 
 
-def test_run_diagnostics_samples_solver_fields_once(monkeypatch):
-    # every monitor reads a, b, p, q on the solver grid from the trajectory
+def _counted_run():
     config = runner.config_from_dict({
         "name": "count_samples", "dim": 2, "horizon": 0.02, "alpha": 0.9,
         "fields": {"p": {"family": "affine", "base": 1.9, "slope": [0.1, 0.0]},
@@ -203,8 +202,14 @@ def test_run_diagnostics_samples_solver_fields_once(monkeypatch):
         "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]}, "source": 0.0,
         "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3},
         "diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0}}})
-    f_field = config.source_field()
-    traj = solve(config.solver, config.data, config.initial, f_field, validate=False)
+    traj = solve(config.solver, config.data, config.initial, config.source_field(),
+                 validate=False)
+    return config, traj
+
+
+def test_run_diagnostics_samples_solver_fields_once(monkeypatch):
+    # every monitor reads a, b, p, q on the solver grid from the trajectory
+    config, traj = _counted_run()
     nodes = traj.grid.space_nodes
     calls = []
     original = ExponentData.sample
@@ -215,8 +220,26 @@ def test_run_diagnostics_samples_solver_fields_once(monkeypatch):
         return original(self, x, t)
 
     monkeypatch.setattr(ExponentData, "sample", counting)
-    runner.run_diagnostics(traj, config, f_field)
+    runner.run_diagnostics(traj, config)
     assert calls == [1]
+
+
+def test_run_diagnostics_samples_the_source_once_per_checkpoint(monkeypatch):
+    # core_series, apriori_energy_bound and time_derivative_bound share the
+    # trajectory's one sampling of f on the solver nodes
+    config, traj = _counted_run()
+    nodes = traj.grid.space_nodes
+    calls = []
+    original = Field.__call__
+
+    def counting(self, x, t):
+        if self is traj.source and np.shape(x) == nodes.shape and np.array_equal(x, nodes):
+            calls.append(float(t))
+        return original(self, x, t)
+
+    monkeypatch.setattr(Field, "__call__", counting)
+    runner.run_diagnostics(traj, config)
+    assert calls == list(traj.times)
 
 
 def test_second_order_peak_memory_does_not_grow_with_checkpoints(heat_traj):
@@ -241,7 +264,7 @@ def test_linf_envelope_with_unit_source():
     cfg = SolverConfig(m_per_dim=6, eps=1e-2, tau=2e-3)
     one = make_field(1.0, 2)
     traj = solve(cfg, data, mode_field([[1, 1, 0.5]]), one)
-    rep = dg.linf_bound_check(traj, mode_field([[1, 1, 0.5]]), one)
+    rep = dg.linf_bound_check(traj)
     assert rep.passed
     assert rep.envelope[-1] == pytest.approx(1.0 + 0.1 + 1e-3, abs=1e-12)
 
@@ -284,8 +307,9 @@ def test_gradient_cauchy_builds_one_gradient_table_per_basis(monkeypatch):
         return original(self, x)
 
     monkeypatch.setattr(EigenBasis, "gradients", counting)
-    rep = dg._gradient_cauchy(trajs, [f"eps={e:g}" for e in eps_seq], 0.1,
-                              pair_eps=eps_seq[1:])
+    rep = dg._gradient_cauchy(data, trajs[-1].spacetime_grid(),
+                              [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
+                              [f"eps={e:g}" for e in eps_seq], 0.1)
     assert calls == [3]
     assert rep.distances.shape == (2,) and np.all(rep.distances > 0.0)
 
@@ -306,12 +330,12 @@ def test_one_dimensional_pipeline_end_to_end():
     z1 = make_field(0.0, 1)
     cfg = SolverConfig(m_per_dim=6, eps=1e-2, tau=2.5e-3)
     traj = solve(cfg, data, u0, z1)
-    series = dg.core_series(traj, z1)
+    series = dg.core_series(traj)
     assert series.energy_residual_rel.max() < 2e-2
     hi = dg.higher_integrability(traj, [0.3])
     assert np.isfinite(hi[0.3]) and hi[0.3] > 0
     so = dg.second_order_flux_norm(traj, h=1.0 / 128.0, margin=1.0 / 64.0, time_stride=4)
     assert so.norms.shape == (1, 1) and np.isfinite(so.total)
-    assert dg.linf_bound_check(traj, u0, z1).passed
+    assert dg.linf_bound_check(traj).passed
     rep = dg.eps_continuation_study(cfg, data, u0, z1, [1e-1, 5e-2, 2.5e-2])
     assert rep.monotone

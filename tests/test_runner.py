@@ -1,10 +1,11 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from doublephase import cli, runner
+from doublephase import cli, galerkin, runner
 from doublephase.fields import ConfigurationError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -112,6 +113,61 @@ def test_run_solver_failure_exit_3(tmp_path):
     config = runner.load_config(write_config(tmp_path, raw))
     code, manifest, _ = runner.perform_run(config, tmp_path / "out")
     assert code == 3 and "failed" in manifest["failure"]
+
+
+def test_solver_failure_after_two_steps_writes_partial_timeseries(tmp_path, monkeypatch):
+    # the partial trajectory carries its own source, so its series are the
+    # first rows of the complete run's (up to the rounding of batched lattices)
+    raw = small_heat_raw()
+    raw["solver"] = dict(raw["solver"], tau_retry_cap=0)
+    config = runner.load_config(write_config(tmp_path, raw))
+    runner.perform_run(config, tmp_path / "full")
+    original = galerkin.step_implicit
+    calls = []
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise galerkin.StepFailure("injected")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(galerkin, "step_implicit", failing_third)
+    code, manifest, traj = runner.perform_run(config, tmp_path / "out")
+    assert code == 3 and traj is None and "step 3/10 failed" in manifest["failure"]
+    partial = np.loadtxt(tmp_path / "out" / "timeseries.csv", delimiter=",", skiprows=1)
+    full = np.loadtxt(tmp_path / "full" / "timeseries.csv", delimiter=",", skiprows=1)
+    assert partial.shape == (3, 8)
+    assert np.allclose(partial, full[:3], rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("axes", [{"eps": [1.0e-3, 1.0e-1]}, {"eps": [1.0e-2, 1.0e-2]},
+                                  {"m_per_dim": [4, 3]}])
+def test_sweep_axes_out_of_order_exit_1(tmp_path, axes):
+    # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards
+    cfgfile = write_config(tmp_path, small_heat_raw(sweep=axes))
+    with pytest.raises(ConfigurationError, match="strictly"):
+        runner.load_config(cfgfile)
+    out = tmp_path / "out"
+    assert cli.main(["sweep", str(cfgfile), "--outdir", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb, overrides", [
+    ("run", {"diagnostics": {"sigma_grid": [1.5]}}),
+    ("run", {"diagnostics": {"sigma_grid": [0.0, 0.3]}}),
+    ("run", {"diagnostics": {"interpolation": {"varsigma": 1.0}}}),
+    ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 64.0}}}),
+    ("sweep", {"sweep": {"eps": [1.0e-2], "diagnostics_overrides": {"sigma_grid": [1.5]}}}),
+])
+def test_out_of_range_diagnostics_options_exit_1(tmp_path, verb, overrides):
+    # in two dimensions r_sharp = 1: a sigma outside (0, 1) or a second-order
+    # margin below 2h is refused at load, before the solve
+    cfgfile = write_config(tmp_path, small_heat_raw(**overrides))
+    with pytest.raises(ConfigurationError, match="outside|below"):
+        runner.load_config(cfgfile)
+    out = tmp_path / "out"
+    assert cli.main([verb, str(cfgfile), "--outdir", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_sweep_single_member_matches_run(tmp_path):
