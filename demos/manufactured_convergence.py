@@ -21,7 +21,7 @@ taus = (8e-3, 4e-3, 2e-3, 1e-3)
 finals = {}
 for tau in taus:
     traj = solve(replace(config.solver, tau=tau), config.data, config.initial,
-                 f_field, validate=False)
+                 f_field)
     finals[tau] = traj.coeffs[-1]
 
 exact = np.zeros_like(finals[taus[0]])

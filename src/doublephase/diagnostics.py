@@ -390,8 +390,7 @@ def eps_continuation_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_f
     eps_seq = list(eps_seq)
     if any(e2 >= e1 for e1, e2 in zip(eps_seq, eps_seq[1:])):
         raise ValueError("eps sequence must be strictly decreasing")
-    data.validate().raise_if_failed()
-    trajs = [solve(replace(cfg, eps=e), data, u0, f_field, validate=False) for e in eps_seq]
+    trajs = [solve(replace(cfg, eps=e), data, u0, f_field) for e in eps_seq]
     return _gradient_cauchy(data, trajs[-1].spacetime_grid(),
                             [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
                             [f"eps={e:g}" for e in eps_seq], tolerance)
@@ -403,8 +402,7 @@ def m_refinement_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_field
     m_list = list(m_list)
     if any(m2 <= m1 for m1, m2 in zip(m_list, m_list[1:])):
         raise ValueError("m list must be strictly increasing")
-    data.validate().raise_if_failed()
-    trajs = [solve(replace(cfg, m_per_dim=m), data, u0, f_field, validate=False) for m in m_list]
+    trajs = [solve(replace(cfg, m_per_dim=m), data, u0, f_field) for m in m_list]
     return _gradient_cauchy(data, trajs[-1].spacetime_grid(),
                             [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
                             [f"m={m}" for m in m_list], tolerance)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Mapping
 
 import numpy as np
@@ -50,6 +51,10 @@ class Field:
         x = _as_points(x)
         out = np.asarray(self._fn(x, np.asarray(t, dtype=float)), dtype=float)
         return np.broadcast_to(out, x.shape[:1]).copy() if out.ndim == 0 else out
+
+    def __reduce__(self):
+        # pickles as its descriptor; a family make_field does not know fails at unpickle
+        return make_field, (dict(self.descriptor), self.dim)
 
 
 def sample_field(fld, x, t) -> np.ndarray:
@@ -213,7 +218,8 @@ class ExponentData:
     """The data of the problem: exponents, coefficients, domain, horizon.
 
     Immutable; all evaluations are pure, so instances are safe to share
-    across workers.
+    across workers, and the validation report is computed once per instance
+    (`report`) and pickles with it.
     """
 
     dim: int
@@ -233,6 +239,9 @@ class ExponentData:
             raise ConfigurationError("horizon must be positive")
         if not (self.alpha > 0):
             raise ConfigurationError("coercivity floor alpha must be positive")
+        if self.lipschitz_probe_resolution < 2 or self.time_probe_resolution < 1:
+            raise ConfigurationError("probe_resolution must be at least 2 and "
+                                     "time_probe_resolution at least 1")
 
     @property
     def exponent_floor(self) -> float:
@@ -264,6 +273,11 @@ class ExponentData:
             if not np.all(np.isfinite(vals[name])):
                 raise ConfigurationError(f"field '{name}' is not finite on the probe lattice")
         return x, times, vals
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """validate(), once: the data are frozen and validate() is pure."""
+        return self.validate()
 
     def validate(self) -> ValidationReport:
         """Check every structural assumption on a probe lattice.
@@ -378,5 +392,5 @@ class DerivedExponents:
 
 def derive(data: ExponentData) -> DerivedExponents:
     """Validate the data and return the derived exponent fields."""
-    data.validate().raise_if_failed()
+    data.report.raise_if_failed()
     return DerivedExponents(data=data, r_sharp=data.r_sharp, r_star=data.r_star)

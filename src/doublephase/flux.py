@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .fields import ExponentData
 
@@ -167,13 +166,11 @@ def log_inequality_constant(mu: float, zeta: float) -> float:
     """Constant C with |xi|^zeta |ln|xi|| <= C (1 + |xi|^(zeta+mu)).
 
     Both branch suprema, sup_{t>=1} t^(-mu) ln t and sup_{t<1} t^mu |ln t|,
-    are maxima of u*exp(-mu*u) over u >= 0; computed numerically once.
+    are the maximum of u*exp(-mu*u) over u >= 0, 1/(e*mu) at u = 1/mu.
     """
     if not (0.0 < mu < zeta):
         raise ValueError("need 0 < mu < zeta")
-    res = optimize.minimize_scalar(lambda u: -u * np.exp(-mu * u),
-                                   bounds=(0.0, 200.0 / mu), method="bounded")
-    return float(-res.fun)
+    return 1.0 / (np.e * mu)
 
 
 def null_eps_branch_bound(a, b, p, q, eps, s1=0.0, s2=0.0) -> np.ndarray:

@@ -427,7 +427,6 @@ class Trajectory:
     initial: Field                # the initial datum u(., 0) given to `solve`
     source: Field                 # the source f given to `solve`
     cfg: SolverConfig
-    eps: float
     basis: EigenBasis
     grid: QuadratureGrid          # spatial solver quadrature
     times: np.ndarray             # (K+1,)
@@ -436,6 +435,10 @@ class Trajectory:
     newton_iters: np.ndarray
     newton_residual: np.ndarray
     energy_slack: np.ndarray      # per-checkpoint proximal inequality slack
+
+    @property
+    def eps(self) -> float:
+        return self.cfg.eps
 
     @property
     def horizon(self) -> float:
@@ -495,16 +498,15 @@ def _advance(s, dt, depth, data, f_field, cfg, ws):
     return new, st
 
 
-def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
-          validate: bool = True) -> Trajectory:
+def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field) -> Trajectory:
     """March the implicit scheme over [0, T] and record the trajectory.
 
+    Raises ValidationError when the data fail their (cached) validation.
     Deterministic for a fixed configuration.  A failed step is retried on
     halved substeps up to cfg.tau_retry_cap splittings; a step that still
     fails aborts the solve with the partial trajectory attached.
     """
-    if validate:
-        data.validate().raise_if_failed()
+    data.report.raise_if_failed()
     basis = build_basis(data.dim, cfg.m_per_dim)
     grid = tensor_gauss_legendre(data.dim, cfg.resolved_quad_order)
     ws = Workspace(basis, grid)
@@ -513,38 +515,27 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
     tau = data.horizon / n_steps
     state = ws.project(u0)
 
-    times = [0.0]
-    coeffs = [state.coeffs.copy()]
-    ut_accum = [0.0]
-    iters = [0]
-    residuals = [0.0]
-    slacks = [0.0]
+    # one row per checkpoint: the trailing Trajectory fields, times to energy_slack
+    rows = [(0.0, state.coeffs.copy(), 0.0, 0, 0.0, 0.0)]
+    head = (data, u0, f_field, cfg, basis, grid)
     running_ut = 0.0
 
     for k in range(n_steps):
         try:
             state, st = _advance(state, tau, 0, data, f_field, cfg, ws)
         except StepFailure as exc:
-            partial = Trajectory(
-                data=data, initial=u0, source=f_field, cfg=cfg, eps=cfg.eps, basis=basis,
-                grid=grid, times=np.asarray(times), coeffs=np.asarray(coeffs),
-                ut_sq_accum=np.asarray(ut_accum), newton_iters=np.asarray(iters),
-                newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks))
-            raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}", partial) from exc
+            raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
+                              _trajectory(head, rows)) from exc
         running_ut += st.ut_sq_increment
         if (k + 1) % cfg.output_cadence == 0 or (k + 1) == n_steps:
-            times.append(state.t)
-            coeffs.append(state.coeffs.copy())
-            ut_accum.append(running_ut)
-            iters.append(st.newton_iters)
-            residuals.append(st.residual_norm)
-            slacks.append(st.energy_slack)
+            rows.append((state.t, state.coeffs.copy(), running_ut, st.newton_iters,
+                         st.residual_norm, st.energy_slack))
+    return _trajectory(head, rows)
 
-    return Trajectory(
-        data=data, initial=u0, source=f_field, cfg=cfg, eps=cfg.eps, basis=basis,
-        grid=grid, times=np.asarray(times), coeffs=np.asarray(coeffs),
-        ut_sq_accum=np.asarray(ut_accum), newton_iters=np.asarray(iters),
-        newton_residual=np.asarray(residuals), energy_slack=np.asarray(slacks))
+
+def _trajectory(head, rows) -> Trajectory:
+    """The Trajectory of a solve's leading fields and its checkpoint rows."""
+    return Trajectory(*head, *(np.asarray(col) for col in zip(*rows)))
 
 
 def _field_spatial_gradient(fld: Field, x, t, h: float = 1e-6) -> np.ndarray:

@@ -221,7 +221,7 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
                       "config": config.raw, "timings": {}}
     t0 = time.perf_counter()
 
-    report = config.data.validate()
+    report = config.data.report
     manifest["validation"] = report.as_dict()
     manifest["timings"]["validate"] = time.perf_counter() - t0
     if not report.passed:
@@ -234,7 +234,7 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
 
     t1 = time.perf_counter()
     try:
-        traj = solve(config.solver, config.data, config.initial, f_field, validate=False)
+        traj = solve(config.solver, config.data, config.initial, f_field)
     except SolverError as exc:
         manifest["failure"] = str(exc)
         partial = exc.partial
@@ -413,16 +413,10 @@ def _member_entry(kind, label, value, passed=None):
             "passed": ("" if passed is None else bool(passed))}
 
 
-def _run_member(args):
-    """Worker entry: rebuilds the config from its raw dict (picklable)."""
-    raw, member_overrides, outdir, name = args
-    config = config_from_dict(raw)
-    solver = replace(config.solver, **member_overrides)
-    diag = dict(config.diagnostics)
-    diag.update(dict(raw.get("sweep", {}).get("diagnostics_overrides", {})))
-    member = replace_config(config, solver=solver, diagnostics=diag, name=name)
+def _run_member(member: RunConfig, outdir: str):
+    """Worker entry: one member run, reduced to what the sweep reads."""
     code, manifest, traj = perform_run(member, outdir)
-    return {"name": name, "code": code, "overrides": member_overrides,
+    return {"name": member.name, "code": code,
             "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
             "grid": None if traj is None else traj.spacetime_grid(),
             "summary": manifest.get("summary", {}),
@@ -465,25 +459,25 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     summary_rows: list[dict] = []
     worst = 0
 
-    base_overrides = dict(sweep.get("solver_overrides", {}))
-    jobs = []
-    for m in m_list:
-        for e in eps_list:
-            name = f"m{m}_eps{e:g}"
-            overrides = dict(base_overrides)
-            overrides.update({"eps": e, "m_per_dim": m})
-            jobs.append((config.raw, overrides, str(outdir / name), name))
+    # members are built here and share config.data, so the data validate once
+    report = config.data.report
+    overrides = dict(sweep.get("solver_overrides", {}))
+    diagnostics = config.diagnostics | dict(sweep.get("diagnostics_overrides", {}))
+    keys = [(m, e) for m in m_list for e in eps_list]
+    members = [replace(config, name=f"m{m}_eps{e:g}", diagnostics=diagnostics,
+                       solver=replace(config.solver, **(overrides | {"eps": e, "m_per_dim": m})))
+               for m, e in keys]
+    outdirs = [str(outdir / member.name) for member in members]
 
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_member, jobs))
+            results = list(pool.map(_run_member, members, outdirs))
     else:
-        results = [_run_member(j) for j in jobs]
+        results = list(map(_run_member, members, outdirs))
 
-    by_key = {}
+    by_key = dict(zip(keys, results))
     for res in results:
         worst = max(worst, res["code"])
-        by_key[(res["overrides"]["m_per_dim"], res["overrides"]["eps"])] = res
         summary_rows.append(_member_entry("member_exit", res["name"], res["code"],
                                           res["code"] == 0))
         for s, v in (res["summary"].get("higher_integrability") or {}).items():
@@ -554,9 +548,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
             summary_rows.append(_member_entry("m_cauchy_monotone", f"eps{e:g}",
                                               float(rep.monotone), rep.monotone))
 
-    # stability block
+    # stability block; on invalid data the members already exit 1
     stab = sweep.get("stability")
-    if stab:
+    if stab and report.passed:
         stab_checks, stab_rows = _stability_block(config, stab, outdir)
         checks.extend(stab_checks)
         summary_rows.extend(stab_rows)
@@ -601,7 +595,7 @@ def _stability_block(config: RunConfig, stab: dict, outdir: Path):
                 {"family": "modes", "coeffs": [list(gvec) + [delta]]}, config.data.dim))
         else:
             g_field = f_field
-        other = solve(config.solver, config.data, u0p, g_field, validate=False)
+        other = solve(config.solver, config.data, u0p, g_field)
         rep = dg.stability_experiment(base, other)
         margin = float((rep.diff_l2_sq - rep.bound).max())
         worst_margin = max(worst_margin, margin)
@@ -621,7 +615,7 @@ def _stability_block(config: RunConfig, stab: dict, outdir: Path):
         delta = base_delta * 0.5 ** j
         u0p = _field_sum(config.initial, make_field(
             {"family": "modes", "coeffs": [list(modes) + [delta]]}, config.data.dim))
-        other = solve(config.solver, config.data, u0p, f_field, validate=False)
+        other = solve(config.solver, config.data, u0p, f_field)
         rep = dg.stability_experiment(base, other)
         mods.append(rep.grad_modular)
         rows.append(_member_entry("stability_shrink", f"delta{delta:g}", rep.grad_modular))

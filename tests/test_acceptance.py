@@ -54,7 +54,7 @@ def residual_table():
         f_field = config.source_field()
         for tau in (1e-3, 5e-4):
             traj = solve(replace(config.solver, tau=tau), config.data,
-                         config.initial, f_field, validate=False)
+                         config.initial, f_field)
             series = dg.core_series(traj)
             table[(name, tau)] = float(series.energy_residual_rel.max())
     return table
@@ -77,7 +77,7 @@ def test_criterion_2_forced_mms_order():
     finals = {}
     for tau in (4e-3, 2e-3, 1e-3):
         traj = solve(replace(config.solver, tau=tau), config.data,
-                     config.initial, f_field, validate=False)
+                     config.initial, f_field)
         finals[tau] = traj.coeffs[-1]
     d1 = float(np.linalg.norm(finals[4e-3] - finals[2e-3]))
     d2 = float(np.linalg.norm(finals[2e-3] - finals[1e-3]))
@@ -120,7 +120,7 @@ def test_criterion_4_gronwall_stability():
                 {"family": "modes", "coeffs": [gvec + [delta]]}, 2))
         else:
             g_field = f_field
-        other = solve(config.solver, config.data, u0p, g_field, validate=False)
+        other = solve(config.solver, config.data, u0p, g_field)
         rep = dg.stability_experiment(base, other)
         if not rep.passed:
             violations += 1
@@ -243,8 +243,7 @@ def test_criterion_9_second_order_uniformity(unordered_sweep_result):
     stable = True
     totals = {}
     for eps in (1e-1, 1e-2, 1e-3, 1e-4):
-        traj = solve(replace(cfg, eps=eps), config.data, config.initial, f_field,
-                     validate=False)
+        traj = solve(replace(cfg, eps=eps), config.data, config.initial, f_field)
         pair = [dg.second_order_flux_norm(traj, h=h, margin=1.0 / 64.0, time_stride=4).total
                 for h in (1.0 / 128.0, 1.0 / 256.0)]
         totals[eps] = pair
@@ -287,7 +286,7 @@ def test_criterion_10_sup_envelope_random_scenarios():
         else:
             f = make_field(float(rng.uniform(0.0, 0.5)), 2)
         cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3)
-        traj = solve(cfg, data, u0, f, validate=False)
+        traj = solve(cfg, data, u0, f)
         rep = dg.linf_bound_check(traj)
         if not rep.passed:
             violations += 1

@@ -73,8 +73,7 @@ def test_energy_residual_halves_with_tau():
     u0 = mode_field([[1, 1, 1.0]])
     rels = {}
     for tau in (1e-3, 5e-4):
-        traj = solve(SolverConfig(m_per_dim=4, eps=1e-2, tau=tau), data, u0, ZERO2,
-                     validate=False)
+        traj = solve(SolverConfig(m_per_dim=4, eps=1e-2, tau=tau), data, u0, ZERO2)
         rels[tau] = dg.core_series(traj).energy_residual_rel.max()
     assert rels[1e-3] <= 1e-2
     ratio = rels[1e-3] / rels[5e-4]
@@ -101,7 +100,7 @@ def test_higher_integrability_heat_vs_refined_quadrature(heat_traj):
     # against the refined rule needs the solver grid at order 32.
     data = data_const()
     traj = solve(SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3, quad_order=32),
-                 data, mode_field([[1, 1, 1.0]]), ZERO2, validate=False)
+                 data, mode_field([[1, 1, 1.0]]), ZERO2)
     got = dg.higher_integrability(traj, [0.5])[0.5]
     fine = spaces.tensor_gauss_legendre(2, 64).with_time(traj.times)
     gp = traj.basis.gradients(fine.space_nodes)
@@ -118,8 +117,7 @@ def test_interpolation_constant_stable_under_tau_halving():
     u0 = mode_field([[1, 1, 1.0]])
     consts = []
     for tau in (2e-3, 1e-3):
-        traj = solve(SolverConfig(m_per_dim=4, eps=1e-2, tau=tau), data, u0, ZERO2,
-                     validate=False)
+        traj = solve(SolverConfig(m_per_dim=4, eps=1e-2, tau=tau), data, u0, ZERO2)
         consts.append(dg.interpolation_ratio(traj, 0.5, 0.5).implied_constant)
     assert abs(consts[0] - consts[1]) <= 0.2 * max(abs(consts[0]), abs(consts[1]))
 
@@ -140,7 +138,7 @@ def test_second_order_norms_heat_analytic():
     # norms integrate analytically over the interior subdomain
     data = data_const()
     cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3)
-    traj = solve(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2, validate=False)
+    traj = solve(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2)
     margin = 1.0 / 32.0
     rep = dg.second_order_flux_norm(traj, h=1.0 / 128.0, margin=margin, time_stride=1)
 
@@ -183,7 +181,7 @@ def test_stability_identical_and_heat_perturbation():
 
     delta = 1e-2
     pert = mode_field([[1, 1, 1.0], [2, 1, delta]])
-    other = solve(cfg, data, pert, ZERO2, validate=False)
+    other = solve(cfg, data, pert, ZERO2)
     rep2 = dg.stability_experiment(base, other)
     assert rep2.passed
     # linear decoupling: the difference is the (2,1) mode decaying at 5 pi^2
@@ -202,8 +200,7 @@ def _counted_run():
         "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]}, "source": 0.0,
         "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3},
         "diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0}}})
-    traj = solve(config.solver, config.data, config.initial, config.source_field(),
-                 validate=False)
+    traj = solve(config.solver, config.data, config.initial, config.source_field())
     return config, traj
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from doublephase import flux, galerkin, runner, spaces
-from doublephase.fields import ExponentData, make_field, tensor_points
+from doublephase.fields import ExponentData, ValidationError, make_field, tensor_points
 from doublephase.galerkin import (
     _CHUNK, EigenBasis, SolverConfig, SolverError, SpectralState, StepFailure, Workspace,
     build_basis, evaluate, manufactured_source, mode_basis, ode_rhs, project_initial,
@@ -334,7 +334,7 @@ def test_newton_iterations_of_unordered_sweep_member():
     # still converges but needs more iterations: 60 here instead of 2 per step
     config = runner.load_config(SCENARIOS / "unordered_sweep.yaml")
     cfg = replace(config.solver, m_per_dim=4, eps=1e-4, tau=2.5e-3)
-    traj = solve(cfg, config.data, config.initial, config.source_field(), validate=False)
+    traj = solve(cfg, config.data, config.initial, config.source_field())
     assert len(traj.times) == 21
     assert traj.newton_iters.sum() == 40
 
@@ -428,7 +428,7 @@ def test_solve_self_convergence_first_order():
     finals = {}
     for tau in (4e-3, 2e-3, 1e-3):
         cfg = SolverConfig(m_per_dim=4, eps=5e-2, tau=tau)
-        finals[tau] = solve(cfg, data, u0, ZERO2, validate=False).coeffs[-1]
+        finals[tau] = solve(cfg, data, u0, ZERO2).coeffs[-1]
     d1 = np.linalg.norm(finals[4e-3] - finals[2e-3])
     d2 = np.linalg.norm(finals[2e-3] - finals[1e-3])
     order = math.log2(d1 / d2)
@@ -499,7 +499,7 @@ def test_solver_config_invariants_and_cadence():
         SolverConfig(m_per_dim=4, eps=0.0, tau=1e-3)
     data = data_const()
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-3, output_cadence=5)
-    traj = solve(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2, validate=False)
+    traj = solve(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2)
     assert len(traj.times) == 100 // 5 + 1
     assert traj.times[-1] == pytest.approx(0.1)
     assert np.all(np.diff(traj.ut_sq_accum) >= 0)
@@ -510,9 +510,15 @@ def test_solver_error_carries_partial_trajectory():
     cfg = SolverConfig(m_per_dim=2, eps=1e-8, tau=0.05, newton_max_iter=1,
                        tau_retry_cap=1, max_damping_halvings=1)
     with pytest.raises(SolverError) as info:
-        solve(cfg, data, mode_field([[1, 1, 5.0]]), ZERO2, validate=False)
+        solve(cfg, data, mode_field([[1, 1, 5.0]]), ZERO2)
     partial = info.value.partial
     assert partial is not None and len(partial.times) >= 1
+
+
+def test_solve_refuses_invalid_data():
+    with pytest.raises(ValidationError, match="exponent_gap"):
+        solve(SolverConfig(m_per_dim=2, eps=1e-2, tau=0.05), data_const(p=2.0, q=2.6),
+              mode_field([[1, 1, 1.0]]), ZERO2)
 
 
 def test_failed_step_recovers_by_halving_within_retry_cap():

@@ -1,11 +1,15 @@
 import json
+import os
+import pickle
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from doublephase import cli, galerkin, runner
+from doublephase import cli, fields, galerkin, runner
 from doublephase.fields import ConfigurationError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -208,6 +212,71 @@ def test_sweep_member_failure_recorded_and_continues(tmp_path):
     assert all(m["exit"] == 1 for m in manifest["members"])
 
 
+def test_sweep_validates_the_data_once(tmp_path, monkeypatch):
+    calls = []
+    validate = fields.ExponentData.validate
+    monkeypatch.setattr(fields.ExponentData, "validate",
+                        lambda self: calls.append(self) or validate(self))
+    raw = small_heat_raw(sweep={"eps": [1.0e-1, 1.0e-2], "m_per_dim": [2, 3]})
+    raw["horizon"] = 0.01
+    config = runner.load_config(write_config(tmp_path, raw))
+    code, manifest = runner.perform_sweep(config, tmp_path / "sweep")
+    assert code == 0 and len(manifest["members"]) == 4
+    assert len(calls) == 1 and calls[0] is config.data
+
+
+def test_sweep_member_manifests_record_the_sweep_workers(tmp_path):
+    raw = small_heat_raw(sweep={"eps": [1.0e-1, 1.0e-2]})
+    raw["horizon"] = 0.01
+    cfgfile = write_config(tmp_path, raw)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(cfgfile), "--outdir", str(out), "--workers", "2"]) == 0
+    for name in ("m3_eps0.1", "m3_eps0.01"):
+        assert json.loads((out / name / "manifest.json").read_text())["workers"] == 2
+
+
+def test_sweep_with_stability_block_on_invalid_data_exit_1(tmp_path):
+    raw = yaml.safe_load((SCENARIOS / "stability.yaml").read_text())
+    raw["fields"]["q"] = 2.6  # |p - q| above 2/(N+2)
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out),
+                     "--workers", "1"]) == 1
+    assert json.loads((out / "manifest.json").read_text())["exit_code"] == 1
+    kinds = [line.split(",")[0] for line in
+             (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+    assert kinds == ["member_exit"]
+
+
+@pytest.mark.parametrize("family", [
+    2.5,
+    {"family": "affine", "base": 2.0, "slope": [0.1, -0.2], "tslope": 0.3},
+    {"family": "sinusoidal", "base": 1.0, "amp": 0.4, "wave": [1.0, 2.0], "tfreq": 1.0},
+    {"family": "bump", "amp": 0.5, "center": [0.4, 0.6], "width": 0.2, "tdecay": 1.0},
+    {"family": "modes", "coeffs": [[1, 2, 0.5], [3, 1, -0.25]], "tdecay": 2.0},
+    {"family": "bubble", "amp": 3.0, "tdecay": 0.5},
+])
+def test_run_config_pickles_for_every_field_family(tmp_path, family):
+    config = runner.load_config(write_config(tmp_path, small_heat_raw(initial=family)))
+    clone = pickle.loads(pickle.dumps(config))
+    x = np.random.default_rng(5).uniform(0.0, 1.0, (7, 2))
+    for t in (0.0, 0.013):
+        assert np.array_equal(clone.initial(x, t), config.initial(x, t))
+        for got, want in zip(clone.data.sample(x, t), config.data.sample(x, t)):
+            assert np.array_equal(got, want)
+    assert clone.initial.descriptor == config.initial.descriptor
+    assert clone.solver == config.solver and clone.raw == config.raw
+
+
+def test_pickled_data_carry_their_report_and_sums_refuse_to_unpickle(tmp_path, monkeypatch):
+    config = runner.load_config(write_config(tmp_path, small_heat_raw()))
+    report = config.data.report
+    monkeypatch.setattr(fields.ExponentData, "validate", lambda self: pytest.fail("validated"))
+    assert pickle.loads(pickle.dumps(config.data)).report == report
+    total = runner._field_sum(config.initial, config.initial)
+    with pytest.raises(ConfigurationError, match="sum"):
+        pickle.loads(pickle.dumps(total))
+
+
 def test_m_sweep_on_heat_has_zero_distances(tmp_path):
     # the eigenmode datum lies in every basis and the flux is linear, so all
     # refinement members coincide and the Cauchy distances vanish
@@ -241,6 +310,24 @@ def test_cli_gap_violation_exit_1(tmp_path):
                      "--outdir", str(out)]) == 1
     manifest = json.loads((out / "manifest.json").read_text())
     assert "exponent_gap" in manifest["failure"]
+
+
+@pytest.mark.parametrize("resolution", [{"probe_resolution": 1}, {"probe_resolution": 0},
+                                        {"time_probe_resolution": 0}])
+def test_bad_probe_resolution_is_a_config_error(tmp_path, capsys, resolution):
+    cfgfile = write_config(tmp_path, small_heat_raw(**resolution))
+    assert cli.main(["validate", str(cfgfile)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", "import sys, doublephase.cli; "
+                          "print('scipy.optimize' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_malformed_config_exit_1(tmp_path):
