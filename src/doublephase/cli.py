@@ -45,13 +45,17 @@ def main(argv=None) -> int:
     val_p.add_argument("config")
 
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except ConfigurationError as exc:
+        # a malformed config, or data that cannot even be probed (not finite)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
+
+def _dispatch(args) -> int:
     if args.verb in ("run", "sweep", "validate"):
-        try:
-            config = load_config(args.config)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        config = load_config(args.config)
         workers = getattr(args, "workers", None)
         if workers is not None:
             config.workers = workers
@@ -86,6 +90,8 @@ def main(argv=None) -> int:
         outdir = args.outdir or _default_outdir(args.config, "_sweep")
         code, manifest = perform_sweep(config, outdir)
         print(f"sweep '{config.name}' finished with exit {code}; artifacts in {outdir}")
+        if "failure" in manifest:
+            print(f"solver failure: {manifest['failure']}", file=sys.stderr)
         if code:
             failed = [c["name"] for c in manifest.get("checks", []) if not c["passed"]]
             if failed:

@@ -270,7 +270,7 @@ class SolverConfig:
             raise ValueError("time step must be positive")
         if self.eps <= 0:
             raise ValueError("the implicit solver needs eps > 0; the degenerate "
-                             "limit is reached by continuation only")
+                             "limit is approached along a decreasing eps sequence")
 
     @property
     def resolved_quad_order(self) -> int:

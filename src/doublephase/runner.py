@@ -446,9 +446,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     Sweep axes: an eps list and an m list form a cross product of members;
     per m-row the eps sequence feeds the vanishing-regularization Cauchy
     study, and at the finest eps the m list feeds the basis-refinement
-    study.  A stability block adds perturbed-pair members with the Gronwall
-    verdicts.  Member failures are recorded and the sweep continues; the
-    exit status reflects the worst member.
+    study.  A stability block adds perturbed-pair Gronwall experiments, run
+    in the same worker pool as the members.  Member failures are recorded
+    and the sweep continues; the exit status reflects the worst member, and
+    a failed stability solve drops the block's rows and exits 3.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -468,12 +469,21 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
                        solver=replace(config.solver, **(overrides | {"eps": e, "m_per_dim": m})))
                for m, e in keys]
     outdirs = [str(outdir / member.name) for member in members]
+    # stability block; on invalid data the members already exit 1
+    stab = sweep.get("stability")
+    jobs = _stability_jobs(config, stab) if stab and report.passed else []
 
     if config.workers > 1:
+        # one contiguous chunk of stability jobs per worker, each solving its own base
+        chunks = [[jobs[i] for i in idx]
+                  for idx in np.array_split(np.arange(len(jobs)), config.workers) if len(idx)]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_member, members, outdirs))
+            results = pool.map(_run_member, members, outdirs)
+            outcomes = pool.map(_stability_chunk, [config] * len(chunks), chunks)
+            results, outcomes = list(results), list(outcomes)
     else:
         results = list(map(_run_member, members, outdirs))
+        outcomes = [_stability_chunk(config, jobs)] if jobs else []
 
     by_key = dict(zip(keys, results))
     for res in results:
@@ -548,10 +558,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
             summary_rows.append(_member_entry("m_cauchy_monotone", f"eps{e:g}",
                                               float(rep.monotone), rep.monotone))
 
-    # stability block; on invalid data the members already exit 1
-    stab = sweep.get("stability")
-    if stab and report.passed:
-        stab_checks, stab_rows = _stability_block(config, stab, outdir)
+    failures = [failure for _, failure in outcomes if failure]
+    if jobs and not failures:
+        stab_checks, stab_rows = _stability_block(
+            jobs, [rep for reports, _ in outcomes for rep in reports])
         checks.extend(stab_checks)
         summary_rows.extend(stab_rows)
 
@@ -563,65 +573,78 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
                 "members": [{"name": r["name"], "exit": r["code"]} for r in results],
                 "checks": [c.as_dict() for c in checks],
                 "config": config.raw}
-    code = worst if worst else (0 if all(c.passed for c in checks) else 2)
+    if failures:
+        manifest["failure"] = failures[0]
+    code = 3 if failures else worst if worst else (0 if all(c.passed for c in checks) else 2)
     _write_manifest(outdir, manifest, exit_code=code)
     return code, manifest
 
 
-def _stability_block(config: RunConfig, stab: dict, outdir: Path):
-    """Perturbed-pair Gronwall experiments driven by the sweep seed."""
+def _stability_jobs(config: RunConfig, stab: dict) -> list[tuple]:
+    """Perturbed-pair and shrinking experiments drawn from the sweep seed.
+
+    Each job is (kind, label, u0 mode row, source mode row or None); a mode
+    row [k_1..k_N, delta] is added to the initial datum or the source.
+    """
     rng = np.random.default_rng(int(stab.get("seed", config.seed)))
     pairs = int(stab.get("pairs", 4))
     base_delta = float(stab.get("base_delta", 1e-1))
     halvings = int(stab.get("halvings", 3))
-    f_field = config.source_field()
-    base = solve(config.solver, config.data, config.initial, f_field)
-    checks, rows = [], []
-    modes = config.data.dim * (1,)
-    all_pass = True
-    worst_margin = -np.inf
-
+    top, dim = min(3, config.solver.m_per_dim) + 1, config.data.dim
+    jobs = []
     for k in range(pairs):
         delta = base_delta * 0.5 ** (k % (halvings + 1))
-        kvec = tuple(int(v) for v in rng.integers(1, min(3, config.solver.m_per_dim) + 1,
-                                                  size=config.data.dim))
-        pert_u0 = {"family": "modes", "coeffs": [list(kvec) + [delta]]}
-        u0p = _field_sum(config.initial, make_field(pert_u0, config.data.dim))
-        perturb_source = bool(rng.integers(0, 2))
-        if perturb_source:
-            gvec = tuple(int(v) for v in rng.integers(1, min(3, config.solver.m_per_dim) + 1,
-                                                      size=config.data.dim))
-            g_field = _field_sum(f_field, make_field(
-                {"family": "modes", "coeffs": [list(gvec) + [delta]]}, config.data.dim))
-        else:
-            g_field = f_field
-        other = solve(config.solver, config.data, u0p, g_field)
-        rep = dg.stability_experiment(base, other)
-        margin = float((rep.diff_l2_sq - rep.bound).max())
-        worst_margin = max(worst_margin, margin)
-        all_pass = all_pass and rep.passed
-        rows.append(_member_entry("gronwall_bound", f"pair{k}_delta{delta:g}",
-                                  margin, rep.passed))
-        rows.append(_member_entry("gronwall_grad_modular", f"pair{k}_delta{delta:g}",
-                                  rep.grad_modular))
-        rows.append(_member_entry("gronwall_pairing", f"pair{k}_delta{delta:g}",
-                                  rep.pairing, rep.pairing >= -1e-10))
-    checks.append(Check("gronwall_stability", "exact", all_pass, worst_margin, 0.0,
-                        f"{pairs} perturbed pairs, worst margin over checkpoints"))
-
-    # shrinking perturbations: the gradient modular must decrease
-    mods = []
+        kvec = [int(v) for v in rng.integers(1, top, size=dim)]
+        gvec = [int(v) for v in rng.integers(1, top, size=dim)] if rng.integers(0, 2) else None
+        jobs.append(("pair", f"pair{k}_delta{delta:g}", kvec + [delta],
+                     None if gvec is None else gvec + [delta]))
     for j in range(halvings + 1):
         delta = base_delta * 0.5 ** j
-        u0p = _field_sum(config.initial, make_field(
-            {"family": "modes", "coeffs": [list(modes) + [delta]]}, config.data.dim))
-        other = solve(config.solver, config.data, u0p, f_field)
-        rep = dg.stability_experiment(base, other)
-        mods.append(rep.grad_modular)
-        rows.append(_member_entry("stability_shrink", f"delta{delta:g}", rep.grad_modular))
+        jobs.append(("shrink", f"delta{delta:g}", [1] * dim + [delta], None))
+    return jobs
+
+
+def _stability_chunk(config: RunConfig, jobs: list[tuple]):
+    """Worker entry: solve the base, then each job's perturbed pair.
+
+    Returns (Gronwall reports in job order, None), or (None, message) when a
+    solve fails.
+    """
+    f_field = config.source_field()
+    dim = config.data.dim
+    try:
+        base = solve(config.solver, config.data, config.initial, f_field)
+        reports = []
+        for _, _, u0_row, f_row in jobs:
+            u0p = _field_sum(config.initial, make_field({"family": "modes", "coeffs": [u0_row]}, dim))
+            g_field = f_field if f_row is None else _field_sum(
+                f_field, make_field({"family": "modes", "coeffs": [f_row]}, dim))
+            other = solve(config.solver, config.data, u0p, g_field)
+            reports.append(dg.stability_experiment(base, other))
+    except SolverError as exc:
+        return None, f"stability experiment: {exc}"
+    return reports, None
+
+
+def _stability_block(jobs: list[tuple], reports: list):
+    """The Gronwall checks and summary rows of the solved jobs, in job order."""
+    rows, margins, passed, mods = [], [], [], []
+    for (kind, label, _, _), rep in zip(jobs, reports):
+        if kind == "shrink":
+            mods.append(rep.grad_modular)
+            rows.append(_member_entry("stability_shrink", label, rep.grad_modular))
+            continue
+        margins.append(float((rep.diff_l2_sq - rep.bound).max()))
+        passed.append(rep.passed)
+        rows.append(_member_entry("gronwall_bound", label, margins[-1], rep.passed))
+        rows.append(_member_entry("gronwall_grad_modular", label, rep.grad_modular))
+        rows.append(_member_entry("gronwall_pairing", label, rep.pairing, rep.pairing >= -1e-10))
+    # shrinking perturbations: the gradient modular must decrease
     decreasing = all(m2 <= m1 * 1.10 + 1e-14 for m1, m2 in zip(mods, mods[1:]))
-    checks.append(Check("stability_gradient_decay", "exact", decreasing,
-                        mods[-1], mods[0], "gradient modular under shrinking data perturbations"))
+    checks = [Check("gronwall_stability", "exact", all(passed), max(margins, default=-np.inf),
+                    0.0, f"{len(margins)} perturbed pairs, worst margin over checkpoints"),
+              Check("stability_gradient_decay", "exact", decreasing, mods[-1], mods[0],
+                    "gradient modular under shrinking data perturbations")]
     return checks, rows
 
 

@@ -203,6 +203,67 @@ def test_sweep_outputs_byte_identical_for_any_worker_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def small_stability_raw(**solver):
+    raw = small_heat_raw(fields={"p": {"family": "affine", "base": 1.95, "slope": [0.1, 0.0]},
+                                 "q": 2.0, "a": 0.25, "b": 0.25},
+                         source={"family": "modes", "coeffs": [[2, 1, 0.3]], "tdecay": 1.0},
+                         sweep={"stability": {"pairs": 3, "base_delta": 0.1, "halvings": 1,
+                                              "seed": 11}})
+    raw["alpha"] = 0.45
+    raw["horizon"] = 0.01
+    raw["solver"].update(solver)
+    return raw
+
+
+def test_stability_outputs_byte_identical_for_any_worker_count(tmp_path):
+    # 3 pairs + 2 shrinking experiments: two chunks at 2 workers, three at 3
+    config = runner.load_config(write_config(tmp_path, small_stability_raw()))
+    outputs = []
+    for workers in (1, 2, 3):
+        out = tmp_path / f"workers{workers}"
+        code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers), out)
+        assert code == 0
+        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
+    kinds = [line.split(b",")[0] for line in
+             outputs[0][Path("sweep_summary.csv")].splitlines()[1:]]
+    assert kinds.count(b"gronwall_bound") == 3 and kinds.count(b"stability_shrink") == 2
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("workers, parent_solves", [(1, 1 + 1 + 3 + 1 + 1), (2, 0)])
+def test_parent_runs_no_solve_with_a_worker_pool(tmp_path, monkeypatch, workers, parent_solves):
+    # one member, then the stability block: base, 3 pairs, halvings + 1 shrinking
+    parent, pids = os.getpid(), []
+    solve = runner.solve
+    monkeypatch.setattr(runner, "solve", lambda *a: pids.append(os.getpid()) or solve(*a))
+    config = runner.load_config(write_config(tmp_path, small_stability_raw()))
+    code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers),
+                                   tmp_path / "sweep")
+    assert code == 0
+    assert pids.count(parent) == parent_solves
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stability_solver_failure_writes_the_summary_and_exits_3(tmp_path, capsys, workers):
+    # the member keeps the default Newton budget; the stability solves get one iteration
+    raw = small_stability_raw(newton_max_iter=1, tau_retry_cap=0, max_damping_halvings=1)
+    raw["sweep"]["solver_overrides"] = {"newton_max_iter": 50, "tau_retry_cap": 4,
+                                        "max_damping_halvings": 20}
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out),
+                     "--workers", str(workers)]) == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["exit_code"] == 3 and manifest["failure"].startswith("stability experiment")
+    assert [m["exit"] for m in manifest["members"]] == [0]
+    assert manifest["checks"] == []
+    kinds = {line.split(",")[0] for line in
+             (out / "sweep_summary.csv").read_text().splitlines()[1:]}
+    assert "member_exit" in kinds
+    assert not kinds & {"gronwall_bound", "gronwall_grad_modular", "gronwall_pairing",
+                        "stability_shrink"}
+    assert "solver failure: stability experiment" in capsys.readouterr().err
+
+
 def test_sweep_member_failure_recorded_and_continues(tmp_path):
     raw = small_heat_raw(sweep={"eps": [1.0e-2, 1.0e-3]})
     raw["fields"] = {"p": 2.0, "q": 2.6, "a": 0.5, "b": 0.5}
@@ -318,6 +379,18 @@ def test_bad_probe_resolution_is_a_config_error(tmp_path, capsys, resolution):
     cfgfile = write_config(tmp_path, small_heat_raw(**resolution))
     assert cli.main(["validate", str(cfgfile)]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("verb", ["validate", "run", "sweep"])
+def test_non_finite_data_are_a_config_error(tmp_path, capsys, verb):
+    raw = small_heat_raw()
+    raw["fields"]["a"] = {"family": "affine", "base": 1.0e308, "slope": [1.0e308, 0.0]}
+    args = [verb, str(write_config(tmp_path, raw))]
+    if verb != "validate":
+        args += ["--outdir", str(tmp_path / "out")]
+    assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not finite" in err
 
 
 def test_cli_import_leaves_scipy_optimize_out():
