@@ -22,7 +22,6 @@ from itertools import product
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import flux
 from .fields import ExponentData, Field, sample_field, tensor_axis
@@ -393,9 +392,13 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
         if norm_res <= tol:
             break
         jac_flux = flux.jacobian_kernel(*fields, grad_v, eps)
-        # I plus a weighted Gram form of the PSD flux Jacobian: positive definite
-        chol = cho_factor(ws.step_matrix(jac_flux, tau), check_finite=False)
-        delta = cho_solve(chol, -res, check_finite=False)
+        # I plus a weighted Gram form of the PSD flux Jacobian: positive
+        # definite and well conditioned, so pivoted LU is stable here
+        mat = ws.step_matrix(jac_flux, tau)
+        try:
+            delta = np.linalg.solve(mat, -res)
+        except np.linalg.LinAlgError as exc:
+            raise StepFailure(f"newton solve failed at t={t1:.6g}: {exc}", trace) from exc
         alpha = 1.0
         for _ in range(cfg.max_damping_halvings):
             cand = v + alpha * delta

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
@@ -214,14 +213,15 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
     Exit codes: 0 all assertions passed, 1 validation failure, 2 assertion
     failure, 3 solver failure.
     """
+    t0 = time.perf_counter()
+    # data that cannot even be probed raise ConfigurationError here, before
+    # the output directory exists
+    report = config.data.report
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"name": config.name, "version": __version__,
                       "seed": config.seed, "workers": config.workers,
                       "config": config.raw, "timings": {}}
-    t0 = time.perf_counter()
-
-    report = config.data.report
     manifest["validation"] = report.as_dict()
     manifest["timings"]["validate"] = time.perf_counter() - t0
     if not report.passed:
@@ -451,6 +451,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     and the sweep continues; the exit status reflects the worst member, and
     a failed stability solve drops the block's rows and exits 3.
     """
+    # members are built here and share config.data, so the data validate
+    # once, and data that cannot be probed leave no output directory
+    report = config.data.report
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sweep = config.sweep
@@ -460,8 +463,6 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     summary_rows: list[dict] = []
     worst = 0
 
-    # members are built here and share config.data, so the data validate once
-    report = config.data.report
     overrides = dict(sweep.get("solver_overrides", {}))
     diagnostics = config.diagnostics | dict(sweep.get("diagnostics_overrides", {}))
     keys = [(m, e) for m in m_list for e in eps_list]
@@ -474,6 +475,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     jobs = _stability_jobs(config, stab) if stab and report.passed else []
 
     if config.workers > 1:
+        # imported here: a serial run never loads the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         # one contiguous chunk of stability jobs per worker, each solving its own base
         chunks = [[jobs[i] for i in idx]
                   for idx in np.array_split(np.arange(len(jobs)), config.workers) if len(idx)]

@@ -367,8 +367,8 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
 
 
 def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
-    # unchecked Cholesky passes NaN on to the damping loop, which fails the
-    # step, so the solve's retry by halving still applies
+    # the LU solve passes NaN on to the damping loop, which fails the step,
+    # so the solve's retry by halving still applies
     data = data_const(p=1.8, q=2.1)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
     basis = build_basis(2, cfg.m_per_dim)
@@ -378,6 +378,45 @@ def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
     monkeypatch.setattr(flux, "jacobian_kernel", lambda *args: nan_jacobian)
     with pytest.raises(StepFailure):
         step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+
+
+def singular_once(monkeypatch):
+    """Make the first Newton solve raise as on a singular matrix; returns the call log."""
+    original, calls = np.linalg.solve, []
+
+    def solve_or_raise(mat, rhs):
+        calls.append(mat.shape)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return original(mat, rhs)
+
+    monkeypatch.setattr(np.linalg, "solve", solve_or_raise)
+    return calls
+
+
+def test_failed_newton_solve_is_a_step_failure(monkeypatch):
+    singular_once(monkeypatch)
+    data = data_const(p=1.8, q=2.1)
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
+    basis = build_basis(2, cfg.m_per_dim)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
+    with pytest.raises(StepFailure, match="newton solve failed") as info:
+        step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert len(info.value.trace) == 1
+
+
+def test_failed_newton_solve_is_retried_by_halving(monkeypatch):
+    calls = singular_once(monkeypatch)
+    data, u0 = data_const(p=1.8, q=2.1), mode_field([[1, 1, 1.0]])
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.05)
+    traj = solve(cfg, data, u0, ZERO2)
+    assert traj.horizon == pytest.approx(0.1) and len(traj.times) == 3
+    assert len(calls) > 1 and np.all(traj.newton_residual[1:] <= 1e-9)
+    singular_once(monkeypatch)
+    with pytest.raises(SolverError, match="newton solve failed"):
+        solve(replace(cfg, tau_retry_cap=0), data, u0, ZERO2)
 
 
 def test_solve_frees_its_workspace_without_the_cycle_collector(monkeypatch):

@@ -119,6 +119,24 @@ def test_run_solver_failure_exit_3(tmp_path):
     assert code == 3 and "failed" in manifest["failure"]
 
 
+def test_failed_newton_solve_exits_3_with_a_manifest(tmp_path, monkeypatch):
+    original, calls = np.linalg.solve, []
+
+    def singular_once(mat, rhs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return original(mat, rhs)
+
+    raw = small_heat_raw()
+    raw["solver"] = dict(raw["solver"], tau_retry_cap=0)
+    monkeypatch.setattr(np.linalg, "solve", singular_once)
+    config = runner.load_config(write_config(tmp_path, raw))
+    code, manifest, _ = runner.perform_run(config, tmp_path / "out")
+    assert code == 3 and "newton solve failed" in manifest["failure"]
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["exit_code"] == 3
+
+
 def test_solver_failure_after_two_steps_writes_partial_timeseries(tmp_path, monkeypatch):
     # the partial trajectory carries its own source, so its series are the
     # first rows of the complete run's (up to the rounding of batched lattices)
@@ -391,6 +409,7 @@ def test_non_finite_data_are_a_config_error(tmp_path, capsys, verb):
     assert cli.main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not finite" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_leaves_scipy_optimize_out():
@@ -401,6 +420,17 @@ def test_cli_import_leaves_scipy_optimize_out():
                           "print('scipy.optimize' in sys.modules)"],
                          env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_no_scipy_and_no_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", "import sys, doublephase.cli; print(sorted("
+                          "m for m in sys.modules if m.startswith('scipy')"
+                          " or m == 'concurrent.futures.process'))"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_malformed_config_exit_1(tmp_path):
