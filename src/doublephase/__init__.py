@@ -12,13 +12,11 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .fields import ExponentData, DerivedExponents, Field, make_field, derive
-from .flux import FluxParams
-from .galerkin import SolverConfig, build_basis, project_initial, solve
+from .fields import ExponentData, Field, make_field
+from .galerkin import SolverConfig, build_basis, solve
 from .spaces import QuadratureGrid, SampledField, tensor_gauss_legendre
 
 __all__ = [
-    "ExponentData", "DerivedExponents", "Field", "make_field", "derive",
-    "FluxParams", "SolverConfig", "build_basis", "project_initial", "solve",
+    "ExponentData", "Field", "make_field", "SolverConfig", "build_basis", "solve",
     "QuadratureGrid", "SampledField", "tensor_gauss_legendre", "__version__",
 ]

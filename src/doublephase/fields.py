@@ -2,10 +2,8 @@
 
 The flux is ``a(z)|grad u|^(p(z)-2) + b(z)|grad u|^(q(z)-2)`` on the cylinder
 ``[0,1]^N x [0,T]``.  This module holds the coefficient/exponent fields
-(p, q, a, b), validates the structural assumptions they must satisfy
-(exponent floor, coercivity of a+b, gap between p and q), and derives the
-secondary exponent fields built from them (pointwise min/max, the shifted
-exponents used by the interpolation diagnostics).
+(p, q, a, b) and validates the structural assumptions they must satisfy
+(exponent floor, coercivity of a+b, gap between p and q).
 
 Fields are built from a small set of parametric families selected by config
 descriptors, so a run is fully reproducible from its config file.
@@ -363,34 +361,3 @@ class ExponentData:
 
         return ValidationReport(checks=tuple(checks), lipschitz=lip)
 
-
-@dataclass(frozen=True)
-class DerivedExponents:
-    """Secondary exponent fields derived from validated data.
-
-    s_lower/s_upper are the pointwise min/max of p and q; r1 and r2 are the
-    shift exponents ``s_lower + r_sharp - p`` and ``s_lower + r_sharp - q``
-    used by the higher-integrability diagnostics.
-    """
-
-    data: ExponentData
-    r_sharp: float
-    r_star: float
-
-    def s_lower(self, x, t):
-        return np.minimum(self.data.p(x, t), self.data.q(x, t))
-
-    def s_upper(self, x, t):
-        return np.maximum(self.data.p(x, t), self.data.q(x, t))
-
-    def r1(self, x, t):
-        return self.s_lower(x, t) + self.r_sharp - self.data.p(x, t)
-
-    def r2(self, x, t):
-        return self.s_lower(x, t) + self.r_sharp - self.data.q(x, t)
-
-
-def derive(data: ExponentData) -> DerivedExponents:
-    """Validate the data and return the derived exponent fields."""
-    data.report.raise_if_failed()
-    return DerivedExponents(data=data, r_sharp=data.r_sharp, r_star=data.r_star)

@@ -17,11 +17,7 @@ coefficient.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .fields import ExponentData
 
 
 class FluxSingularityError(ValueError):
@@ -183,45 +179,3 @@ def null_eps_branch_bound(a, b, p, q, eps, s1=0.0, s2=0.0) -> np.ndarray:
     return (np.asarray(a, float) * powf(two_eps_sq, (np.asarray(p, float) + s1) / 2.0)
             + np.asarray(b, float) * powf(two_eps_sq, (np.asarray(q, float) + s2) / 2.0))
 
-
-@dataclass(frozen=True)
-class FluxParams:
-    """Regularization eps and the shift exponents selecting a shifted density."""
-
-    eps: float
-    s1: float = 0.0
-    s2: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.eps < 1.0):
-            raise ValueError("eps must lie in [0, 1)")
-        if self.s1 < 0 or self.s2 < 0:
-            raise ValueError("shift exponents must be nonnegative")
-
-
-def _fields_at(data: ExponentData, x, t):
-    return data.a(x, t), data.b(x, t), data.p(x, t), data.q(x, t)
-
-
-def flux_density(x, t, xi, params: FluxParams, data: ExponentData) -> np.ndarray:
-    """Shifted flux density at space-time points (x, t) and gradients xi."""
-    a, b, p, q = _fields_at(data, x, t)
-    return density_kernel(a, b, p, q, xi, params.eps, params.s1, params.s2)
-
-
-def flux_vector(x, t, xi, eps, data: ExponentData) -> np.ndarray:
-    """Flux vector at space-time points, extended by zero at the origin."""
-    a, b, p, q = _fields_at(data, x, t)
-    return vector_kernel(a, b, p, q, xi, eps)
-
-
-def flux_jacobian(x, t, xi, eps, data: ExponentData) -> np.ndarray:
-    """xi-Jacobian of the flux vector at space-time points (eps > 0)."""
-    a, b, p, q = _fields_at(data, x, t)
-    return jacobian_kernel(a, b, p, q, xi, eps)
-
-
-def energy_density(x, t, xi, eps, data: ExponentData) -> np.ndarray:
-    """Convex energy density whose xi-gradient is the flux vector."""
-    a, b, p, q = _fields_at(data, x, t)
-    return energy_kernel(a, b, p, q, xi, eps)

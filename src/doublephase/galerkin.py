@@ -231,24 +231,6 @@ class SpectralState:
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("spectral coefficients must be finite")
 
-    def l2_norm_sq(self) -> float:
-        return float(self.coeffs @ self.coeffs)
-
-
-def evaluate(state: SpectralState, points) -> tuple[np.ndarray, np.ndarray]:
-    """Exact evaluation of the sine series and its gradient at points.
-
-    Points must lie in the closed unit box.
-    """
-    x = np.asarray(points, dtype=float)
-    if x.ndim == 1:
-        x = x[None, :]
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise ValueError("evaluation points must lie in the closed unit box")
-    u = state.basis.values(x) @ state.coeffs
-    grad = np.tensordot(state.basis.gradients(x), state.coeffs, axes=([2], [0]))
-    return u, grad
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -262,9 +244,10 @@ class SolverConfig:
     max_damping_halvings: int = 20
     tau_retry_cap: int = 4
     quad_order: Optional[int] = None
-    output_cadence: int = 1
 
     def __post_init__(self):
+        if self.m_per_dim < 1:
+            raise ValueError("m_per_dim must be at least 1")
         if self.tau <= 0:
             raise ValueError("time step must be positive")
         if self.eps <= 0:
@@ -310,7 +293,7 @@ class Workspace:
         return self.basis.lattice_adjoint(self._lines, self.w * f_field(self.x, t))
 
     def project(self, u0: Field) -> SpectralState:
-        """L2 projection of the initial datum onto the basis (`project_initial`)."""
+        """L2 projection of the initial datum onto the basis."""
         vals = u0(self.x, 0.0)
         if not np.all(np.isfinite(vals)):
             raise ValueError("initial datum is not finite on the quadrature nodes")
@@ -347,17 +330,6 @@ class Workspace:
         return -self.stiffness(fvec) + f_vec, grad, fvec
 
 
-def project_initial(u0: Field, basis: EigenBasis, grid: QuadratureGrid) -> SpectralState:
-    """L2 projection of the initial datum onto the first m eigenfunctions."""
-    return Workspace(basis, grid).project(u0)
-
-
-def ode_rhs(state: SpectralState, t: float, eps: float, data: ExponentData,
-            f_field: Field, ws: Workspace) -> np.ndarray:
-    """Right-hand side of the coefficient ODE system at time t."""
-    return ws.rhs(state.coeffs, data.sample(ws.x, t), eps, ws.source_vector(f_field, t))[0]
-
-
 @dataclass
 class StepStats:
     newton_iters: int
@@ -371,7 +343,7 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     """One damped-Newton implicit Euler step from state.t to state.t + tau.
 
     Solves V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
-    functional  ||V-U||^2/2 + tau*(int energy_density(grad v) - int f v).
+    functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v).
     Damping halves the Newton step until the residual decreases.
     """
     t1 = state.t + tau
@@ -518,7 +490,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field) -> T
     tau = data.horizon / n_steps
     state = ws.project(u0)
 
-    # one row per checkpoint: the trailing Trajectory fields, times to energy_slack
+    # the initial row, then one per step: the trailing Trajectory fields, times to energy_slack
     rows = [(0.0, state.coeffs.copy(), 0.0, 0, 0.0, 0.0)]
     head = (data, u0, f_field, cfg, basis, grid)
     running_ut = 0.0
@@ -530,9 +502,8 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field) -> T
             raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
                               _trajectory(head, rows)) from exc
         running_ut += st.ut_sq_increment
-        if (k + 1) % cfg.output_cadence == 0 or (k + 1) == n_steps:
-            rows.append((state.t, state.coeffs.copy(), running_ut, st.newton_iters,
-                         st.residual_norm, st.energy_slack))
+        rows.append((state.t, state.coeffs.copy(), running_ut, st.newton_iters,
+                     st.residual_norm, st.energy_slack))
     return _trajectory(head, rows)
 
 

@@ -112,13 +112,12 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
         initial = make_field(need("initial"), dim)
         diagnostics = dict(raw.get("diagnostics", {}))
         sweep = dict(raw.get("sweep", {}))
-        eps_axis = [float(e) for e in sweep.get("eps", [])]
-        m_axis = [int(m) for m in sweep.get("m_per_dim", [])]
-        if eps_axis != sorted(set(eps_axis), reverse=True) or m_axis != sorted(set(m_axis)):
-            raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly")
+        _sweep_solvers(solver, sweep)
         _check_diagnostics(diagnostics, data.r_sharp)
         _check_diagnostics(diagnostics | dict(sweep.get("diagnostics_overrides", {})),
                            data.r_sharp)
+        workers = int(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1")))
+        seed = int(raw.get("seed", 0))
     except KeyError as exc:
         raise ConfigurationError(f"{where}: missing key {exc}")
     except (TypeError, ValueError) as exc:
@@ -133,24 +132,50 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
         diagnostics=diagnostics,
         sweep=sweep,
         output=dict(raw.get("output", {})),
-        workers=int(raw.get("workers", int(os.environ.get("DOUBLEPHASE_WORKERS", "1")))),
-        seed=int(raw.get("seed", 0)),
+        workers=workers,
+        seed=seed,
         raw=raw,
     )
 
 
+def _sweep_solvers(solver: SolverConfig, sweep: dict) -> tuple[list, list, dict]:
+    """The sweep axes (m list, eps list) and each member's SolverConfig by (m, eps).
+
+    A member's solver is the base solver, then `solver_overrides`, then its
+    axis values.  Raises ValueError or TypeError on a sweep block a member
+    or the stability block would refuse only after the runs began.
+    """
+    eps_list = [float(e) for e in sweep.get("eps", [solver.eps])]
+    m_list = [int(m) for m in sweep.get("m_per_dim", [solver.m_per_dim])]
+    if eps_list != sorted(set(eps_list), reverse=True) or m_list != sorted(set(m_list)):
+        raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly")
+    _stability_counts(dict(sweep.get("stability") or {}))
+    overrides = dict(sweep.get("solver_overrides", {}))
+    return m_list, eps_list, {(m, e): replace(solver, **(overrides | {"eps": e, "m_per_dim": m}))
+                              for m in m_list for e in eps_list}
+
+
 # defaults of the diagnostics options `_check_diagnostics` checks
 SIGMA_GRID, VARSIGMA, SECOND_ORDER_H, SECOND_ORDER_MARGIN = (0.1, 0.3, 0.5), 0.5, 1 / 256, 1 / 64
+LINF_LATTICE = 65
 
 
 def _check_diagnostics(opts: dict, r_sharp: float):
     """Refuse at load the options a monitor would refuse only after the solve."""
+    sigma_grid = list(opts.get("sigma_grid", SIGMA_GRID))
+    if not sigma_grid:
+        raise ValueError("empty sigma_grid")
     varsigma = dict(opts.get("interpolation", {})).get("varsigma", VARSIGMA)
-    for s in list(opts.get("sigma_grid", SIGMA_GRID)) + [varsigma]:
+    for s in sigma_grid + [varsigma]:
         if not 0.0 < float(s) < r_sharp:
             raise ValueError(f"sigma {s} outside (0, {r_sharp})")
+    if int(opts.get("linf_lattice", LINF_LATTICE)) < 2:
+        raise ValueError("linf_lattice below 2")
     so = dict(opts.get("second_order", {}))
-    if float(so.get("margin", SECOND_ORDER_MARGIN)) < 2.0 * float(so.get("h", SECOND_ORDER_H)):
+    h = float(so.get("h", SECOND_ORDER_H))
+    if not h > 0.0:
+        raise ValueError(f"second_order h {h} is not positive")
+    if float(so.get("margin", SECOND_ORDER_MARGIN)) < 2.0 * h:
         raise ValueError("second_order margin below 2h")
 
 
@@ -273,7 +298,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
     checks: list[Check] = []
     extras: dict = {}
 
-    series = dg.core_series(traj, linf_lattice=int(opts.get("linf_lattice", 65)))
+    series = dg.core_series(traj, linf_lattice=int(opts.get("linf_lattice", LINF_LATTICE)))
 
     res_ceiling = float(opts.get("energy_residual_ceiling", 1e-2))
     worst_rel = float(series.energy_residual_rel.max())
@@ -307,7 +332,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
                         float(traj.energy_slack.max()), float(slack_bound.max()),
                         "per-step discrete energy inequality up to Newton tolerance"))
 
-    env = dg.linf_bound_check(traj, lattice_n=int(opts.get("linf_lattice", 65)))
+    env = dg.linf_bound_check(traj, lattice_n=int(opts.get("linf_lattice", LINF_LATTICE)))
     checks.append(Check("sup_envelope", "exact", env.passed,
                         float((env.lattice_sup - env.envelope).max()), 0.0,
                         "lattice sup of |u| against data envelope"))
@@ -457,18 +482,14 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     sweep = config.sweep
-    eps_list = [float(e) for e in sweep.get("eps", [config.solver.eps])]
-    m_list = [int(m) for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
+    m_list, eps_list, solvers = _sweep_solvers(config.solver, sweep)
     tol = float(sweep.get("cauchy_tolerance", 0.10))
     summary_rows: list[dict] = []
     worst = 0
 
-    overrides = dict(sweep.get("solver_overrides", {}))
     diagnostics = config.diagnostics | dict(sweep.get("diagnostics_overrides", {}))
-    keys = [(m, e) for m in m_list for e in eps_list]
-    members = [replace(config, name=f"m{m}_eps{e:g}", diagnostics=diagnostics,
-                       solver=replace(config.solver, **(overrides | {"eps": e, "m_per_dim": m})))
-               for m, e in keys]
+    members = [replace(config, name=f"m{m}_eps{e:g}", diagnostics=diagnostics, solver=solver)
+               for (m, e), solver in solvers.items()]
     outdirs = [str(outdir / member.name) for member in members]
     # stability block; on invalid data the members already exit 1
     stab = sweep.get("stability")
@@ -489,7 +510,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         results = list(map(_run_member, members, outdirs))
         outcomes = [_stability_chunk(config, jobs)] if jobs else []
 
-    by_key = dict(zip(keys, results))
+    by_key = dict(zip(solvers, results))
     for res in results:
         worst = max(worst, res["code"])
         summary_rows.append(_member_entry("member_exit", res["name"], res["code"],
@@ -591,9 +612,8 @@ def _stability_jobs(config: RunConfig, stab: dict) -> list[tuple]:
     row [k_1..k_N, delta] is added to the initial datum or the source.
     """
     rng = np.random.default_rng(int(stab.get("seed", config.seed)))
-    pairs = int(stab.get("pairs", 4))
+    pairs, halvings = _stability_counts(stab)
     base_delta = float(stab.get("base_delta", 1e-1))
-    halvings = int(stab.get("halvings", 3))
     top, dim = min(3, config.solver.m_per_dim) + 1, config.data.dim
     jobs = []
     for k in range(pairs):
@@ -606,6 +626,14 @@ def _stability_jobs(config: RunConfig, stab: dict) -> list[tuple]:
         delta = base_delta * 0.5 ** j
         jobs.append(("shrink", f"delta{delta:g}", [1] * dim + [delta], None))
     return jobs
+
+
+def _stability_counts(stab: dict) -> tuple[int, int]:
+    """The stability block's (pairs, halvings); refuses negative counts."""
+    pairs, halvings = int(stab.get("pairs", 4)), int(stab.get("halvings", 3))
+    if pairs < 0 or halvings < 0:
+        raise ValueError("stability pairs and halvings must be nonnegative")
+    return pairs, halvings
 
 
 def _stability_chunk(config: RunConfig, jobs: list[tuple]):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from doublephase.fields import (
-    ConfigurationError, ExponentData, ValidationError, derive, make_field, tensor_axis,
+    ConfigurationError, ExponentData, ValidationError, make_field, tensor_axis,
     tensor_points,
 )
 
@@ -71,40 +71,6 @@ def test_lipschitz_estimates_reported():
     assert report.lipschitz["ab"] == 0.0
 
 
-def test_derive_equal_exponents_collapse():
-    data = constant_data(p=2.0, q=2.0)
-    der = derive(data)
-    x = np.array([[0.3, 0.7], [0.5, 0.5]])
-    assert np.allclose(der.s_lower(x, 0.05), 2.0)
-    assert np.allclose(der.s_upper(x, 0.05), 2.0)
-    assert np.allclose(der.r1(x, 0.05), der.r_sharp)
-    assert np.allclose(der.r2(x, 0.05), der.r_sharp)
-
-
-def test_derive_affine_exponent_fields():
-    # p = 2 + 0.2 x1, q = 2: s_lower = 2, r1 = r_sharp - 0.2 x1 pointwise
-    dim = 2
-    data = ExponentData(
-        dim=dim, horizon=0.1,
-        p=make_field({"family": "affine", "base": 2.0, "slope": [0.2, 0.0]}, dim),
-        q=make_field(2.0, dim),
-        a=make_field(0.5, dim), b=make_field(0.5, dim), alpha=0.9,
-        lipschitz_probe_resolution=17, time_probe_resolution=3,
-    )
-    der = derive(data)
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0, 1, size=(50, 2))
-    assert np.allclose(der.s_lower(x, 0.0), 2.0)
-    assert np.allclose(der.r1(x, 0.0), der.r_sharp - 0.2 * x[:, 0], atol=1e-14)
-    # defining identity: p + r1 = s_lower + r_sharp = q + r2 to machine precision
-    for t in (0.0, 0.05, 0.1):
-        lhs1 = data.p(x, t) + der.r1(x, t)
-        lhs2 = data.q(x, t) + der.r2(x, t)
-        mid = der.s_lower(x, t) + der.r_sharp
-        assert np.allclose(lhs1, mid, atol=1e-14)
-        assert np.allclose(lhs2, mid, atol=1e-14)
-
-
 def test_gap_implies_shift_exponents_positive():
     # r1, r2 >= r_sharp - r_star > 0 and 2(s_upper - s_lower) < r_sharp
     dim = 2
@@ -117,13 +83,14 @@ def test_gap_implies_shift_exponents_positive():
         a=make_field(0.5, dim), b=make_field(0.5, dim), alpha=0.9,
         lipschitz_probe_resolution=17, time_probe_resolution=3,
     )
-    der = derive(data)
+    assert data.report.passed
     x, times = data.probe_lattice()
-    for t in times[::8]:
-        floor = der.r_sharp - der.r_star
-        assert np.all(der.r1(x, t) >= floor - 1e-12)
-        assert np.all(der.r2(x, t) >= floor - 1e-12)
-        assert np.all(2.0 * (der.s_upper(x, t) - der.s_lower(x, t)) < der.r_sharp)
+    _, _, p, q = data.sample(x, times[::8])
+    s_lower, s_upper = np.minimum(p, q), np.maximum(p, q)
+    floor = data.r_sharp - data.r_star
+    assert np.all(s_lower + data.r_sharp - p >= floor - 1e-12)  # r1
+    assert np.all(s_lower + data.r_sharp - q >= floor - 1e-12)  # r2
+    assert np.all(2.0 * (s_upper - s_lower) < data.r_sharp)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -164,11 +131,6 @@ def test_sample_stacks_per_time_calls_and_tensor_points_order():
     single = data.sample(x, times[2])
     assert [v.shape for v in single] == [(len(x),)] * 4
     assert all(np.array_equal(v, rows[2]) for v, rows in zip(single, stacked))
-
-
-def test_derive_refuses_invalid_data():
-    with pytest.raises(ValidationError):
-        derive(constant_data(p=2.0, q=2.6))
 
 
 def test_field_families_and_errors():

@@ -35,12 +35,11 @@ def test_density_constant_cases():
     d = data_const(p=2.0, q=2.0, a=1.0, b=0.0)
     x = np.array([[0.3, 0.4]])
     xi = np.array([[1.7, -0.3]])
-    params = flux.FluxParams(eps=0.2)
-    assert flux.flux_density(x, 0.0, xi, params, d)[0] == pytest.approx(1.0)
+    assert flux.density_kernel(*d.sample(x, 0.0), xi, 0.2)[0] == pytest.approx(1.0)
     # merged terms when p = q: density = beta^((p-2)/2)
     d2 = data_const(p=1.8, q=1.8)
     beta = flux.beta_eps(xi, 0.2)[0]
-    assert flux.flux_density(x, 0.0, xi, params, d2)[0] == pytest.approx(beta ** -0.1)
+    assert flux.density_kernel(*d2.sample(x, 0.0), xi, 0.2)[0] == pytest.approx(beta ** -0.1)
 
 
 def test_null_eps_lower_bound():
@@ -102,14 +101,15 @@ def test_flux_vector_cases_and_extension():
     d = data_const(p=2.0, q=2.0, a=0.6, b=0.4)
     x = np.array([[0.2, 0.9]])
     xi = np.array([[0.0, 0.0]])
-    assert np.allclose(flux.flux_vector(x, 0.0, xi, 0.3, d), 0.0)
+    fields = d.sample(x, 0.0)
+    assert np.allclose(flux.vector_kernel(*fields, xi, 0.3), 0.0)
     xi = np.array([[1.2, -0.7]])
-    assert np.allclose(flux.flux_vector(x, 0.0, xi, 0.3, d), xi)  # a+b = 1, p = q = 2
+    assert np.allclose(flux.vector_kernel(*fields, xi, 0.3), xi)  # a+b = 1, p = q = 2
     # continuous extension by zero at the degenerate point
-    d2 = data_const(p=1.5, q=1.7)
-    assert np.allclose(flux.flux_vector(x, 0.0, np.zeros((1, 2)), 0.0, d2), 0.0)
+    fields2 = data_const(p=1.5, q=1.7).sample(x, 0.0)
+    assert np.allclose(flux.vector_kernel(*fields2, np.zeros((1, 2)), 0.0), 0.0)
     with pytest.raises(flux.FluxSingularityError):
-        flux.flux_density(x, 0.0, np.zeros((1, 2)), flux.FluxParams(eps=0.0), d2)
+        flux.density_kernel(*fields2, np.zeros((1, 2)), 0.0)
 
 
 def test_flux_vector_is_energy_gradient():
@@ -119,11 +119,12 @@ def test_flux_vector_is_energy_gradient():
     xi = rng.normal(size=(20, 2))
     eps = 0.15
     h = 1e-6
-    fv = flux.flux_vector(x, 0.05, xi, eps, d)
+    fields = d.sample(x, 0.05)
+    fv = flux.vector_kernel(*fields, xi, eps)
     for dim in range(2):
         e = np.zeros(2); e[dim] = h
-        fd = (flux.energy_density(x, 0.05, xi + e, eps, d)
-              - flux.energy_density(x, 0.05, xi - e, eps, d)) / (2 * h)
+        fd = (flux.energy_kernel(*fields, xi + e, eps)
+              - flux.energy_kernel(*fields, xi - e, eps)) / (2 * h)
         assert np.allclose(fd, fv[:, dim], rtol=1e-6, atol=1e-8)
 
 
@@ -133,26 +134,27 @@ def test_flux_jacobian_symmetry_psd_and_fd():
     x = rng.uniform(0.1, 0.9, size=(30, 2))
     xi = rng.normal(size=(30, 2)) * rng.uniform(0.01, 3.0, size=(30, 1))
     eps = 0.05
-    jac = flux.flux_jacobian(x, 0.02, xi, eps, d)
+    fields = d.sample(x, 0.02)
+    jac = flux.jacobian_kernel(*fields, xi, eps)
     assert np.allclose(jac, np.swapaxes(jac, -1, -2), atol=1e-12)
     eig = np.linalg.eigvalsh(jac)
     assert np.all(eig >= -1e-12)
     h = 1e-6
     for dim in range(2):
         e = np.zeros(2); e[dim] = h
-        fd = (flux.flux_vector(x, 0.02, xi + e, eps, d)
-              - flux.flux_vector(x, 0.02, xi - e, eps, d)) / (2 * h)
+        fd = (flux.vector_kernel(*fields, xi + e, eps)
+              - flux.vector_kernel(*fields, xi - e, eps)) / (2 * h)
         scale = np.abs(jac[:, :, dim]).max()
         assert np.allclose(fd, jac[:, :, dim], rtol=1e-5, atol=1e-5 * scale)
     with pytest.raises(ValueError):
-        flux.flux_jacobian(x, 0.0, xi, 0.0, d)
+        flux.jacobian_kernel(*fields, xi, 0.0)
 
 
 def test_identity_jacobian_for_linear_flux():
     d = data_const(p=2.0, q=2.0, a=0.5, b=0.5)
     x = np.array([[0.4, 0.6]])
     xi = np.array([[0.3, -1.1]])
-    jac = flux.flux_jacobian(x, 0.0, xi, 0.2, d)
+    jac = flux.jacobian_kernel(*d.sample(x, 0.0), xi, 0.2)
     assert np.allclose(jac[0], np.eye(2), atol=1e-14)
 
 
@@ -295,15 +297,9 @@ def test_energy_density_convexity():
     xi = rng.normal(size=(200, 2)); eta = rng.normal(size=(200, 2))
     lam = rng.uniform(0, 1, size=200)
     mid = lam[:, None] * xi + (1 - lam[:, None]) * eta
-    e_mid = flux.energy_density(x, 0.0, mid, 0.2, d)
-    bound = (lam * flux.energy_density(x, 0.0, xi, 0.2, d)
-             + (1 - lam) * flux.energy_density(x, 0.0, eta, 0.2, d))
+    fields = d.sample(x, 0.0)
+    e_mid = flux.energy_kernel(*fields, mid, 0.2)
+    bound = (lam * flux.energy_kernel(*fields, xi, 0.2)
+             + (1 - lam) * flux.energy_kernel(*fields, eta, 0.2))
     scale = np.maximum(1.0, np.abs(bound))
     assert np.all(e_mid <= bound + 1e-12 * scale)
-
-
-def test_flux_params_invariants():
-    with pytest.raises(ValueError):
-        flux.FluxParams(eps=1.0)
-    with pytest.raises(ValueError):
-        flux.FluxParams(eps=0.1, s1=-0.5)

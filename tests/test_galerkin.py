@@ -11,8 +11,7 @@ from doublephase import flux, galerkin, runner, spaces
 from doublephase.fields import ExponentData, ValidationError, make_field, tensor_points
 from doublephase.galerkin import (
     _CHUNK, EigenBasis, SolverConfig, SolverError, SpectralState, StepFailure, Workspace,
-    build_basis, evaluate, manufactured_source, mode_basis, ode_rhs, project_initial,
-    solve, step_implicit,
+    build_basis, manufactured_source, mode_basis, solve, step_implicit,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -145,23 +144,24 @@ def test_workspace_contractions_equal_dense_forms(dim, m_per_dim):
     close(ws.gradient_of(coeffs), np.tensordot(gp, coeffs, axes=([2], [0])))
     close(ws.stiffness(fvec), np.einsum("mn,mnj->j", w[:, None] * fvec, gp))
     close(ws.source_vector(field, 0.0), phi.T @ (w * field(x, 0.0)))
-    close(project_initial(field, basis, grid).coeffs, phi.T @ (w * field(x, 0.0)))
+    close(ws.project(field).coeffs, phi.T @ (w * field(x, 0.0)))
 
 
 def test_evaluate_on_zero_points_is_empty():
     basis = build_basis(2, 3)
-    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
-    u, grad = evaluate(state, np.zeros((0, 2)))
+    coeffs = np.ones(basis.size)
+    none = np.zeros((0, 2))
+    u, grad = basis.values(none) @ coeffs, basis.gradients(none) @ coeffs
     assert u.shape == (0,) and grad.shape == (0, 2)
 
 
 def test_project_initial_eigenmode_and_zero():
     basis = build_basis(2, 4)
-    grid = spaces.tensor_gauss_legendre(2, 18)
-    state = project_initial(mode_field([[1, 1, 1.0]]), basis, grid)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, 18))
+    state = ws.project(mode_field([[1, 1, 1.0]]))
     expect = np.zeros(basis.size); expect[0] = 1.0
     assert np.abs(state.coeffs - expect).max() < 1e-10
-    zero_state = project_initial(ZERO2, basis, grid)
+    zero_state = ws.project(ZERO2)
     assert np.abs(zero_state.coeffs).max() == 0.0
 
 
@@ -171,7 +171,7 @@ def test_project_initial_bubble_against_sine_series_oracle():
     basis = build_basis(2, 5)
     grid = spaces.tensor_gauss_legendre(2, 24)
     u0 = make_field({"family": "bubble", "amp": 1.0}, 2)
-    state = project_initial(u0, basis, grid)
+    state = Workspace(basis, grid).project(u0)
 
     def coeff_1d(k):
         return 4.0 * math.sqrt(2.0) / (math.pi ** 3 * k ** 3) if k % 2 == 1 else 0.0
@@ -180,7 +180,7 @@ def test_project_initial_bubble_against_sine_series_oracle():
     assert np.abs(state.coeffs - expect).max() < 1e-8
     # Bessel: projected mass cannot exceed the datum's mass (plus quadrature slack)
     u0_sq = grid.integrate(u0(grid.space_nodes, 0.0) ** 2)
-    assert state.l2_norm_sq() <= u0_sq + 1e-10
+    assert state.coeffs @ state.coeffs <= u0_sq + 1e-10
 
 
 def test_projection_error_modular_decreases_with_m():
@@ -199,7 +199,7 @@ def test_projection_error_modular_decreases_with_m():
     # step through odd mode counts so each refinement adds content
     for m in (1, 3, 5, 7):
         basis = build_basis(2, m)
-        state = project_initial(u0, basis, grid)
+        state = Workspace(basis, grid).project(u0)
         diff = basis.values(x) @ state.coeffs - u_vals
         gdiff = np.tensordot(basis.gradients(x), state.coeffs, axes=([2], [0])) - grads
         rho_u = spaces.musielak_modular(spaces.SampledField(diff, grid), data)
@@ -215,12 +215,11 @@ def test_ode_rhs_zero_and_heat_diagonal():
     basis = build_basis(2, 3)
     grid = spaces.tensor_gauss_legendre(2, 16)
     ws = Workspace(basis, grid)
-    zero = SpectralState(t=0.0, coeffs=np.zeros(basis.size), basis=basis)
-    assert np.abs(ode_rhs(zero, 0.0, 0.1, data, ZERO2, ws)).max() == 0.0
+    fields, f_vec = data.sample(ws.x, 0.0), ws.source_vector(ZERO2, 0.0)
+    assert np.abs(ws.rhs(np.zeros(basis.size), fields, 0.1, f_vec)[0]).max() == 0.0
     for k in (0, 2, 5):
         e = np.zeros(basis.size); e[k] = 1.0
-        state = SpectralState(t=0.0, coeffs=e, basis=basis)
-        rhs = ode_rhs(state, 0.0, 0.1, data, ZERO2, ws)
+        rhs = ws.rhs(e, fields, 0.1, f_vec)[0]
         expect = -basis.eigenvalues[k] * e
         assert np.abs(rhs - expect).max() < 1e-9 * basis.eigenvalues[k]
 
@@ -237,13 +236,13 @@ def test_ode_rhs_matches_refined_quadrature_oracle():
         alpha=0.9, lipschitz_probe_resolution=9, time_probe_resolution=3)
     basis = build_basis(2, 4)
     rng = np.random.default_rng(21)
-    state = SpectralState(t=0.0, coeffs=rng.normal(size=basis.size), basis=basis)
+    coeffs = rng.normal(size=basis.size)
     f = mode_field([[1, 2, 0.7]])
     base_order = SolverConfig(4, 0.1, 0.1).resolved_quad_order
     vals = {}
     for order in (base_order, 2 * base_order):
         ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
-        vals[order] = ode_rhs(state, 0.03, 0.1, data, f, ws)
+        vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, ws.source_vector(f, 0.03))[0]
     scale = max(1, np.abs(vals[2 * base_order]).max())
     assert np.abs(vals[base_order] - vals[2 * base_order]).max() < 1e-8 * scale
 
@@ -256,12 +255,12 @@ def test_ode_rhs_refined_quadrature_nonquadratic_flux():
     basis = build_basis(2, 4)
     rng = np.random.default_rng(21)
     smooth = np.exp(-0.8 * np.sqrt(basis.eigenvalues) / np.pi)
-    state = SpectralState(t=0.0, coeffs=rng.normal(size=basis.size) * smooth, basis=basis)
+    coeffs = rng.normal(size=basis.size) * smooth
     f = mode_field([[1, 2, 0.7]])
     vals = {}
     for order in (SolverConfig(4, 0.1, 0.1).resolved_quad_order, 60):
         ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
-        vals[order] = ode_rhs(state, 0.03, 0.1, data, f, ws)
+        vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, ws.source_vector(f, 0.03))[0]
     scale = max(1, np.abs(vals[60]).max())
     assert np.abs(vals[18] - vals[60]).max() < 1e-4 * scale
 
@@ -486,24 +485,21 @@ def test_solve_per_step_energy_inequality_recorded():
 def test_evaluate_center_boundary_and_fd_gradient():
     basis = build_basis(2, 3)
     e = np.zeros(basis.size); e[0] = 1.0
-    state = SpectralState(t=0.0, coeffs=e, basis=basis)
-    u, grad = evaluate(state, np.array([[0.5, 0.5]]))
-    assert u[0] == pytest.approx(2.0)
-    assert np.abs(grad).max() < 1e-12
-    u_b, _ = evaluate(state, np.array([[0.0, 0.3], [1.0, 0.7], [0.2, 1.0]]))
+    center = np.array([[0.5, 0.5]])
+    assert (basis.values(center) @ e)[0] == pytest.approx(2.0)
+    assert np.abs(basis.gradients(center) @ e).max() < 1e-12
+    u_b = basis.values(np.array([[0.0, 0.3], [1.0, 0.7], [0.2, 1.0]])) @ e
     assert np.abs(u_b).max() < 1e-12
     rng = np.random.default_rng(22)
-    state = SpectralState(t=0.0, coeffs=rng.normal(size=basis.size), basis=basis)
+    coeffs = rng.normal(size=basis.size)
     pts = rng.uniform(0.05, 0.95, size=(40, 2))
-    _, grad = evaluate(state, pts)
+    grad = basis.gradients(pts) @ coeffs
     h = 1e-6
     for d in range(2):
         e_h = np.zeros(2); e_h[d] = h
-        up, _ = evaluate(state, pts + e_h)
-        um, _ = evaluate(state, pts - e_h)
+        up = basis.values(pts + e_h) @ coeffs
+        um = basis.values(pts - e_h) @ coeffs
         assert np.abs((up - um) / (2 * h) - grad[:, d]).max() < 1e-6
-    with pytest.raises(ValueError):
-        evaluate(state, np.array([[1.2, 0.5]]))
 
 
 def test_galerkin_orthogonality_at_accepted_steps():
@@ -536,10 +532,14 @@ def test_solver_config_invariants_and_cadence():
         SolverConfig(m_per_dim=4, eps=1e-2, tau=0.0)
     with pytest.raises(ValueError):
         SolverConfig(m_per_dim=4, eps=0.0, tau=1e-3)
+    with pytest.raises(ValueError, match="m_per_dim"):
+        SolverConfig(m_per_dim=0, eps=1e-2, tau=1e-3)
     data = data_const()
-    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-3, output_cadence=5)
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-3)
     traj = solve(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2)
-    assert len(traj.times) == 100 // 5 + 1
+    # one row per step
+    assert len(traj.times) == 100 + 1
+    assert len(traj.energy_slack) == len(traj.coeffs) == 100 + 1
     assert traj.times[-1] == pytest.approx(0.1)
     assert np.all(np.diff(traj.ut_sq_accum) >= 0)
 
@@ -588,7 +588,7 @@ def test_manufactured_source_consistency():
     def flux_field(x):
         decay = math.exp(-rate * t)
         grad = mode11.gradients(x)[..., 0]
-        return flux.flux_vector(x, t, decay * grad, eps, data)
+        return flux.vector_kernel(*data.sample(x, t), decay * grad, eps)
 
     rng = np.random.default_rng(23)
     pts = rng.uniform(0.1, 0.9, size=(8, 2))

@@ -37,7 +37,7 @@ def write_config(tmp_path, raw, name="scenario.yaml"):
     return path
 
 
-def test_load_config_errors(tmp_path):
+def test_load_config_errors(tmp_path, capsys, monkeypatch):
     missing = tmp_path / "nope.yaml"
     with pytest.raises(ConfigurationError, match="cannot read"):
         runner.load_config(missing)
@@ -53,6 +53,22 @@ def test_load_config_errors(tmp_path):
                                          "a": 0.5, "b": 0.5}), "fam.yaml")
     with pytest.raises(ConfigurationError, match="woops"):
         runner.load_config(badfam)
+    # refused at load: `run` prints an error line and creates no output directory
+    solver = small_heat_raw()["solver"]
+    refused = [("m_per_dim", small_heat_raw(solver=solver | {"m_per_dim": 0})),
+               ("output_cadence", small_heat_raw(solver=solver | {"output_cadence": 5})),
+               ("one", small_heat_raw(seed="one")),
+               ("two", small_heat_raw())]
+    for i, (match, raw) in enumerate(refused):
+        if match == "two":
+            monkeypatch.setenv("DOUBLEPHASE_WORKERS", "two")
+        cfgfile = write_config(tmp_path, raw, f"refused{i}.yaml")
+        with pytest.raises(ConfigurationError, match=match):
+            runner.load_config(cfgfile)
+        out = tmp_path / f"refused{i}_out"
+        assert cli.main(["run", str(cfgfile), "--outdir", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 def test_run_writes_artifacts_and_passes(tmp_path):
@@ -163,14 +179,22 @@ def test_solver_failure_after_two_steps_writes_partial_timeseries(tmp_path, monk
 
 
 @pytest.mark.parametrize("axes", [{"eps": [1.0e-3, 1.0e-1]}, {"eps": [1.0e-2, 1.0e-2]},
-                                  {"m_per_dim": [4, 3]}])
-def test_sweep_axes_out_of_order_exit_1(tmp_path, axes):
-    # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards
+                                  {"m_per_dim": [4, 3]},
+                                  {"eps": [1.0e-2], "solver_overrides": {"tau": -1.0}},
+                                  {"eps": [1.0e-2], "solver_overrides": {"bogus": 3}},
+                                  {"eps": [1.0e-1, 0.0]}, {"m_per_dim": [0, 2]},
+                                  {"eps": [1.0e-2], "stability": {"halvings": -1}},
+                                  {"eps": [1.0e-2], "stability": {"pairs": -1}}])
+def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
+    # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards;
+    # every member's solver and the stability counts are checked at load too
     cfgfile = write_config(tmp_path, small_heat_raw(sweep=axes))
-    with pytest.raises(ConfigurationError, match="strictly"):
+    with pytest.raises(ConfigurationError,
+                       match="strictly|time step|bogus|eps > 0|m_per_dim|nonnegative"):
         runner.load_config(cfgfile)
     out = tmp_path / "out"
     assert cli.main(["sweep", str(cfgfile), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 
@@ -180,15 +204,21 @@ def test_sweep_axes_out_of_order_exit_1(tmp_path, axes):
     ("run", {"diagnostics": {"interpolation": {"varsigma": 1.0}}}),
     ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 64.0}}}),
     ("sweep", {"sweep": {"eps": [1.0e-2], "diagnostics_overrides": {"sigma_grid": [1.5]}}}),
+    ("run", {"diagnostics": {"linf_lattice": 1}}),
+    ("run", {"diagnostics": {"second_order": {"h": 0.0, "margin": 1.0 / 32.0}}}),
+    ("run", {"diagnostics": {"second_order": {"h": -1.0 / 64.0, "margin": 1.0 / 32.0}}}),
+    ("run", {"diagnostics": {"sigma_grid": []}}),
 ])
-def test_out_of_range_diagnostics_options_exit_1(tmp_path, verb, overrides):
-    # in two dimensions r_sharp = 1: a sigma outside (0, 1) or a second-order
+def test_out_of_range_diagnostics_options_exit_1(tmp_path, capsys, verb, overrides):
+    # in two dimensions r_sharp = 1: a sigma outside (0, 1), an empty sigma
+    # grid, a sup lattice below 2 points, a second-order h not positive or a
     # margin below 2h is refused at load, before the solve
     cfgfile = write_config(tmp_path, small_heat_raw(**overrides))
-    with pytest.raises(ConfigurationError, match="outside|below"):
+    with pytest.raises(ConfigurationError, match="outside|below|empty|positive"):
         runner.load_config(cfgfile)
     out = tmp_path / "out"
     assert cli.main([verb, str(cfgfile), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
     assert not out.exists()
 
 
