@@ -2,15 +2,15 @@
 
 A scenario is one YAML file (key-value, no code) that fully determines an
 experiment: problem data, initial datum, source, solver parameters,
-diagnostics options with their ceilings, and optional sweep blocks.  A run
+diagnostics options, and an optional sweep block.  A run
 writes a manifest plus CSV artifacts into its output directory; a sweep
 runs one member per parameter combination and adds a summary table with the
 Cauchy distances, bound ratios, and monotonicity verdicts.
 
 Check rows come in three kinds: "exact" for inequalities whose constants
-the derivations pin down, "regression" for monitored quantities compared
-against ceilings frozen in the config, and "monitor" for reported-only
-values.
+the derivations pin down, "regression" for the sweep's eps/m-uniformity and
+continuation checks against the ceilings in its `ceilings` block, and
+"monitor" for reported-only values.
 """
 from __future__ import annotations
 
@@ -32,6 +32,11 @@ from .galerkin import (SolverConfig, SolverError, Trajectory, _field_spatial_gra
 
 # ---------------------------------------------------------------------------
 # config
+#
+# Each scenario block has one reader here.  A reader owns its block's key
+# names, conversions, defaults and range checks, and refuses unknown keys.
+# `config_from_dict` calls every reader, so a bad block is refused at load;
+# the readers are pure, and the runs call them again for the values.
 
 
 @dataclass
@@ -52,14 +57,25 @@ class RunConfig:
         return resolve_source(self.source_descriptor, self.data, self.solver.eps)
 
 
+def _block(block, keys, what: str) -> dict:
+    """A config block as a dict; refuses keys outside `keys`."""
+    block = dict(block)
+    unknown = sorted(map(str, set(block) - set(keys)))
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    return block
+
+
 def resolve_source(descriptor, data: ExponentData, eps: float) -> Field:
     """Build the source field; the manufactured family closes over the data."""
-    if isinstance(descriptor, dict) and descriptor.get("family") == "manufactured":
-        return manufactured_source(data, eps,
-                                   mode=descriptor.get("mode", [1] * data.dim),
-                                   amplitude=float(descriptor.get("amplitude", 1.0)),
-                                   rate=float(descriptor.get("rate", 1.0)))
-    return make_field(descriptor, data.dim)
+    if not (isinstance(descriptor, dict) and descriptor.get("family") == "manufactured"):
+        return make_field(descriptor, data.dim)
+    src = _block(descriptor, ("family", "mode", "amplitude", "rate"), "manufactured source")
+    mode = [int(k) for k in src.get("mode", [1] * data.dim)]
+    if len(mode) != data.dim or min(mode) < 1:
+        raise ValueError(f"manufactured mode {mode} invalid for dim {data.dim}")
+    return manufactured_source(data, eps, mode=mode, amplitude=float(src.get("amplitude", 1.0)),
+                               rate=float(src.get("rate", 1.0)))
 
 
 def load_config(path) -> RunConfig:
@@ -88,95 +104,127 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
         return raw[key]
 
     try:
+        _block(raw, ("name", "dim", "horizon", "alpha", "fields", "initial", "source", "solver",
+                     "diagnostics", "sweep", "output", "workers", "seed", "probe_resolution",
+                     "time_probe_resolution"), "top-level")
         dim = int(need("dim"))
-        field_descriptors = need("fields")
+        fields = _block(need("fields"), ("p", "q", "a", "b"), "fields")
         data = ExponentData(
-            dim=dim,
-            horizon=float(need("horizon")),
-            p=make_field(field_descriptors["p"], dim),
-            q=make_field(field_descriptors["q"], dim),
-            a=make_field(field_descriptors["a"], dim),
-            b=make_field(field_descriptors["b"], dim),
-            alpha=float(need("alpha")),
+            dim=dim, horizon=float(need("horizon")), alpha=float(need("alpha")),
+            **{k: make_field(fields[k], dim) for k in ("p", "q", "a", "b")},
             lipschitz_probe_resolution=int(raw.get("probe_resolution", 65)),
             time_probe_resolution=int(raw.get("time_probe_resolution", 33)),
         )
-        solver_block = dict(need("solver"))
-        solver = SolverConfig(
-            m_per_dim=int(solver_block.pop("m_per_dim")),
-            eps=float(solver_block.pop("eps")),
-            tau=float(solver_block.pop("tau")),
-            **{k: (int(v) if k not in ("newton_tol",) else float(v))
-               for k, v in solver_block.items()},
+        config = RunConfig(
+            name=str(raw.get("name", Path(where).stem)),
+            data=data,
+            initial=make_field(need("initial"), dim),
+            source_descriptor=raw.get("source", 0.0),
+            solver=SolverConfig(**_solver_values(need("solver"))),
+            diagnostics=dict(raw.get("diagnostics", {})),
+            sweep=dict(raw.get("sweep", {})),
+            output=dict(raw.get("output", {})),
+            workers=int(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1"))),
+            seed=int(raw.get("seed", 0)),
+            raw=raw,
         )
-        initial = make_field(need("initial"), dim)
-        diagnostics = dict(raw.get("diagnostics", {}))
-        sweep = dict(raw.get("sweep", {}))
-        _sweep_solvers(solver, sweep)
-        _check_diagnostics(diagnostics, data.r_sharp)
-        _check_diagnostics(diagnostics | dict(sweep.get("diagnostics_overrides", {})),
-                           data.r_sharp)
-        workers = int(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1")))
-        seed = int(raw.get("seed", 0))
+        # the remaining readers, so that no block is first read after the solve
+        config.source_field()
+        _diagnostics(config)
+        _output(config)
+        _sweep(config)
     except KeyError as exc:
         raise ConfigurationError(f"{where}: missing key {exc}")
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"{where}: bad value: {exc}")
-
-    return RunConfig(
-        name=str(raw.get("name", Path(where).stem)),
-        data=data,
-        initial=initial,
-        source_descriptor=raw.get("source", 0.0),
-        solver=solver,
-        diagnostics=diagnostics,
-        sweep=sweep,
-        output=dict(raw.get("output", {})),
-        workers=workers,
-        seed=seed,
-        raw=raw,
-    )
+    return config
 
 
-def _sweep_solvers(solver: SolverConfig, sweep: dict) -> tuple[list, list, dict]:
-    """The sweep axes (m list, eps list) and each member's SolverConfig by (m, eps).
+def _solver_values(block) -> dict:
+    """A `solver` block or the sweep's `solver_overrides`, as SolverConfig values."""
+    return {k: float(v) if k in ("eps", "tau", "newton_tol") else int(v)
+            for k, v in dict(block).items()}
 
-    A member's solver is the base solver, then `solver_overrides`, then its
-    axis values.  Raises ValueError or TypeError on a sweep block a member
-    or the stability block would refuse only after the runs began.
+
+@dataclass(frozen=True)
+class Diagnostics:
+    """The diagnostics options of a run; each field default is the option's default."""
+
+    sigma_grid: tuple = (0.1, 0.3, 0.5)
+    varsigma: float = 0.5              # interpolation.varsigma
+    beta: float = 0.5                  # interpolation.beta
+    h: float = 1 / 256                 # second_order.h
+    margin: float = 1 / 64             # second_order.margin
+    linf_lattice: int = 65
+    energy_residual_ceiling: float = 1e-2
+
+
+def _diagnostics(config: RunConfig) -> Diagnostics:
+    """Read the diagnostics block, refusing what a monitor would refuse after the solve."""
+    opts = _block(config.diagnostics, ("sigma_grid", "interpolation", "second_order",
+                                       "linf_lattice", "energy_residual_ceiling"), "diagnostics")
+    opts |= _block(opts.pop("interpolation", {}), ("varsigma", "beta"), "interpolation")
+    opts |= _block(opts.pop("second_order", {}), ("h", "margin"), "second_order")
+    kinds = {"sigma_grid": lambda v: tuple(map(float, v)), "linf_lattice": int}
+    d = Diagnostics(**{k: kinds.get(k, float)(v) for k, v in opts.items()})
+    if not d.sigma_grid:
+        raise ValueError("empty sigma_grid")
+    r_sharp = config.data.r_sharp
+    for s in d.sigma_grid + (d.varsigma,):
+        if not 0.0 < s < r_sharp:
+            raise ValueError(f"sigma {s} outside (0, {r_sharp})")
+    if d.linf_lattice < 2:
+        raise ValueError("linf_lattice below 2")
+    if not d.h > 0.0:
+        raise ValueError(f"second_order h {d.h} is not positive")
+    if d.margin < 2.0 * d.h:
+        raise ValueError("second_order margin below 2h")
+    return d
+
+
+def _output(config: RunConfig) -> tuple[tuple, int]:
+    """The output block's snapshot times and snapshot lattice resolution."""
+    out = _block(config.output, ("snapshots", "snapshot_resolution"), "output")
+    return (tuple(float(t) for t in out.get("snapshots") or ()),
+            int(out.get("snapshot_resolution", 33)))
+
+
+def _sweep(config: RunConfig) -> tuple:
+    """Read the sweep block: (m list, eps list, members, tolerance, ceilings, stability).
+
+    `members` maps (m, eps) to the member's RunConfig: its diagnostics are
+    the base block shallow-merged with `diagnostics_overrides`, and its
+    solver is the base solver, then `solver_overrides`, then its axis
+    values.  `ceilings` holds every ceiling, `final_distance` None when
+    unset; `stability` is (pairs, halvings, base_delta, seed), or None when
+    the block is absent, empty or null.
     """
-    eps_list = [float(e) for e in sweep.get("eps", [solver.eps])]
-    m_list = [int(m) for m in sweep.get("m_per_dim", [solver.m_per_dim])]
+    sweep = _block(config.sweep, ("eps", "m_per_dim", "solver_overrides", "diagnostics_overrides",
+                                  "cauchy_tolerance", "ceilings", "stability"), "sweep")
+    eps_list = [float(e) for e in sweep.get("eps", [config.solver.eps])]
+    m_list = [int(m) for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
     if eps_list != sorted(set(eps_list), reverse=True) or m_list != sorted(set(m_list)):
         raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly")
-    _stability_counts(dict(sweep.get("stability") or {}))
-    overrides = dict(sweep.get("solver_overrides", {}))
-    return m_list, eps_list, {(m, e): replace(solver, **(overrides | {"eps": e, "m_per_dim": m}))
-                              for m in m_list for e in eps_list}
-
-
-# defaults of the diagnostics options `_check_diagnostics` checks
-SIGMA_GRID, VARSIGMA, SECOND_ORDER_H, SECOND_ORDER_MARGIN = (0.1, 0.3, 0.5), 0.5, 1 / 256, 1 / 64
-LINF_LATTICE = 65
-
-
-def _check_diagnostics(opts: dict, r_sharp: float):
-    """Refuse at load the options a monitor would refuse only after the solve."""
-    sigma_grid = list(opts.get("sigma_grid", SIGMA_GRID))
-    if not sigma_grid:
-        raise ValueError("empty sigma_grid")
-    varsigma = dict(opts.get("interpolation", {})).get("varsigma", VARSIGMA)
-    for s in sigma_grid + [varsigma]:
-        if not 0.0 < float(s) < r_sharp:
-            raise ValueError(f"sigma {s} outside (0, {r_sharp})")
-    if int(opts.get("linf_lattice", LINF_LATTICE)) < 2:
-        raise ValueError("linf_lattice below 2")
-    so = dict(opts.get("second_order", {}))
-    h = float(so.get("h", SECOND_ORDER_H))
-    if not h > 0.0:
-        raise ValueError(f"second_order h {h} is not positive")
-    if float(so.get("margin", SECOND_ORDER_MARGIN)) < 2.0 * h:
-        raise ValueError("second_order margin below 2h")
+    overrides = _solver_values(sweep.get("solver_overrides", {}))
+    diagnostics = config.diagnostics | dict(sweep.get("diagnostics_overrides", {}))
+    members = {(m, e): replace(config, name=f"m{m}_eps{e:g}", diagnostics=diagnostics,
+                               solver=replace(config.solver,
+                                              **(overrides | {"eps": e, "m_per_dim": m})))
+               for m in m_list for e in eps_list}
+    _diagnostics(replace(config, diagnostics=diagnostics))
+    ceilings = dict.fromkeys(("higher_integrability_ratio", "second_order_ratio",
+                              "time_derivative_ratio"), 3.0) | {"final_distance": None}
+    ceilings |= {k: float(v) for k, v in _block(sweep.get("ceilings", {}), ceilings,
+                                                "ceilings").items()}
+    stab = _block(sweep.get("stability") or {}, ("pairs", "halvings", "base_delta", "seed"),
+                  "stability")
+    pairs, halvings = int(stab.get("pairs", 4)), int(stab.get("halvings", 3))
+    if pairs < 0 or halvings < 0:
+        raise ValueError("stability pairs and halvings must be nonnegative")
+    stability = (pairs, halvings, float(stab.get("base_delta", 1e-1)),
+                 int(stab.get("seed", config.seed))) if stab else None
+    return (m_list, eps_list, members, float(sweep.get("cauchy_tolerance", 0.10)), ceilings,
+            stability)
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +341,13 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
 
 def run_diagnostics(traj: Trajectory, config: RunConfig):
     """Evaluate every per-run monitor; returns (checks, core series, extras)."""
-    opts = config.diagnostics
-    ceil = dict(opts.get("ceilings", {}))
+    opts = _diagnostics(config)
     checks: list[Check] = []
     extras: dict = {}
 
-    series = dg.core_series(traj, linf_lattice=int(opts.get("linf_lattice", LINF_LATTICE)))
+    series = dg.core_series(traj, linf_lattice=opts.linf_lattice)
 
-    res_ceiling = float(opts.get("energy_residual_ceiling", 1e-2))
+    res_ceiling = opts.energy_residual_ceiling
     worst_rel = float(series.energy_residual_rel.max())
     checks.append(Check("energy_equality", "exact", worst_rel <= res_ceiling,
                         worst_rel, res_ceiling,
@@ -332,26 +379,17 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
                         float(traj.energy_slack.max()), float(slack_bound.max()),
                         "per-step discrete energy inequality up to Newton tolerance"))
 
-    env = dg.linf_bound_check(traj, lattice_n=int(opts.get("linf_lattice", LINF_LATTICE)))
+    env = dg.linf_bound_check(traj, lattice_n=opts.linf_lattice)
     checks.append(Check("sup_envelope", "exact", env.passed,
                         float((env.lattice_sup - env.envelope).max()), 0.0,
                         "lattice sup of |u| against data envelope"))
 
-    hi = dg.higher_integrability(traj, opts.get("sigma_grid", SIGMA_GRID))
+    hi = dg.higher_integrability(traj, opts.sigma_grid)
     extras["higher_integrability"] = hi
-    finite = all(np.isfinite(v) for v in hi.values())
-    if "higher_integrability" in ceil:
-        bound = float(ceil["higher_integrability"])
-        checks.append(Check("higher_integrability", "regression",
-                            finite and max(hi.values()) <= bound,
-                            max(hi.values()), bound, "gradient modular table vs ceiling"))
-    else:
-        checks.append(Check("higher_integrability", "monitor", finite,
-                            max(hi.values()), None, "gradient modular table (finiteness)"))
+    checks.append(Check("higher_integrability", "monitor", all(np.isfinite(v) for v in hi.values()),
+                        max(hi.values()), None, "gradient modular table (finiteness)"))
 
-    interp = opts.get("interpolation", {})
-    ir = dg.interpolation_ratio(traj, float(interp.get("varsigma", VARSIGMA)),
-                                float(interp.get("beta", 0.5)))
+    ir = dg.interpolation_ratio(traj, opts.varsigma, opts.beta)
     extras["interpolation"] = {"varsigma": ir.varsigma, "beta": ir.beta, "lhs": ir.lhs,
                                "second_order_term": ir.second_order_term,
                                "implied_constant": ir.implied_constant}
@@ -361,30 +399,15 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
 
     td = dg.time_derivative_bound(traj)
     extras["time_derivative"] = td.detail | {"lhs": td.lhs, "rhs": td.rhs}
-    if "time_derivative_ratio" in ceil:
-        bound = float(ceil["time_derivative_ratio"])
-        checks.append(Check("time_derivative_bound", "regression",
-                            td.passed and td.ratio <= bound, td.ratio, bound,
-                            "accumulated u_t plus sup modular vs data functional"))
-    else:
-        checks.append(Check("time_derivative_bound", "monitor", td.passed, td.ratio,
-                            None, "ratio reported; finiteness asserted"))
+    checks.append(Check("time_derivative_bound", "monitor", td.passed, td.ratio,
+                        None, "ratio reported; finiteness asserted"))
 
-    so_opts = opts.get("second_order", {})
-    so = dg.second_order_flux_norm(
-        traj, h=float(so_opts.get("h", SECOND_ORDER_H)),
-        margin=float(so_opts.get("margin", SECOND_ORDER_MARGIN)),
-        time_stride=int(so_opts.get("time_stride", max(1, (len(traj.times) - 1) // 8))))
+    so = dg.second_order_flux_norm(traj, h=opts.h, margin=opts.margin,
+                                   time_stride=max(1, (len(traj.times) - 1) // 8))
     extras["second_order_norms"] = so.norms.tolist()
     extras["second_order_total"] = so.total
-    if "second_order_total" in ceil:
-        bound = float(ceil["second_order_total"])
-        checks.append(Check("second_order_regularity", "regression",
-                            np.isfinite(so.total) and so.total <= bound, so.total, bound,
-                            f"sum of square-root-flux difference norms at h={so.h}"))
-    else:
-        checks.append(Check("second_order_regularity", "monitor", np.isfinite(so.total),
-                            so.total, None, f"norms at h={so.h} (finiteness)"))
+    checks.append(Check("second_order_regularity", "monitor", np.isfinite(so.total),
+                        so.total, None, f"norms at h={so.h} (finiteness)"))
     return checks, series, extras
 
 
@@ -398,14 +421,13 @@ def _write_timeseries(outdir: Path, series: dg.CoreSeries, traj: Trajectory):
 
 
 def _write_snapshots(outdir: Path, traj: Trajectory, config: RunConfig):
-    snaps = config.output.get("snapshots")
+    snaps, n = _output(config)
     if not snaps:
         return
-    n = int(config.output.get("snapshot_resolution", 33))
     lat = dg.lattice_points(traj.data.dim, n)
     lines = traj.basis.line_tables(np.linspace(0.0, 1.0, n))
     for t_want in snaps:
-        k = int(np.argmin(np.abs(traj.times - float(t_want))))
+        k = int(np.argmin(np.abs(traj.times - t_want)))
         u = traj.basis.lattice(lines, traj.coeffs[k])
         g = traj.basis.lattice(lines, traj.coeffs[k], 1)
         rows = [list(map(float, lat[i])) + [float(u[i]), float(np.linalg.norm(g[i]))]
@@ -479,20 +501,14 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     # members are built here and share config.data, so the data validate
     # once, and data that cannot be probed leave no output directory
     report = config.data.report
+    m_list, eps_list, members, tol, ceil, stab = _sweep(config)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    sweep = config.sweep
-    m_list, eps_list, solvers = _sweep_solvers(config.solver, sweep)
-    tol = float(sweep.get("cauchy_tolerance", 0.10))
     summary_rows: list[dict] = []
     worst = 0
 
-    diagnostics = config.diagnostics | dict(sweep.get("diagnostics_overrides", {}))
-    members = [replace(config, name=f"m{m}_eps{e:g}", diagnostics=diagnostics, solver=solver)
-               for (m, e), solver in solvers.items()]
-    outdirs = [str(outdir / member.name) for member in members]
+    outdirs = [str(outdir / member.name) for member in members.values()]
     # stability block; on invalid data the members already exit 1
-    stab = sweep.get("stability")
     jobs = _stability_jobs(config, stab) if stab and report.passed else []
 
     if config.workers > 1:
@@ -503,14 +519,14 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         chunks = [[jobs[i] for i in idx]
                   for idx in np.array_split(np.arange(len(jobs)), config.workers) if len(idx)]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = pool.map(_run_member, members, outdirs)
+            results = pool.map(_run_member, members.values(), outdirs)
             outcomes = pool.map(_stability_chunk, [config] * len(chunks), chunks)
             results, outcomes = list(results), list(outcomes)
     else:
-        results = list(map(_run_member, members, outdirs))
+        results = list(map(_run_member, members.values(), outdirs))
         outcomes = [_stability_chunk(config, jobs)] if jobs else []
 
-    by_key = dict(zip(solvers, results))
+    by_key = dict(zip(members, results))
     for res in results:
         worst = max(worst, res["code"])
         summary_rows.append(_member_entry("member_exit", res["name"], res["code"],
@@ -524,7 +540,6 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
 
     # cross-member regression checks
     checks: list[Check] = []
-    ceil = dict(config.sweep.get("ceilings", {}))
     # (check, ratio name = ceiling key, member table, detail), in summary order
     uniformity = (
         ("higher_integrability_uniform", "higher_integrability_ratio",
@@ -541,7 +556,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     for check_name, ratio_name, table, detail in uniformity:
         ratio = _table_ratio([table(s) for s in summaries])
         if ratio is not None:
-            bound = float(ceil.get(ratio_name, 3.0))
+            bound = ceil[ratio_name]
             checks.append(Check(check_name, "regression", ratio <= bound, ratio, bound, detail))
             summary_rows.append(_member_entry(ratio_name, "all", ratio, ratio <= bound))
 
@@ -559,11 +574,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
             for k, g in enumerate(rep.pairings):
                 summary_rows.append(_member_entry("eps_cauchy_pairing", f"m{m}_k{k}", g,
                                                   g >= -1e-10 * max(1.0, abs(g))))
-            ok = rep.monotone
-            if "final_distance" in ceil:
-                ok = ok and rep.final_distance <= float(ceil["final_distance"])
+            bound = ceil["final_distance"]
+            ok = rep.monotone and (bound is None or rep.final_distance <= bound)
             checks.append(Check(f"eps_continuation_m{m}", "regression", ok,
-                                rep.final_distance, ceil.get("final_distance"),
+                                rep.final_distance, bound,
                                 f"distances {[f'{d:.3g}' for d in rep.distances]}"))
             summary_rows.append(_member_entry("eps_cauchy_monotone", f"m{m}",
                                               float(rep.monotone), rep.monotone))
@@ -605,15 +619,15 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     return code, manifest
 
 
-def _stability_jobs(config: RunConfig, stab: dict) -> list[tuple]:
+def _stability_jobs(config: RunConfig, stab: tuple) -> list[tuple]:
     """Perturbed-pair and shrinking experiments drawn from the sweep seed.
 
+    `stab` is the read stability block, (pairs, halvings, base_delta, seed).
     Each job is (kind, label, u0 mode row, source mode row or None); a mode
     row [k_1..k_N, delta] is added to the initial datum or the source.
     """
-    rng = np.random.default_rng(int(stab.get("seed", config.seed)))
-    pairs, halvings = _stability_counts(stab)
-    base_delta = float(stab.get("base_delta", 1e-1))
+    pairs, halvings, base_delta, seed = stab
+    rng = np.random.default_rng(seed)
     top, dim = min(3, config.solver.m_per_dim) + 1, config.data.dim
     jobs = []
     for k in range(pairs):
@@ -626,14 +640,6 @@ def _stability_jobs(config: RunConfig, stab: dict) -> list[tuple]:
         delta = base_delta * 0.5 ** j
         jobs.append(("shrink", f"delta{delta:g}", [1] * dim + [delta], None))
     return jobs
-
-
-def _stability_counts(stab: dict) -> tuple[int, int]:
-    """The stability block's (pairs, halvings); refuses negative counts."""
-    pairs, halvings = int(stab.get("pairs", 4)), int(stab.get("halvings", 3))
-    if pairs < 0 or halvings < 0:
-        raise ValueError("stability pairs and halvings must be nonnegative")
-    return pairs, halvings
 
 
 def _stability_chunk(config: RunConfig, jobs: list[tuple]):

@@ -512,7 +512,9 @@ def test_galerkin_orthogonality_at_accepted_steps():
 
 
 def test_m_refinement_cauchy_decreasing():
-    from doublephase.diagnostics import m_refinement_study
+    # the sweep's basis-refinement study: solve each m, then the gradient
+    # Cauchy distances of consecutive members
+    from doublephase import diagnostics as dg
     dim = 2
     data = ExponentData(
         dim=dim, horizon=0.02,
@@ -522,7 +524,11 @@ def test_m_refinement_cauchy_decreasing():
         lipschitz_probe_resolution=9, time_probe_resolution=3)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=2.5e-3)
     u0 = mode_field([[1, 1, 0.7], [2, 2, 0.15]])
-    rep = m_refinement_study(cfg, data, u0, ZERO2, [2, 4, 8, 16], tolerance=0.10)
+    m_list = [2, 4, 8, 16]
+    trajs = [solve(replace(cfg, m_per_dim=m), data, u0, ZERO2) for m in m_list]
+    rep = dg._gradient_cauchy(data, trajs[-1].spacetime_grid(),
+                              [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
+                              [f"m={m}" for m in m_list], 0.10)
     assert len(rep.distances) == 3
     assert rep.monotone, rep.distances
 

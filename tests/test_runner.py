@@ -54,11 +54,21 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
     with pytest.raises(ConfigurationError, match="woops"):
         runner.load_config(badfam)
     # refused at load: `run` prints an error line and creates no output directory
-    solver = small_heat_raw()["solver"]
+    solver, fields = small_heat_raw()["solver"], small_heat_raw()["fields"]
+    manufactured = {"family": "manufactured", "mode": [1, 1]}
     refused = [("m_per_dim", small_heat_raw(solver=solver | {"m_per_dim": 0})),
                ("output_cadence", small_heat_raw(solver=solver | {"output_cadence": 5})),
                ("one", small_heat_raw(seed="one")),
-               ("two", small_heat_raw())]
+               ("horizn", small_heat_raw(horizn=0.02)),
+               ("fields key", small_heat_raw(fields=fields | {"c": 1.0})),
+               ("snapshot", small_heat_raw(output={"snapshot": [0.0]})),
+               ("fine", small_heat_raw(output={"snapshots": [0.0], "snapshot_resolution": "fine"})),
+               ("end", small_heat_raw(output={"snapshots": [0.0, "end"]})),
+               ("big", small_heat_raw(source=manufactured | {"amplitude": "big"})),
+               ("mode", small_heat_raw(source=manufactured | {"mode": [1]})),
+               ("mode", small_heat_raw(source=manufactured | {"mode": [0, 1]})),
+               ("woops", small_heat_raw(source={"family": "woops"})),
+               ("two", small_heat_raw())]  # last: it sets the variable for the rest
     for i, (match, raw) in enumerate(refused):
         if match == "two":
             monkeypatch.setenv("DOUBLEPHASE_WORKERS", "two")
@@ -184,13 +194,22 @@ def test_solver_failure_after_two_steps_writes_partial_timeseries(tmp_path, monk
                                   {"eps": [1.0e-2], "solver_overrides": {"bogus": 3}},
                                   {"eps": [1.0e-1, 0.0]}, {"m_per_dim": [0, 2]},
                                   {"eps": [1.0e-2], "stability": {"halvings": -1}},
-                                  {"eps": [1.0e-2], "stability": {"pairs": -1}}])
+                                  {"eps": [1.0e-2], "stability": {"pairs": -1}},
+                                  {"eps": [1.0e-2], "solver_overrides": {"newton_max_iter": "ten"}},
+                                  {"eps": [1.0e-2], "cauchy_tolerence": 0.1},
+                                  {"eps": [1.0e-2], "ceilings": {"final_distanse": 1.0e-9}},
+                                  {"eps": [1.0e-2], "stability": {"pair": 2}},
+                                  {"eps": [1.0e-2], "cauchy_tolerance": "loose"},
+                                  {"eps": [1.0e-2], "ceilings": {"final_distance": "tiny"}},
+                                  {"eps": [1.0e-2], "stability": {"base_delta": "big"}}])
 def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
     # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards;
-    # every member's solver and the stability counts are checked at load too
+    # every member's solver, the stability counts, and every sweep key and
+    # value are checked at load too
     cfgfile = write_config(tmp_path, small_heat_raw(sweep=axes))
     with pytest.raises(ConfigurationError,
-                       match="strictly|time step|bogus|eps > 0|m_per_dim|nonnegative"):
+                       match="strictly|time step|bogus|eps > 0|m_per_dim|nonnegative"
+                             "|unknown|invalid literal|could not convert"):
         runner.load_config(cfgfile)
     out = tmp_path / "out"
     assert cli.main(["sweep", str(cfgfile), "--outdir", str(out)]) == 1
@@ -208,13 +227,25 @@ def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
     ("run", {"diagnostics": {"second_order": {"h": 0.0, "margin": 1.0 / 32.0}}}),
     ("run", {"diagnostics": {"second_order": {"h": -1.0 / 64.0, "margin": 1.0 / 32.0}}}),
     ("run", {"diagnostics": {"sigma_grid": []}}),
+    ("run", {"diagnostics": {"sigma_gird": [0.1]}}),
+    ("run", {"diagnostics": {"interpolation": {"varsigma": 0.5, "bta": 0.5}}}),
+    ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0,
+                                              "hh": 1.0 / 64.0}}}),
+    ("run", {"diagnostics": {"ceilings": {"second_order_total": 1.0}}}),
+    ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0,
+                                              "time_stride": 2}}}),
+    ("run", {"diagnostics": {"energy_residual_ceiling": "tight"}}),
+    ("run", {"diagnostics": {"interpolation": {"beta": "half"}}}),
 ])
 def test_out_of_range_diagnostics_options_exit_1(tmp_path, capsys, verb, overrides):
     # in two dimensions r_sharp = 1: a sigma outside (0, 1), an empty sigma
     # grid, a sup lattice below 2 points, a second-order h not positive or a
-    # margin below 2h is refused at load, before the solve
+    # margin below 2h is refused at load, before the solve; so are unknown
+    # keys (the removed `ceilings` and `time_stride` among them) and values
+    # that are not numbers
     cfgfile = write_config(tmp_path, small_heat_raw(**overrides))
-    with pytest.raises(ConfigurationError, match="outside|below|empty|positive"):
+    with pytest.raises(ConfigurationError,
+                       match="outside|below|empty|positive|unknown|could not convert"):
         runner.load_config(cfgfile)
     out = tmp_path / "out"
     assert cli.main([verb, str(cfgfile), "--outdir", str(out)]) == 1
@@ -232,6 +263,12 @@ def test_sweep_single_member_matches_run(tmp_path):
     assert (member / "timeseries.csv").read_bytes() == \
         (tmp_path / "single" / "timeseries.csv").read_bytes()
     assert (tmp_path / "sweep" / "sweep_summary.csv").exists()
+    # solver_overrides are converted as the base solver block is
+    over = runner.config_from_dict(small_heat_raw(
+        sweep={"eps": [1.0e-2], "solver_overrides": {"newton_max_iter": 3.5}}))
+    base = runner.config_from_dict(small_heat_raw(
+        solver=raw["solver"] | {"newton_max_iter": 3.5}))
+    assert runner._sweep(over)[2][(3, 1.0e-2)].solver == base.solver
 
 
 def test_sweep_outputs_byte_identical_for_any_worker_count(tmp_path):
