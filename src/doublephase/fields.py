@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -38,17 +38,26 @@ class Field:
     """Scalar field on [0,1]^N x [0,T], evaluable at arrays of points.
 
     ``field(x, t)`` takes ``x`` of shape (M, N) (a single point is accepted
-    as shape (N,)) and ``t`` scalar or shape (M,), and returns shape (M,).
+    as shape (N,)) and ``t`` scalar or shape (M,), and returns shape (M,);
+    ``field.grad(x, t)`` returns the exact spatial gradient, shape (M, N).
     """
 
     dim: int
     descriptor: Mapping
     _fn: Callable = field(repr=False)
+    _grad: Optional[Callable] = field(default=None, repr=False)
 
     def __call__(self, x, t) -> np.ndarray:
         x = _as_points(x)
         out = np.asarray(self._fn(x, np.asarray(t, dtype=float)), dtype=float)
         return np.broadcast_to(out, x.shape[:1]).copy() if out.ndim == 0 else out
+
+    def grad(self, x, t) -> np.ndarray:
+        """Spatial gradient at points x, (M, N); only the make_field families have one."""
+        if self._grad is None:
+            raise NotImplementedError(
+                f"field family {self.descriptor.get('family')!r} has no closed-form gradient")
+        return self._grad(_as_points(x), np.asarray(t, dtype=float))
 
     def __reduce__(self):
         # pickles as its descriptor; a family make_field does not know fails at unpickle
@@ -81,10 +90,19 @@ def tensor_axis(nodes, dim: int) -> np.ndarray:
     return axis
 
 
-def make_field(spec, dim: int) -> Field:
-    """Build a Field from a config descriptor.
+# The complete parameter set of each family; make_field refuses any other key.
+_FAMILY_KEYS = {"constant": ("value",), "affine": ("base", "slope", "tslope"),
+                "sinusoidal": ("base", "amp", "wave", "phase", "tfreq"),
+                "bump": ("base", "amp", "center", "width", "tdecay"),
+                "modes": ("coeffs", "tdecay"), "bubble": ("amp", "tdecay")}
 
-    A bare number is shorthand for the constant family.  Supported families:
+
+def make_field(spec, dim: int) -> Field:
+    """Build a Field, with its exact spatial gradient, from a config descriptor.
+
+    A bare number is shorthand for the constant family.  Supported families,
+    each with the complete set of parameters it accepts (any other key is a
+    ConfigurationError):
 
     constant     value
     affine       base, slope (length-N), tslope
@@ -101,7 +119,13 @@ def make_field(spec, dim: int) -> Field:
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"field descriptor must be a number or mapping, got {spec!r}")
     fam = spec.get("family")
+    if not isinstance(fam, str) or fam not in _FAMILY_KEYS:
+        raise ConfigurationError(f"unknown field family {fam!r}")
     p = dict(spec)
+    unknown = [k for k in p if k != "family" and k not in _FAMILY_KEYS[fam]]
+    if unknown:
+        raise ConfigurationError(f"family '{fam}' has no parameter(s) {unknown}; "
+                                 f"it takes {list(_FAMILY_KEYS[fam])}")
 
     def need(key, default=None):
         if default is None and key not in p:
@@ -111,6 +135,7 @@ def make_field(spec, dim: int) -> Field:
     if fam == "constant":
         v = float(need("value"))
         fn = lambda x, t: np.full(x.shape[0], v)
+        grad = lambda x, t: np.zeros(x.shape)
     elif fam == "affine":
         base = float(need("base"))
         slope = np.asarray(need("slope", [0.0] * dim), dtype=float)
@@ -118,6 +143,7 @@ def make_field(spec, dim: int) -> Field:
         if slope.shape != (dim,):
             raise ConfigurationError(f"affine slope must have length {dim}")
         fn = lambda x, t: base + x @ slope + tslope * t
+        grad = lambda x, t: np.tile(slope, (x.shape[0], 1))
     elif fam == "sinusoidal":
         base = float(need("base"))
         amp = float(need("amp"))
@@ -127,6 +153,8 @@ def make_field(spec, dim: int) -> Field:
         if wave.shape != (dim,):
             raise ConfigurationError(f"sinusoidal wave must have length {dim}")
         fn = lambda x, t: base + amp * np.sin(np.pi * (x @ wave) + phase) * np.cos(np.pi * tfreq * t)
+        grad = lambda x, t: (amp * np.pi * np.cos(np.pi * (x @ wave) + phase)
+                             * np.cos(np.pi * tfreq * t))[:, None] * wave
     elif fam == "bump":
         base = float(need("base", 0.0))
         amp = float(need("amp"))
@@ -135,9 +163,10 @@ def make_field(spec, dim: int) -> Field:
         tdecay = float(need("tdecay", 0.0))
         if width <= 0:
             raise ConfigurationError("bump width must be positive")
-        fn = lambda x, t: base + amp * np.exp(
-            -np.sum((x - center) ** 2, axis=-1) / (2.0 * width ** 2)
-        ) * np.exp(-tdecay * t)
+        bump = lambda x, t: amp * np.exp(
+            -np.sum((x - center) ** 2, axis=-1) / (2.0 * width ** 2)) * np.exp(-tdecay * t)
+        fn = lambda x, t: base + bump(x, t)
+        grad = lambda x, t: bump(x, t)[:, None] * (center - x) / width ** 2
     elif fam == "modes":
         rows = need("coeffs")
         tdecay = float(need("tdecay", 0.0))
@@ -153,13 +182,14 @@ def make_field(spec, dim: int) -> Field:
         from .galerkin import mode_basis  # galerkin imports this module
         basis, cs = mode_basis(ks, dim), np.asarray(cs)
         fn = lambda x, t: (basis.values(x) @ cs) * np.exp(-tdecay * t)
-    elif fam == "bubble":
+        grad = lambda x, t: (basis.gradients(x) @ cs) * np.exp(-tdecay * t)[..., None]
+    else:  # bubble
         amp = float(need("amp"))
         tdecay = float(need("tdecay", 0.0))
         fn = lambda x, t: amp * np.prod(x * (1.0 - x), axis=-1) * np.exp(-tdecay * t)
-    else:
-        raise ConfigurationError(f"unknown field family {fam!r}")
-    return Field(dim=dim, descriptor=dict(spec), _fn=fn)
+        grad = lambda x, t: (amp * np.exp(-tdecay * t))[..., None] * (1.0 - 2.0 * x) * np.stack(
+            [np.prod(np.delete(x * (1.0 - x), d, axis=-1), axis=-1) for d in range(dim)], axis=-1)
+    return Field(dim=dim, descriptor=dict(spec), _fn=fn, _grad=grad)
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,7 @@ import yaml
 
 from . import __version__, diagnostics as dg
 from .fields import ConfigurationError, ExponentData, Field, make_field
-from .galerkin import (SolverConfig, SolverError, Trajectory, _field_spatial_gradient,
-                       manufactured_source, solve)
+from .galerkin import SolverConfig, SolverError, Trajectory, manufactured_source, solve
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +202,10 @@ def _sweep(config: RunConfig) -> tuple:
                                   "cauchy_tolerance", "ceilings", "stability"), "sweep")
     eps_list = [float(e) for e in sweep.get("eps", [config.solver.eps])]
     m_list = [int(m) for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
-    if eps_list != sorted(set(eps_list), reverse=True) or m_list != sorted(set(m_list)):
-        raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly")
+    if (not eps_list or not m_list or eps_list != sorted(set(eps_list), reverse=True)
+            or m_list != sorted(set(m_list))):
+        raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly, "
+                         "each from at least one value")
     overrides = _solver_values(sweep.get("solver_overrides", {}))
     diagnostics = config.diagnostics | dict(sweep.get("diagnostics_overrides", {}))
     members = {(m, e): replace(config, name=f"m{m}_eps{e:g}", diagnostics=diagnostics,
@@ -260,6 +261,14 @@ def _write_csv(path: Path, header, rows):
 
 # ---------------------------------------------------------------------------
 # single run
+
+
+def _field_spatial_gradient(fld: Field, x, t, h: float = 1e-6) -> np.ndarray:
+    """Central-difference spatial gradient of a field with no closed-form `grad`;
+    families are entire expressions, so probing slightly outside the box is safe."""
+    x = np.asarray(x, dtype=float)
+    return np.stack([(fld(x + e, t) - fld(x - e, t)) / (2.0 * h) for e in h * np.eye(x.shape[1])],
+                    axis=-1)
 
 
 def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict:

@@ -147,9 +147,43 @@ def test_field_families_and_errors():
         make_field({"family": "nope"}, dim)
     with pytest.raises(ConfigurationError):
         make_field({"family": "affine", "base": 1.0, "slope": [1.0]}, dim)
+    with pytest.raises(ConfigurationError, match="slop"):  # a key its family does not list
+        make_field({"family": "affine", "base": 1.9, "slop": [0.2, 0.0]}, dim)
     with pytest.raises(ConfigurationError):
         ExponentData(dim=3, horizon=0.1, p=make_field(2.0, 3), q=make_field(2.0, 3),
                      a=make_field(0.5, 3), b=make_field(0.5, 3), alpha=0.9)
+
+
+def family_spec(family, dim):
+    """A descriptor of the family that exercises every one of its parameters."""
+    v = [0.3, -0.7][:dim]
+    return {"constant": 2.5,
+            "affine": {"family": "affine", "base": 1.9, "slope": v, "tslope": 0.7},
+            "sinusoidal": {"family": "sinusoidal", "base": 2.0, "amp": 0.3,
+                           "wave": [1.5, 2.0][:dim], "phase": 0.4, "tfreq": 3.0},
+            "bump": {"family": "bump", "base": 0.4, "amp": 0.3, "center": [0.4, 0.6][:dim],
+                     "width": 0.2, "tdecay": 2.0},
+            "modes": {"family": "modes", "coeffs": [[1] * dim + [0.7], [2] + [3] * (dim - 1) + [-0.3]],
+                      "tdecay": 1.5},
+            "bubble": {"family": "bubble", "amp": 16.0, "tdecay": 0.5}}[family]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["constant", "affine", "sinusoidal", "bump", "modes", "bubble"])
+def test_field_grad_equals_central_differences(family, dim):
+    fld = make_field(family_spec(family, dim), dim)
+    rng = np.random.default_rng(dim)
+    x = rng.uniform(0.1, 0.9, size=(40, dim))
+    h = 1e-6
+    for t in (0.3, rng.uniform(0.0, 1.0, size=len(x))):  # a scalar time and one per point
+        got = fld.grad(x, t)
+        assert got.shape == x.shape
+        fd = np.stack([(fld(x + h * e, t) - fld(x - h * e, t)) / (2.0 * h) for e in np.eye(dim)],
+                      axis=-1)
+        if family == "constant":
+            assert np.array_equal(got, np.zeros_like(x))
+        else:
+            assert np.abs(got - fd).max() < 1e-7
 
 
 def test_nonfinite_field_is_configuration_error():

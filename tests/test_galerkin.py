@@ -579,31 +579,56 @@ def test_failed_step_recovers_by_halving_within_retry_cap():
 
 
 def test_manufactured_source_consistency():
-    # formula check against a finite-difference divergence of the flux field
+    # formula check against a finite-difference divergence of the flux field:
+    # constant a, b and q, then an affine p moving in time and a sinusoidal a
+    dim = 2
+    p_moving = {"family": "affine", "base": 1.9, "slope": [0.05, -0.03], "tslope": 0.5}
+    a_wave = {"family": "sinusoidal", "base": 0.6, "amp": 0.1, "wave": [1.0, 2.0],
+              "phase": 0.3, "tfreq": 2.0}
+    for p, a in (({"family": "affine", "base": 1.9, "slope": [0.05, 0.0]}, 0.5), (p_moving, a_wave)):
+        data = ExponentData(
+            dim=dim, horizon=0.1, p=make_field(p, dim), q=make_field(2.05, dim),
+            a=make_field(a, dim), b=make_field(0.5, dim), alpha=0.9,
+            lipschitz_probe_resolution=9, time_probe_resolution=3)
+        eps, t, rate = 0.3, 0.04, 1.0
+        f = manufactured_source(data, eps, mode=(1, 1), amplitude=1.0, rate=rate)
+        mode11 = build_basis(2, 1)  # the single mode (1, 1)
+
+        def flux_field(x):
+            decay = math.exp(-rate * t)
+            grad = mode11.gradients(x)[..., 0]
+            return flux.vector_kernel(*data.sample(x, t), decay * grad, eps)
+
+        rng = np.random.default_rng(23)
+        pts = rng.uniform(0.1, 0.9, size=(8, 2))
+        h = 1e-5
+        div_fd = np.zeros(len(pts))
+        for d in range(2):
+            e = np.zeros(2); e[d] = h
+            div_fd += (flux_field(pts + e)[:, d] - flux_field(pts - e)[:, d]) / (2 * h)
+        decay = math.exp(-rate * t)
+        val = mode11.values(pts)[:, 0]
+        expect_f = -rate * decay * val - div_fd
+        assert np.abs(f(pts, t) - expect_f).max() < 1e-6
+
+
+def test_manufactured_source_memo_cannot_go_stale():
+    # the source keeps the mode's factors of the last point set; a new set, or
+    # the same array changed in place, must not see them
     dim = 2
     data = ExponentData(
         dim=dim, horizon=0.1,
-        p=make_field({"family": "affine", "base": 1.9, "slope": [0.05, 0.0]}, dim),
+        p=make_field({"family": "affine", "base": 1.9, "slope": [0.05, 0.0], "tslope": 0.5}, dim),
         q=make_field(2.05, dim),
-        a=make_field(0.5, dim), b=make_field(0.5, dim), alpha=0.9,
-        lipschitz_probe_resolution=9, time_probe_resolution=3)
-    eps, t, rate = 0.3, 0.04, 1.0
-    f = manufactured_source(data, eps, mode=(1, 1), amplitude=1.0, rate=rate)
-    mode11 = build_basis(2, 1)  # the single mode (1, 1)
-
-    def flux_field(x):
-        decay = math.exp(-rate * t)
-        grad = mode11.gradients(x)[..., 0]
-        return flux.vector_kernel(*data.sample(x, t), decay * grad, eps)
-
-    rng = np.random.default_rng(23)
-    pts = rng.uniform(0.1, 0.9, size=(8, 2))
-    h = 1e-5
-    div_fd = np.zeros(len(pts))
-    for d in range(2):
-        e = np.zeros(2); e[d] = h
-        div_fd += (flux_field(pts + e)[:, d] - flux_field(pts - e)[:, d]) / (2 * h)
-    decay = math.exp(-rate * t)
-    val = mode11.values(pts)[:, 0]
-    expect_f = -rate * decay * val - div_fd
-    assert np.abs(f(pts, t) - expect_f).max() < 1e-6
+        a=make_field({"family": "sinusoidal", "base": 0.6, "amp": 0.1}, dim),
+        b=make_field(0.5, dim), alpha=0.9)
+    args = (data, 0.05, (1, 2), 1.3, 0.7)
+    f = manufactured_source(*args)
+    rng = np.random.default_rng(41)
+    x, y = rng.uniform(size=(30, dim)), rng.uniform(size=(20, dim))
+    for pts, t in ((x, 0.02), (x, 0.05), (y, 0.05), (x, 0.06)):
+        assert np.array_equal(f(pts, t), manufactured_source(*args)(pts, t))
+    x[3, 1] += 0.25  # the same object and shape as the last call, new values
+    assert np.array_equal(f(x, 0.07), manufactured_source(*args)(x, 0.07))
+    with pytest.raises(NotImplementedError, match="manufactured"):
+        f.grad(x, 0.0)  # f itself has no closed-form gradient

@@ -61,6 +61,8 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
                ("one", small_heat_raw(seed="one")),
                ("horizn", small_heat_raw(horizn=0.02)),
                ("fields key", small_heat_raw(fields=fields | {"c": 1.0})),
+               ("slop", small_heat_raw(fields=fields | {"p": {"family": "affine", "base": 1.9,
+                                                                "slop": [0.2, 0.0]}})),
                ("snapshot", small_heat_raw(output={"snapshot": [0.0]})),
                ("fine", small_heat_raw(output={"snapshots": [0.0], "snapshot_resolution": "fine"})),
                ("end", small_heat_raw(output={"snapshots": [0.0, "end"]})),
@@ -201,9 +203,11 @@ def test_solver_failure_after_two_steps_writes_partial_timeseries(tmp_path, monk
                                   {"eps": [1.0e-2], "stability": {"pair": 2}},
                                   {"eps": [1.0e-2], "cauchy_tolerance": "loose"},
                                   {"eps": [1.0e-2], "ceilings": {"final_distance": "tiny"}},
-                                  {"eps": [1.0e-2], "stability": {"base_delta": "big"}}])
+                                  {"eps": [1.0e-2], "stability": {"base_delta": "big"}},
+                                  {"eps": []}, {"m_per_dim": []}])
 def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
-    # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards;
+    # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards, and
+    # an empty axis would run no member and read as a pass;
     # every member's solver, the stability counts, and every sweep key and
     # value are checked at load too
     cfgfile = write_config(tmp_path, small_heat_raw(sweep=axes))
@@ -421,6 +425,8 @@ def test_pickled_data_carry_their_report_and_sums_refuse_to_unpickle(tmp_path, m
     total = runner._field_sum(config.initial, config.initial)
     with pytest.raises(ConfigurationError, match="sum"):
         pickle.loads(pickle.dumps(total))
+    with pytest.raises(NotImplementedError, match="sum"):
+        total.grad(np.full((1, 2), 0.5), 0.0)  # nor does it have a closed-form gradient
 
 
 def test_m_sweep_on_heat_has_zero_distances(tmp_path):
