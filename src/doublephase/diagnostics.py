@@ -392,7 +392,10 @@ def eps_continuation_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_f
     eps_seq = list(eps_seq)
     if any(e2 >= e1 for e1, e2 in zip(eps_seq, eps_seq[1:])):
         raise ValueError("eps sequence must be strictly decreasing")
-    trajs = [solve(replace(cfg, eps=e), data, u0, f_field) for e in eps_seq]
+    trajs, guess = [], None
+    for e in eps_seq:  # each member warm-started from the one before it
+        trajs.append(solve(replace(cfg, eps=e), data, u0, f_field, guess))
+        guess = trajs[-1].coeffs
     return _gradient_cauchy(data, trajs[-1].spacetime_grid(),
                             [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
                             [f"eps={e:g}" for e in eps_seq], tolerance)

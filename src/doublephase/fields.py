@@ -161,6 +161,8 @@ def make_field(spec, dim: int) -> Field:
         center = np.asarray(need("center", [0.5] * dim), dtype=float)
         width = float(need("width", 0.15))
         tdecay = float(need("tdecay", 0.0))
+        if center.shape != (dim,):
+            raise ConfigurationError(f"bump center must have length {dim}")
         if width <= 0:
             raise ConfigurationError("bump width must be positive")
         bump = lambda x, t: amp * np.exp(

@@ -251,8 +251,12 @@ class SolverConfig:
         if self.tau <= 0:
             raise ValueError("time step must be positive")
         if self.eps <= 0:
-            raise ValueError("the implicit solver needs eps > 0; the degenerate "
-                             "limit is approached along a decreasing eps sequence")
+            raise ValueError("the implicit solver needs eps > 0; the degenerate limit is reached "
+                             "by continuation, each member warm-started from its coarser neighbour")
+
+    def newton_tolerance(self, coeffs) -> np.ndarray:
+        """newton_tol * (1 + ||v||) per row v; Newton acceptance and its exact check share it."""
+        return self.newton_tol * (1.0 + np.linalg.norm(coeffs, axis=-1))
 
     @property
     def resolved_quad_order(self) -> int:
@@ -339,12 +343,14 @@ class StepStats:
 
 
 def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentData,
-                  f_field: Field, cfg: SolverConfig, ws: Workspace) -> tuple[SpectralState, StepStats]:
+                  f_field: Field, cfg: SolverConfig, ws: Workspace,
+                  start=None) -> tuple[SpectralState, StepStats]:
     """One damped-Newton implicit Euler step from state.t to state.t + tau.
 
     Solves V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
     functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v).
-    Damping halves the Newton step until the residual decreases.
+    Newton starts from `start` (default U) and accepts the first iterate v within
+    `cfg.newton_tolerance(v)`.  Damping halves the step until the residual decreases.
     """
     t1 = state.t + tau
     u = state.coeffs
@@ -355,13 +361,12 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
         rhs, grad_v, fvec = ws.rhs(v, fields, eps, f_vec)
         return v - u - tau * rhs, grad_v, fvec
 
-    tol = cfg.newton_tol * (1.0 + np.linalg.norm(u))
-    v = u.copy()
+    v = (u if start is None else start).copy()
     res, grad_v, fvec = residual(v)
     norm_res = np.linalg.norm(res)
     trace = [norm_res]
     for it in range(cfg.newton_max_iter):
-        if norm_res <= tol:
+        if norm_res <= cfg.newton_tolerance(v):
             break
         jac_flux = flux.jacobian_kernel(*fields, grad_v, eps)
         # I plus a weighted Gram form of the PSD flux Jacobian: positive
@@ -450,43 +455,44 @@ class Trajectory:
         return self.grid.with_time(self.times)
 
 
-def _advance(s, dt, depth, data, f_field, cfg, ws):
-    """One implicit step of dt, retried on two halved substeps on failure.
+def _advance(s, dt, depth, data, f_field, cfg, ws, start=None):
+    """One implicit step of dt from Newton start `start`, retried on two halved substeps on failure.
 
     A module function, not a closure in `solve`: a self-referencing closure
     is a reference cycle that keeps the Workspace alive until the cyclic
     garbage collector runs.
     """
     try:
-        new, st = step_implicit(s, dt, cfg.eps, data, f_field, cfg, ws)
+        new, st = step_implicit(s, dt, cfg.eps, data, f_field, cfg, ws, start)
     except StepFailure:
         if depth >= cfg.tau_retry_cap:
             raise
         half, st1 = _advance(s, dt / 2.0, depth + 1, data, f_field, cfg, ws)
         full, st2 = _advance(half, dt / 2.0, depth + 1, data, f_field, cfg, ws)
-        merged = StepStats(
-            newton_iters=st1.newton_iters + st2.newton_iters,
-            residual_norm=max(st1.residual_norm, st2.residual_norm),
-            energy_slack=st1.energy_slack + st2.energy_slack,
-            ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
-        return full, merged
+        return full, StepStats(st1.newton_iters + st2.newton_iters,
+                               max(st1.residual_norm, st2.residual_norm),
+                               st1.energy_slack + st2.energy_slack,
+                               st1.ut_sq_increment + st2.ut_sq_increment)
     return new, st
 
 
-def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field) -> Trajectory:
+def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, guess=None) -> Trajectory:
     """March the implicit scheme over [0, T] and record the trajectory.
 
     Raises ValidationError when the data fail their (cached) validation.
     Deterministic for a fixed configuration.  A failed step is retried on
     halved substeps up to cfg.tau_retry_cap splittings; a step that still
     fails aborts the solve with the partial trajectory attached.
+    `guess`, the (K+1, m) coefficients of a neighbour on the same basis and
+    time grid, starts step k's Newton from guess[k+1] + (u_k - guess[k]).
     """
     data.report.raise_if_failed()
     basis = build_basis(data.dim, cfg.m_per_dim)
+    n_steps = max(1, int(round(data.horizon / cfg.tau)))
+    if guess is not None and np.shape(guess) != (n_steps + 1, basis.size):
+        raise ValueError(f"guess shape {np.shape(guess)} is not {(n_steps + 1, basis.size)}")
     grid = tensor_gauss_legendre(data.dim, cfg.resolved_quad_order)
     ws = Workspace(basis, grid)
-
-    n_steps = max(1, int(round(data.horizon / cfg.tau)))
     tau = data.horizon / n_steps
     state = ws.project(u0)
 
@@ -496,8 +502,9 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field) -> T
     running_ut = 0.0
 
     for k in range(n_steps):
+        start = None if guess is None else guess[k + 1] + (state.coeffs - guess[k])
         try:
-            state, st = _advance(state, tau, 0, data, f_field, cfg, ws)
+            state, st = _advance(state, tau, 0, data, f_field, cfg, ws, start)
         except StepFailure as exc:
             raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
                               _trajectory(head, rows)) from exc
@@ -541,6 +548,8 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
     mode = tuple(int(m) for m in mode)
     single = mode_basis([mode], len(mode))
     memo = [None, None]  # (shape, bytes) of the last point set, and its factors
+    varying = [None if fld.descriptor.get("family") == "constant" else fld
+               for fld in (data.a, data.b, data.p, data.q)]
 
     def fn(x, t):
         key = (x.shape, x.tobytes())
@@ -549,18 +558,20 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
         phi, gphi, gsq, lap, ghg = memo[1]
         decay = amplitude * np.exp(-rate * t)
         a, b, p, q = (fld(x, t) for fld in (data.a, data.b, data.p, data.q))
-        # grad phi . grad of a, b, p and q
-        da, db, dp, dq = (sum(gphi[:, d] * g[:, d] for d in range(x.shape[1]))
-                          for g in (fld.grad(x, t) for fld in (data.a, data.b, data.p, data.q)))
+        # grad phi . grad of a, b, p and q; None for a constant field, whose terms are zeros
+        da, db, dp, dq = (None if g is None else sum(gphi[:, d] * g[:, d] for d in range(x.shape[1]))
+                          for g in (None if fld is None else fld.grad(x, t) for fld in varying))
         beta = eps * eps + decay * decay * gsq
         log_beta = np.log(beta)
         ta = flux.powf(beta, (p - 2.0) / 2.0)
         tb = flux.powf(beta, (q - 2.0) / 2.0)
         a_ta, b_tb = a * ta, b * tb
         # div(dens grad u) = dens lap u + grad dens . grad u, with grad u = decay grad phi
-        # and grad beta . grad u = 2 decay^3 ghg
-        div_flux = (decay * ((a_ta + b_tb) * lap + ta * da + tb * db
-                             + 0.5 * log_beta * (a_ta * dp + b_tb * dq))
+        # and grad beta . grad u = 2 decay^3 ghg; the terms add in the order of the full formula
+        inner = sum((c * g for c, g in ((ta, da), (tb, db)) if g is not None), (a_ta + b_tb) * lap)
+        expo = [c * g for c, g in ((a_ta, dp), (b_tb, dq)) if g is not None]
+        inner = inner + 0.5 * log_beta * sum(expo[1:], expo[0]) if expo else inner
+        div_flux = (decay * inner
                     + decay ** 3 * ghg / beta * (a_ta * (p - 2.0) + b_tb * (q - 2.0)))
         return -rate * decay * phi - div_flux
 

@@ -289,11 +289,11 @@ def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict
             "grad_sq_mean_max": gsq, "grad_finite": bool(np.isfinite(gsq))}
 
 
-def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajectory]]:
+def perform_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Optional[Trajectory]]:
     """Execute one scenario run; returns (exit_code, manifest, trajectory).
 
     Exit codes: 0 all assertions passed, 1 validation failure, 2 assertion
-    failure, 3 solver failure.
+    failure, 3 solver failure.  `guess` warm-starts the solve.
     """
     t0 = time.perf_counter()
     # data that cannot even be probed raise ConfigurationError here, before
@@ -316,7 +316,7 @@ def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajecto
 
     t1 = time.perf_counter()
     try:
-        traj = solve(config.solver, config.data, config.initial, f_field)
+        traj = solve(config.solver, config.data, config.initial, f_field, guess)
     except SolverError as exc:
         manifest["failure"] = str(exc)
         partial = exc.partial
@@ -375,8 +375,8 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
                         float(np.diff(series.ut_sq_accum).min(initial=0.0)), 0.0,
                         "accumulated ||u_t||^2 must be nondecreasing"))
 
-    newton_ok = bool(np.all(traj.newton_residual <= traj.cfg.newton_tol
-                            * (1.0 + np.linalg.norm(traj.coeffs, axis=1)) + 1e-30))
+    newton_ok = bool(np.all(traj.newton_residual
+                            <= traj.cfg.newton_tolerance(traj.coeffs) + 1e-30))
     checks.append(Check("galerkin_orthogonality", "exact", newton_ok,
                         float(traj.newton_residual.max()), traj.cfg.newton_tol,
                         "accepted-step residual against every basis function"))
@@ -469,14 +469,24 @@ def _member_entry(kind, label, value, passed=None):
             "passed": ("" if passed is None else bool(passed))}
 
 
-def _run_member(member: RunConfig, outdir: str):
-    """Worker entry: one member run, reduced to what the sweep reads."""
-    code, manifest, traj = perform_run(member, outdir)
+def _run_member(member: RunConfig, outdir: str, guess=None):
+    """One member run, reduced to what the sweep reads."""
+    code, manifest, traj = perform_run(member, outdir, guess)
     return {"name": member.name, "code": code,
             "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
             "grid": None if traj is None else traj.spacetime_grid(),
             "summary": manifest.get("summary", {}),
             "checks": manifest.get("checks", [])}
+
+
+def _run_row(members: list, outdirs: list) -> list:
+    """Worker entry: one m row in eps order, each member warm-started from the
+    member before it, or cold when that one returned no trajectory."""
+    results = []
+    for member, outdir in zip(members, outdirs):
+        prev = results[-1]["member"] if results else None
+        results.append(_run_member(member, outdir, None if prev is None else prev[1]))
+    return results
 
 
 def replace_config(config: RunConfig, **kw) -> RunConfig:
@@ -500,12 +510,12 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     """Run the configured sweep and write member artifacts plus the summary.
 
     Sweep axes: an eps list and an m list form a cross product of members;
-    per m-row the eps sequence feeds the vanishing-regularization Cauchy
-    study, and at the finest eps the m list feeds the basis-refinement
-    study.  A stability block adds perturbed-pair Gronwall experiments, run
-    in the same worker pool as the members.  Member failures are recorded
-    and the sweep continues; the exit status reflects the worst member, and
-    a failed stability solve drops the block's rows and exits 3.
+    each m row is one job that solves its eps list by continuation and feeds
+    the vanishing-regularization Cauchy study, and at the finest eps the m
+    list feeds the basis-refinement study.  A stability block adds Gronwall
+    experiments, run in the same worker pool as the rows.  Member failures
+    are recorded and the sweep continues; the exit status reflects the worst
+    member, and a failed stability solve drops the block's rows and exits 3.
     """
     # members are built here and share config.data, so the data validate
     # once, and data that cannot be probed leave no output directory
@@ -514,9 +524,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[dict] = []
-    worst = 0
 
-    outdirs = [str(outdir / member.name) for member in members.values()]
+    rows = [[members[(m, e)] for e in eps_list] for m in m_list]
+    row_dirs = [[str(outdir / member.name) for member in row] for row in rows]
     # stability block; on invalid data the members already exit 1
     jobs = _stability_jobs(config, stab) if stab and report.passed else []
 
@@ -528,16 +538,16 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         chunks = [[jobs[i] for i in idx]
                   for idx in np.array_split(np.arange(len(jobs)), config.workers) if len(idx)]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = pool.map(_run_member, members.values(), outdirs)
+            results = pool.map(_run_row, rows, row_dirs)
             outcomes = pool.map(_stability_chunk, [config] * len(chunks), chunks)
             results, outcomes = list(results), list(outcomes)
     else:
-        results = list(map(_run_member, members.values(), outdirs))
+        results = list(map(_run_row, rows, row_dirs))
         outcomes = [_stability_chunk(config, jobs)] if jobs else []
+    results = [res for row in results for res in row]  # in `members` order
 
     by_key = dict(zip(members, results))
     for res in results:
-        worst = max(worst, res["code"])
         summary_rows.append(_member_entry("member_exit", res["name"], res["code"],
                                           res["code"] == 0))
         for s, v in (res["summary"].get("higher_integrability") or {}).items():
@@ -623,6 +633,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
                 "config": config.raw}
     if failures:
         manifest["failure"] = failures[0]
+    worst = max(res["code"] for res in results)
     code = 3 if failures else worst if worst else (0 if all(c.passed for c in checks) else 2)
     _write_manifest(outdir, manifest, exit_code=code)
     return code, manifest

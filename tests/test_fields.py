@@ -149,6 +149,9 @@ def test_field_families_and_errors():
         make_field({"family": "affine", "base": 1.0, "slope": [1.0]}, dim)
     with pytest.raises(ConfigurationError, match="slop"):  # a key its family does not list
         make_field({"family": "affine", "base": 1.9, "slop": [0.2, 0.0]}, dim)
+    for center in ([0.2], [0.2, 0.3, 0.4]):  # would broadcast, or fail only when evaluated
+        with pytest.raises(ConfigurationError, match="center"):
+            make_field({"family": "bump", "amp": 1.0, "center": center}, dim)
     with pytest.raises(ConfigurationError):
         ExponentData(dim=3, horizon=0.1, p=make_field(2.0, 3), q=make_field(2.0, 3),
                      a=make_field(0.5, 3), b=make_field(0.5, 3), alpha=0.9)

@@ -511,6 +511,51 @@ def test_galerkin_orthogonality_at_accepted_steps():
     assert np.all(traj.newton_residual <= tol)
 
 
+def test_warm_started_solve_matches_cold_solve_in_fewer_iterations():
+    # the sweep's continuation: eps2 started from the eps1 trajectory
+    data = data_const(p=1.9, q=2.1, a=0.4, b=0.6)
+    cfg = SolverConfig(m_per_dim=4, eps=1e-1, tau=2.5e-3)
+    u0 = mode_field([[1, 1, 0.8], [2, 1, 0.2]])
+    coarse = solve(cfg, data, u0, ZERO2)
+    cold = solve(replace(cfg, eps=1e-2), data, u0, ZERO2)
+    warm = solve(replace(cfg, eps=1e-2), data, u0, ZERO2, coarse.coeffs)
+    assert np.abs(warm.coeffs - cold.coeffs).max() < 1e-9
+    assert warm.newton_iters.sum() < cold.newton_iters.sum()
+
+
+def test_solve_refuses_a_guess_of_the_wrong_shape():
+    data = data_const()
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)  # 10 steps, 4 modes
+    for shape in [(10, 4), (11, 3), (44,)]:
+        with pytest.raises(ValueError, match="guess"):
+            solve(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2, np.zeros(shape))
+
+
+def test_newton_accepts_against_the_iterate_it_returns():
+    # a start whose residual lies between tol(1 + |start|) and tol(1 + |u|) is
+    # not accepted: the step iterates, and its residual meets the bound of
+    # the galerkin_orthogonality check on the state it returns
+    data = data_const(p=1.9, q=2.1, a=0.4, b=0.6)
+    cfg = SolverConfig(m_per_dim=3, eps=5e-2, tau=2e-2)
+    basis = build_basis(2, cfg.m_per_dim)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    u = np.zeros(basis.size); u[0] = 10.0
+    state = SpectralState(t=0.0, coeffs=u, basis=basis)
+    exact = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)[0].coeffs
+    fields, f_vec = data.sample(ws.x, cfg.tau), ws.source_vector(ZERO2, cfg.tau)
+
+    def residual_norm(v):
+        return np.linalg.norm(v - u - cfg.tau * ws.rhs(v, fields, cfg.eps, f_vec)[0])
+
+    d = 1e-8 * np.random.default_rng(5).normal(size=basis.size)  # small: the residual is linear
+    lo, hi = cfg.newton_tolerance(exact), cfg.newton_tolerance(u)
+    start = exact + 0.5 * (lo + hi) / residual_norm(exact + d) * d
+    assert cfg.newton_tolerance(start) < residual_norm(start) < hi
+    new, stats = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws, start)
+    assert stats.newton_iters >= 1
+    assert stats.residual_norm <= cfg.newton_tolerance(new.coeffs)
+
+
 def test_m_refinement_cauchy_decreasing():
     # the sweep's basis-refinement study: solve each m, then the gradient
     # Cauchy distances of consecutive members

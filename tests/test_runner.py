@@ -282,14 +282,37 @@ def test_sweep_outputs_byte_identical_for_any_worker_count(tmp_path):
     raw["horizon"] = 0.01
     config = runner.load_config(write_config(tmp_path, raw))
     outputs = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):  # 3: more workers than m rows
         out = tmp_path / f"workers{workers}"
         code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers), out)
         assert code == 0
         outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
     assert Path("sweep_summary.csv") in outputs[0]
     assert len([p for p in outputs[0] if p.name == "timeseries.csv"]) == 4
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_sweep_row_warm_starts_each_member_from_the_one_before(tmp_path, monkeypatch):
+    # rows m = 3 and 4 over three eps; the first solve fails (exit 3), so the
+    # second member of its row solves cold
+    solve, guesses, trajs = runner.solve, [], []
+
+    def recording_solve(cfg, data, u0, f_field, guess=None):
+        guesses.append(guess)
+        if len(guesses) == 1:
+            raise galerkin.SolverError("forced failure")
+        trajs.append(solve(cfg, data, u0, f_field, guess))
+        return trajs[-1]
+
+    monkeypatch.setattr(runner, "solve", recording_solve)
+    raw = small_heat_raw(sweep={"eps": [1.0e-1, 1.0e-2, 1.0e-3], "m_per_dim": [3, 4]})
+    raw["horizon"] = 0.01
+    code, manifest = runner.perform_sweep(runner.load_config(write_config(tmp_path, raw)),
+                                          tmp_path / "sweep")
+    assert code == 3 and [m["exit"] for m in manifest["members"]] == [3, 0, 0, 0, 0, 0]
+    assert [g is None for g in guesses] == [True, True, False, True, False, False]
+    for k, prev in ((2, 0), (4, 2), (5, 3)):  # each warm guess is the previous member's coeffs
+        assert guesses[k] is trajs[prev].coeffs
 
 
 def small_stability_raw(**solver):
