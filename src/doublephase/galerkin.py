@@ -255,7 +255,7 @@ class SolverConfig:
                              "by continuation, each member warm-started from its coarser neighbour")
 
     def newton_tolerance(self, coeffs) -> np.ndarray:
-        """newton_tol * (1 + ||v||) per row v; Newton acceptance and its exact check share it."""
+        """newton_tol * (1 + ||v||) per row v: the bound Newton accepts an iterate v against."""
         return self.newton_tol * (1.0 + np.linalg.norm(coeffs, axis=-1))
 
     @property
@@ -338,6 +338,7 @@ class Workspace:
 class StepStats:
     newton_iters: int
     residual_norm: float
+    residual_bound: float  # the Newton tolerance the residual was accepted against
     energy_slack: float
     ut_sq_increment: float  # tau * ||(U' - U)/tau||^2
 
@@ -395,7 +396,8 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     source_work = float(f_vec @ v)
     slack = (v @ v - u @ u) / (2.0 * tau) + flux_energy - source_work
     stats = StepStats(newton_iters=len(trace) - 1, residual_norm=norm_res,
-                      energy_slack=slack, ut_sq_increment=float((v - u) @ (v - u)) / tau)
+                      residual_bound=cfg.newton_tolerance(v), energy_slack=slack,
+                      ut_sq_increment=float((v - u) @ (v - u)) / tau)
     return SpectralState(t=t1, coeffs=v, basis=state.basis), stats
 
 
@@ -414,6 +416,7 @@ class Trajectory:
     ut_sq_accum: np.ndarray       # (K+1,) running sum of tau*||u_t||^2
     newton_iters: np.ndarray
     newton_residual: np.ndarray
+    newton_bound: np.ndarray      # the tolerance each newton_residual was accepted against
     energy_slack: np.ndarray      # per-checkpoint proximal inequality slack
 
     @property
@@ -469,10 +472,15 @@ def _advance(s, dt, depth, data, f_field, cfg, ws, start=None):
             raise
         half, st1 = _advance(s, dt / 2.0, depth + 1, data, f_field, cfg, ws)
         full, st2 = _advance(half, dt / 2.0, depth + 1, data, f_field, cfg, ws)
-        return full, StepStats(st1.newton_iters + st2.newton_iters,
-                               max(st1.residual_norm, st2.residual_norm),
-                               st1.energy_slack + st2.energy_slack,
-                               st1.ut_sq_increment + st2.ut_sq_increment)
+        # the larger substep residual, with the bound of the substep state it was accepted at
+        worse = max(st1, st2, key=lambda st: st.residual_norm)
+        merged = StepStats(
+            newton_iters=st1.newton_iters + st2.newton_iters,
+            residual_norm=worse.residual_norm,
+            residual_bound=worse.residual_bound,
+            energy_slack=st1.energy_slack + st2.energy_slack,
+            ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
+        return full, merged
     return new, st
 
 
@@ -497,7 +505,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
     state = ws.project(u0)
 
     # the initial row, then one per step: the trailing Trajectory fields, times to energy_slack
-    rows = [(0.0, state.coeffs.copy(), 0.0, 0, 0.0, 0.0)]
+    rows = [(0.0, state.coeffs.copy(), 0.0, 0, 0.0, 0.0, 0.0)]
     head = (data, u0, f_field, cfg, basis, grid)
     running_ut = 0.0
 
@@ -510,7 +518,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
                               _trajectory(head, rows)) from exc
         running_ut += st.ut_sq_increment
         rows.append((state.t, state.coeffs.copy(), running_ut, st.newton_iters,
-                     st.residual_norm, st.energy_slack))
+                     st.residual_norm, st.residual_bound, st.energy_slack))
     return _trajectory(head, rows)
 
 
@@ -548,8 +556,6 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
     mode = tuple(int(m) for m in mode)
     single = mode_basis([mode], len(mode))
     memo = [None, None]  # (shape, bytes) of the last point set, and its factors
-    varying = [None if fld.descriptor.get("family") == "constant" else fld
-               for fld in (data.a, data.b, data.p, data.q)]
 
     def fn(x, t):
         key = (x.shape, x.tobytes())
@@ -558,20 +564,18 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
         phi, gphi, gsq, lap, ghg = memo[1]
         decay = amplitude * np.exp(-rate * t)
         a, b, p, q = (fld(x, t) for fld in (data.a, data.b, data.p, data.q))
-        # grad phi . grad of a, b, p and q; None for a constant field, whose terms are zeros
-        da, db, dp, dq = (None if g is None else sum(gphi[:, d] * g[:, d] for d in range(x.shape[1]))
-                          for g in (None if fld is None else fld.grad(x, t) for fld in varying))
+        # grad phi . grad of a, b, p and q
+        da, db, dp, dq = (sum(gphi[:, d] * g[:, d] for d in range(x.shape[1]))
+                          for g in (fld.grad(x, t) for fld in (data.a, data.b, data.p, data.q)))
         beta = eps * eps + decay * decay * gsq
         log_beta = np.log(beta)
         ta = flux.powf(beta, (p - 2.0) / 2.0)
         tb = flux.powf(beta, (q - 2.0) / 2.0)
         a_ta, b_tb = a * ta, b * tb
         # div(dens grad u) = dens lap u + grad dens . grad u, with grad u = decay grad phi
-        # and grad beta . grad u = 2 decay^3 ghg; the terms add in the order of the full formula
-        inner = sum((c * g for c, g in ((ta, da), (tb, db)) if g is not None), (a_ta + b_tb) * lap)
-        expo = [c * g for c, g in ((a_ta, dp), (b_tb, dq)) if g is not None]
-        inner = inner + 0.5 * log_beta * sum(expo[1:], expo[0]) if expo else inner
-        div_flux = (decay * inner
+        # and grad beta . grad u = 2 decay^3 ghg
+        div_flux = (decay * ((a_ta + b_tb) * lap + ta * da + tb * db
+                             + 0.5 * log_beta * (a_ta * dp + b_tb * dq))
                     + decay ** 3 * ghg / beta * (a_ta * (p - 2.0) + b_tb * (q - 2.0)))
         return -rate * decay * phi - div_flux
 

@@ -289,12 +289,18 @@ def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict
             "grad_sq_mean_max": gsq, "grad_finite": bool(np.isfinite(gsq))}
 
 
-def perform_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Optional[Trajectory]]:
+def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajectory]]:
     """Execute one scenario run; returns (exit_code, manifest, trajectory).
 
     Exit codes: 0 all assertions passed, 1 validation failure, 2 assertion
-    failure, 3 solver failure.  `guess` warm-starts the solve.
+    failure, 3 solver failure.
     """
+    return _finish_run(config, outdir, *_start_run(config, outdir))
+
+
+def _start_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Optional[Trajectory]]:
+    """Validate and solve, warm-started from `guess`; returns (exit_code, manifest,
+    trajectory), where a failed run has written its manifest and has no trajectory."""
     t0 = time.perf_counter()
     # data that cannot even be probed raise ConfigurationError here, before
     # the output directory exists
@@ -325,7 +331,15 @@ def perform_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Optio
         _write_manifest(outdir, manifest, exit_code=3)
         return 3, manifest, None
     manifest["timings"]["solve"] = time.perf_counter() - t1
+    return 0, manifest, traj
 
+
+def _finish_run(config: RunConfig, outdir, code: int, manifest: dict,
+                traj: Optional[Trajectory]) -> tuple[int, dict, Optional[Trajectory]]:
+    """Run the diagnostics of a started run and write its artifacts."""
+    if traj is None:
+        return code, manifest, None
+    outdir = Path(outdir)
     t2 = time.perf_counter()
     checks, series, extras = run_diagnostics(traj, config)
     manifest["timings"]["diagnostics"] = time.perf_counter() - t2
@@ -375,8 +389,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
                         float(np.diff(series.ut_sq_accum).min(initial=0.0)), 0.0,
                         "accumulated ||u_t||^2 must be nondecreasing"))
 
-    newton_ok = bool(np.all(traj.newton_residual
-                            <= traj.cfg.newton_tolerance(traj.coeffs) + 1e-30))
+    newton_ok = bool(np.all(traj.newton_residual <= traj.newton_bound + 1e-30))
     checks.append(Check("galerkin_orthogonality", "exact", newton_ok,
                         float(traj.newton_residual.max()), traj.cfg.newton_tol,
                         "accepted-step residual against every basis function"))
@@ -469,9 +482,9 @@ def _member_entry(kind, label, value, passed=None):
             "passed": ("" if passed is None else bool(passed))}
 
 
-def _run_member(member: RunConfig, outdir: str, guess=None):
-    """One member run, reduced to what the sweep reads."""
-    code, manifest, traj = perform_run(member, outdir, guess)
+def _finish_member(member: RunConfig, outdir: str, started: tuple):
+    """Worker entry: finish one started member run, reduced to what the sweep reads."""
+    code, manifest, traj = _finish_run(member, outdir, *started)
     return {"name": member.name, "code": code,
             "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
             "grid": None if traj is None else traj.spacetime_grid(),
@@ -479,14 +492,35 @@ def _run_member(member: RunConfig, outdir: str, guess=None):
             "checks": manifest.get("checks", [])}
 
 
-def _run_row(members: list, outdirs: list) -> list:
-    """Worker entry: one m row in eps order, each member warm-started from the
-    member before it, or cold when that one returned no trajectory."""
-    results = []
-    for member, outdir in zip(members, outdirs):
-        prev = results[-1]["member"] if results else None
-        results.append(_run_member(member, outdir, None if prev is None else prev[1]))
-    return results
+def _run_jobs(submit, config: RunConfig, chunks: list, rows: list, row_dirs: list):
+    """Run the members and the stability chunks through `submit` (a pool's, or
+    `_now`); returns the member results in row order and the chunk outcomes.
+
+    A member's solve is submitted once the member before it in its row is
+    solved, warm-started from it (cold when that one has no trajectory), and
+    its diagnostics once it is solved itself, so they overlap later solves.
+    The chunks go in after the rows' first solves.
+    """
+    starting = [submit(_start_run, row[0], dirs[0]) for row, dirs in zip(rows, row_dirs)]
+    outcomes = [submit(_stability_chunk, config, chunk) for chunk in chunks]
+    finishing = [[] for _ in rows]
+    for i in range(len(rows[0])):
+        for r, (row, dirs) in enumerate(zip(rows, row_dirs)):
+            started = starting[r].result()  # (exit code, manifest, trajectory or None)
+            if i + 1 < len(row):
+                guess = None if started[2] is None else started[2].coeffs
+                starting[r] = submit(_start_run, row[i + 1], dirs[i + 1], guess)
+            finishing[r].append(submit(_finish_member, row[i], dirs[i], started))
+    return [job.result() for row in finishing for job in row], [job.result() for job in outcomes]
+
+
+def _now(fn, *args):
+    """The serial sweep's `submit`: run the job at once and return its finished future."""
+    from concurrent.futures import Future
+
+    future = Future()
+    future.set_result(fn(*args))
+    return future
 
 
 def replace_config(config: RunConfig, **kw) -> RunConfig:
@@ -510,11 +544,12 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     """Run the configured sweep and write member artifacts plus the summary.
 
     Sweep axes: an eps list and an m list form a cross product of members;
-    each m row is one job that solves its eps list by continuation and feeds
-    the vanishing-regularization Cauchy study, and at the finest eps the m
-    list feeds the basis-refinement study.  A stability block adds Gronwall
-    experiments, run in the same worker pool as the rows.  Member failures
-    are recorded and the sweep continues; the exit status reflects the worst
+    each m row solves its eps list by continuation and feeds the
+    vanishing-regularization Cauchy study, and at the finest eps the m list
+    feeds the basis-refinement study.  A pool runs each member's solve and
+    its diagnostics as two jobs (`_run_jobs`).  A stability block adds
+    Gronwall experiments, run in the same pool.  Member failures are
+    recorded and the sweep continues; the exit status reflects the worst
     member, and a failed stability solve drops the block's rows and exits 3.
     """
     # members are built here and share config.data, so the data validate
@@ -524,30 +559,28 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[dict] = []
+    worst = 0
 
     rows = [[members[(m, e)] for e in eps_list] for m in m_list]
     row_dirs = [[str(outdir / member.name) for member in row] for row in rows]
     # stability block; on invalid data the members already exit 1
     jobs = _stability_jobs(config, stab) if stab and report.passed else []
+    # one contiguous chunk of stability jobs per worker, each solving its own base
+    chunks = [[jobs[i] for i in idx]
+              for idx in np.array_split(np.arange(len(jobs)), config.workers) if len(idx)]
 
     if config.workers > 1:
         # imported here: a serial run never loads the process-pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        # one contiguous chunk of stability jobs per worker, each solving its own base
-        chunks = [[jobs[i] for i in idx]
-                  for idx in np.array_split(np.arange(len(jobs)), config.workers) if len(idx)]
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = pool.map(_run_row, rows, row_dirs)
-            outcomes = pool.map(_stability_chunk, [config] * len(chunks), chunks)
-            results, outcomes = list(results), list(outcomes)
+            results, outcomes = _run_jobs(pool.submit, config, chunks, rows, row_dirs)
     else:
-        results = list(map(_run_row, rows, row_dirs))
-        outcomes = [_stability_chunk(config, jobs)] if jobs else []
-    results = [res for row in results for res in row]  # in `members` order
+        results, outcomes = _run_jobs(_now, config, chunks, rows, row_dirs)
 
     by_key = dict(zip(members, results))
     for res in results:
+        worst = max(worst, res["code"])
         summary_rows.append(_member_entry("member_exit", res["name"], res["code"],
                                           res["code"] == 0))
         for s, v in (res["summary"].get("higher_integrability") or {}).items():
@@ -633,7 +666,6 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
                 "config": config.raw}
     if failures:
         manifest["failure"] = failures[0]
-    worst = max(res["code"] for res in results)
     code = 3 if failures else worst if worst else (0 if all(c.passed for c in checks) else 2)
     _write_manifest(outdir, manifest, exit_code=code)
     return code, manifest

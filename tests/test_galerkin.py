@@ -418,6 +418,26 @@ def test_failed_newton_solve_is_retried_by_halving(monkeypatch):
         solve(replace(cfg, tau_retry_cap=0), data, u0, ZERO2)
 
 
+def test_retried_step_records_the_bound_of_its_worse_substep(monkeypatch):
+    # a decaying solution: the first half was accepted against the larger
+    # bound of its own state, which the stored (second half) state does not meet
+    substeps = iter([(1, 2e-10, 3e-10), (2, 1e-10, 2e-10)])
+
+    def halves_only(state, tau, *args):
+        if tau == 0.1:
+            raise StepFailure("forced")
+        iters, res, bound = next(substeps)
+        return (SpectralState(t=state.t + tau, coeffs=state.coeffs, basis=state.basis),
+                galerkin.StepStats(newton_iters=iters, residual_norm=res, residual_bound=bound,
+                                   energy_slack=0.0, ut_sq_increment=0.0))
+
+    monkeypatch.setattr(galerkin, "step_implicit", halves_only)
+    state = SpectralState(t=0.0, coeffs=np.zeros(4), basis=None)
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.1)
+    _, st = galerkin._advance(state, cfg.tau, 0, None, ZERO2, cfg, None)
+    assert (st.newton_iters, st.residual_norm, st.residual_bound) == (3, 2e-10, 3e-10)
+
+
 def test_solve_frees_its_workspace_without_the_cycle_collector(monkeypatch):
     # a reference cycle through the workspace would hold its basis tables
     # (about 11 MB at m_per_dim=16) until the cyclic collector runs
@@ -509,6 +529,7 @@ def test_galerkin_orthogonality_at_accepted_steps():
     traj = solve(cfg, data, mode_field([[1, 1, 0.8]]), ZERO2)
     tol = cfg.newton_tol * (1.0 + np.linalg.norm(traj.coeffs, axis=1))
     assert np.all(traj.newton_residual <= tol)
+    assert np.array_equal(traj.newton_bound[1:], tol[1:])  # no step was retried
 
 
 def test_warm_started_solve_matches_cold_solve_in_fewer_iterations():

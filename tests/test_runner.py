@@ -295,14 +295,15 @@ def test_sweep_outputs_byte_identical_for_any_worker_count(tmp_path):
 def test_sweep_row_warm_starts_each_member_from_the_one_before(tmp_path, monkeypatch):
     # rows m = 3 and 4 over three eps; the first solve fails (exit 3), so the
     # second member of its row solves cold
-    solve, guesses, trajs = runner.solve, [], []
+    solve, guesses, trajs = runner.solve, {}, {}
 
     def recording_solve(cfg, data, u0, f_field, guess=None):
-        guesses.append(guess)
-        if len(guesses) == 1:
+        key = (cfg.m_per_dim, cfg.eps)
+        guesses[key] = guess
+        if key == (3, 1.0e-1):
             raise galerkin.SolverError("forced failure")
-        trajs.append(solve(cfg, data, u0, f_field, guess))
-        return trajs[-1]
+        trajs[key] = solve(cfg, data, u0, f_field, guess)
+        return trajs[key]
 
     monkeypatch.setattr(runner, "solve", recording_solve)
     raw = small_heat_raw(sweep={"eps": [1.0e-1, 1.0e-2, 1.0e-3], "m_per_dim": [3, 4]})
@@ -310,9 +311,32 @@ def test_sweep_row_warm_starts_each_member_from_the_one_before(tmp_path, monkeyp
     code, manifest = runner.perform_sweep(runner.load_config(write_config(tmp_path, raw)),
                                           tmp_path / "sweep")
     assert code == 3 and [m["exit"] for m in manifest["members"]] == [3, 0, 0, 0, 0, 0]
-    assert [g is None for g in guesses] == [True, True, False, True, False, False]
-    for k, prev in ((2, 0), (4, 2), (5, 3)):  # each warm guess is the previous member's coeffs
-        assert guesses[k] is trajs[prev].coeffs
+    assert {key for key, g in guesses.items() if g is None} == {(3, 1e-1), (4, 1e-1), (3, 1e-2)}
+    for m, e, prev in ((3, 1e-3, 1e-2), (4, 1e-2, 1e-1), (4, 1e-3, 1e-2)):
+        assert guesses[m, e] is trajs[m, prev].coeffs  # the previous member's coeffs
+
+
+def test_galerkin_orthogonality_holds_a_retried_step_to_its_substep_bound(tmp_path, monkeypatch):
+    # step 1 is retried on halves, and the first half records a residual above
+    # the stored state's newton_tol * (1 + |v|) but within its own bound
+    step, calls = galerkin.step_implicit, []
+
+    def first_step_retried(state, tau, *args):
+        calls.append(tau)
+        if len(calls) == 1:
+            raise galerkin.StepFailure("forced")
+        new, st = step(state, tau, *args)
+        if len(calls) == 2:
+            st.residual_norm, st.residual_bound = 5e-7, 1e-6
+        return new, st
+
+    monkeypatch.setattr(galerkin, "step_implicit", first_step_retried)
+    config = runner.load_config(write_config(tmp_path, small_heat_raw()))
+    _, manifest, traj = runner.perform_run(config, tmp_path / "run")
+    assert calls[1] == calls[2] == calls[0] / 2
+    assert traj.newton_residual[1] == 5e-7 > config.solver.newton_tolerance(traj.coeffs[1])
+    check = next(c for c in manifest["checks"] if c["name"] == "galerkin_orthogonality")
+    assert check["passed"]
 
 
 def small_stability_raw(**solver):
