@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .fields import ConfigurationError
-from .runner import load_config, perform_run, perform_sweep, write_report
+from .runner import load_config, perform_run, perform_sweep, replace_config, write_report
 
 
 def _default_outdir(config_path: str, suffix: str = "") -> str:
@@ -58,7 +58,10 @@ def _dispatch(args) -> int:
         config = load_config(args.config)
         workers = getattr(args, "workers", None)
         if workers is not None:
-            config.workers = workers
+            try:
+                config = replace_config(config, workers=workers)
+            except ValueError as exc:
+                raise ConfigurationError(f"--workers: {exc}") from exc
 
     if args.verb == "validate":
         report = config.data.validate()

@@ -218,61 +218,57 @@ def time_derivative_bound(traj: Trajectory) -> BoundReport:
 
 @dataclass(frozen=True)
 class SecondOrderReport:
-    h: float
     margin: float
     norms: np.ndarray        # (N, N): ||D_i(sqrt(F_eps) D_j u)||^2 over the cylinder
     total: float
 
 
-def second_order_flux_norm(traj: Trajectory, h: float = 1.0 / 256.0,
-                           margin: float = 1.0 / 64.0,
+def second_order_flux_norm(traj: Trajectory, margin: float = 1.0 / 64.0,
                            time_stride: int = 1) -> SecondOrderReport:
-    """Interior norms of first differences of the square-root flux field.
+    """Norms of D_i(sqrt(F_eps) D_j u) over [margin, 1 - margin]^N x [0, T].
 
-    The composite sqrt(F_eps(z, grad u)) D_j u is evaluated spectrally on a
-    uniform interior lattice and differenced centrally; termwise
-    differentiation is avoided because the square root is a non-smooth
-    composite.  The lattice keeps a fixed boundary margin so norms at
-    different h are comparable.
+    For eps > 0, F = a beta^((p-2)/2) + b beta^((q-2)/2) is positive (a + b
+    >= alpha, beta >= eps^2) and as smooth as the data, so the chain rule
+    D_i(sqrt(F) D_j u) = sqrt(F) D_ij u + D_j u D_i F / (2 sqrt(F)) holds,
+    with D_i F from the exact gradients of a, b, p, q and D_i beta =
+    2 sum_k D_k u D_ik u.  Space integrals use the solver's Gauss rule mapped
+    onto the box, time integrals the trapezoid rule on every
+    time_stride-th checkpoint and the last.
     """
-    if margin < 2.0 * h:
-        raise ValueError("margin must be at least 2h to avoid the boundary layer")
-    dim = traj.data.dim
-    n_inner = int(np.floor((1.0 - 2.0 * margin) / h + 0.5)) + 1
-    axis = margin + h * np.arange(-1, n_inner + 1)  # one ghost layer each side
-    pts = tensor_points(axis, dim)
-    shape = (len(axis),) * dim
-    lines = traj.basis.line_tables(axis)
+    if not 0.0 <= margin < 0.5:
+        raise ValueError(f"margin {margin} outside [0, 1/2)")
+    data, dim, scale = traj.data, traj.data.dim, 1.0 - 2.0 * margin
+    axis = margin + scale * tensor_axis(traj.grid.space_nodes, dim)
+    pts, lines = tensor_points(axis, dim), traj.basis.line_tables(axis)
+    weights = scale ** dim * traj.grid.space_weights
 
     idx = list(range(0, len(traj.times), max(1, time_stride)))
     if idx[-1] != len(traj.times) - 1:
         idx.append(len(traj.times) - 1)
-    sel_times = traj.times[idx]
 
-    # trapezoid weights over the interior lattice (endpoints half-weight)
-    w1 = np.full(n_inner, h)
-    w1[0] = w1[-1] = h / 2.0
-    w_spatial = w1
-    for _ in range(dim - 1):
-        w_spatial = np.multiply.outer(w_spatial, w1)
-
-    # one kept checkpoint at a time, so the lattice arrays do not grow with
-    # the number of checkpoints
+    # one kept checkpoint at a time, so memory does not grow with their number
     accum = np.zeros((len(idx), dim, dim))
     for row, k in enumerate(idx):
-        grad_u = traj.basis.lattice(lines, traj.coeffs[k], 1)
-        dens = flux.density_kernel(*traj.data.sample(pts, traj.times[k]), grad_u, traj.eps)
-        comp = (np.sqrt(dens)[:, None] * grad_u).reshape(shape + (dim,))
-        for i in range(dim):
-            upper = [slice(1, -1)] * dim
-            lower = [slice(1, -1)] * dim
-            upper[i] = slice(2, None)
-            lower[i] = slice(0, -2)
-            diff = (comp[tuple(upper)] - comp[tuple(lower)]) / (2.0 * h)  # (..., N)
-            for j in range(dim):
-                accum[row, i, j] = np.sum(diff[..., j] ** 2 * w_spatial)
-    norms = np.trapezoid(accum, sel_times, axis=0)
-    return SecondOrderReport(h=h, margin=margin, norms=norms, total=float(norms.sum()))
+        t = traj.times[k]
+        grad_u = traj.basis.lattice(lines, traj.coeffs[k], 1)  # (M, N)
+        hess_u = traj.basis.lattice(lines, traj.coeffs[k], 2)  # (M, N, N)
+        beta = flux.beta_eps(grad_u, traj.eps)
+        log_beta = np.log(beta)[:, None]
+        dlog_beta = 2.0 * np.einsum("mk,mik->mi", grad_u, hess_u) / beta[:, None]
+        a, b, p, q = data.sample(pts, t)
+        da, db, dp, dq = (fld.grad(pts, t) for fld in (data.a, data.b, data.p, data.q))
+        dens, d_dens = 0.0, 0.0
+        for c, dc, r, dr in ((a, da, p, dp), (b, db, q, dq)):
+            # D_i(c beta^e) = beta^e (D_i c + c (log beta D_i e + e D_i log beta)), e = (r-2)/2
+            power = flux.powf(beta, (r - 2.0) / 2.0)
+            dens = dens + c * power
+            d_dens = d_dens + power[:, None] * (dc + c[:, None] * (
+                0.5 * dr * log_beta + (0.5 * r - 1.0)[:, None] * dlog_beta))
+        root = np.sqrt(dens)[:, None, None]
+        comp = root * hess_u + d_dens[:, :, None] * grad_u[:, None, :] / (2.0 * root)
+        accum[row] = np.einsum("mij,mij,m->ij", comp, comp, weights)
+    norms = np.trapezoid(accum, traj.times[idx], axis=0)
+    return SecondOrderReport(margin=margin, norms=norms, total=float(norms.sum()))
 
 
 @dataclass(frozen=True)

@@ -248,11 +248,15 @@ class SolverConfig:
     def __post_init__(self):
         if self.m_per_dim < 1:
             raise ValueError("m_per_dim must be at least 1")
-        if self.tau <= 0:
-            raise ValueError("time step must be positive")
+        if not 0 < self.tau < np.inf:
+            raise ValueError(f"time step {self.tau} must be positive and finite")
+        if not self.eps < np.inf:
+            raise ValueError(f"eps {self.eps} is not finite")
         if self.eps <= 0:
             raise ValueError("the implicit solver needs eps > 0; the degenerate limit is reached "
                              "by continuation, each member warm-started from its coarser neighbour")
+        if self.quad_order is not None and self.quad_order < 1:
+            raise ValueError(f"quad_order {self.quad_order} is below 1")
 
     def newton_tolerance(self, coeffs) -> np.ndarray:
         """newton_tol * (1 + ||v||) per row v: the bound Newton accepts an iterate v against."""

@@ -42,7 +42,7 @@ def test_zero_solution_all_monitors_trivial():
     assert all(v == 0.0 for v in hi.values())
     ir = dg.interpolation_ratio(traj, 0.5, 0.5)
     assert ir.implied_constant == 0.0
-    so = dg.second_order_flux_norm(traj, h=1.0 / 64.0, margin=1.0 / 32.0)
+    so = dg.second_order_flux_norm(traj, margin=1.0 / 32.0)
     assert so.total == 0.0
     ap = dg.apriori_energy_bound(traj, series)
     assert ap.lhs == 0.0 and ap.passed
@@ -134,13 +134,14 @@ def test_time_derivative_bound_heat(heat_traj):
 
 
 def test_second_order_norms_heat_analytic():
-    # p = q = 2: the composite field is just grad u, whose difference-quotient
-    # norms integrate analytically over the interior subdomain
+    # p = q = 2: the composite field is just grad u, whose derivative norms
+    # integrate analytically over the interior subdomain; the Gauss rule
+    # integrates the smooth squared fields to rounding
     data = data_const()
     cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3)
     traj = solve(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2)
     margin = 1.0 / 32.0
-    rep = dg.second_order_flux_norm(traj, h=1.0 / 128.0, margin=margin, time_stride=1)
+    rep = dg.second_order_flux_norm(traj, margin=margin, time_stride=1)
 
     def sin_sq(a, b):
         return (b - a) / 2.0 - (math.sin(2 * math.pi * b) - math.sin(2 * math.pi * a)) / (4 * math.pi)
@@ -157,17 +158,20 @@ def test_second_order_norms_heat_analytic():
     a_, b_ = margin, 1.0 - margin
     diag = 4 * math.pi ** 4 * sin_sq(a_, b_) * sin_sq(a_, b_) * tfac
     off = 4 * math.pi ** 4 * cos_sq(a_, b_) * cos_sq(a_, b_) * tfac
-    assert rep.norms[0, 0] == pytest.approx(diag, rel=2e-2)
-    assert rep.norms[0, 1] == pytest.approx(off, rel=2e-2)
+    assert rep.norms[0, 0] == pytest.approx(diag, rel=1e-10)
+    assert rep.norms[0, 1] == pytest.approx(off, rel=1e-10)
     assert rep.norms[1, 0] == pytest.approx(rep.norms[0, 1], rel=1e-10)
 
 
-def test_second_order_h_stability(heat_traj):
-    reps = [dg.second_order_flux_norm(heat_traj, h=h, margin=1.0 / 64.0, time_stride=10)
-            for h in (1.0 / 128.0, 1.0 / 256.0)]
-    assert abs(reps[0].total - reps[1].total) <= 0.25 * max(reps[0].total, reps[1].total)
-    with pytest.raises(ValueError):
-        dg.second_order_flux_norm(heat_traj, h=1.0 / 16.0, margin=1.0 / 32.0)
+def test_second_order_margin_rule(heat_traj):
+    # the box [margin, 1 - margin]^N must be nonempty; margin 0 is the whole
+    # box, where the rule is the solver's own
+    for margin in (0.5, -0.01):
+        with pytest.raises(ValueError, match="outside"):
+            dg.second_order_flux_norm(heat_traj, margin=margin)
+    whole = dg.second_order_flux_norm(heat_traj, margin=0.0, time_stride=10)
+    inner = dg.second_order_flux_norm(heat_traj, margin=1.0 / 8.0, time_stride=10)
+    assert np.all(inner.norms < whole.norms)
 
 
 def test_stability_identical_and_heat_perturbation():
@@ -199,7 +203,7 @@ def _counted_run():
                    "q": 2.1, "a": 0.5, "b": 0.5},
         "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]}, "source": 0.0,
         "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3},
-        "diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0}}})
+        "diagnostics": {"second_order": {"margin": 1.0 / 32.0}}})
     traj = solve(config.solver, config.data, config.initial, config.source_field())
     return config, traj
 
@@ -245,8 +249,7 @@ def test_second_order_peak_memory_does_not_grow_with_checkpoints(heat_traj):
     def peak(stride):
         tracemalloc.start()
         try:
-            dg.second_order_flux_norm(heat_traj, h=1.0 / 128.0, margin=1.0 / 64.0,
-                                      time_stride=stride)
+            dg.second_order_flux_norm(heat_traj, margin=1.0 / 64.0, time_stride=stride)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -331,7 +334,7 @@ def test_one_dimensional_pipeline_end_to_end():
     assert series.energy_residual_rel.max() < 2e-2
     hi = dg.higher_integrability(traj, [0.3])
     assert np.isfinite(hi[0.3]) and hi[0.3] > 0
-    so = dg.second_order_flux_norm(traj, h=1.0 / 128.0, margin=1.0 / 64.0, time_stride=4)
+    so = dg.second_order_flux_norm(traj, margin=1.0 / 64.0, time_stride=4)
     assert so.norms.shape == (1, 1) and np.isfinite(so.total)
     assert dg.linf_bound_check(traj).passed
     rep = dg.eps_continuation_study(cfg, data, u0, z1, [1e-1, 5e-2, 2.5e-2])

@@ -23,7 +23,7 @@ def small_heat_raw(**overrides):
         "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]},
         "source": 0.0,
         "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3},
-        "diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0},
+        "diagnostics": {"second_order": {"margin": 1.0 / 32.0},
                         "energy_residual_ceiling": 2.0e-2},
         "seed": 9,
     }
@@ -58,6 +58,9 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
     manufactured = {"family": "manufactured", "mode": [1, 1]}
     refused = [("m_per_dim", small_heat_raw(solver=solver | {"m_per_dim": 0})),
                ("output_cadence", small_heat_raw(solver=solver | {"output_cadence": 5})),
+               ("time step nan", small_heat_raw(solver=solver | {"tau": float("nan")})),
+               ("quad_order -3", small_heat_raw(solver=solver | {"quad_order": -3})),
+               ("workers 0 is below 1", small_heat_raw(workers=0)),
                ("one", small_heat_raw(seed="one")),
                ("horizn", small_heat_raw(horizn=0.02)),
                ("fields key", small_heat_raw(fields=fields | {"c": 1.0})),
@@ -221,32 +224,44 @@ def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("verb", ["run", "sweep"])
+def test_workers_below_one_exit_1(tmp_path, capsys, monkeypatch, verb):
+    # DOUBLEPHASE_WORKERS=0 and --workers 0 are refused as the `workers` key
+    # is: an error line and no output directory, where a sweep used to crash
+    cfgfile = write_config(tmp_path, small_heat_raw(sweep={"eps": [1.0e-2]}))
+    for env, flag in (("0", []), ("1", ["--workers", "0"])):
+        monkeypatch.setenv("DOUBLEPHASE_WORKERS", env)
+        out = tmp_path / f"out{env}"
+        assert cli.main([verb, str(cfgfile), "--outdir", str(out)] + flag) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "0 is below 1" in err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("verb, overrides", [
     ("run", {"diagnostics": {"sigma_grid": [1.5]}}),
     ("run", {"diagnostics": {"sigma_grid": [0.0, 0.3]}}),
     ("run", {"diagnostics": {"interpolation": {"varsigma": 1.0}}}),
-    ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 64.0}}}),
+    ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0}}}),
     ("sweep", {"sweep": {"eps": [1.0e-2], "diagnostics_overrides": {"sigma_grid": [1.5]}}}),
     ("run", {"diagnostics": {"linf_lattice": 1}}),
-    ("run", {"diagnostics": {"second_order": {"h": 0.0, "margin": 1.0 / 32.0}}}),
-    ("run", {"diagnostics": {"second_order": {"h": -1.0 / 64.0, "margin": 1.0 / 32.0}}}),
+    ("run", {"diagnostics": {"second_order": {"margin": 0.5}}}),
+    ("run", {"diagnostics": {"second_order": {"margin": -0.01}}}),
     ("run", {"diagnostics": {"sigma_grid": []}}),
     ("run", {"diagnostics": {"sigma_gird": [0.1]}}),
     ("run", {"diagnostics": {"interpolation": {"varsigma": 0.5, "bta": 0.5}}}),
-    ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0,
-                                              "hh": 1.0 / 64.0}}}),
+    ("run", {"diagnostics": {"second_order": {"margin": 1.0 / 32.0, "hh": 1.0 / 64.0}}}),
     ("run", {"diagnostics": {"ceilings": {"second_order_total": 1.0}}}),
-    ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0,
-                                              "time_stride": 2}}}),
+    ("run", {"diagnostics": {"second_order": {"margin": 1.0 / 32.0, "time_stride": 2}}}),
     ("run", {"diagnostics": {"energy_residual_ceiling": "tight"}}),
     ("run", {"diagnostics": {"interpolation": {"beta": "half"}}}),
 ])
 def test_out_of_range_diagnostics_options_exit_1(tmp_path, capsys, verb, overrides):
     # in two dimensions r_sharp = 1: a sigma outside (0, 1), an empty sigma
-    # grid, a sup lattice below 2 points, a second-order h not positive or a
-    # margin below 2h is refused at load, before the solve; so are unknown
-    # keys (the removed `ceilings` and `time_stride` among them) and values
-    # that are not numbers
+    # grid, a sup lattice below 2 points or a second-order margin outside
+    # [0, 1/2) is refused at load, before the solve; so are unknown keys (the
+    # removed `ceilings`, `time_stride` and `h` among them) and values that
+    # are not numbers
     cfgfile = write_config(tmp_path, small_heat_raw(**overrides))
     with pytest.raises(ConfigurationError,
                        match="outside|below|empty|positive|unknown|could not convert"):
