@@ -27,6 +27,11 @@ from .fields import ExponentData, Field, tensor_axis, tensor_points
 from .galerkin import SolverConfig, Trajectory, solve
 
 _REL_FLOOR = 1e-30
+# Points per axis of the lattice the sup of |u| is taken on; the sup
+# envelope takes the data sups on the twice-finer 2 * SUP_LATTICE - 1.
+SUP_LATTICE = 65
+# Relative growth between consecutive Cauchy distances still read as monotone.
+CAUCHY_TOLERANCE = 0.10
 
 
 def _flux_energy(traj: Trajectory, eps) -> np.ndarray:
@@ -74,7 +79,7 @@ def _lattice_sup(traj: Trajectory, n: int) -> np.ndarray:
     return np.abs(traj.basis.lattice(lines, traj.coeffs)).max(axis=1)
 
 
-def core_series(traj: Trajectory, linf_lattice: int = 65) -> CoreSeries:
+def core_series(traj: Trajectory) -> CoreSeries:
     """Assemble the monitored time series, including the energy residual.
 
     The energy residual at each checkpoint is
@@ -90,7 +95,7 @@ def core_series(traj: Trajectory, linf_lattice: int = 65) -> CoreSeries:
     grad_l2 = np.einsum("kmn,kmn,m->k", grads, grads, traj.grid.space_weights, optimize=True)
     work = (traj.values * traj.source_values) @ traj.grid.space_weights
 
-    linf = _lattice_sup(traj, linf_lattice)
+    linf = _lattice_sup(traj, SUP_LATTICE)
 
     diss = _cumtrapz(fe_eps, times)
     pumped = _cumtrapz(work, times)
@@ -319,15 +324,14 @@ class EnvelopeReport:
     passed: bool
 
 
-def linf_bound_check(traj: Trajectory, lattice_n: int = 65, slack: float = 1e-3) -> EnvelopeReport:
-    """Lattice sup of |u| against ||u0||_inf + int_0^t ||f||_inf ds, from the trajectory's data.
+def linf_bound_check(traj: Trajectory, series: CoreSeries, slack: float = 1e-3) -> EnvelopeReport:
+    """The series' lattice sup of |u| against ||u0||_inf + int_0^t ||f||_inf ds.
 
     The lattice maximum underestimates the true sup, which the absolute
     slack covers; the data sups use a twice-finer lattice.
     """
-    sup_u = _lattice_sup(traj, lattice_n)
-
-    fine = lattice_points(traj.data.dim, 2 * lattice_n - 1)
+    sup_u = series.linf
+    fine = lattice_points(traj.data.dim, 2 * SUP_LATTICE - 1)
     u0_sup = float(np.abs(traj.initial(fine, 0.0)).max())
     f_sup = np.array([np.abs(traj.source(fine, t)).max() for t in traj.times])
     envelope = u0_sup + _cumtrapz(f_sup, traj.times) + slack
@@ -342,11 +346,10 @@ class CauchyReport:
     pairings: np.ndarray     # monotonicity pairings of consecutive members
     monotone: bool
     final_distance: float
-    tolerance: float
 
 
 def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Sequence[tuple],
-                     labels, tolerance: float) -> CauchyReport:
+                     labels) -> CauchyReport:
     """Gradient distances and pairings of consecutive (basis, coeffs, eps) members.
 
     st is the finest member's space-time grid; a pairing uses the finer member's eps.
@@ -370,14 +373,13 @@ def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Seq
         pair.append(spaces.pairing_G_eps(gu, gv, members[k + 1][2], data))
     dist = np.asarray(dist)
     floor = 1e-14 * max(1.0, float(dist.max(initial=0.0)))
-    monotone = bool(np.all(dist[1:] <= (1.0 + tolerance) * dist[:-1] + floor))
+    monotone = bool(np.all(dist[1:] <= (1.0 + CAUCHY_TOLERANCE) * dist[:-1] + floor))
     return CauchyReport(labels=list(labels), distances=dist, pairings=np.asarray(pair),
-                        monotone=monotone, final_distance=float(dist[-1]) if len(dist) else 0.0,
-                        tolerance=tolerance)
+                        monotone=monotone, final_distance=float(dist[-1]) if len(dist) else 0.0)
 
 
 def eps_continuation_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
-                           eps_seq: Sequence[float], tolerance: float = 0.10) -> CauchyReport:
+                           eps_seq: Sequence[float]) -> CauchyReport:
     """Cauchy study of the vanishing-regularization limit.
 
     Solves along the decreasing eps sequence and reports the consecutive
@@ -394,5 +396,5 @@ def eps_continuation_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_f
         guess = trajs[-1].coeffs
     return _gradient_cauchy(data, trajs[-1].spacetime_grid(),
                             [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
-                            [f"eps={e:g}" for e in eps_seq], tolerance)
+                            [f"eps={e:g}" for e in eps_seq])
 

@@ -265,12 +265,12 @@ class ExponentData:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ConfigurationError(f"space dimension must be 1 or 2, got {self.dim}")
-        if not (self.horizon > 0):
-            raise ConfigurationError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ConfigurationError(f"horizon {self.horizon} must be positive and finite")
         if not (self.alpha > 0):
             raise ConfigurationError("coercivity floor alpha must be positive")
         if self.lipschitz_probe_resolution < 2 or self.time_probe_resolution < 1:
-            raise ConfigurationError("probe_resolution must be at least 2 and "
+            raise ConfigurationError("lipschitz_probe_resolution must be at least 2 and "
                                      "time_probe_resolution at least 1")
 
     @property

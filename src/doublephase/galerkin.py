@@ -257,6 +257,12 @@ class SolverConfig:
                              "by continuation, each member warm-started from its coarser neighbour")
         if self.quad_order is not None and self.quad_order < 1:
             raise ValueError(f"quad_order {self.quad_order} is below 1")
+        if not 0 < self.newton_tol < np.inf:
+            raise ValueError(f"newton_tol {self.newton_tol} must be positive and finite")
+        for name, least in (("newton_max_iter", 1), ("max_damping_halvings", 1),
+                            ("tau_retry_cap", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} {getattr(self, name)} is below {least}")
 
     def newton_tolerance(self, coeffs) -> np.ndarray:
         """newton_tol * (1 + ||v||) per row v: the bound Newton accepts an iterate v against."""

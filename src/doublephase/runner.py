@@ -8,9 +8,10 @@ runs one member per parameter combination and adds a summary table with the
 Cauchy distances, bound ratios, and monotonicity verdicts.
 
 Check rows come in three kinds: "exact" for inequalities whose constants
-the derivations pin down, "regression" for the sweep's eps/m-uniformity and
-continuation checks against the ceilings in its `ceilings` block, and
-"monitor" for reported-only values.
+the derivations pin down, "regression" for the sweep's eps/m-uniformity
+checks against UNIFORMITY_CEILING and its continuation checks against the
+`final_distance` of its `ceilings` block, and "monitor" for reported-only
+values.
 """
 from __future__ import annotations
 
@@ -36,6 +37,12 @@ from .galerkin import SolverConfig, SolverError, Trajectory, manufactured_source
 # names, conversions, defaults and range checks, and refuses unknown keys.
 # `config_from_dict` calls every reader, so a bad block is refused at load;
 # the readers are pure, and the runs call them again for the values.
+
+# Points per axis of the lattice the snapshot CSVs are written on.
+SNAPSHOT_LATTICE = 33
+# Largest max/min ratio of a monitor across sweep members that still
+# counts as eps/m-uniform.
+UNIFORMITY_CEILING = 3.0
 
 
 @dataclass
@@ -69,12 +76,22 @@ def _block(block, keys, what: str) -> dict:
     return block
 
 
+def _integer(value, key: str) -> int:
+    """`value` as an int, refused unless integral: `int` alone runs 2.5 as 2 and `true` as 1."""
+    try:
+        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{key} {value!r} is not an integer")
+
+
 def resolve_source(descriptor, data: ExponentData, eps: float) -> Field:
     """Build the source field; the manufactured family closes over the data."""
     if not (isinstance(descriptor, dict) and descriptor.get("family") == "manufactured"):
         return make_field(descriptor, data.dim)
     src = _block(descriptor, ("family", "mode", "amplitude", "rate"), "manufactured source")
-    mode = [int(k) for k in src.get("mode", [1] * data.dim)]
+    mode = [_integer(k, "manufactured mode") for k in src.get("mode", [1] * data.dim)]
     if len(mode) != data.dim or min(mode) < 1:
         raise ValueError(f"manufactured mode {mode} invalid for dim {data.dim}")
     return manufactured_source(data, eps, mode=mode, amplitude=float(src.get("amplitude", 1.0)),
@@ -108,27 +125,30 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
 
     try:
         _block(raw, ("name", "dim", "horizon", "alpha", "fields", "initial", "source", "solver",
-                     "diagnostics", "sweep", "output", "workers", "seed", "probe_resolution",
-                     "time_probe_resolution"), "top-level")
-        dim = int(need("dim"))
+                     "diagnostics", "sweep", "output", "workers", "seed"), "top-level")
+        dim = _integer(need("dim"), "dim")
         fields = _block(need("fields"), ("p", "q", "a", "b"), "fields")
         data = ExponentData(
             dim=dim, horizon=float(need("horizon")), alpha=float(need("alpha")),
             **{k: make_field(fields[k], dim) for k in ("p", "q", "a", "b")},
-            lipschitz_probe_resolution=int(raw.get("probe_resolution", 65)),
-            time_probe_resolution=int(raw.get("time_probe_resolution", 33)),
         )
+        initial = make_field(need("initial"), dim)
+        # probed as the data are, so that Workspace.project cannot refuse it after the
+        # output directory exists
+        if not np.all(np.isfinite(initial(data.probe_lattice()[0], 0.0))):
+            raise ValueError("initial datum is not finite on the probe lattice")
         config = RunConfig(
             name=str(raw.get("name", Path(where).stem)),
             data=data,
-            initial=make_field(need("initial"), dim),
+            initial=initial,
             source_descriptor=raw.get("source", 0.0),
             solver=SolverConfig(**_solver_values(need("solver"))),
             diagnostics=dict(raw.get("diagnostics", {})),
             sweep=dict(raw.get("sweep", {})),
             output=dict(raw.get("output", {})),
-            workers=int(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1"))),
-            seed=int(raw.get("seed", 0)),
+            workers=_integer(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1")),
+                             "workers"),
+            seed=_integer(raw.get("seed", 0), "seed"),
             raw=raw,
         )
         # the remaining readers, so that no block is first read after the solve
@@ -145,7 +165,7 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
 
 def _solver_values(block) -> dict:
     """A `solver` block or the sweep's `solver_overrides`, as SolverConfig values."""
-    return {k: float(v) if k in ("eps", "tau", "newton_tol") else int(v)
+    return {k: float(v) if k in ("eps", "tau", "newton_tol") else _integer(v, k)
             for k, v in dict(block).items()}
 
 
@@ -156,53 +176,52 @@ class Diagnostics:
     sigma_grid: tuple = (0.1, 0.3, 0.5)
     varsigma: float = 0.5              # interpolation.varsigma
     beta: float = 0.5                  # interpolation.beta
-    margin: float = 1 / 64             # second_order.margin
-    linf_lattice: int = 65
     energy_residual_ceiling: float = 1e-2
 
 
 def _diagnostics(config: RunConfig) -> Diagnostics:
     """Read the diagnostics block, refusing what a monitor would refuse after the solve."""
-    opts = _block(config.diagnostics, ("sigma_grid", "interpolation", "second_order",
-                                       "linf_lattice", "energy_residual_ceiling"), "diagnostics")
+    opts = _block(config.diagnostics, ("sigma_grid", "interpolation", "energy_residual_ceiling"),
+                  "diagnostics")
     opts |= _block(opts.pop("interpolation", {}), ("varsigma", "beta"), "interpolation")
-    opts |= _block(opts.pop("second_order", {}), ("margin",), "second_order")
-    kinds = {"sigma_grid": lambda v: tuple(map(float, v)), "linf_lattice": int}
-    d = Diagnostics(**{k: kinds.get(k, float)(v) for k, v in opts.items()})
+    d = Diagnostics(**{k: tuple(map(float, v)) if k == "sigma_grid" else float(v)
+                       for k, v in opts.items()})
     if not d.sigma_grid:
         raise ValueError("empty sigma_grid")
     r_sharp = config.data.r_sharp
     for s in d.sigma_grid + (d.varsigma,):
         if not 0.0 < s < r_sharp:
             raise ValueError(f"sigma {s} outside (0, {r_sharp})")
-    if d.linf_lattice < 2:
-        raise ValueError("linf_lattice below 2")
-    if not 0.0 <= d.margin < 0.5:
-        raise ValueError(f"second_order margin {d.margin} outside [0, 1/2)")
+    if not 0.0 < d.energy_residual_ceiling < np.inf:
+        raise ValueError(f"energy_residual_ceiling {d.energy_residual_ceiling} "
+                         "must be positive and finite")
     return d
 
 
-def _output(config: RunConfig) -> tuple[tuple, int]:
-    """The output block's snapshot times and snapshot lattice resolution."""
-    out = _block(config.output, ("snapshots", "snapshot_resolution"), "output")
-    return (tuple(float(t) for t in out.get("snapshots") or ()),
-            int(out.get("snapshot_resolution", 33)))
+def _output(config: RunConfig) -> tuple:
+    """The output block's snapshot times, each in [0, horizon]."""
+    out = _block(config.output, ("snapshots",), "output")
+    times = tuple(float(t) for t in out.get("snapshots") or ())
+    for t in times:
+        if not 0.0 <= t <= config.data.horizon:
+            raise ValueError(f"snapshot time {t} outside [0, {config.data.horizon}]")
+    return times
 
 
 def _sweep(config: RunConfig) -> tuple:
-    """Read the sweep block: (m list, eps list, members, tolerance, ceilings, stability).
+    """Read the sweep block: (m list, eps list, members, final distance, stability).
 
     `members` maps (m, eps) to the member's RunConfig: its diagnostics are
     the base block shallow-merged with `diagnostics_overrides`, and its
     solver is the base solver, then `solver_overrides`, then its axis
-    values.  `ceilings` holds every ceiling, `final_distance` None when
-    unset; `stability` is (pairs, halvings, base_delta, seed), or None when
-    the block is absent, empty or null.
+    values.  The final distance is the `ceilings` block's `final_distance`,
+    None when unset; `stability` is (pairs, halvings, base_delta, seed), or
+    None when the block is absent, empty or null.
     """
     sweep = _block(config.sweep, ("eps", "m_per_dim", "solver_overrides", "diagnostics_overrides",
-                                  "cauchy_tolerance", "ceilings", "stability"), "sweep")
+                                  "ceilings", "stability"), "sweep")
     eps_list = [float(e) for e in sweep.get("eps", [config.solver.eps])]
-    m_list = [int(m) for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
+    m_list = [_integer(m, "m_per_dim") for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
     if (not eps_list or not m_list or eps_list != sorted(set(eps_list), reverse=True)
             or m_list != sorted(set(m_list))):
         raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly, "
@@ -214,19 +233,16 @@ def _sweep(config: RunConfig) -> tuple:
                                               **(overrides | {"eps": e, "m_per_dim": m})))
                for m in m_list for e in eps_list}
     _diagnostics(replace(config, diagnostics=diagnostics))
-    ceilings = dict.fromkeys(("higher_integrability_ratio", "second_order_ratio",
-                              "time_derivative_ratio"), 3.0) | {"final_distance": None}
-    ceilings |= {k: float(v) for k, v in _block(sweep.get("ceilings", {}), ceilings,
-                                                "ceilings").items()}
+    final = _block(sweep.get("ceilings", {}), ("final_distance",), "ceilings").get("final_distance")
     stab = _block(sweep.get("stability") or {}, ("pairs", "halvings", "base_delta", "seed"),
                   "stability")
-    pairs, halvings = int(stab.get("pairs", 4)), int(stab.get("halvings", 3))
+    pairs = _integer(stab.get("pairs", 4), "stability pairs")
+    halvings = _integer(stab.get("halvings", 3), "stability halvings")
     if pairs < 0 or halvings < 0:
         raise ValueError("stability pairs and halvings must be nonnegative")
     stability = (pairs, halvings, float(stab.get("base_delta", 1e-1)),
-                 int(stab.get("seed", config.seed))) if stab else None
-    return (m_list, eps_list, members, float(sweep.get("cauchy_tolerance", 0.10)), ceilings,
-            stability)
+                 _integer(stab.get("seed", config.seed), "stability seed")) if stab else None
+    return m_list, eps_list, members, None if final is None else float(final), stability
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +385,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
     checks: list[Check] = []
     extras: dict = {}
 
-    series = dg.core_series(traj, linf_lattice=opts.linf_lattice)
+    series = dg.core_series(traj)
 
     res_ceiling = opts.energy_residual_ceiling
     worst_rel = float(series.energy_residual_rel.max())
@@ -403,7 +419,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
                         float(traj.energy_slack.max()), float(slack_bound.max()),
                         "per-step discrete energy inequality up to Newton tolerance"))
 
-    env = dg.linf_bound_check(traj, lattice_n=opts.linf_lattice)
+    env = dg.linf_bound_check(traj, series)
     checks.append(Check("sup_envelope", "exact", env.passed,
                         float((env.lattice_sup - env.envelope).max()), 0.0,
                         "lattice sup of |u| against data envelope"))
@@ -426,8 +442,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
     checks.append(Check("time_derivative_bound", "monitor", td.passed, td.ratio,
                         None, "ratio reported; finiteness asserted"))
 
-    so = dg.second_order_flux_norm(traj, margin=opts.margin,
-                                   time_stride=max(1, (len(traj.times) - 1) // 8))
+    so = dg.second_order_flux_norm(traj, time_stride=max(1, (len(traj.times) - 1) // 8))
     extras["second_order_norms"] = so.norms.tolist()
     extras["second_order_total"] = so.total
     checks.append(Check("second_order_regularity", "monitor", np.isfinite(so.total),
@@ -445,11 +460,11 @@ def _write_timeseries(outdir: Path, series: dg.CoreSeries, traj: Trajectory):
 
 
 def _write_snapshots(outdir: Path, traj: Trajectory, config: RunConfig):
-    snaps, n = _output(config)
+    snaps = _output(config)
     if not snaps:
         return
-    lat = dg.lattice_points(traj.data.dim, n)
-    lines = traj.basis.line_tables(np.linspace(0.0, 1.0, n))
+    lat = dg.lattice_points(traj.data.dim, SNAPSHOT_LATTICE)
+    lines = traj.basis.line_tables(np.linspace(0.0, 1.0, SNAPSHOT_LATTICE))
     for t_want in snaps:
         k = int(np.argmin(np.abs(traj.times - t_want)))
         u = traj.basis.lattice(lines, traj.coeffs[k])
@@ -557,7 +572,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     # members are built here and share config.data, so the data validate
     # once, and data that cannot be probed leave no output directory
     report = config.data.report
-    m_list, eps_list, members, tol, ceil, stab = _sweep(config)
+    m_list, eps_list, members, final_distance, stab = _sweep(config)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     summary_rows: list[dict] = []
@@ -594,7 +609,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
 
     # cross-member regression checks
     checks: list[Check] = []
-    # (check, ratio name = ceiling key, member table, detail), in summary order
+    # (check, summary row, member table, detail), in summary order
     uniformity = (
         ("higher_integrability_uniform", "higher_integrability_ratio",
          lambda s: s.get("higher_integrability"),
@@ -610,9 +625,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     for check_name, ratio_name, table, detail in uniformity:
         ratio = _table_ratio([table(s) for s in summaries])
         if ratio is not None:
-            bound = ceil[ratio_name]
-            checks.append(Check(check_name, "regression", ratio <= bound, ratio, bound, detail))
-            summary_rows.append(_member_entry(ratio_name, "all", ratio, ratio <= bound))
+            ok = ratio <= UNIFORMITY_CEILING
+            checks.append(Check(check_name, "regression", ok, ratio, UNIFORMITY_CEILING, detail))
+            summary_rows.append(_member_entry(ratio_name, "all", ratio, ok))
 
     # vanishing-regularization Cauchy study per m row
     if len(eps_list) > 1:
@@ -621,17 +636,16 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
             if any(r["member"] is None for r in rows):
                 continue
             rep = dg._gradient_cauchy(config.data, rows[-1]["grid"], [r["member"] for r in rows],
-                                      [f"eps={e:g}" for e in eps_list], tol)
+                                      [f"eps={e:g}" for e in eps_list])
             for k, d in enumerate(rep.distances):
                 summary_rows.append(_member_entry("eps_cauchy_distance",
                                                   f"m{m}_k{k}", d))
             for k, g in enumerate(rep.pairings):
                 summary_rows.append(_member_entry("eps_cauchy_pairing", f"m{m}_k{k}", g,
                                                   g >= -1e-10 * max(1.0, abs(g))))
-            bound = ceil["final_distance"]
-            ok = rep.monotone and (bound is None or rep.final_distance <= bound)
+            ok = rep.monotone and (final_distance is None or rep.final_distance <= final_distance)
             checks.append(Check(f"eps_continuation_m{m}", "regression", ok,
-                                rep.final_distance, bound,
+                                rep.final_distance, final_distance,
                                 f"distances {[f'{d:.3g}' for d in rep.distances]}"))
             summary_rows.append(_member_entry("eps_cauchy_monotone", f"m{m}",
                                               float(rep.monotone), rep.monotone))
@@ -642,7 +656,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         rows = [by_key[(m, e)] for m in m_list]
         if all(r["member"] is not None for r in rows):
             rep = dg._gradient_cauchy(config.data, rows[-1]["grid"], [r["member"] for r in rows],
-                                      [f"m={m}" for m in m_list], tol)
+                                      [f"m={m}" for m in m_list])
             for k, d in enumerate(rep.distances):
                 summary_rows.append(_member_entry("m_cauchy_distance", f"eps{e:g}_k{k}", d))
             checks.append(Check("m_refinement", "regression", rep.monotone,

@@ -319,10 +319,10 @@ def test_criterion_10_sup_envelope_random_scenarios():
             f = make_field(float(rng.uniform(0.0, 0.5)), 2)
         cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3)
         traj = solve(cfg, data, u0, f)
-        rep = dg.linf_bound_check(traj)
+        series = dg.core_series(traj)
+        rep = dg.linf_bound_check(traj, series)
         if not rep.passed:
             violations += 1
-        series = dg.core_series(traj)
         if not dg.apriori_energy_bound(traj, series).passed:
             apriori_violations += 1
     verdict(10, "sup envelope over 50 random scenarios",

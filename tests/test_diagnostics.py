@@ -202,8 +202,7 @@ def _counted_run():
         "fields": {"p": {"family": "affine", "base": 1.9, "slope": [0.1, 0.0]},
                    "q": 2.1, "a": 0.5, "b": 0.5},
         "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]}, "source": 0.0,
-        "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3},
-        "diagnostics": {"second_order": {"margin": 1.0 / 32.0}}})
+        "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3}})
     traj = solve(config.solver, config.data, config.initial, config.source_field())
     return config, traj
 
@@ -264,7 +263,7 @@ def test_linf_envelope_with_unit_source():
     cfg = SolverConfig(m_per_dim=6, eps=1e-2, tau=2e-3)
     one = make_field(1.0, 2)
     traj = solve(cfg, data, mode_field([[1, 1, 0.5]]), one)
-    rep = dg.linf_bound_check(traj)
+    rep = dg.linf_bound_check(traj, dg.core_series(traj))
     assert rep.passed
     assert rep.envelope[-1] == pytest.approx(1.0 + 0.1 + 1e-3, abs=1e-12)
 
@@ -309,7 +308,7 @@ def test_gradient_cauchy_builds_one_gradient_table_per_basis(monkeypatch):
     monkeypatch.setattr(EigenBasis, "gradients", counting)
     rep = dg._gradient_cauchy(data, trajs[-1].spacetime_grid(),
                               [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
-                              [f"eps={e:g}" for e in eps_seq], 0.1)
+                              [f"eps={e:g}" for e in eps_seq])
     assert calls == [3]
     assert rep.distances.shape == (2,) and np.all(rep.distances > 0.0)
 
@@ -336,6 +335,6 @@ def test_one_dimensional_pipeline_end_to_end():
     assert np.isfinite(hi[0.3]) and hi[0.3] > 0
     so = dg.second_order_flux_norm(traj, margin=1.0 / 64.0, time_stride=4)
     assert so.norms.shape == (1, 1) and np.isfinite(so.total)
-    assert dg.linf_bound_check(traj).passed
+    assert dg.linf_bound_check(traj, series).passed
     rep = dg.eps_continuation_study(cfg, data, u0, z1, [1e-1, 5e-2, 2.5e-2])
     assert rep.monotone

@@ -594,7 +594,7 @@ def test_m_refinement_cauchy_decreasing():
     trajs = [solve(replace(cfg, m_per_dim=m), data, u0, ZERO2) for m in m_list]
     rep = dg._gradient_cauchy(data, trajs[-1].spacetime_grid(),
                               [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
-                              [f"m={m}" for m in m_list], 0.10)
+                              [f"m={m}" for m in m_list])
     assert len(rep.distances) == 3
     assert rep.monotone, rep.distances
 

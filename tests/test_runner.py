@@ -23,8 +23,7 @@ def small_heat_raw(**overrides):
         "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]},
         "source": 0.0,
         "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3},
-        "diagnostics": {"second_order": {"margin": 1.0 / 32.0},
-                        "energy_residual_ceiling": 2.0e-2},
+        "diagnostics": {"energy_residual_ceiling": 2.0e-2},
         "seed": 9,
     }
     raw.update(overrides)
@@ -60,6 +59,17 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
                ("output_cadence", small_heat_raw(solver=solver | {"output_cadence": 5})),
                ("time step nan", small_heat_raw(solver=solver | {"tau": float("nan")})),
                ("quad_order -3", small_heat_raw(solver=solver | {"quad_order": -3})),
+               ("newton_tol 0.0", small_heat_raw(solver=solver | {"newton_tol": 0.0})),
+               ("newton_tol nan", small_heat_raw(solver=solver | {"newton_tol": float("nan")})),
+               ("newton_max_iter 0", small_heat_raw(solver=solver | {"newton_max_iter": 0})),
+               ("max_damping_halvings -1",
+                small_heat_raw(solver=solver | {"max_damping_halvings": -1})),
+               ("tau_retry_cap -1", small_heat_raw(solver=solver | {"tau_retry_cap": -1})),
+               ("m_per_dim 2.7", small_heat_raw(solver=solver | {"m_per_dim": 2.7})),
+               ("dim 2.5", small_heat_raw(dim=2.5)),
+               ("seed 1.5", small_heat_raw(seed=1.5)),
+               ("seed True", small_heat_raw(seed=True)),
+               ("horizon inf", small_heat_raw(horizon=float("inf"))),
                ("workers 0 is below 1", small_heat_raw(workers=0)),
                ("one", small_heat_raw(seed="one")),
                ("horizn", small_heat_raw(horizn=0.02)),
@@ -67,8 +77,14 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
                ("slop", small_heat_raw(fields=fields | {"p": {"family": "affine", "base": 1.9,
                                                                 "slop": [0.2, 0.0]}})),
                ("snapshot", small_heat_raw(output={"snapshot": [0.0]})),
-               ("fine", small_heat_raw(output={"snapshots": [0.0], "snapshot_resolution": "fine"})),
+               ("unknown output", small_heat_raw(output={"snapshots": [0.0],
+                                                         "snapshot_resolution": 33})),
                ("end", small_heat_raw(output={"snapshots": [0.0, "end"]})),
+               ("snapshot time 5", small_heat_raw(output={"snapshots": [0.0, 5.0]})),
+               ("snapshot time nan", small_heat_raw(output={"snapshots": [float("nan")]})),
+               ("energy_residual_ceiling nan",
+                small_heat_raw(diagnostics={"energy_residual_ceiling": float("nan")})),
+               ("initial datum", small_heat_raw(initial=float("nan"))),
                ("big", small_heat_raw(source=manufactured | {"amplitude": "big"})),
                ("mode", small_heat_raw(source=manufactured | {"mode": [1]})),
                ("mode", small_heat_raw(source=manufactured | {"mode": [0, 1]})),
@@ -87,8 +103,7 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
 
 
 def test_run_writes_artifacts_and_passes(tmp_path):
-    cfgfile = write_config(tmp_path, small_heat_raw(
-        output={"snapshots": [0.0, 0.02], "snapshot_resolution": 9}))
+    cfgfile = write_config(tmp_path, small_heat_raw(output={"snapshots": [0.0, 0.02]}))
     config = runner.load_config(cfgfile)
     out = tmp_path / "out"
     code, manifest, traj = runner.perform_run(config, out)
@@ -204,19 +219,25 @@ def test_solver_failure_after_two_steps_writes_partial_timeseries(tmp_path, monk
                                   {"eps": [1.0e-2], "cauchy_tolerence": 0.1},
                                   {"eps": [1.0e-2], "ceilings": {"final_distanse": 1.0e-9}},
                                   {"eps": [1.0e-2], "stability": {"pair": 2}},
-                                  {"eps": [1.0e-2], "cauchy_tolerance": "loose"},
+                                  {"eps": [1.0e-2], "cauchy_tolerance": 0.10},
                                   {"eps": [1.0e-2], "ceilings": {"final_distance": "tiny"}},
                                   {"eps": [1.0e-2], "stability": {"base_delta": "big"}},
-                                  {"eps": []}, {"m_per_dim": []}])
+                                  {"eps": []}, {"m_per_dim": []},
+                                  {"eps": [1.0e-2], "ceilings": {"higher_integrability_ratio": 3.0}},
+                                  {"eps": [1.0e-2], "ceilings": {"second_order_ratio": 3.0}},
+                                  {"eps": [1.0e-2], "ceilings": {"time_derivative_ratio": 3.0}},
+                                  {"m_per_dim": [2.5, 3]},
+                                  {"eps": [1.0e-2], "stability": {"pairs": 2.5}}])
 def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
     # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards, and
     # an empty axis would run no member and read as a pass;
     # every member's solver, the stability counts, and every sweep key and
-    # value are checked at load too
+    # value are checked at load too; the removed `cauchy_tolerance` and ratio
+    # ceilings are unknown keys even at their old defaults
     cfgfile = write_config(tmp_path, small_heat_raw(sweep=axes))
     with pytest.raises(ConfigurationError,
                        match="strictly|time step|bogus|eps > 0|m_per_dim|nonnegative"
-                             "|unknown|invalid literal|could not convert"):
+                             "|unknown|not an integer|could not convert"):
         runner.load_config(cfgfile)
     out = tmp_path / "out"
     assert cli.main(["sweep", str(cfgfile), "--outdir", str(out)]) == 1
@@ -244,9 +265,9 @@ def test_workers_below_one_exit_1(tmp_path, capsys, monkeypatch, verb):
     ("run", {"diagnostics": {"interpolation": {"varsigma": 1.0}}}),
     ("run", {"diagnostics": {"second_order": {"h": 1.0 / 64.0, "margin": 1.0 / 32.0}}}),
     ("sweep", {"sweep": {"eps": [1.0e-2], "diagnostics_overrides": {"sigma_grid": [1.5]}}}),
-    ("run", {"diagnostics": {"linf_lattice": 1}}),
-    ("run", {"diagnostics": {"second_order": {"margin": 0.5}}}),
-    ("run", {"diagnostics": {"second_order": {"margin": -0.01}}}),
+    ("run", {"diagnostics": {"linf_lattice": 65}}),
+    ("run", {"diagnostics": {"second_order": {"margin": 1.0 / 64.0}}}),
+    ("run", {"diagnostics": {"second_order": {}}}),
     ("run", {"diagnostics": {"sigma_grid": []}}),
     ("run", {"diagnostics": {"sigma_gird": [0.1]}}),
     ("run", {"diagnostics": {"interpolation": {"varsigma": 0.5, "bta": 0.5}}}),
@@ -257,10 +278,10 @@ def test_workers_below_one_exit_1(tmp_path, capsys, monkeypatch, verb):
     ("run", {"diagnostics": {"interpolation": {"beta": "half"}}}),
 ])
 def test_out_of_range_diagnostics_options_exit_1(tmp_path, capsys, verb, overrides):
-    # in two dimensions r_sharp = 1: a sigma outside (0, 1), an empty sigma
-    # grid, a sup lattice below 2 points or a second-order margin outside
-    # [0, 1/2) is refused at load, before the solve; so are unknown keys (the
-    # removed `ceilings`, `time_stride` and `h` among them) and values that
+    # in two dimensions r_sharp = 1: a sigma outside (0, 1) or an empty sigma
+    # grid is refused at load, before the solve; so are unknown keys (the
+    # removed `ceilings`, `time_stride`, `h`, `linf_lattice` and `second_order`
+    # among them, the last two even at their old defaults) and values that
     # are not numbers
     cfgfile = write_config(tmp_path, small_heat_raw(**overrides))
     with pytest.raises(ConfigurationError,
@@ -284,9 +305,9 @@ def test_sweep_single_member_matches_run(tmp_path):
     assert (tmp_path / "sweep" / "sweep_summary.csv").exists()
     # solver_overrides are converted as the base solver block is
     over = runner.config_from_dict(small_heat_raw(
-        sweep={"eps": [1.0e-2], "solver_overrides": {"newton_max_iter": 3.5}}))
+        sweep={"eps": [1.0e-2], "solver_overrides": {"newton_max_iter": 3.0}}))
     base = runner.config_from_dict(small_heat_raw(
-        solver=raw["solver"] | {"newton_max_iter": 3.5}))
+        solver=raw["solver"] | {"newton_max_iter": 3.0}))
     assert runner._sweep(over)[2][(3, 1.0e-2)].solver == base.solver
 
 
@@ -529,7 +550,10 @@ def test_cli_gap_violation_exit_1(tmp_path):
 @pytest.mark.parametrize("resolution", [{"probe_resolution": 1}, {"probe_resolution": 0},
                                         {"time_probe_resolution": 0}])
 def test_bad_probe_resolution_is_a_config_error(tmp_path, capsys, resolution):
+    # the probe resolutions are no scenario keys: any value is an unknown key
     cfgfile = write_config(tmp_path, small_heat_raw(**resolution))
+    with pytest.raises(ConfigurationError, match="unknown top-level"):
+        runner.load_config(cfgfile)
     assert cli.main(["validate", str(cfgfile)]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
