@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import flux, spaces
-from .fields import ExponentData, Field, tensor_axis, tensor_points
+from .fields import ExponentData, Field, lattice_points, tensor_axis, tensor_points
 from .galerkin import SolverConfig, Trajectory, solve
 
 _REL_FLOOR = 1e-30
@@ -66,11 +66,6 @@ class CoreSeries:
     ut_sq_accum: np.ndarray
     energy_residual: np.ndarray
     energy_residual_rel: np.ndarray
-
-
-def lattice_points(dim: int, n: int) -> np.ndarray:
-    """Uniform lattice of n^dim points on the closed unit box."""
-    return tensor_points(np.linspace(0.0, 1.0, n), dim)
 
 
 def _lattice_sup(traj: Trajectory, n: int) -> np.ndarray:

@@ -77,6 +77,11 @@ def tensor_points(axis, dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def lattice_points(dim: int, n: int) -> np.ndarray:
+    """Uniform lattice of n^dim points on the closed unit box."""
+    return tensor_points(np.linspace(0.0, 1.0, n), dim)
+
+
 def tensor_axis(nodes, dim: int) -> np.ndarray:
     """The axis of nodes = tensor_points(axis, dim); the inverse of tensor_points.
 
@@ -175,7 +180,7 @@ def make_field(spec, dim: int) -> Field:
         try:
             ks = [tuple(int(v) for v in row[:-1]) for row in rows]
             cs = [float(row[-1]) for row in rows]
-        except (TypeError, ValueError, IndexError) as exc:
+        except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ConfigurationError(f"modes coeffs rows must be [k_1..k_N, value]: {exc}")
         for k in ks:
             if len(k) != dim or any(ki < 1 for ki in k):
@@ -292,7 +297,7 @@ class ExponentData:
 
     def probe_lattice(self):
         """Uniform probe lattice on [0,1]^N x [0,T] used by validate()."""
-        x = tensor_points(np.linspace(0.0, 1.0, self.lipschitz_probe_resolution), self.dim)
+        x = lattice_points(self.dim, self.lipschitz_probe_resolution)
         times = np.linspace(0.0, self.horizon, self.time_probe_resolution)
         return x, times
 

@@ -95,11 +95,14 @@ class EigenBasis:
     def line_tables(self, axis) -> np.ndarray:
         """sqrt(2) sin(k pi x) and its first two derivatives on 1D points, (3, n, m_per_dim).
 
-        Built as a one-dimensional basis, so the factors are the basis' own.
+        Built on a one-dimensional basis' `_trig`, with the roundings of its
+        scattered tables.
         """
         line = build_basis(1, self.m_per_dim)
-        x = np.asarray(axis, dtype=float)[:, None]
-        return np.stack([line.values(x), line.gradients(x)[:, 0], line.hessians(x)[:, 0, 0]])
+        s, c = (t[..., 0] for t in line._trig(np.asarray(axis, dtype=float)[:, None]))
+        kpi, norm = np.pi * line.modes[:, 0], 2.0 ** 0.5
+        v = norm * s
+        return np.stack([v, (norm * kpi) * c, -(kpi ** 2) * v])
 
     def lattice(self, lines, coeffs, order: int = 0) -> np.ndarray:
         """Values (order 0), gradients (1) or Hessians (2) on a tensor lattice.
@@ -134,56 +137,41 @@ class EigenBasis:
 
     def values(self, x) -> np.ndarray:
         """Basis values at points x (M, N) -> (M, m), chunked over points."""
-        return self._chunked(x, self._values_chunk)
+        return self._chunked(x, 0)
 
     def gradients(self, x) -> np.ndarray:
         """Basis gradients at points x -> (M, N, m)."""
-        return self._chunked(x, self._gradients_chunk)
+        return self._chunked(x, 1)
 
     def hessians(self, x) -> np.ndarray:
         """Basis second derivatives at points x -> (M, N, N, m)."""
-        return self._chunked(x, self._hessians_chunk)
+        return self._chunked(x, 2)
 
-    def _chunked(self, x, fn):
+    def _chunked(self, x, order: int) -> np.ndarray:
+        """The order-th derivative tensor of every mode at points x, (M,) + (N,) * order + (m,).
+
+        Per chunk of points, each component of `_components` multiplies one
+        factor per axis in axis order (sin, k pi cos or -(k pi)^2 sin for
+        derivative degree 0, 1 or 2), then 2^(N/2); a mixed Hessian entry and
+        its transpose share their degrees, so they are equal bit for bit.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
-        # zero points still make one (empty) chunk, so the tables keep their shape
-        parts = [fn(*self._trig(x[i:i + _CHUNK]))
-                 for i in range(0, max(x.shape[0], 1), _CHUNK)]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=0)
-
-    # The chunk kernels take the sin/cos tables of _trig for a block of points
-    # and multiply in place into their output, in the order of the formula.
-    def _values_chunk(self, s, c):
-        return 2.0 ** (self.dim / 2.0) * np.prod(s, axis=-1)
-
-    def _gradients_chunk(self, s, c):
-        norm = 2.0 ** (self.dim / 2.0)
-        kpi = np.pi * self.modes.T  # (N, m)
-        out = np.empty((s.shape[0], self.dim, self.size))
-        for d in range(self.dim):
-            prod = np.multiply(norm * kpi[d], c[:, :, d], out=out[:, d, :])
-            for l in range(self.dim):
-                if l != d:
-                    prod *= s[:, :, l]
-        return out
-
-    def _hessians_chunk(self, s, c):
-        norm = 2.0 ** (self.dim / 2.0)
-        kpi = np.pi * self.modes.T
-        vals = norm * np.prod(s, axis=-1)
-        out = np.empty((s.shape[0], self.dim, self.dim, self.size))
-        for d in range(self.dim):
-            np.multiply(-(kpi[d] ** 2), vals, out=out[:, d, d, :])
-            for e in range(d + 1, self.dim):
-                prod = np.multiply(norm * kpi[d] * kpi[e], c[:, :, d], out=out[:, d, e, :])
-                prod *= c[:, :, e]
-                for l in range(self.dim):
-                    if l != d and l != e:
-                        prod *= s[:, :, l]
-                out[:, e, d, :] = prod
-        return out
+        comps = _components(self.dim, order)
+        out = np.empty((x.shape[0], len(comps), self.size))
+        kpi = np.pi * self.modes.T[:, None, :]  # (N, 1, m)
+        for i in range(0, x.shape[0], _CHUNK):
+            # axis first, so that each axis' factor is one contiguous block
+            s, c = (np.moveaxis(t, -1, 0) for t in self._trig(x[i:i + _CHUNK]))
+            factors = (s, kpi * c if order else None, -(kpi ** 2) * s if order > 1 else None)
+            for j, degrees in enumerate(comps):
+                prod = out[i:i + _CHUNK, j]
+                prod[...] = factors[degrees[0]][0]
+                for d in range(1, self.dim):
+                    prod *= factors[degrees[d]][d]
+                prod *= 2.0 ** (self.dim / 2.0)
+        return out.reshape(out.shape[:1] + (self.dim,) * order + out.shape[2:])
 
 
 @cache
@@ -538,15 +526,9 @@ def _trajectory(head, rows) -> Trajectory:
 
 
 def _mode_factors(single: EigenBasis, x) -> tuple:
-    """phi, grad phi, |grad phi|^2, lap phi and grad phi . (D^2 phi) grad phi at x (M, N).
-
-    The one-mode basis' own kernels, on sines and cosines taken here directly.
-    """
-    s, c = (fn(x * (np.pi * single.modes[0]))[:, None, :] for fn in (np.sin, np.cos))
-    grad = single._gradients_chunk(s, c)[..., 0]
-    ghg = np.sum(grad[:, :, None] * single._hessians_chunk(s, c)[..., 0] * grad[:, None, :],
-                 axis=(1, 2))
-    phi = single._values_chunk(s, c)[:, 0]
+    """phi, grad phi, |grad phi|^2, lap phi and grad phi . (D^2 phi) grad phi at x (M, N)."""
+    phi, grad = single.values(x)[:, 0], single.gradients(x)[..., 0]
+    ghg = np.sum(grad[:, :, None] * single.hessians(x)[..., 0] * grad[:, None, :], axis=(1, 2))
     return phi, grad, flux.beta_eps(grad, 0.0), -single.eigenvalues[0] * phi, ghg
 
 
@@ -573,7 +555,7 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
             memo[:] = key, _mode_factors(single, x)
         phi, gphi, gsq, lap, ghg = memo[1]
         decay = amplitude * np.exp(-rate * t)
-        a, b, p, q = (fld(x, t) for fld in (data.a, data.b, data.p, data.q))
+        a, b, p, q = data.sample(x, t)
         # grad phi . grad of a, b, p and q
         da, db, dp, dq = (sum(gphi[:, d] * g[:, d] for d in range(x.shape[1]))
                           for g in (fld.grad(x, t) for fld in (data.a, data.b, data.p, data.q)))

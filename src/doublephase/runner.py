@@ -16,6 +16,7 @@ values.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -26,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import __version__, diagnostics as dg
-from .fields import ConfigurationError, ExponentData, Field, make_field
+from .fields import ConfigurationError, ExponentData, Field, lattice_points, make_field
 from .galerkin import SolverConfig, SolverError, Trajectory, manufactured_source, solve
 
 
@@ -86,6 +87,17 @@ def _integer(value, key: str) -> int:
     raise ValueError(f"{key} {value!r} is not an integer")
 
 
+def _number(value, key: str) -> float:
+    """`value` as a float, refused unless finite: `float` alone reads .nan, .inf and `true`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+    if isinstance(value, bool) or not math.isfinite(number):
+        raise ValueError(f"{key} {value!r} is not a finite number")
+    return number
+
+
 def resolve_source(descriptor, data: ExponentData, eps: float) -> Field:
     """Build the source field; the manufactured family closes over the data."""
     if not (isinstance(descriptor, dict) and descriptor.get("family") == "manufactured"):
@@ -94,8 +106,8 @@ def resolve_source(descriptor, data: ExponentData, eps: float) -> Field:
     mode = [_integer(k, "manufactured mode") for k in src.get("mode", [1] * data.dim)]
     if len(mode) != data.dim or min(mode) < 1:
         raise ValueError(f"manufactured mode {mode} invalid for dim {data.dim}")
-    return manufactured_source(data, eps, mode=mode, amplitude=float(src.get("amplitude", 1.0)),
-                               rate=float(src.get("rate", 1.0)))
+    amplitude, rate = (_number(src.get(k, 1.0), f"manufactured {k}") for k in ("amplitude", "rate"))
+    return manufactured_source(data, eps, mode=mode, amplitude=amplitude, rate=rate)
 
 
 def load_config(path) -> RunConfig:
@@ -129,18 +141,14 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
         dim = _integer(need("dim"), "dim")
         fields = _block(need("fields"), ("p", "q", "a", "b"), "fields")
         data = ExponentData(
-            dim=dim, horizon=float(need("horizon")), alpha=float(need("alpha")),
+            dim=dim, horizon=_number(need("horizon"), "horizon"),
+            alpha=_number(need("alpha"), "alpha"),
             **{k: make_field(fields[k], dim) for k in ("p", "q", "a", "b")},
         )
-        initial = make_field(need("initial"), dim)
-        # probed as the data are, so that Workspace.project cannot refuse it after the
-        # output directory exists
-        if not np.all(np.isfinite(initial(data.probe_lattice()[0], 0.0))):
-            raise ValueError("initial datum is not finite on the probe lattice")
         config = RunConfig(
             name=str(raw.get("name", Path(where).stem)),
             data=data,
-            initial=initial,
+            initial=make_field(need("initial"), dim),
             source_descriptor=raw.get("source", 0.0),
             solver=SolverConfig(**_solver_values(need("solver"))),
             diagnostics=dict(raw.get("diagnostics", {})),
@@ -151,8 +159,19 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
             seed=_integer(raw.get("seed", 0), "seed"),
             raw=raw,
         )
+        # the data and the source at t = 0 and the horizon, and the initial datum,
+        # are probed on the validation lattice, so that no run meets a non-finite
+        # one after the output directory exists
+        x = data.probe_lattice()[0]
+        source = config.source_field()
+        probes = [("initial datum", config.initial(x, 0.0))]
+        for t in (0.0, data.horizon):
+            probes += zip(("field 'a'", "field 'b'", "field 'p'", "field 'q'", "source"),
+                          data.sample(x, t) + (source(x, t),))
+        for name, values in probes:
+            if not np.all(np.isfinite(values)):
+                raise ValueError(f"{name} is not finite on the probe lattice")
         # the remaining readers, so that no block is first read after the solve
-        config.source_field()
         _diagnostics(config)
         _output(config)
         _sweep(config)
@@ -184,7 +203,7 @@ def _diagnostics(config: RunConfig) -> Diagnostics:
     opts = _block(config.diagnostics, ("sigma_grid", "interpolation", "energy_residual_ceiling"),
                   "diagnostics")
     opts |= _block(opts.pop("interpolation", {}), ("varsigma", "beta"), "interpolation")
-    d = Diagnostics(**{k: tuple(map(float, v)) if k == "sigma_grid" else float(v)
+    d = Diagnostics(**{k: tuple(_number(s, k) for s in v) if k == "sigma_grid" else _number(v, k)
                        for k, v in opts.items()})
     if not d.sigma_grid:
         raise ValueError("empty sigma_grid")
@@ -192,16 +211,15 @@ def _diagnostics(config: RunConfig) -> Diagnostics:
     for s in d.sigma_grid + (d.varsigma,):
         if not 0.0 < s < r_sharp:
             raise ValueError(f"sigma {s} outside (0, {r_sharp})")
-    if not 0.0 < d.energy_residual_ceiling < np.inf:
-        raise ValueError(f"energy_residual_ceiling {d.energy_residual_ceiling} "
-                         "must be positive and finite")
+    if d.energy_residual_ceiling <= 0.0:
+        raise ValueError(f"energy_residual_ceiling {d.energy_residual_ceiling} must be positive")
     return d
 
 
 def _output(config: RunConfig) -> tuple:
     """The output block's snapshot times, each in [0, horizon]."""
     out = _block(config.output, ("snapshots",), "output")
-    times = tuple(float(t) for t in out.get("snapshots") or ())
+    times = tuple(_number(t, "snapshot time") for t in out.get("snapshots") or ())
     for t in times:
         if not 0.0 <= t <= config.data.horizon:
             raise ValueError(f"snapshot time {t} outside [0, {config.data.horizon}]")
@@ -220,7 +238,7 @@ def _sweep(config: RunConfig) -> tuple:
     """
     sweep = _block(config.sweep, ("eps", "m_per_dim", "solver_overrides", "diagnostics_overrides",
                                   "ceilings", "stability"), "sweep")
-    eps_list = [float(e) for e in sweep.get("eps", [config.solver.eps])]
+    eps_list = [_number(e, "sweep eps") for e in sweep.get("eps", [config.solver.eps])]
     m_list = [_integer(m, "m_per_dim") for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
     if (not eps_list or not m_list or eps_list != sorted(set(eps_list), reverse=True)
             or m_list != sorted(set(m_list))):
@@ -240,9 +258,10 @@ def _sweep(config: RunConfig) -> tuple:
     halvings = _integer(stab.get("halvings", 3), "stability halvings")
     if pairs < 0 or halvings < 0:
         raise ValueError("stability pairs and halvings must be nonnegative")
-    stability = (pairs, halvings, float(stab.get("base_delta", 1e-1)),
+    stability = (pairs, halvings, _number(stab.get("base_delta", 1e-1), "stability base_delta"),
                  _integer(stab.get("seed", config.seed), "stability seed")) if stab else None
-    return m_list, eps_list, members, None if final is None else float(final), stability
+    return (m_list, eps_list, members,
+            None if final is None else _number(final, "final_distance"), stability)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +313,7 @@ def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict
     Probes f = 0 on the boundary and finiteness of the squared spatial
     gradient over the cylinder (finite differences on a lattice).
     """
-    pts = dg.lattice_points(data.dim, n)
+    pts = lattice_points(data.dim, n)
     boundary = pts[np.any((pts == 0.0) | (pts == 1.0), axis=1)]
     times = np.linspace(0.0, data.horizon, 5)
     bmax = max(float(np.abs(f_field(boundary, t)).max()) for t in times) if len(boundary) else 0.0
@@ -463,7 +482,7 @@ def _write_snapshots(outdir: Path, traj: Trajectory, config: RunConfig):
     snaps = _output(config)
     if not snaps:
         return
-    lat = dg.lattice_points(traj.data.dim, SNAPSHOT_LATTICE)
+    lat = lattice_points(traj.data.dim, SNAPSHOT_LATTICE)
     lines = traj.basis.line_tables(np.linspace(0.0, 1.0, SNAPSHOT_LATTICE))
     for t_want in snaps:
         k = int(np.argmin(np.abs(traj.times - t_want)))
@@ -505,8 +524,7 @@ def _finish_member(member: RunConfig, outdir: str, started: tuple):
     return {"name": member.name, "code": code,
             "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
             "grid": None if traj is None else traj.spacetime_grid(),
-            "summary": manifest.get("summary", {}),
-            "checks": manifest.get("checks", [])}
+            "summary": manifest.get("summary", {})}
 
 
 def _run_jobs(submit, config: RunConfig, chunks: list, rows: list, row_dirs: list):

@@ -291,21 +291,21 @@ def test_eps_continuation_plap_decreasing():
 
 
 def test_gradient_cauchy_builds_one_gradient_table_per_basis(monkeypatch):
-    # the members of an eps study share one basis, so its gradient table on
-    # the base grid is built once, not once per member
+    # the members of an eps study share one basis, so its line tables on
+    # the base grid are built once, not once per member
     data = data_const(p=1.8, q=1.8, a=1.0, b=0.0, horizon=0.01)
     cfg = SolverConfig(m_per_dim=3, eps=1e-1, tau=2.5e-3)
     eps_seq = [1e-1, 5e-2, 2.5e-2]
     trajs = [solve(replace(cfg, eps=e), data, mode_field([[1, 1, 0.8]]), ZERO2)
              for e in eps_seq]
     calls = []
-    original = EigenBasis.gradients
+    original = EigenBasis.line_tables
 
-    def counting(self, x):
+    def counting(self, axis):
         calls.append(self.m_per_dim)
-        return original(self, x)
+        return original(self, axis)
 
-    monkeypatch.setattr(EigenBasis, "gradients", counting)
+    monkeypatch.setattr(EigenBasis, "line_tables", counting)
     rep = dg._gradient_cauchy(data, trajs[-1].spacetime_grid(),
                               [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
                               [f"eps={e:g}" for e in eps_seq])

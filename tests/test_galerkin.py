@@ -79,14 +79,55 @@ def test_trig_tables_of_single_mode_basis_equal_direct_formula_bitwise():
 
 
 def test_tables_across_a_chunk_boundary_equal_one_chunk_row_for_row():
+    # every row of a table over several chunks equals the same row evaluated
+    # in a chunk of its own, on either side of the boundary and across it
     basis = build_basis(2, 3)
     x = np.random.default_rng(5).uniform(size=(_CHUNK + 1, 2))
-    one_chunk = _direct_trig(basis, x)
-    for got, want in zip(basis._trig(x), one_chunk):
+    for got, want in zip(basis._trig(x), _direct_trig(basis, x)):
         assert np.array_equal(got, want)
-    assert np.array_equal(basis.values(x), basis._values_chunk(*one_chunk))
-    assert np.array_equal(basis.gradients(x), basis._gradients_chunk(*one_chunk))
-    assert np.array_equal(basis.hessians(x), basis._hessians_chunk(*one_chunk))
+    for method in ("values", "gradients", "hessians"):
+        table = getattr(basis, method)
+        whole = table(x)
+        for rows in (slice(0, _CHUNK), slice(_CHUNK, None), slice(_CHUNK - 2, _CHUNK + 1)):
+            assert np.array_equal(whole[rows], table(x[rows]))
+
+
+def _sine_product(basis, x):
+    """2^(N/2) * (sin_0 * sin_1 * ...) from the direct angles, multiplied in axis order."""
+    s = _direct_trig(basis, x)[0]
+    prod = s[..., 0]
+    for d in range(1, basis.dim):
+        prod = prod * s[..., d]
+    return 2.0 ** (basis.dim / 2.0) * prod
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("m_per_dim", [1, 4])
+def test_values_equal_normed_sine_product_bitwise(dim, m_per_dim):
+    basis = build_basis(dim, m_per_dim)
+    x = np.random.default_rng(dim + 10 * m_per_dim).uniform(size=(40, dim))
+    assert np.array_equal(basis.values(x), _sine_product(basis, x))
+    single = mode_basis([(3,) * dim], dim)
+    assert np.array_equal(single.values(x), _sine_product(single, x))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_line_tables_equal_sqrt2_formula_bitwise(dim):
+    basis = build_basis(dim, 5)
+    axis = np.random.default_rng(dim).uniform(size=13)
+    kpi = np.pi * np.arange(1, 6)
+    angles = np.pi * axis[:, None] * np.arange(1, 6)
+    v = 2.0 ** 0.5 * np.sin(angles)
+    want = np.stack([v, (2.0 ** 0.5 * kpi) * np.cos(angles), -(kpi ** 2) * v])
+    assert np.array_equal(basis.line_tables(axis), want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_hessians_are_exactly_symmetric(dim):
+    basis = build_basis(dim, 4)
+    x = np.random.default_rng(7 * dim).uniform(size=(30, dim))
+    hess = basis.hessians(x)
+    assert np.array_equal(hess, np.swapaxes(hess, 1, 2))
 
 
 @pytest.mark.parametrize("method, shape", [

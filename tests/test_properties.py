@@ -3,14 +3,20 @@
 Skipped as a whole where hypothesis is not installed.  The examples are
 derandomized, so every run checks the same cases.
 """
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+import yaml
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
-from doublephase import flux, spaces  # noqa: E402
+from doublephase import flux, runner, spaces  # noqa: E402
+from doublephase.fields import ConfigurationError  # noqa: E402
 
 GRID = spaces.tensor_gauss_legendre(2, 4)
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -77,3 +83,60 @@ def test_energy_density_is_convex(pair, a, b, p, q, eps, t):
               for v in (xi, eta, (1 - t) * xi + t * eta)]
     chord = (1 - t) * energy[0] + t * energy[1]
     assert energy[2] <= chord + 1e-12 * max(energy[0], energy[1])
+
+
+# A bundled scenario with one value of its parsed YAML replaced: the config
+# loads and runs to an exit code with a manifest, or it is refused at load.
+SCENARIOS = sorted((Path(__file__).resolve().parents[1] / "scenarios").glob("*.yaml"))
+REPLACEMENTS = [float("nan"), float("inf"), float("-inf"), 0, -1, 2.5, "x", [], None, {}]
+CUT = 2.0e-3  # horizon of a run, a step or two
+
+
+def _key_paths(node, path=()):
+    """Every key or index path below node, parents before their children."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _key_paths(child, path + (key,))
+
+
+def _cut(raw):
+    """raw with a finite horizon and the snapshot times cut to CUT at most."""
+    def cut(t):
+        return min(t, CUT) if isinstance(t, (int, float)) and math.isfinite(t) else t
+
+    raw["horizon"] = cut(raw.get("horizon"))
+    output = raw.get("output")
+    if isinstance(output, dict) and isinstance(output.get("snapshots"), list):
+        output["snapshots"] = [cut(t) for t in output["snapshots"]]
+    return raw
+
+
+@st.composite
+def replaced_scenarios(draw):
+    raw = yaml.safe_load(draw(st.sampled_from(SCENARIOS)).read_text())
+    path = draw(st.sampled_from(list(_key_paths(raw))))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = draw(st.sampled_from(REPLACEMENTS))
+    return path, raw
+
+
+@PROPERTY
+@given(case=replaced_scenarios())
+def test_replaced_scenario_value_is_refused_at_load_or_runs_to_an_exit_code(case):
+    path, raw = case
+    try:
+        config = runner.config_from_dict(_cut(raw))
+    except ConfigurationError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        code, _, _ = runner.perform_run(config, out)
+        assert code in (0, 1, 2, 3), path
+        assert (Path(out) / "manifest.json").exists(), path

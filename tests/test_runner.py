@@ -85,6 +85,15 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
                ("energy_residual_ceiling nan",
                 small_heat_raw(diagnostics={"energy_residual_ceiling": float("nan")})),
                ("initial datum", small_heat_raw(initial=float("nan"))),
+               ("source is not finite", small_heat_raw(source=float("nan"))),
+               ("source is not finite",  # finite at t = 0, overflows by the horizon
+                small_heat_raw(source={"family": "bump", "amp": 1.0, "tdecay": -1.0e5})),
+               ("manufactured amplitude nan",
+                small_heat_raw(source=manufactured | {"amplitude": float("nan")})),
+               ("manufactured rate inf",
+                small_heat_raw(source=manufactured | {"rate": float("inf")})),
+               ("beta nan",
+                small_heat_raw(diagnostics={"interpolation": {"beta": float("nan")}})),
                ("big", small_heat_raw(source=manufactured | {"amplitude": "big"})),
                ("mode", small_heat_raw(source=manufactured | {"mode": [1]})),
                ("mode", small_heat_raw(source=manufactured | {"mode": [0, 1]})),
@@ -227,7 +236,9 @@ def test_solver_failure_after_two_steps_writes_partial_timeseries(tmp_path, monk
                                   {"eps": [1.0e-2], "ceilings": {"second_order_ratio": 3.0}},
                                   {"eps": [1.0e-2], "ceilings": {"time_derivative_ratio": 3.0}},
                                   {"m_per_dim": [2.5, 3]},
-                                  {"eps": [1.0e-2], "stability": {"pairs": 2.5}}])
+                                  {"eps": [1.0e-2], "stability": {"pairs": 2.5}},
+                                  {"eps": [1.0e-2], "stability": {"base_delta": float("nan")}},
+                                  {"eps": [1.0e-2], "ceilings": {"final_distance": float("nan")}}])
 def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
     # eps must decrease and m_per_dim increase, or the Cauchy studies run backwards, and
     # an empty axis would run no member and read as a pass;
@@ -237,7 +248,7 @@ def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
     cfgfile = write_config(tmp_path, small_heat_raw(sweep=axes))
     with pytest.raises(ConfigurationError,
                        match="strictly|time step|bogus|eps > 0|m_per_dim|nonnegative"
-                             "|unknown|not an integer|could not convert"):
+                             "|unknown|not an integer|could not convert|not a finite number"):
         runner.load_config(cfgfile)
     out = tmp_path / "out"
     assert cli.main(["sweep", str(cfgfile), "--outdir", str(out)]) == 1
