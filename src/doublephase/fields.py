@@ -40,12 +40,14 @@ class Field:
     ``field(x, t)`` takes ``x`` of shape (M, N) (a single point is accepted
     as shape (N,)) and ``t`` scalar or shape (M,), and returns shape (M,);
     ``field.grad(x, t)`` returns the exact spatial gradient, shape (M, N).
+    A ``steady`` field takes the same values at every t, bit for bit.
     """
 
     dim: int
     descriptor: Mapping
     _fn: Callable = field(repr=False)
     _grad: Optional[Callable] = field(default=None, repr=False)
+    steady: bool = False
 
     def __call__(self, x, t) -> np.ndarray:
         x = _as_points(x)
@@ -100,6 +102,20 @@ _FAMILY_KEYS = {"constant": ("value",), "affine": ("base", "slope", "tslope"),
                 "sinusoidal": ("base", "amp", "wave", "phase", "tfreq"),
                 "bump": ("base", "amp", "center", "width", "tdecay"),
                 "modes": ("coeffs", "tdecay"), "bubble": ("amp", "tdecay")}
+# The time parameter of each family but the constant one.  At 0 the time
+# term is exactly 0.0 or the time factor exactly 1.0, so the field is steady.
+_TIME_KEY = {"affine": "tslope", "sinusoidal": "tfreq", "bump": "tdecay",
+             "modes": "tdecay", "bubble": "tdecay"}
+
+
+def integer(value, key: str) -> int:
+    """`value` as an int, refused unless integral: `int` alone runs 2.5 as 2 and `true` as 1."""
+    try:
+        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{key} {value!r} is not an integer")
 
 
 def make_field(spec, dim: int) -> Field:
@@ -119,7 +135,7 @@ def make_field(spec, dim: int) -> Field:
                  -> sum of value*phi_k(x), all damped by exp(-tdecay*t)
     bubble       amp, tdecay -> amp * prod_i x_i(1-x_i) * exp(-tdecay*t)
     """
-    if isinstance(spec, (int, float)):
+    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
         spec = {"family": "constant", "value": float(spec)}
     if not isinstance(spec, Mapping):
         raise ConfigurationError(f"field descriptor must be a number or mapping, got {spec!r}")
@@ -178,7 +194,7 @@ def make_field(spec, dim: int) -> Field:
         rows = need("coeffs")
         tdecay = float(need("tdecay", 0.0))
         try:
-            ks = [tuple(int(v) for v in row[:-1]) for row in rows]
+            ks = [tuple(integer(v, "mode index") for v in row[:-1]) for row in rows]
             cs = [float(row[-1]) for row in rows]
         except (TypeError, ValueError, IndexError, OverflowError) as exc:
             raise ConfigurationError(f"modes coeffs rows must be [k_1..k_N, value]: {exc}")
@@ -196,7 +212,8 @@ def make_field(spec, dim: int) -> Field:
         fn = lambda x, t: amp * np.prod(x * (1.0 - x), axis=-1) * np.exp(-tdecay * t)
         grad = lambda x, t: (amp * np.exp(-tdecay * t))[..., None] * (1.0 - 2.0 * x) * np.stack(
             [np.prod(np.delete(x * (1.0 - x), d, axis=-1), axis=-1) for d in range(dim)], axis=-1)
-    return Field(dim=dim, descriptor=dict(spec), _fn=fn, _grad=grad)
+    steady = fam == "constant" or float(need(_TIME_KEY[fam], 0.0)) == 0.0
+    return Field(dim=dim, descriptor=dict(spec), _fn=fn, _grad=grad, steady=steady)
 
 
 @dataclass(frozen=True)

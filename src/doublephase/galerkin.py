@@ -8,11 +8,15 @@ solving the projected gradient-flow system
            + int_Omega f phi_j dx .
 
 Each implicit Euler step is a convex proximal problem (the energy density is
-convex in the gradient for eps > 0) solved by damped Newton with the exact
-flux Jacobian; the per-step discrete energy inequality then holds up to the
-Newton tolerance and is recorded per step.  Exponents and coefficients are
-frozen at the step's end time inside the solve, keeping each step a single
-convex minimization.
+convex in the gradient for eps > 0) solved by a chord Newton method: an
+iteration first tries the inverse of the last Newton matrix built for its
+step size, and keeps that step only when it cuts the residual by CHORD_RHO;
+otherwise it builds the Newton matrix from the exact flux Jacobian at the
+current iterate and takes a damped Newton step.  Either way an iterate is
+accepted only within the Newton tolerance, so the per-step discrete energy
+inequality holds up to that tolerance and is recorded per step.  Exponents
+and coefficients are frozen at the step's end time inside the solve,
+keeping each step a single convex minimization.
 """
 from __future__ import annotations
 
@@ -28,6 +32,9 @@ from .fields import ExponentData, Field, sample_field, tensor_axis
 from .spaces import QuadratureGrid, tensor_gauss_legendre
 
 _CHUNK = 4096
+# A chord step with a cached Newton inverse is kept when it cuts the residual
+# by at least this factor; otherwise the iteration builds a fresh Jacobian.
+CHORD_RHO = 0.1
 
 
 class StepFailure(RuntimeError):
@@ -265,11 +272,13 @@ class SolverConfig:
 
 
 class Workspace:
-    """Basis tables on the solver quadrature grid.
+    """Basis tables on the solver quadrature grid, and the caches of one solve.
 
     The grid must be a tensor lattice in `tensor_points` order (as from
     `tensor_gauss_legendre`): every table is one-dimensional, and fields and
-    the Newton matrix are contracted one axis at a time.
+    the Newton matrix are contracted one axis at a time.  `newton_inverses`
+    holds, per step size, the inverse of the last Newton matrix built; steady
+    data are sampled and projected once and kept read-only.
     """
 
     def __init__(self, basis: EigenBasis, grid: QuadratureGrid):
@@ -283,6 +292,8 @@ class Workspace:
         f = self._lines[:2]
         n, m1 = f.shape[1:]
         self._pairs = (f[:, None, :, :, None] * f[None, :, :, None, :]).reshape(2, 2, n, m1 * m1)
+        self.newton_inverses = {}
+        self._steady = {}  # (id of a steady field, projected?) -> (the field, its array)
 
     def gradient_of(self, coeffs) -> np.ndarray:
         return self.basis.lattice(self._lines, coeffs, 1)
@@ -292,7 +303,23 @@ class Workspace:
         return self.basis.lattice_adjoint(self._lines, self.w[:, None] * fvec, 1)
 
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
-        return self.basis.lattice_adjoint(self._lines, self.w * f_field(self.x, t))
+        return self._sampled(f_field, t, True)
+
+    def fields_at(self, data: ExponentData, t: float) -> tuple:
+        """(a, b, p, q) on the nodes at time t."""
+        return tuple(self._sampled(fld, t, False) for fld in (data.a, data.b, data.p, data.q))
+
+    def _sampled(self, fld: Field, t: float, projected: bool) -> np.ndarray:
+        """fld on the nodes at t, or its projection; a steady field's is made once, read-only."""
+        key = (id(fld), projected)  # an entry keeps its field alive, so no other field gets its id
+        if key in self._steady:
+            return self._steady[key][1]
+        values = fld(self.x, t)
+        out = self.basis.lattice_adjoint(self._lines, self.w * values) if projected else values
+        if fld.steady:
+            out.flags.writeable = False
+            self._steady[key] = (fld, out)
+        return out
 
     def project(self, u0: Field) -> SpectralState:
         """L2 projection of the initial datum onto the basis."""
@@ -335,6 +362,7 @@ class Workspace:
 @dataclass
 class StepStats:
     newton_iters: int
+    jacobians: int  # Newton matrices built from a fresh flux Jacobian
     residual_norm: float
     residual_bound: float  # the Newton tolerance the residual was accepted against
     energy_slack: float
@@ -344,16 +372,19 @@ class StepStats:
 def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentData,
                   f_field: Field, cfg: SolverConfig, ws: Workspace,
                   start=None) -> tuple[SpectralState, StepStats]:
-    """One damped-Newton implicit Euler step from state.t to state.t + tau.
+    """One chord-Newton implicit Euler step from state.t to state.t + tau.
 
     Solves V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
     functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v).
     Newton starts from `start` (default U) and accepts the first iterate v within
-    `cfg.newton_tolerance(v)`.  Damping halves the step until the residual decreases.
+    `cfg.newton_tolerance(v)`.  An iteration first tries the chord step with
+    `ws.newton_inverses[tau]`, kept when it cuts the residual by CHORD_RHO;
+    otherwise it builds and caches the Newton matrix's inverse at v and takes
+    a damped Newton step, halving it until the residual decreases.
     """
     t1 = state.t + tau
     u = state.coeffs
-    fields = data.sample(ws.x, t1)
+    fields = ws.fields_at(data, t1)
     f_vec = ws.source_vector(f_field, t1)
 
     def residual(v):
@@ -364,27 +395,37 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     res, grad_v, fvec = residual(v)
     norm_res = np.linalg.norm(res)
     trace = [norm_res]
+    jacobians = 0
     for it in range(cfg.newton_max_iter):
         if norm_res <= cfg.newton_tolerance(v):
             break
-        jac_flux = flux.jacobian_kernel(*fields, grad_v, eps)
-        # I plus a weighted Gram form of the PSD flux Jacobian: positive
-        # definite and well conditioned, so pivoted LU is stable here
-        mat = ws.step_matrix(jac_flux, tau)
-        try:
-            delta = np.linalg.solve(mat, -res)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailure(f"newton solve failed at t={t1:.6g}: {exc}", trace) from exc
-        alpha = 1.0
-        for _ in range(cfg.max_damping_halvings):
-            cand = v + alpha * delta
+        inv = ws.newton_inverses.get(tau)
+        if inv is not None:
+            cand = v - inv @ res
             res_c, grad_c, fvec_c = residual(cand)
             norm_c = np.linalg.norm(res_c)
-            if norm_c < norm_res:
-                break
-            alpha *= 0.5
-        else:
-            raise StepFailure(f"damping exhausted at t={t1:.6g}", trace)
+        if inv is None or not norm_c <= CHORD_RHO * norm_res:
+            jacobians += 1
+            jac_flux = flux.jacobian_kernel(*fields, grad_v, eps)
+            # I plus a weighted Gram form of the PSD flux Jacobian: positive
+            # definite and well conditioned, so pivoted LU is stable here
+            mat = ws.step_matrix(jac_flux, tau)
+            try:
+                inv = np.linalg.solve(mat, np.eye(len(v)))
+            except np.linalg.LinAlgError as exc:
+                raise StepFailure(f"newton solve failed at t={t1:.6g}: {exc}", trace) from exc
+            ws.newton_inverses[tau] = inv
+            delta = -(inv @ res)
+            alpha = 1.0
+            for _ in range(cfg.max_damping_halvings):
+                cand = v + alpha * delta
+                res_c, grad_c, fvec_c = residual(cand)
+                norm_c = np.linalg.norm(res_c)
+                if norm_c < norm_res:
+                    break
+                alpha *= 0.5
+            else:
+                raise StepFailure(f"damping exhausted at t={t1:.6g}", trace)
         v, res, grad_v, fvec, norm_res = cand, res_c, grad_c, fvec_c, norm_c
         trace.append(norm_res)
     else:
@@ -393,7 +434,7 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     flux_energy = float(ws.w @ np.sum(fvec * grad_v, axis=-1))
     source_work = float(f_vec @ v)
     slack = (v @ v - u @ u) / (2.0 * tau) + flux_energy - source_work
-    stats = StepStats(newton_iters=len(trace) - 1, residual_norm=norm_res,
+    stats = StepStats(newton_iters=len(trace) - 1, jacobians=jacobians, residual_norm=norm_res,
                       residual_bound=cfg.newton_tolerance(v), energy_slack=slack,
                       ut_sq_increment=float((v - u) @ (v - u)) / tau)
     return SpectralState(t=t1, coeffs=v, basis=state.basis), stats
@@ -413,6 +454,7 @@ class Trajectory:
     coeffs: np.ndarray            # (K+1, m)
     ut_sq_accum: np.ndarray       # (K+1,) running sum of tau*||u_t||^2
     newton_iters: np.ndarray
+    jacobians: np.ndarray         # fresh Newton matrices per step (`StepStats.jacobians`)
     newton_residual: np.ndarray
     newton_bound: np.ndarray      # the tolerance each newton_residual was accepted against
     energy_slack: np.ndarray      # per-checkpoint proximal inequality slack
@@ -474,6 +516,7 @@ def _advance(s, dt, depth, data, f_field, cfg, ws, start=None):
         worse = max(st1, st2, key=lambda st: st.residual_norm)
         merged = StepStats(
             newton_iters=st1.newton_iters + st2.newton_iters,
+            jacobians=st1.jacobians + st2.jacobians,
             residual_norm=worse.residual_norm,
             residual_bound=worse.residual_bound,
             energy_slack=st1.energy_slack + st2.energy_slack,
@@ -503,7 +546,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
     state = ws.project(u0)
 
     # the initial row, then one per step: the trailing Trajectory fields, times to energy_slack
-    rows = [(0.0, state.coeffs.copy(), 0.0, 0, 0.0, 0.0, 0.0)]
+    rows = [(0.0, state.coeffs.copy(), 0.0, 0, 0, 0.0, 0.0, 0.0)]
     head = (data, u0, f_field, cfg, basis, grid)
     running_ut = 0.0
 
@@ -515,7 +558,7 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
             raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
                               _trajectory(head, rows)) from exc
         running_ut += st.ut_sq_increment
-        rows.append((state.t, state.coeffs.copy(), running_ut, st.newton_iters,
+        rows.append((state.t, state.coeffs.copy(), running_ut, st.newton_iters, st.jacobians,
                      st.residual_norm, st.residual_bound, st.energy_slack))
     return _trajectory(head, rows)
 

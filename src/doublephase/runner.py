@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from . import __version__, diagnostics as dg
-from .fields import ConfigurationError, ExponentData, Field, lattice_points, make_field
+from .fields import ConfigurationError, ExponentData, Field, integer, lattice_points, make_field
 from .galerkin import SolverConfig, SolverError, Trajectory, manufactured_source, solve
 
 
@@ -77,16 +77,6 @@ def _block(block, keys, what: str) -> dict:
     return block
 
 
-def _integer(value, key: str) -> int:
-    """`value` as an int, refused unless integral: `int` alone runs 2.5 as 2 and `true` as 1."""
-    try:
-        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{key} {value!r} is not an integer")
-
-
 def _number(value, key: str) -> float:
     """`value` as a float, refused unless finite: `float` alone reads .nan, .inf and `true`."""
     try:
@@ -103,7 +93,7 @@ def resolve_source(descriptor, data: ExponentData, eps: float) -> Field:
     if not (isinstance(descriptor, dict) and descriptor.get("family") == "manufactured"):
         return make_field(descriptor, data.dim)
     src = _block(descriptor, ("family", "mode", "amplitude", "rate"), "manufactured source")
-    mode = [_integer(k, "manufactured mode") for k in src.get("mode", [1] * data.dim)]
+    mode = [integer(k, "manufactured mode") for k in src.get("mode", [1] * data.dim)]
     if len(mode) != data.dim or min(mode) < 1:
         raise ValueError(f"manufactured mode {mode} invalid for dim {data.dim}")
     amplitude, rate = (_number(src.get(k, 1.0), f"manufactured {k}") for k in ("amplitude", "rate"))
@@ -138,7 +128,7 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
     try:
         _block(raw, ("name", "dim", "horizon", "alpha", "fields", "initial", "source", "solver",
                      "diagnostics", "sweep", "output", "workers", "seed"), "top-level")
-        dim = _integer(need("dim"), "dim")
+        dim = integer(need("dim"), "dim")
         fields = _block(need("fields"), ("p", "q", "a", "b"), "fields")
         data = ExponentData(
             dim=dim, horizon=_number(need("horizon"), "horizon"),
@@ -154,9 +144,9 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
             diagnostics=dict(raw.get("diagnostics", {})),
             sweep=dict(raw.get("sweep", {})),
             output=dict(raw.get("output", {})),
-            workers=_integer(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1")),
-                             "workers"),
-            seed=_integer(raw.get("seed", 0), "seed"),
+            workers=integer(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1")),
+                            "workers"),
+            seed=integer(raw.get("seed", 0), "seed"),
             raw=raw,
         )
         # the data and the source at t = 0 and the horizon, and the initial datum,
@@ -184,7 +174,7 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
 
 def _solver_values(block) -> dict:
     """A `solver` block or the sweep's `solver_overrides`, as SolverConfig values."""
-    return {k: float(v) if k in ("eps", "tau", "newton_tol") else _integer(v, k)
+    return {k: _number(v, k) if k in ("eps", "tau", "newton_tol") else integer(v, k)
             for k, v in dict(block).items()}
 
 
@@ -239,7 +229,7 @@ def _sweep(config: RunConfig) -> tuple:
     sweep = _block(config.sweep, ("eps", "m_per_dim", "solver_overrides", "diagnostics_overrides",
                                   "ceilings", "stability"), "sweep")
     eps_list = [_number(e, "sweep eps") for e in sweep.get("eps", [config.solver.eps])]
-    m_list = [_integer(m, "m_per_dim") for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
+    m_list = [integer(m, "m_per_dim") for m in sweep.get("m_per_dim", [config.solver.m_per_dim])]
     if (not eps_list or not m_list or eps_list != sorted(set(eps_list), reverse=True)
             or m_list != sorted(set(m_list))):
         raise ValueError("sweep eps must decrease strictly and m_per_dim increase strictly, "
@@ -254,12 +244,12 @@ def _sweep(config: RunConfig) -> tuple:
     final = _block(sweep.get("ceilings", {}), ("final_distance",), "ceilings").get("final_distance")
     stab = _block(sweep.get("stability") or {}, ("pairs", "halvings", "base_delta", "seed"),
                   "stability")
-    pairs = _integer(stab.get("pairs", 4), "stability pairs")
-    halvings = _integer(stab.get("halvings", 3), "stability halvings")
+    pairs = integer(stab.get("pairs", 4), "stability pairs")
+    halvings = integer(stab.get("halvings", 3), "stability halvings")
     if pairs < 0 or halvings < 0:
         raise ValueError("stability pairs and halvings must be nonnegative")
     stability = (pairs, halvings, _number(stab.get("base_delta", 1e-1), "stability base_delta"),
-                 _integer(stab.get("seed", config.seed), "stability seed")) if stab else None
+                 integer(stab.get("seed", config.seed), "stability seed")) if stab else None
     return (m_list, eps_list, members,
             None if final is None else _number(final, "final_distance"), stability)
 

@@ -198,3 +198,30 @@ def test_nonfinite_field_is_configuration_error():
                         lipschitz_probe_resolution=9, time_probe_resolution=3)
     with pytest.raises(ConfigurationError, match="not finite"):
         data.validate()
+
+
+TIME_KEY = {"affine": "tslope", "sinusoidal": "tfreq", "bump": "tdecay", "modes": "tdecay",
+            "bubble": "tdecay"}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("family", ["constant", "affine", "sinusoidal", "bump", "modes", "bubble"])
+def test_field_with_time_parameter_zero_is_steady_bitwise(family, dim):
+    moving = family_spec(family, dim)
+    if family != "constant":
+        assert not make_field(moving, dim).steady
+    fld = make_field(moving if family == "constant" else moving | {TIME_KEY[family]: 0.0}, dim)
+    assert fld.steady
+    x = np.random.default_rng(dim).uniform(0.0, 1.0, size=(40, dim))
+    at0 = fld(x, 0.0).tobytes()
+    for t in (1e-3, 0.37, 2.0, 1e3):
+        assert fld(x, t).tobytes() == at0
+
+
+def test_refused_field_values():
+    # a boolean is no number, and a mode index must be an integer: 2.5 ran as mode 2
+    with pytest.raises(ConfigurationError, match="got True"):
+        make_field(True, 2)
+    with pytest.raises(ConfigurationError, match="mode index 2.5 is not an integer"):
+        make_field({"family": "modes", "coeffs": [[2.5, 1, 1.0]]}, 2)
+    assert make_field({"family": "modes", "coeffs": [[2.0, 1, 1.0]]}, 2).steady

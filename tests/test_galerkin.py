@@ -369,19 +369,60 @@ def test_workspace_rejects_non_tensor_grid():
             Workspace(basis, bad)
 
 
-def test_newton_iterations_of_unordered_sweep_member():
-    # an inexact Newton matrix (e.g. one without the a != b cross terms)
-    # still converges but needs more iterations: 60 here instead of 2 per step
+class Forgetful(dict):
+    """A Newton-inverse cache that keeps nothing: every iteration builds a fresh Jacobian."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_fresh_jacobian_newton_converges_quadratically():
+    # an inexact Newton matrix (one without the a != b cross terms, or one
+    # scaled by 0.9) converges only linearly: r2 / r1^2 reads 4.3 and 2.9 here
     config = runner.load_config(SCENARIOS / "unordered_sweep.yaml")
-    cfg = replace(config.solver, m_per_dim=4, eps=1e-4, tau=2.5e-3)
-    traj = solve(cfg, config.data, config.initial, config.source_field())
-    assert len(traj.times) == 21
-    assert traj.newton_iters.sum() == 40
+    # newton_tol below any reachable residual: the failure carries every iterate
+    cfg = replace(config.solver, m_per_dim=4, eps=1e-2, tau=0.05, newton_tol=1e-300,
+                  newton_max_iter=4)
+    basis = build_basis(2, cfg.m_per_dim)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    ws.newton_inverses = Forgetful()
+    state = ws.project(config.initial)
+    with pytest.raises(StepFailure) as info:
+        step_implicit(state, cfg.tau, cfg.eps, config.data, config.source_field(), cfg, ws)
+    r = np.array(info.value.trace)
+    assert r[0] > 0.1 and r[3] < 1e-14  # from far off down to rounding
+    above = r[:-1] > 1e-7  # below, rounding takes over from the quadratic term
+    assert above.sum() == 2
+    assert np.all(r[1:][above] <= r[:-1][above] ** 2)
+
+
+def test_wrong_cached_inverse_only_costs_fresh_jacobians(monkeypatch):
+    config = runner.load_config(SCENARIOS / "unordered_sweep.yaml")
+    cfg = replace(config.solver, m_per_dim=4, eps=1e-2, tau=5e-3)
+    args = (cfg, config.data, config.initial, config.source_field())
+    clean = solve(*args)
+    wrong = -np.eye(clean.basis.size)  # every chord step goes the wrong way
+
+    class Stale(dict):
+        def get(self, key, default=None):
+            return wrong
+
+    class StaleWorkspace(Workspace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.newton_inverses = Stale()
+
+    monkeypatch.setattr(galerkin, "Workspace", StaleWorkspace)
+    stale = solve(*args)
+    assert np.all(stale.newton_residual <= stale.newton_bound)
+    assert np.abs(stale.coeffs - clean.coeffs).max() < 1e-9
+    assert np.array_equal(stale.jacobians, stale.newton_iters)  # no chord step was kept
+    assert stale.jacobians.sum() > clean.jacobians.sum() > 0
 
 
 def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch):
-    # perfbench counts Newton iterations and residual evaluations from the
-    # flux.vector_kernel / flux.jacobian_kernel spans under step_implicit
+    # perfbench counts Jacobian builds and residual evaluations from the
+    # flux.jacobian_kernel / flux.vector_kernel spans under step_implicit
     data = data_const(p=1.1, q=2.0)
     cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1.0)
     basis = build_basis(2, cfg.m_per_dim)
@@ -398,12 +439,15 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
     monkeypatch.setattr(flux, "vector_kernel", counting("residual", flux.vector_kernel))
     monkeypatch.setattr(flux, "jacobian_kernel", counting("jacobian", flux.jacobian_kernel))
     _, stats = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
-    # a halving is a residual evaluation right after another one
-    halvings = sum(1 for prev, cur in zip(calls, calls[1:]) if prev == cur == "residual")
-    assert stats.newton_iters > 0 and halvings > 0  # both branches of the loop ran
+    # perfbench reads a residual right after another one as a halving or a chord step
+    follow_ups = sum(1 for prev, cur in zip(calls, calls[1:]) if prev == cur == "residual")
     assert calls[0] == "residual"
-    assert calls.count("jacobian") == stats.newton_iters
-    assert calls.count("residual") == 1 + stats.newton_iters + halvings
+    assert calls.count("jacobian") == stats.jacobians
+    assert calls.count("residual") == 1 + stats.jacobians + follow_ups
+    # one residual per iteration, one per refused chord step (every fresh
+    # build but the first, on an empty cache) and one per halving
+    halvings = calls.count("residual") - 1 - stats.newton_iters - (stats.jacobians - 1)
+    assert stats.newton_iters > stats.jacobians > 1 and halvings > 0  # every branch ran
 
 
 def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
@@ -469,14 +513,15 @@ def test_retried_step_records_the_bound_of_its_worse_substep(monkeypatch):
             raise StepFailure("forced")
         iters, res, bound = next(substeps)
         return (SpectralState(t=state.t + tau, coeffs=state.coeffs, basis=state.basis),
-                galerkin.StepStats(newton_iters=iters, residual_norm=res, residual_bound=bound,
-                                   energy_slack=0.0, ut_sq_increment=0.0))
+                galerkin.StepStats(newton_iters=iters, jacobians=iters - 1, residual_norm=res,
+                                   residual_bound=bound, energy_slack=0.0, ut_sq_increment=0.0))
 
     monkeypatch.setattr(galerkin, "step_implicit", halves_only)
     state = SpectralState(t=0.0, coeffs=np.zeros(4), basis=None)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.1)
     _, st = galerkin._advance(state, cfg.tau, 0, None, ZERO2, cfg, None)
-    assert (st.newton_iters, st.residual_norm, st.residual_bound) == (3, 2e-10, 3e-10)
+    assert (st.newton_iters, st.jacobians, st.residual_norm, st.residual_bound) == \
+        (3, 1, 2e-10, 3e-10)
 
 
 def test_solve_frees_its_workspace_without_the_cycle_collector(monkeypatch):
@@ -585,6 +630,38 @@ def test_warm_started_solve_matches_cold_solve_in_fewer_iterations():
     assert warm.newton_iters.sum() < cold.newton_iters.sum()
 
 
+def test_solve_samples_steady_data_once_and_moving_data_every_step(monkeypatch):
+    # a and the source decay in time; p, q and b are steady
+    dim = 2
+    data = ExponentData(
+        dim=dim, horizon=0.1,
+        p=make_field({"family": "affine", "base": 1.9, "slope": [0.2, 0.0]}, dim),
+        q=make_field({"family": "bump", "base": 2.0, "amp": 0.1, "tdecay": 0.0}, dim),
+        a=make_field({"family": "bump", "base": 0.5, "amp": 0.2, "tdecay": 1.0}, dim),
+        b=make_field(0.5, dim), alpha=0.9, lipschitz_probe_resolution=9, time_probe_resolution=3)
+    f = make_field({"family": "modes", "coeffs": [[1, 2, 0.5]], "tdecay": 2.0}, dim)
+    u0 = mode_field([[1, 1, 0.8]])
+    cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=0.02)
+    calls, original = [], galerkin.Field.__call__
+
+    def counting(self, x, t):
+        calls.append((self, np.array(x), float(t)))
+        return original(self, x, t)
+
+    monkeypatch.setattr(galerkin.Field, "__call__", counting)
+    traj = solve(cfg, data, u0, f)
+    nodes = traj.grid.space_nodes
+    on_nodes = [(fld, t) for fld, x, t in calls if np.array_equal(x, nodes)]
+    for fld, moving in ((data.p, False), (data.q, False), (data.b, False),
+                        (data.a, True), (f, True)):
+        times = [t for g, t in on_nodes if g is fld]
+        assert times == list(traj.times[1:] if moving else traj.times[1:2])
+    # marked steady or not, the field is the same bit for bit, and so is the solve
+    monkeypatch.setattr(galerkin.Field, "__call__", original)
+    moving = replace(data, **{k: replace(getattr(data, k), steady=False) for k in "pqab"})
+    assert np.array_equal(solve(cfg, moving, u0, f).coeffs, traj.coeffs)
+
+
 def test_solve_refuses_a_guess_of_the_wrong_shape():
     data = data_const()
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)  # 10 steps, 4 modes
@@ -674,15 +751,17 @@ def test_solve_refuses_invalid_data():
 
 
 def test_failed_step_recovers_by_halving_within_retry_cap():
-    # three Newton iterations cannot take the full step; two halvings can
+    # six iterations, chord steps included, cannot take the full step; two halvings can
     data = data_const(p=1.6, q=1.6, a=1.0, b=0.0)
     u0 = mode_field([[1, 1, 5.0]])
-    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.05, newton_max_iter=3, tau_retry_cap=0)
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.05, newton_max_iter=6, tau_retry_cap=0)
     with pytest.raises(SolverError):
         solve(cfg, data, u0, ZERO2)
     traj = solve(replace(cfg, tau_retry_cap=2), data, u0, ZERO2)
     assert traj.horizon == pytest.approx(0.1)  # the sub-steps end at 0.09999999999999999
-    assert list(traj.newton_iters) == [0, 8, 8]  # merged over each step's sub-steps
+    # merged over each step's sub-steps, which reuse the inverse built for their size
+    assert list(traj.newton_iters) == [0, 9, 13]
+    assert list(traj.jacobians) == [0, 1, 1]
 
 
 def test_manufactured_source_consistency():

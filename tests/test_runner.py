@@ -57,7 +57,7 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
     manufactured = {"family": "manufactured", "mode": [1, 1]}
     refused = [("m_per_dim", small_heat_raw(solver=solver | {"m_per_dim": 0})),
                ("output_cadence", small_heat_raw(solver=solver | {"output_cadence": 5})),
-               ("time step nan", small_heat_raw(solver=solver | {"tau": float("nan")})),
+               ("tau nan", small_heat_raw(solver=solver | {"tau": float("nan")})),
                ("quad_order -3", small_heat_raw(solver=solver | {"quad_order": -3})),
                ("newton_tol 0.0", small_heat_raw(solver=solver | {"newton_tol": 0.0})),
                ("newton_tol nan", small_heat_raw(solver=solver | {"newton_tol": float("nan")})),
@@ -109,6 +109,24 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
         assert cli.main(["run", str(cfgfile), "--outdir", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("match, overrides", [
+    ("eps True", {"solver": {"m_per_dim": 3, "eps": True, "tau": 2.0e-3}}),
+    ("got True", {"fields": {"p": 2.0, "q": 2.0, "a": True, "b": 0.5}}),
+    ("mode index 2.5", {"initial": {"family": "modes", "coeffs": [[2.5, 1, 1.0]]}}),
+])
+def test_booleans_and_fractional_mode_indices_are_refused_at_load(tmp_path, capsys, match,
+                                                                  overrides):
+    # `float` read eps true as 1.0, the number shorthand read a: true as the
+    # constant 1.0, and `int` ran mode index 2.5 as mode 2
+    cfgfile = write_config(tmp_path, small_heat_raw(**overrides))
+    with pytest.raises(ConfigurationError, match=match):
+        runner.load_config(cfgfile)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(cfgfile), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_run_writes_artifacts_and_passes(tmp_path):

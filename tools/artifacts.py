@@ -7,12 +7,14 @@ Usage (from any directory):
 
 The first form runs ``doublephase run`` on each scenario under
 ``scenarios/`` and ``doublephase sweep`` on each scenario with a top-level
-``sweep:`` block, all with ``--workers 1``, writing into OUTDIR/run/<name>
-and OUTDIR/sweep/<name>.  Then it writes OUTDIR/digest.json with the exit
-code of every command, the sha256 of every CSV, and the sha256 of every
-manifest with its wall-clock ``timings`` removed.  The package is imported
-from the ``src/`` next to this script, so two checkouts compare with one
-run of the script in each and one ``diff`` of the two digests.
+``sweep:`` block, all with ``--workers 1`` and one BLAS thread, writing into
+OUTDIR/run/<name> and OUTDIR/sweep/<name>.  Then it writes OUTDIR/digest.json
+with the BLAS thread count, the exit code of every command, the sha256 of
+every CSV, and the sha256 of every manifest with its wall-clock ``timings``
+removed.  The package is imported from the ``src/`` next to this script, so
+two checkouts compare with one run of the script in each and one ``diff`` of
+the two digests.  The thread count sets the order of BLAS sums, and with it
+the last bits of the m_per_dim = 16 sweep members' CSVs.
 
 Where the arithmetic changes, the digests differ and ``--compare`` reads
 the two output directories instead.  It reports every exit code that
@@ -30,11 +32,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOLERANCE = 1e-9
+BLAS_THREADS = 1
 
 
 def _has_sweep(path: Path) -> bool:
@@ -49,6 +53,8 @@ def _manifest_digest(path: Path) -> str:
 
 
 def digest(out: Path) -> int:
+    # read by OpenBLAS when numpy is first imported, which is below
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = str(BLAS_THREADS)
     sys.path.insert(0, str(ROOT / "src"))
     from doublephase import cli
 
@@ -71,8 +77,8 @@ def digest(out: Path) -> int:
             files[key] = hashlib.sha256(path.read_bytes()).hexdigest()
         elif path.name == "manifest.json":
             files[key] = _manifest_digest(path)
-    (out / "digest.json").write_text(json.dumps({"exit_codes": exit_codes, "files": files},
-                                                indent=1, sort_keys=True) + "\n")
+    record = {"blas_threads": BLAS_THREADS, "exit_codes": exit_codes, "files": files}
+    (out / "digest.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"{len(files)} files digested into {out / 'digest.json'}")
     return 0
 
