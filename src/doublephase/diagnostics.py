@@ -367,10 +367,14 @@ def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Seq
         gv = spaces.SampledField(grads[k + 1], st, vector=True)
         pair.append(spaces.pairing_G_eps(gu, gv, members[k + 1][2], data))
     dist = np.asarray(dist)
-    floor = 1e-14 * max(1.0, float(dist.max(initial=0.0)))
-    monotone = bool(np.all(dist[1:] <= (1.0 + CAUCHY_TOLERANCE) * dist[:-1] + floor))
     return CauchyReport(labels=list(labels), distances=dist, pairings=np.asarray(pair),
-                        monotone=monotone, final_distance=float(dist[-1]) if len(dist) else 0.0)
+                        monotone=decays(dist), final_distance=float(dist[-1]) if len(dist) else 0.0)
+
+
+def decays(values: np.ndarray) -> bool:
+    """Each entry within (1 + CAUCHY_TOLERANCE) times the one before, up to 1e-14 * max(1, max)."""
+    floor = 1e-14 * max(1.0, float(np.max(values, initial=0.0)))
+    return bool(np.all(values[1:] <= (1.0 + CAUCHY_TOLERANCE) * values[:-1] + floor))
 
 
 def eps_continuation_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,

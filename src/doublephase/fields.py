@@ -348,48 +348,27 @@ class ExponentData:
             return tuple(x[ix]) + (times[it],)
 
         floor = self.exponent_floor
-        m = np.minimum(p, q)
-        i = int(np.argmin(m))
-        checks.append(ConditionCheck(
-            name="exponent_floor",
-            passed=bool(m.flat[i] >= floor + STRICT_MARGIN),
-            value=float(m.flat[i]),
-            threshold=floor,
-            worst_node=node_of(i),
-            description="min(p,q) must exceed 2N/(N+2) everywhere",
-        ))
-
-        j = int(np.argmin(np.minimum(a, b)))
-        checks.append(ConditionCheck(
-            name="coefficient_sign",
-            passed=bool(np.minimum(a, b).flat[j] >= -0.0),
-            value=float(np.minimum(a, b).flat[j]),
-            threshold=0.0,
-            worst_node=node_of(j),
-            description="a and b must be nonnegative",
-        ))
-
-        s = a + b
-        k = int(np.argmin(s))
-        checks.append(ConditionCheck(
-            name="coercivity_floor",
-            passed=bool(s.flat[k] >= self.alpha - STRICT_MARGIN),
-            value=float(s.flat[k]),
-            threshold=self.alpha,
-            worst_node=node_of(k),
-            description="a + b must stay above the coercivity floor alpha",
-        ))
-
-        gap = np.abs(p - q)
-        g = int(np.argmax(gap))
-        checks.append(ConditionCheck(
-            name="exponent_gap",
-            passed=bool(gap.flat[g] <= self.r_star - STRICT_MARGIN),
-            value=float(gap.flat[g]),
-            threshold=self.r_star,
-            worst_node=node_of(g),
-            description="|p - q| must stay below 2/(N+2) everywhere",
-        ))
+        # name, the probe values (formed one row at a time), the worst-node
+        # rule, the pass rule, the threshold, the description
+        rows = (
+            ("exponent_floor", lambda: np.minimum(p, q), np.argmin,
+             lambda v: v >= floor + STRICT_MARGIN, floor,
+             "min(p,q) must exceed 2N/(N+2) everywhere"),
+            ("coefficient_sign", lambda: np.minimum(a, b), np.argmin,
+             lambda v: v >= -0.0, 0.0, "a and b must be nonnegative"),
+            ("coercivity_floor", lambda: a + b, np.argmin,
+             lambda v: v >= self.alpha - STRICT_MARGIN, self.alpha,
+             "a + b must stay above the coercivity floor alpha"),
+            ("exponent_gap", lambda: np.abs(p - q), np.argmax,
+             lambda v: v <= self.r_star - STRICT_MARGIN, self.r_star,
+             "|p - q| must stay below 2/(N+2) everywhere"),
+        )
+        for name, values, worst, holds, threshold, description in rows:
+            arr = values()
+            i = int(worst(arr))
+            checks.append(ConditionCheck(name=name, passed=bool(holds(arr.flat[i])),
+                                         value=float(arr.flat[i]), threshold=threshold,
+                                         worst_node=node_of(i), description=description))
 
         lip = {}
         hx = 1.0 / (self.lipschitz_probe_resolution - 1)

@@ -214,19 +214,6 @@ def build_basis(dim: int, m_per_dim: int) -> EigenBasis:
     return mode_basis(modes[order], dim)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralState:
-    """Galerkin coefficient vector at one instant."""
-
-    t: float
-    coeffs: np.ndarray
-    basis: EigenBasis
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("spectral coefficients must be finite")
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Discretization and Newton parameters for one solve."""
@@ -286,21 +273,21 @@ class Workspace:
         self.grid = grid
         self.x = grid.space_nodes
         self.w = grid.space_weights
-        self._lines = basis.line_tables(tensor_axis(self.x, basis.dim))
+        self.lines = basis.line_tables(tensor_axis(self.x, basis.dim))
         # pairs[dp, dq][x, (k, l)] is the product of 1D factor k (derivative
         # if dp) and factor l (derivative if dq)
-        f = self._lines[:2]
+        f = self.lines[:2]
         n, m1 = f.shape[1:]
         self._pairs = (f[:, None, :, :, None] * f[None, :, :, None, :]).reshape(2, 2, n, m1 * m1)
         self.newton_inverses = {}
         self._steady = {}  # (id of a steady field, projected?) -> (the field, its array)
 
     def gradient_of(self, coeffs) -> np.ndarray:
-        return self.basis.lattice(self._lines, coeffs, 1)
+        return self.basis.lattice(self.lines, coeffs, 1)
 
     def stiffness(self, fvec) -> np.ndarray:
         """Projection int F . grad phi_j dx of a flux field fvec (M, N) onto the basis."""
-        return self.basis.lattice_adjoint(self._lines, self.w[:, None] * fvec, 1)
+        return self.basis.lattice_adjoint(self.lines, self.w[:, None] * fvec, 1)
 
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
         return self._sampled(f_field, t, True)
@@ -315,19 +302,19 @@ class Workspace:
         if key in self._steady:
             return self._steady[key][1]
         values = fld(self.x, t)
-        out = self.basis.lattice_adjoint(self._lines, self.w * values) if projected else values
+        out = self.basis.lattice_adjoint(self.lines, self.w * values) if projected else values
         if fld.steady:
             out.flags.writeable = False
             self._steady[key] = (fld, out)
         return out
 
-    def project(self, u0: Field) -> SpectralState:
-        """L2 projection of the initial datum onto the basis."""
+    def project(self, u0: Field) -> np.ndarray:
+        """L2 projection of the initial datum onto the basis: its coefficients, checked finite."""
         vals = u0(self.x, 0.0)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("initial datum is not finite on the quadrature nodes")
-        coeffs = self.basis.lattice_adjoint(self._lines, self.w * vals)
-        return SpectralState(t=0.0, coeffs=coeffs, basis=self.basis)
+        coeffs = self.basis.lattice_adjoint(self.lines, self.w * vals)
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(coeffs))):
+            raise ValueError("initial datum is not finite on the nodes or in its coefficients")
+        return coeffs
 
     def step_matrix(self, jac_flux, tau: float) -> np.ndarray:
         """Newton matrix I + tau * int grad phi_p . J grad phi_q dx for J (M, N, N).
@@ -369,10 +356,9 @@ class StepStats:
     ut_sq_increment: float  # tau * ||(U' - U)/tau||^2
 
 
-def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentData,
-                  f_field: Field, cfg: SolverConfig, ws: Workspace,
-                  start=None) -> tuple[SpectralState, StepStats]:
-    """One chord-Newton implicit Euler step from state.t to state.t + tau.
+def step_implicit(u, t: float, tau: float, data: ExponentData, f_field: Field,
+                  cfg: SolverConfig, ws: Workspace, start=None) -> tuple[np.ndarray, StepStats]:
+    """One chord-Newton implicit Euler step of the coefficients u from t to t + tau.
 
     Solves V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
     functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v).
@@ -380,15 +366,16 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     `cfg.newton_tolerance(v)`.  An iteration first tries the chord step with
     `ws.newton_inverses[tau]`, kept when it cuts the residual by CHORD_RHO;
     otherwise it builds and caches the Newton matrix's inverse at v and takes
-    a damped Newton step, halving it until the residual decreases.
+    a damped Newton step, halving it until the residual decreases.  A step
+    builds at most `cfg.newton_max_iter` Newton matrices; chord steps come on
+    top, and end on their own since each one kept cuts the residual tenfold.
     """
-    t1 = state.t + tau
-    u = state.coeffs
+    t1 = t + tau
     fields = ws.fields_at(data, t1)
     f_vec = ws.source_vector(f_field, t1)
 
     def residual(v):
-        rhs, grad_v, fvec = ws.rhs(v, fields, eps, f_vec)
+        rhs, grad_v, fvec = ws.rhs(v, fields, cfg.eps, f_vec)
         return v - u - tau * rhs, grad_v, fvec
 
     v = (u if start is None else start).copy()
@@ -396,17 +383,17 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     norm_res = np.linalg.norm(res)
     trace = [norm_res]
     jacobians = 0
-    for it in range(cfg.newton_max_iter):
-        if norm_res <= cfg.newton_tolerance(v):
-            break
+    while not norm_res <= cfg.newton_tolerance(v):
         inv = ws.newton_inverses.get(tau)
         if inv is not None:
             cand = v - inv @ res
             res_c, grad_c, fvec_c = residual(cand)
             norm_c = np.linalg.norm(res_c)
         if inv is None or not norm_c <= CHORD_RHO * norm_res:
+            if jacobians == cfg.newton_max_iter:
+                raise StepFailure(f"newton did not converge at t={t1:.6g}", trace)
             jacobians += 1
-            jac_flux = flux.jacobian_kernel(*fields, grad_v, eps)
+            jac_flux = flux.jacobian_kernel(*fields, grad_v, cfg.eps)
             # I plus a weighted Gram form of the PSD flux Jacobian: positive
             # definite and well conditioned, so pivoted LU is stable here
             mat = ws.step_matrix(jac_flux, tau)
@@ -428,8 +415,6 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
                 raise StepFailure(f"damping exhausted at t={t1:.6g}", trace)
         v, res, grad_v, fvec, norm_res = cand, res_c, grad_c, fvec_c, norm_c
         trace.append(norm_res)
-    else:
-        raise StepFailure(f"newton did not converge at t={t1:.6g}", trace)
 
     flux_energy = float(ws.w @ np.sum(fvec * grad_v, axis=-1))
     source_work = float(f_vec @ v)
@@ -437,7 +422,7 @@ def step_implicit(state: SpectralState, tau: float, eps: float, data: ExponentDa
     stats = StepStats(newton_iters=len(trace) - 1, jacobians=jacobians, residual_norm=norm_res,
                       residual_bound=cfg.newton_tolerance(v), energy_slack=slack,
                       ut_sq_increment=float((v - u) @ (v - u)) / tau)
-    return SpectralState(t=t1, coeffs=v, basis=state.basis), stats
+    return v, stats
 
 
 @dataclass(eq=False)
@@ -450,6 +435,7 @@ class Trajectory:
     cfg: SolverConfig
     basis: EigenBasis
     grid: QuadratureGrid          # spatial solver quadrature
+    lines: np.ndarray             # the basis' 1D tables on the grid's axis (`EigenBasis.line_tables`)
     times: np.ndarray             # (K+1,)
     coeffs: np.ndarray            # (K+1, m)
     ut_sq_accum: np.ndarray       # (K+1,) running sum of tau*||u_t||^2
@@ -480,11 +466,6 @@ class Trajectory:
         return sample_field(self.source, self.grid.space_nodes, self.times)
 
     @cached_property
-    def lines(self) -> np.ndarray:
-        """The basis' 1D tables on the solver grid's axis (`EigenBasis.line_tables`)."""
-        return self.basis.line_tables(tensor_axis(self.grid.space_nodes, self.basis.dim))
-
-    @cached_property
     def grads(self) -> np.ndarray:
         """Gradients at every checkpoint, (K+1, M, N)."""
         return self.basis.lattice(self.lines, self.coeffs, 1)
@@ -498,20 +479,22 @@ class Trajectory:
         return self.grid.with_time(self.times)
 
 
-def _advance(s, dt, depth, data, f_field, cfg, ws, start=None):
-    """One implicit step of dt from Newton start `start`, retried on two halved substeps on failure.
+def _advance(u, t, dt, depth, data, f_field, cfg, ws, start=None):
+    """One implicit step of dt from (t, u), retried on two halved substeps on failure.
+
+    Newton starts from `start`; returns (end time, coefficients, StepStats).
 
     A module function, not a closure in `solve`: a self-referencing closure
     is a reference cycle that keeps the Workspace alive until the cyclic
     garbage collector runs.
     """
     try:
-        new, st = step_implicit(s, dt, cfg.eps, data, f_field, cfg, ws, start)
+        new, st = step_implicit(u, t, dt, data, f_field, cfg, ws, start)
     except StepFailure:
         if depth >= cfg.tau_retry_cap:
             raise
-        half, st1 = _advance(s, dt / 2.0, depth + 1, data, f_field, cfg, ws)
-        full, st2 = _advance(half, dt / 2.0, depth + 1, data, f_field, cfg, ws)
+        t_half, half, st1 = _advance(u, t, dt / 2.0, depth + 1, data, f_field, cfg, ws)
+        t_full, full, st2 = _advance(half, t_half, dt / 2.0, depth + 1, data, f_field, cfg, ws)
         # the larger substep residual, with the bound of the substep state it was accepted at
         worse = max(st1, st2, key=lambda st: st.residual_norm)
         merged = StepStats(
@@ -521,8 +504,8 @@ def _advance(s, dt, depth, data, f_field, cfg, ws, start=None):
             residual_bound=worse.residual_bound,
             energy_slack=st1.energy_slack + st2.energy_slack,
             ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
-        return full, merged
-    return new, st
+        return t_full, full, merged
+    return t + dt, new, st
 
 
 def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, guess=None) -> Trajectory:
@@ -543,22 +526,22 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
     grid = tensor_gauss_legendre(data.dim, cfg.resolved_quad_order)
     ws = Workspace(basis, grid)
     tau = data.horizon / n_steps
-    state = ws.project(u0)
+    t, u = 0.0, ws.project(u0)
 
     # the initial row, then one per step: the trailing Trajectory fields, times to energy_slack
-    rows = [(0.0, state.coeffs.copy(), 0.0, 0, 0, 0.0, 0.0, 0.0)]
-    head = (data, u0, f_field, cfg, basis, grid)
+    rows = [(t, u, 0.0, 0, 0, 0.0, 0.0, 0.0)]
+    head = (data, u0, f_field, cfg, basis, grid, ws.lines)
     running_ut = 0.0
 
     for k in range(n_steps):
-        start = None if guess is None else guess[k + 1] + (state.coeffs - guess[k])
+        start = None if guess is None else guess[k + 1] + (u - guess[k])
         try:
-            state, st = _advance(state, tau, 0, data, f_field, cfg, ws, start)
+            t, u, st = _advance(u, t, tau, 0, data, f_field, cfg, ws, start)
         except StepFailure as exc:
             raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
                               _trajectory(head, rows)) from exc
         running_ut += st.ut_sq_increment
-        rows.append((state.t, state.coeffs.copy(), running_ut, st.newton_iters, st.jacobians,
+        rows.append((t, u, running_ut, st.newton_iters, st.jacobians,
                      st.residual_norm, st.residual_bound, st.energy_slack))
     return _trajectory(head, rows)
 

@@ -162,16 +162,12 @@ def modular(f: SampledField, r) -> float:
     return f.grid.integrate(flux.powf(mag, np.broadcast_to(r, mag.shape)))
 
 
-def _modular_allow_inf(f: SampledField, r) -> float:
-    mag = f.magnitude()
+def _modular_allow_inf(mag, r, grid: QuadratureGrid) -> float:
+    """Quadrature value of int mag^r over the grid, inf where a power overflows."""
     vals = flux.powf(mag, np.broadcast_to(np.asarray(r, float), mag.shape))
     if np.any(np.isinf(vals)):
         return np.inf
-    return f.grid.integrate(vals)
-
-
-def _scaled(f: SampledField, lam: float) -> SampledField:
-    return SampledField(f.values / lam, f.grid, vector=f.vector)
+    return grid.integrate(vals)
 
 
 def luxemburg_norm(f: SampledField, r, rel_tol: float = 1e-10) -> float:
@@ -203,9 +199,9 @@ def luxemburg_norm(f: SampledField, r, rel_tol: float = 1e-10) -> float:
     def log_mod(lam):
         # -inf for a modular that underflows to 0, inf for one that overflows
         with np.errstate(divide="ignore"):
-            return float(np.log(_modular_allow_inf(_scaled(f, lam), r)))
+            return float(np.log(_modular_allow_inf(mag / lam, r, f.grid)))
 
-    a0 = _modular_allow_inf(f, r)
+    a0 = _modular_allow_inf(mag, r, f.grid)
     if np.isfinite(a0) and a0 > 0:
         lo, hi = sorted((a0 ** (1.0 / rmin), a0 ** (1.0 / rmax)))
     else:

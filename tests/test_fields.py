@@ -32,6 +32,46 @@ def test_validate_fails_on_gap():
         report.raise_if_failed()
 
 
+def affine_data(a_base=0.6, a_slope=-0.2, b=0.5):
+    # p = 2 - 0.2 x1 - 0.5 t and a = a_base + a_slope x2 on a 5 x 5 x 3 probe lattice
+    p = {"family": "affine", "base": 2.0, "slope": [-0.2, 0.0], "tslope": -0.5}
+    a = {"family": "affine", "base": a_base, "slope": [0.0, a_slope]}
+    return ExponentData(dim=2, horizon=0.1, p=make_field(p, 2), q=make_field(1.85, 2),
+                        a=make_field(a, 2), b=make_field(b, 2), alpha=0.8,
+                        lipschitz_probe_resolution=5, time_probe_resolution=3)
+
+
+def test_validate_reports_each_condition_at_its_worst_node():
+    rows = {c.name: c for c in affine_data().validate().checks}
+    # (value, threshold, worst node (x1, x2, t), description); the first
+    # worst node in (t, x1, x2) order, the last coordinate fastest
+    want = {
+        "exponent_floor": (1.75, 1.0, (1.0, 0.0, 0.1), "min(p,q) must exceed 2N/(N+2) everywhere"),
+        "coefficient_sign": (0.4, 0.0, (0.0, 1.0, 0.0), "a and b must be nonnegative"),
+        "coercivity_floor": (0.9, 0.8, (0.0, 1.0, 0.0),
+                             "a + b must stay above the coercivity floor alpha"),
+        "exponent_gap": (0.15, 0.5, (0.0, 0.0, 0.0), "|p - q| must stay below 2/(N+2) everywhere"),
+    }
+    for name, (value, threshold, node, description) in want.items():
+        row = rows[name]
+        assert row.passed, name
+        assert row.value == pytest.approx(value, abs=1e-14), name
+        assert row.threshold == threshold and row.description == description, name
+        assert row.worst_node == pytest.approx(node, abs=1e-15), name
+        assert row.as_dict()["worst_node"] == pytest.approx(list(node), abs=1e-15)
+
+
+def test_validate_fails_a_negative_coefficient():
+    # a = 0.6 - 0.7 x2 dips to -0.1 on x2 = 1, while a + b >= 1.1 stays coercive
+    report = affine_data(a_slope=-0.7, b=1.2).validate()
+    assert report.failed_names() == ["coefficient_sign"]
+    sign = next(c for c in report.checks if c.name == "coefficient_sign")
+    assert sign.value == pytest.approx(-0.1, abs=1e-14)
+    assert sign.worst_node == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+    with pytest.raises(ValidationError, match="coefficient_sign"):
+        report.raise_if_failed()
+
+
 def test_p_laplacian_special_case_passes():
     # single-term flux: a = 1, b = 0
     report = constant_data(p=2.0, q=2.0, a=1.0, b=0.0, alpha=1.0).validate()

@@ -10,7 +10,7 @@ import pytest
 from doublephase import flux, galerkin, runner, spaces
 from doublephase.fields import ExponentData, ValidationError, make_field, tensor_points
 from doublephase.galerkin import (
-    _CHUNK, EigenBasis, SolverConfig, SolverError, SpectralState, StepFailure, Workspace,
+    _CHUNK, EigenBasis, SolverConfig, SolverError, StepFailure, Workspace,
     build_basis, manufactured_source, mode_basis, solve, step_implicit,
 )
 
@@ -185,7 +185,7 @@ def test_workspace_contractions_equal_dense_forms(dim, m_per_dim):
     close(ws.gradient_of(coeffs), np.tensordot(gp, coeffs, axes=([2], [0])))
     close(ws.stiffness(fvec), np.einsum("mn,mnj->j", w[:, None] * fvec, gp))
     close(ws.source_vector(field, 0.0), phi.T @ (w * field(x, 0.0)))
-    close(ws.project(field).coeffs, phi.T @ (w * field(x, 0.0)))
+    close(ws.project(field), phi.T @ (w * field(x, 0.0)))
 
 
 def test_evaluate_on_zero_points_is_empty():
@@ -199,11 +199,18 @@ def test_evaluate_on_zero_points_is_empty():
 def test_project_initial_eigenmode_and_zero():
     basis = build_basis(2, 4)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, 18))
-    state = ws.project(mode_field([[1, 1, 1.0]]))
+    coeffs = ws.project(mode_field([[1, 1, 1.0]]))
     expect = np.zeros(basis.size); expect[0] = 1.0
-    assert np.abs(state.coeffs - expect).max() < 1e-10
-    zero_state = ws.project(ZERO2)
-    assert np.abs(zero_state.coeffs).max() == 0.0
+    assert np.abs(coeffs - expect).max() < 1e-10
+    assert np.abs(ws.project(ZERO2)).max() == 0.0
+
+
+def test_project_refuses_a_datum_not_finite_on_the_nodes():
+    ws = Workspace(build_basis(2, 2), spaces.tensor_gauss_legendre(2, 8))
+    nan_at_one_node = galerkin.Field(dim=2, descriptor={},
+                                     _fn=lambda x, t: np.where(np.arange(len(x)) == 3, np.nan, 1.0))
+    with pytest.raises(ValueError, match="not finite"):
+        ws.project(nan_at_one_node)
 
 
 def test_project_initial_bubble_against_sine_series_oracle():
@@ -212,16 +219,16 @@ def test_project_initial_bubble_against_sine_series_oracle():
     basis = build_basis(2, 5)
     grid = spaces.tensor_gauss_legendre(2, 24)
     u0 = make_field({"family": "bubble", "amp": 1.0}, 2)
-    state = Workspace(basis, grid).project(u0)
+    coeffs = Workspace(basis, grid).project(u0)
 
     def coeff_1d(k):
         return 4.0 * math.sqrt(2.0) / (math.pi ** 3 * k ** 3) if k % 2 == 1 else 0.0
 
     expect = np.array([coeff_1d(k1) * coeff_1d(k2) for k1, k2 in basis.modes])
-    assert np.abs(state.coeffs - expect).max() < 1e-8
+    assert np.abs(coeffs - expect).max() < 1e-8
     # Bessel: projected mass cannot exceed the datum's mass (plus quadrature slack)
     u0_sq = grid.integrate(u0(grid.space_nodes, 0.0) ** 2)
-    assert state.coeffs @ state.coeffs <= u0_sq + 1e-10
+    assert coeffs @ coeffs <= u0_sq + 1e-10
 
 
 def test_projection_error_modular_decreases_with_m():
@@ -240,9 +247,9 @@ def test_projection_error_modular_decreases_with_m():
     # step through odd mode counts so each refinement adds content
     for m in (1, 3, 5, 7):
         basis = build_basis(2, m)
-        state = Workspace(basis, grid).project(u0)
-        diff = basis.values(x) @ state.coeffs - u_vals
-        gdiff = np.tensordot(basis.gradients(x), state.coeffs, axes=([2], [0])) - grads
+        coeffs = Workspace(basis, grid).project(u0)
+        diff = basis.values(x) @ coeffs - u_vals
+        gdiff = np.tensordot(basis.gradients(x), coeffs, axes=([2], [0])) - grads
         rho_u = spaces.musielak_modular(spaces.SampledField(diff, grid), data)
         rho_g = spaces.musielak_modular(
             spaces.SampledField(np.sqrt(np.sum(gdiff ** 2, -1)), grid), data)
@@ -312,15 +319,13 @@ def test_step_implicit_zero_and_heat_closed_form():
     basis = build_basis(2, cfg.m_per_dim)
     grid = spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order)
     ws = Workspace(basis, grid)
-    zero = SpectralState(t=0.0, coeffs=np.zeros(basis.size), basis=basis)
-    new, stats = step_implicit(zero, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
-    assert np.abs(new.coeffs).max() == 0.0
+    new, stats = step_implicit(np.zeros(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
+    assert np.abs(new).max() == 0.0
 
     e = np.zeros(basis.size); e[0] = 1.0
-    state = SpectralState(t=0.0, coeffs=e, basis=basis)
-    new, stats = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
-    assert new.coeffs[0] == pytest.approx(1.0 / (1.0 + LAM11 * cfg.tau), abs=1e-9)
-    assert np.abs(new.coeffs[1:]).max() < 1e-9
+    new, stats = step_implicit(e, 0.0, cfg.tau, data, ZERO2, cfg, ws)
+    assert new[0] == pytest.approx(1.0 / (1.0 + LAM11 * cfg.tau), abs=1e-9)
+    assert np.abs(new[1:]).max() < 1e-9
     # proximal inequality: (||v||^2-||u||^2)/(2 tau) + flux energy <= work + tol slack
     assert stats.energy_slack <= cfg.newton_tol * 2.0 / cfg.tau
 
@@ -330,9 +335,8 @@ def test_step_failure_raises_with_trace():
     cfg = SolverConfig(m_per_dim=2, eps=1e-6, tau=50.0, newton_max_iter=1)
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
-    state = SpectralState(t=0.0, coeffs=np.full(basis.size, 2.0), basis=basis)
     with pytest.raises(StepFailure) as info:
-        step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+        step_implicit(np.full(basis.size, 2.0), 0.0, cfg.tau, data, ZERO2, cfg, ws)
     assert len(info.value.trace) >= 1
 
 
@@ -386,9 +390,9 @@ def test_fresh_jacobian_newton_converges_quadratically():
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
     ws.newton_inverses = Forgetful()
-    state = ws.project(config.initial)
     with pytest.raises(StepFailure) as info:
-        step_implicit(state, cfg.tau, cfg.eps, config.data, config.source_field(), cfg, ws)
+        step_implicit(ws.project(config.initial), 0.0, cfg.tau, config.data, config.source_field(),
+                      cfg, ws)
     r = np.array(info.value.trace)
     assert r[0] > 0.1 and r[3] < 1e-14  # from far off down to rounding
     above = r[:-1] > 1e-7  # below, rounding takes over from the quadratic term
@@ -427,7 +431,6 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
     cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1.0)
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
-    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
     calls = []
 
     def counting(name, kernel):
@@ -438,7 +441,7 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
 
     monkeypatch.setattr(flux, "vector_kernel", counting("residual", flux.vector_kernel))
     monkeypatch.setattr(flux, "jacobian_kernel", counting("jacobian", flux.jacobian_kernel))
-    _, stats = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+    _, stats = step_implicit(np.ones(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
     # perfbench reads a residual right after another one as a halving or a chord step
     follow_ups = sum(1 for prev, cur in zip(calls, calls[1:]) if prev == cur == "residual")
     assert calls[0] == "residual"
@@ -457,11 +460,10 @@ def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
-    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
     nan_jacobian = np.full((ws.x.shape[0], 2, 2), np.nan)
     monkeypatch.setattr(flux, "jacobian_kernel", lambda *args: nan_jacobian)
     with pytest.raises(StepFailure):
-        step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+        step_implicit(np.ones(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
 
 
 def singular_once(monkeypatch):
@@ -484,9 +486,8 @@ def test_failed_newton_solve_is_a_step_failure(monkeypatch):
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
-    state = SpectralState(t=0.0, coeffs=np.ones(basis.size), basis=basis)
     with pytest.raises(StepFailure, match="newton solve failed") as info:
-        step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)
+        step_implicit(np.ones(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert len(info.value.trace) == 1
 
@@ -508,18 +509,17 @@ def test_retried_step_records_the_bound_of_its_worse_substep(monkeypatch):
     # bound of its own state, which the stored (second half) state does not meet
     substeps = iter([(1, 2e-10, 3e-10), (2, 1e-10, 2e-10)])
 
-    def halves_only(state, tau, *args):
+    def halves_only(u, t, tau, *args):
         if tau == 0.1:
             raise StepFailure("forced")
         iters, res, bound = next(substeps)
-        return (SpectralState(t=state.t + tau, coeffs=state.coeffs, basis=state.basis),
-                galerkin.StepStats(newton_iters=iters, jacobians=iters - 1, residual_norm=res,
-                                   residual_bound=bound, energy_slack=0.0, ut_sq_increment=0.0))
+        return u, galerkin.StepStats(newton_iters=iters, jacobians=iters - 1, residual_norm=res,
+                                     residual_bound=bound, energy_slack=0.0, ut_sq_increment=0.0)
 
     monkeypatch.setattr(galerkin, "step_implicit", halves_only)
-    state = SpectralState(t=0.0, coeffs=np.zeros(4), basis=None)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.1)
-    _, st = galerkin._advance(state, cfg.tau, 0, None, ZERO2, cfg, None)
+    t, _, st = galerkin._advance(np.zeros(4), 0.0, cfg.tau, 0, None, ZERO2, cfg, None)
+    assert t == 0.05 + 0.05
     assert (st.newton_iters, st.jacobians, st.residual_norm, st.residual_bound) == \
         (3, 1, 2e-10, 3e-10)
 
@@ -679,8 +679,7 @@ def test_newton_accepts_against_the_iterate_it_returns():
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
     u = np.zeros(basis.size); u[0] = 10.0
-    state = SpectralState(t=0.0, coeffs=u, basis=basis)
-    exact = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws)[0].coeffs
+    exact = step_implicit(u, 0.0, cfg.tau, data, ZERO2, cfg, ws)[0]
     fields, f_vec = data.sample(ws.x, cfg.tau), ws.source_vector(ZERO2, cfg.tau)
 
     def residual_norm(v):
@@ -690,9 +689,9 @@ def test_newton_accepts_against_the_iterate_it_returns():
     lo, hi = cfg.newton_tolerance(exact), cfg.newton_tolerance(u)
     start = exact + 0.5 * (lo + hi) / residual_norm(exact + d) * d
     assert cfg.newton_tolerance(start) < residual_norm(start) < hi
-    new, stats = step_implicit(state, cfg.tau, cfg.eps, data, ZERO2, cfg, ws, start)
+    new, stats = step_implicit(u, 0.0, cfg.tau, data, ZERO2, cfg, ws, start)
     assert stats.newton_iters >= 1
-    assert stats.residual_norm <= cfg.newton_tolerance(new.coeffs)
+    assert stats.residual_norm <= cfg.newton_tolerance(new)
 
 
 def test_m_refinement_cauchy_decreasing():
@@ -736,7 +735,8 @@ def test_solver_config_invariants_and_cadence():
 
 def test_solver_error_carries_partial_trajectory():
     data = data_const(p=1.6, q=1.6, a=1.0, b=0.0)
-    cfg = SolverConfig(m_per_dim=2, eps=1e-8, tau=0.05, newton_max_iter=1,
+    # no iterate meets newton_tol 1e-300, so the first step fails
+    cfg = SolverConfig(m_per_dim=2, eps=1e-8, tau=0.05, newton_tol=1e-300,
                        tau_retry_cap=1, max_damping_halvings=1)
     with pytest.raises(SolverError) as info:
         solve(cfg, data, mode_field([[1, 1, 5.0]]), ZERO2)
@@ -751,17 +751,37 @@ def test_solve_refuses_invalid_data():
 
 
 def test_failed_step_recovers_by_halving_within_retry_cap():
-    # six iterations, chord steps included, cannot take the full step; two halvings can
+    # one Newton matrix cannot take the whole horizon in one step; one halving can
     data = data_const(p=1.6, q=1.6, a=1.0, b=0.0)
     u0 = mode_field([[1, 1, 5.0]])
-    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.05, newton_max_iter=6, tau_retry_cap=0)
-    with pytest.raises(SolverError):
+    cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=0.1, newton_max_iter=1, tau_retry_cap=0)
+    with pytest.raises(SolverError, match="newton did not converge"):
         solve(cfg, data, u0, ZERO2)
-    traj = solve(replace(cfg, tau_retry_cap=2), data, u0, ZERO2)
-    assert traj.horizon == pytest.approx(0.1)  # the sub-steps end at 0.09999999999999999
-    # merged over each step's sub-steps, which reuse the inverse built for their size
-    assert list(traj.newton_iters) == [0, 9, 13]
-    assert list(traj.jacobians) == [0, 1, 1]
+    traj = solve(replace(cfg, tau_retry_cap=1), data, u0, ZERO2)
+    assert list(traj.times) == [0.0, 0.05 + 0.05]
+    # merged over the two sub-steps, one Newton matrix each
+    assert list(traj.newton_iters) == [0, 14]
+    assert list(traj.jacobians) == [0, 2]
+
+
+def test_newton_max_iter_one_accepts_a_converged_newton_step():
+    # a linear heat step converges in one Newton step; later steps reuse its
+    # inverse, which solves them exactly
+    cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1e-2, newton_max_iter=1)
+    traj = solve(cfg, data_const(), mode_field([[1, 1, 1.0]]), ZERO2)
+    assert list(traj.newton_iters) == [0] + [1] * 10
+    assert list(traj.jacobians) == [0, 1] + [0] * 9
+    assert traj.coeffs[-1][0] == pytest.approx((1.0 + LAM11 * cfg.tau) ** -10, rel=1e-12)
+
+
+def test_chord_steps_do_not_count_against_newton_max_iter():
+    # six and seven iterations on one Newton matrix: chord steps ride on it
+    data = data_const(p=1.6, q=1.6, a=1.0, b=0.0)
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.05, newton_max_iter=3, tau_retry_cap=0)
+    traj = solve(cfg, data, mode_field([[1, 1, 5.0]]), ZERO2)
+    assert list(traj.newton_iters) == [0, 6, 7]
+    assert list(traj.jacobians) == [0, 1, 0]  # the second step reuses the first one's inverse
+    assert np.all(traj.newton_residual <= traj.newton_bound)
 
 
 def test_manufactured_source_consistency():

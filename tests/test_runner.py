@@ -185,7 +185,7 @@ def test_run_solver_failure_exit_3(tmp_path):
     raw = small_heat_raw(fields={"p": 1.6, "q": 1.6, "a": 1.0, "b": 0.0},
                          initial={"family": "modes", "coeffs": [[1, 1, 40.0]]})
     raw["solver"] = {"m_per_dim": 2, "eps": 1.0e-8, "tau": 2.0e-2,
-                     "newton_max_iter": 1, "tau_retry_cap": 0,
+                     "newton_tol": 1.0e-300, "tau_retry_cap": 0,
                      "max_damping_halvings": 1}
     config = runner.load_config(write_config(tmp_path, raw))
     code, manifest, _ = runner.perform_run(config, tmp_path / "out")
@@ -386,11 +386,11 @@ def test_galerkin_orthogonality_holds_a_retried_step_to_its_substep_bound(tmp_pa
     # the stored state's newton_tol * (1 + |v|) but within its own bound
     step, calls = galerkin.step_implicit, []
 
-    def first_step_retried(state, tau, *args):
+    def first_step_retried(u, t, tau, *args):
         calls.append(tau)
         if len(calls) == 1:
             raise galerkin.StepFailure("forced")
-        new, st = step(state, tau, *args)
+        new, st = step(u, t, tau, *args)
         if len(calls) == 2:
             st.residual_norm, st.residual_bound = 5e-7, 1e-6
         return new, st
@@ -446,9 +446,10 @@ def test_parent_runs_no_solve_with_a_worker_pool(tmp_path, monkeypatch, workers,
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stability_solver_failure_writes_the_summary_and_exits_3(tmp_path, capsys, workers):
-    # the member keeps the default Newton budget; the stability solves get one iteration
-    raw = small_stability_raw(newton_max_iter=1, tau_retry_cap=0, max_damping_halvings=1)
-    raw["sweep"]["solver_overrides"] = {"newton_max_iter": 50, "tau_retry_cap": 4,
+    # the member keeps the default Newton tolerance; the stability solves get one no
+    # iterate meets, which reaches the pool workers as a scenario value
+    raw = small_stability_raw(newton_tol=1e-300, tau_retry_cap=0, max_damping_halvings=1)
+    raw["sweep"]["solver_overrides"] = {"newton_tol": 1e-10, "tau_retry_cap": 4,
                                         "max_damping_halvings": 20}
     out = tmp_path / "sweep"
     assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out),
