@@ -11,6 +11,7 @@ descriptors, so a run is fully reproducible from its config file.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Mapping, Optional
@@ -40,7 +41,8 @@ class Field:
     ``field(x, t)`` takes ``x`` of shape (M, N) (a single point is accepted
     as shape (N,)) and ``t`` scalar or shape (M,), and returns shape (M,);
     ``field.grad(x, t)`` returns the exact spatial gradient, shape (M, N).
-    A ``steady`` field takes the same values at every t, bit for bit.
+    A ``steady`` field takes the same values at every t, bit for bit, so
+    `sample_field` evaluates it once for many times.  A call returns a fresh array.
     """
 
     dim: int
@@ -67,10 +69,44 @@ class Field:
 
 
 def sample_field(fld, x, t) -> np.ndarray:
-    """fld at points x: (M,) for a scalar t, (K, M) for K times, one time at a time."""
+    """fld at points x: (M,) for a scalar t, (K, M) for K times, one time at a time.
+
+    A steady field is evaluated once, at the first time, and broadcast over the
+    times: a read-only view, which a caller that writes into it must copy.
+    """
     if np.ndim(t) == 0:
         return fld(x, t)
+    if fld.steady:
+        once = fld(x, t[0])
+        return np.broadcast_to(once, (len(t),) + once.shape)
     return np.stack([fld(x, tk) for tk in t], axis=0)
+
+
+def point_memo(build: Callable) -> Callable:
+    """build(x) memoized for the last point set x (M, N), keyed by its shape and bytes.
+
+    The key and its value are stored and read as one tuple, so a key is
+    never paired with another point set's value.  The entry is dropped when
+    the array x is freed, so that a long-lived field keeps no table of a
+    point set nobody holds.
+    """
+    entry = (None, None)
+
+    def drop(_):
+        nonlocal entry
+        entry = (None, None)
+
+    def at(x):
+        nonlocal entry
+        key = (x.shape, x.tobytes())
+        last = entry
+        if last[0] != key:
+            # a replaced entry takes its weak reference along, so that
+            # reference's callback can no longer drop the new entry
+            last = entry = (key, build(x), weakref.ref(x, drop))
+        return last[1]
+
+    return at
 
 
 def tensor_points(axis, dim: int) -> np.ndarray:
@@ -204,8 +240,11 @@ def make_field(spec, dim: int) -> Field:
 
         from .galerkin import mode_basis  # galerkin imports this module
         basis, cs = mode_basis(ks, dim), np.asarray(cs)
-        fn = lambda x, t: (basis.values(x) @ cs) * np.exp(-tdecay * t)
-        grad = lambda x, t: (basis.gradients(x) @ cs) * np.exp(-tdecay * t)[..., None]
+        # the time-free sums, once per point set; a call scales a fresh copy
+        values = point_memo(lambda x: basis.values(x) @ cs)
+        grads = point_memo(lambda x: basis.gradients(x) @ cs)
+        fn = lambda x, t: values(x) * np.exp(-tdecay * t)
+        grad = lambda x, t: grads(x) * np.exp(-tdecay * t)[..., None]
     else:  # bubble
         amp = float(need("amp"))
         tdecay = float(need("tdecay", 0.0))

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import flux
-from .fields import ExponentData, Field, sample_field, tensor_axis
+from .fields import ExponentData, Field, point_memo, sample_field, tensor_axis
 from .spaces import QuadratureGrid, tensor_gauss_legendre
 
 _CHUNK = 4096
@@ -558,6 +558,13 @@ def _mode_factors(single: EigenBasis, x) -> tuple:
     return phi, grad, flux.beta_eps(grad, 0.0), -single.eigenvalues[0] * phi, ghg
 
 
+def _data_terms(data: ExponentData, gphi, x, t) -> tuple:
+    """a, b, p and q at (x, t), then grad phi . grad of each, for grad phi (M, N)."""
+    flds = (data.a, data.b, data.p, data.q)
+    return data.sample(x, t) + tuple(sum(gphi[:, d] * g[:, d] for d in range(x.shape[1]))
+                                     for g in (fld.grad(x, t) for fld in flds))
+
+
 def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
                         amplitude: float = 1.0, rate: float = 1.0) -> Field:
     """Forcing that makes u = amplitude * e^(-rate*t) * phi_mode exact.
@@ -565,26 +572,27 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
     Computes f = u_t - div(F_eps(z, grad u) grad u) in closed form from the
     derivatives of the single-mode solution and the exact gradients of a, b,
     p and q.  The mode's time-free factors are computed once per point set
-    (the last one is kept); a call scales them by the decay.  Since the
-    exact solution stays inside the Galerkin span, the semidiscrete system
-    reproduces it up to time-discretization error only.
+    (the last one is kept), and with them, when a, b, p and q are all steady,
+    the data and their contractions with grad phi; a call scales them by the
+    decay.  Since the exact solution stays inside the Galerkin span, the
+    semidiscrete system reproduces it up to time-discretization error only.
     """
     if eps <= 0:
         raise ValueError("manufactured source needs eps > 0")
     mode = tuple(int(m) for m in mode)
     single = mode_basis([mode], len(mode))
-    memo = [None, None]  # (shape, bytes) of the last point set, and its factors
+    steady = all(fld.steady for fld in (data.a, data.b, data.p, data.q))
+
+    def time_free(x):
+        factors = _mode_factors(single, x)
+        return factors + (_data_terms(data, factors[1], x, 0.0) if steady else ())
+
+    at_points = point_memo(time_free)
 
     def fn(x, t):
-        key = (x.shape, x.tobytes())
-        if key != memo[0]:
-            memo[:] = key, _mode_factors(single, x)
-        phi, gphi, gsq, lap, ghg = memo[1]
+        phi, gphi, gsq, lap, ghg, *terms = at_points(x)
         decay = amplitude * np.exp(-rate * t)
-        a, b, p, q = data.sample(x, t)
-        # grad phi . grad of a, b, p and q
-        da, db, dp, dq = (sum(gphi[:, d] * g[:, d] for d in range(x.shape[1]))
-                          for g in (fld.grad(x, t) for fld in (data.a, data.b, data.p, data.q)))
+        a, b, p, q, da, db, dp, dq = terms or _data_terms(data, gphi, x, t)
         beta = eps * eps + decay * decay * gsq
         log_beta = np.log(beta)
         ta = flux.powf(beta, (p - 2.0) / 2.0)

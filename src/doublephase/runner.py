@@ -154,10 +154,13 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
         # one after the output directory exists
         x = data.probe_lattice()[0]
         source = config.source_field()
-        probes = [("initial datum", config.initial(x, 0.0))]
-        for t in (0.0, data.horizon):
-            probes += zip(("field 'a'", "field 'b'", "field 'p'", "field 'q'", "source"),
-                          data.sample(x, t) + (source(x, t),))
+        # the probes test finiteness themselves, so numpy's overflow warnings
+        # would only print ahead of the error line
+        with np.errstate(all="ignore"):
+            probes = [("initial datum", config.initial(x, 0.0))]
+            for t in (0.0, data.horizon):
+                probes += zip(("field 'a'", "field 'b'", "field 'p'", "field 'q'", "source"),
+                              data.sample(x, t) + (source(x, t),))
         for name, values in probes:
             if not np.all(np.isfinite(values)):
                 raise ValueError(f"{name} is not finite on the probe lattice")
@@ -761,9 +764,10 @@ def _stability_block(jobs: list[tuple], reports: list):
 
 
 def _field_sum(f1: Field, f2: Field) -> Field:
+    """f1 + f2, steady when both terms are."""
     return Field(dim=f1.dim, descriptor={"family": "sum",
                                          "terms": [dict(f1.descriptor), dict(f2.descriptor)]},
-                 _fn=lambda x, t: f1(x, t) + f2(x, t))
+                 _fn=lambda x, t: f1(x, t) + f2(x, t), steady=f1.steady and f2.steady)
 
 
 # ---------------------------------------------------------------------------

@@ -196,12 +196,12 @@ def test_stability_identical_and_heat_perturbation():
     assert rep2.bound == pytest.approx(math.exp(0.1) * delta ** 2, rel=1e-9)
 
 
-def _counted_run():
+def _counted_run(source=0.0):
     config = runner.config_from_dict({
         "name": "count_samples", "dim": 2, "horizon": 0.02, "alpha": 0.9,
         "fields": {"p": {"family": "affine", "base": 1.9, "slope": [0.1, 0.0]},
                    "q": 2.1, "a": 0.5, "b": 0.5},
-        "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]}, "source": 0.0,
+        "initial": {"family": "modes", "coeffs": [[1, 1, 1.0]]}, "source": source,
         "solver": {"m_per_dim": 3, "eps": 1.0e-2, "tau": 2.0e-3}})
     traj = solve(config.solver, config.data, config.initial, config.source_field())
     return config, traj
@@ -224,10 +224,9 @@ def test_run_diagnostics_samples_solver_fields_once(monkeypatch):
     assert calls == [1]
 
 
-def test_run_diagnostics_samples_the_source_once_per_checkpoint(monkeypatch):
-    # core_series, apriori_energy_bound and time_derivative_bound share the
-    # trajectory's one sampling of f on the solver nodes
-    config, traj = _counted_run()
+def _source_calls_on_nodes(monkeypatch, source):
+    """The times at which run_diagnostics calls the run's source on the solver nodes."""
+    config, traj = _counted_run(source)
     nodes = traj.grid.space_nodes
     calls = []
     original = Field.__call__
@@ -239,7 +238,20 @@ def test_run_diagnostics_samples_the_source_once_per_checkpoint(monkeypatch):
 
     monkeypatch.setattr(Field, "__call__", counting)
     runner.run_diagnostics(traj, config)
-    assert calls == list(traj.times)
+    return calls, list(traj.times)
+
+
+def test_run_diagnostics_samples_the_source_once_per_checkpoint(monkeypatch):
+    # core_series, apriori_energy_bound and time_derivative_bound share the
+    # trajectory's one sampling of f on the solver nodes
+    decaying = {"family": "modes", "coeffs": [[1, 1, 0.5]], "tdecay": 1.0}
+    calls, times = _source_calls_on_nodes(monkeypatch, decaying)
+    assert calls == times
+
+
+def test_run_diagnostics_samples_a_steady_source_once(monkeypatch):
+    calls, times = _source_calls_on_nodes(monkeypatch, 0.0)
+    assert calls == [times[0]]
 
 
 def test_second_order_peak_memory_does_not_grow_with_checkpoints(heat_traj):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from doublephase.fields import (
-    ConfigurationError, ExponentData, ValidationError, make_field, tensor_axis,
-    tensor_points,
+    ConfigurationError, ExponentData, Field, ValidationError, make_field, point_memo,
+    sample_field, tensor_axis, tensor_points,
 )
+from doublephase.galerkin import EigenBasis, mode_basis
 
 
 def constant_data(p=1.8, q=2.2, a=0.5, b=0.5, alpha=0.9, dim=2, res=17, tres=5):
@@ -265,3 +266,71 @@ def test_refused_field_values():
     with pytest.raises(ConfigurationError, match="mode index 2.5 is not an integer"):
         make_field({"family": "modes", "coeffs": [[2.5, 1, 1.0]]}, 2)
     assert make_field({"family": "modes", "coeffs": [[2.0, 1, 1.0]]}, 2).steady
+
+
+@pytest.mark.parametrize("method", ["values", "gradients"])
+def test_modes_field_builds_its_table_once_per_point_set(monkeypatch, method):
+    dim, tdecay, rows = 2, 2.0, [[1, 2, 0.7], [3, 1, -0.4]]
+    fld = make_field({"family": "modes", "coeffs": rows, "tdecay": tdecay}, dim)
+    evaluate = fld if method == "values" else fld.grad
+    basis, cs = mode_basis([r[:-1] for r in rows], dim), np.array([r[-1] for r in rows])
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(size=(30, dim)), rng.uniform(size=(20, dim))
+    moved, y_moved = x.copy(), y.copy()
+    moved[3, 1] += 0.25
+    y_moved[0, 0] += 0.25
+
+    def direct(pts, t):
+        decay = np.exp(-tdecay * t)
+        return getattr(basis, method)(pts) @ cs * (decay if method == "values" else decay[..., None])
+
+    times = (0.0, 0.03, 0.1)
+    want = [[direct(pts, t).tobytes() for t in times] for pts in (x, moved, y, y_moved)]
+    built = []
+    original = getattr(EigenBasis, method)
+
+    def counting(self, pts):
+        built.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(EigenBasis, method, counting)
+    for pts, expected in zip((x, moved, y), want):
+        assert [evaluate(pts, t).tobytes() for t in times] == expected
+    assert built == [30, 30, 20]  # one table per point set, whatever the time
+    y[0, 0] += 0.25  # the last point set's array, changed in place
+    assert [evaluate(y, t).tobytes() for t in times] == want[3]
+    assert built == [30, 30, 20, 20]
+
+
+def test_point_memo_drops_its_entry_when_the_points_are_freed():
+    built = []
+    at = point_memo(lambda pts: built.append(len(pts)) or pts.sum(axis=-1))
+    x = np.random.default_rng(2).uniform(size=(10, 2))
+    same = x.copy()
+    assert at(x).tobytes() == at(same).tobytes()
+    assert built == [10]  # equal bytes share the entry while x lives
+    del x
+    at(same)
+    assert built == [10, 10]
+
+
+def _counted(fld, calls):
+    """fld with every call recorded in `calls`."""
+    return Field(dim=fld.dim, descriptor=fld.descriptor, steady=fld.steady,
+                 _fn=lambda x, t: calls.append(float(t)) or fld(x, t))
+
+
+def test_sample_field_evaluates_a_steady_field_once_read_only():
+    dim, times = 2, np.linspace(0.0, 0.1, 5)
+    x = np.random.default_rng(3).uniform(size=(25, dim))
+    bump = {"family": "bump", "base": 0.4, "amp": 0.3, "center": [0.4, 0.6], "width": 0.2}
+    calls = []
+    steady = _counted(make_field(bump | {"tdecay": 0.0}, dim), calls)
+    sampled = sample_field(steady, x, times)
+    assert calls == [times[0]]
+    assert not sampled.flags.writeable
+    assert sampled.tobytes() == np.stack([steady(x, t) for t in times]).tobytes()
+    calls.clear()
+    moving = _counted(make_field(bump | {"tdecay": 1.0}, dim), calls)
+    sample_field(moving, x, times)
+    assert calls == list(times)

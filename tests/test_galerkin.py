@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from doublephase import flux, galerkin, runner, spaces
-from doublephase.fields import ExponentData, ValidationError, make_field, tensor_points
+from doublephase.fields import ExponentData, Field, ValidationError, make_field, tensor_points
 from doublephase.galerkin import (
     _CHUNK, EigenBasis, SolverConfig, SolverError, StepFailure, Workspace,
     build_basis, manufactured_source, mode_basis, solve, step_implicit,
@@ -838,3 +838,37 @@ def test_manufactured_source_memo_cannot_go_stale():
     assert np.array_equal(f(x, 0.07), manufactured_source(*args)(x, 0.07))
     with pytest.raises(NotImplementedError, match="manufactured"):
         f.grad(x, 0.0)  # f itself has no closed-form gradient
+
+
+def _grad_counted(fld, calls, steady=None):
+    """fld with each Field.grad call recorded in `calls`; `steady` overrides its flag."""
+    return Field(dim=fld.dim, descriptor=fld.descriptor, _fn=fld._fn,
+                 steady=fld.steady if steady is None else steady,
+                 _grad=lambda x, t: calls.append(fld.descriptor) or fld.grad(x, t))
+
+
+@pytest.mark.parametrize("a_tdecay", [0.0, 1.0])
+def test_manufactured_source_keeps_steady_data_terms_per_point_set(a_tdecay):
+    # with steady data, grad a .. grad q are formed once per point set; once
+    # a moves, once per call; either way the values equal the per-call path
+    dim = 2
+    specs = {"a": {"family": "bump", "base": 0.5, "amp": 0.1, "tdecay": a_tdecay},
+             "b": 0.5, "p": {"family": "affine", "base": 1.9, "slope": [0.05, -0.03]},
+             "q": {"family": "sinusoidal", "base": 2.05, "amp": 0.02, "wave": [1.0, 2.0]}}
+    calls = []
+
+    def data(steady=None):
+        flds = {k: _grad_counted(make_field(v, dim), calls, steady) for k, v in specs.items()}
+        return ExponentData(dim=dim, horizon=0.1, alpha=0.4, **flds)
+
+    args = (0.05, (1, 2), 1.3, 0.7)
+    f = manufactured_source(data(), *args)
+    assert f.steady is False
+    rng = np.random.default_rng(8)
+    x, y = rng.uniform(size=(30, dim)), rng.uniform(size=(20, dim))
+    calls_at = list(zip((x, x, x, y), (0.02, 0.04, 0.06, 0.08)))
+    per_call = [manufactured_source(data(steady=False), *args)(pts, t).tobytes()
+                for pts, t in calls_at]
+    calls.clear()
+    assert [f(pts, t).tobytes() for pts, t in calls_at] == per_call
+    assert len(calls) == (2 if a_tdecay == 0.0 else 4) * 4  # four fields each time

@@ -601,6 +601,34 @@ def test_non_finite_data_are_a_config_error(tmp_path, capsys, verb):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_data_print_the_error_line_first(tmp_path):
+    # numpy's overflow warnings from the load probes would print ahead of it
+    raw = small_heat_raw()
+    raw["fields"]["a"] = {"family": "affine", "base": 1.0e308, "slope": [1.0e308, 0.0]}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, doublephase.cli; "
+                           "sys.exit(doublephase.cli.main(sys.argv[1:]))",
+                           "validate", str(write_config(tmp_path, raw))],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "not finite" in proc.stderr
+
+
+def test_sum_of_steady_fields_is_steady_bitwise():
+    dim = 2
+    steady = fields.make_field({"family": "bump", "amp": 0.3, "base": 0.4}, dim)
+    modes = fields.make_field({"family": "modes", "coeffs": [[2, 1, 0.2]]}, dim)
+    moving = fields.make_field({"family": "modes", "coeffs": [[2, 1, 0.2]], "tdecay": 1.0}, dim)
+    total = runner._field_sum(steady, modes)
+    assert total.steady and not runner._field_sum(steady, moving).steady
+    unmarked = fields.Field(dim=dim, descriptor=total.descriptor, _fn=total._fn)
+    x, times = fields.lattice_points(dim, 9), np.linspace(0.0, 0.1, 4)
+    assert (fields.sample_field(total, x, times).tobytes()
+            == fields.sample_field(unmarked, x, times).tobytes())
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
