@@ -80,12 +80,19 @@ def vector_kernel(a, b, p, q, xi, eps) -> np.ndarray:
     The extension is continuous because |xi|^(p-1) -> 0 as xi -> 0 for any
     p > 1, and likewise for q.  The density is zeroed before it meets xi, so
     an infinite density at beta = 0 never multiplies a zero gradient.
+
+    The arithmetic of `_term` written out under one errstate: the residual
+    of every Newton step calls this kernel, and on small bases the calls'
+    overhead, not their arithmetic, is its cost.
     """
     xi = np.asarray(xi, dtype=float)
     beta = beta_eps(xi, eps)
-    dens = (_term(a, (np.asarray(p) - 2.0) / 2.0, beta)
-            + _term(b, (np.asarray(q) - 2.0) / 2.0, beta))
-    return np.where(beta > 0.0, dens, 0.0)[..., None] * xi
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dens = (np.where(a != 0.0, a * np.power(beta, (p - 2.0) / 2.0), 0.0)
+                + np.where(b != 0.0, b * np.power(beta, (q - 2.0) / 2.0), 0.0))
+    if not (np.asarray(eps, dtype=float) ** 2 > 0.0).all():  # else beta > 0 everywhere
+        dens = np.where(beta > 0.0, dens, 0.0)
+    return dens[..., None] * xi
 
 
 def jacobian_kernel(a, b, p, q, xi, eps) -> np.ndarray:

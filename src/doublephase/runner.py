@@ -292,12 +292,21 @@ def _write_csv(path: Path, header, rows):
 # single run
 
 
-def _field_spatial_gradient(fld: Field, x, t, h: float = 1e-6) -> np.ndarray:
-    """Central-difference spatial gradient of a field with no closed-form `grad`;
-    families are entire expressions, so probing slightly outside the box is safe."""
+def _field_spatial_gradients(fld: Field, x, times, h: float = 1e-6) -> list:
+    """Central-difference spatial gradient (M, N) of a field at each time, by time.
+
+    Each shifted lattice is built once and evaluated at every time in a row,
+    so a field's point-set memo serves all the times.  Families are entire
+    expressions, so probing slightly outside the box is safe.
+    """
     x = np.asarray(x, dtype=float)
-    return np.stack([(fld(x + e, t) - fld(x - e, t)) / (2.0 * h) for e in h * np.eye(x.shape[1])],
-                    axis=-1)
+    per_axis = []
+    for e in h * np.eye(x.shape[1]):
+        ahead, behind = x + e, x - e
+        fwd = [fld(ahead, t) for t in times]
+        bwd = [fld(behind, t) for t in times]
+        per_axis.append([(f - b) / (2.0 * h) for f, b in zip(fwd, bwd)])
+    return [np.stack(axes, axis=-1) for axes in zip(*per_axis)]
 
 
 def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict:
@@ -311,8 +320,7 @@ def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict
     times = np.linspace(0.0, data.horizon, 5)
     bmax = max(float(np.abs(f_field(boundary, t)).max()) for t in times) if len(boundary) else 0.0
     gsq = 0.0
-    for t in times:
-        g = _field_spatial_gradient(f_field, pts, t)
+    for g in _field_spatial_gradients(f_field, pts, times):
         gsq = max(gsq, float(np.sum(g * g) / len(pts)))
     return {"boundary_max": bmax, "boundary_zero": bool(bmax <= 1e-9),
             "grad_sq_mean_max": gsq, "grad_finite": bool(np.isfinite(gsq))}

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -99,13 +100,19 @@ class QuadratureGrid:
         raise ValueError(f"cannot integrate values of shape {values.shape} on this grid")
 
 
+@cache
 def tensor_gauss_legendre(dim: int, order: int) -> QuadratureGrid:
-    """Gauss-Legendre rule with `order` points per dimension on (0,1)^dim."""
+    """Gauss-Legendre rule with `order` points per dimension on (0,1)^dim.
+
+    Built once per process for each (dim, order); its arrays are read-only.
+    """
     nodes1, weights1 = np.polynomial.legendre.leggauss(order)
     nodes1 = 0.5 * (nodes1 + 1.0)
     weights1 = 0.5 * weights1
-    return QuadratureGrid(space_nodes=tensor_points(nodes1, dim),
-                          space_weights=np.prod(tensor_points(weights1, dim), axis=-1))
+    nodes = tensor_points(nodes1, dim)
+    weights = np.prod(tensor_points(weights1, dim), axis=-1)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureGrid(space_nodes=nodes, space_weights=weights)
 
 
 def same_grid(g1: QuadratureGrid, g2: QuadratureGrid) -> bool:

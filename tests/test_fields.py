@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -334,3 +336,29 @@ def test_sample_field_evaluates_a_steady_field_once_read_only():
     moving = _counted(make_field(bump | {"tdecay": 1.0}, dim), calls)
     sample_field(moving, x, times)
     assert calls == list(times)
+
+
+@pytest.mark.parametrize("gap", [0.3, 0.6])  # passes, fails the exponent gap
+def test_validate_probes_one_time_slice_of_steady_data(gap):
+    dim = 2
+    steady = dict(
+        p=make_field({"family": "affine", "base": 1.9, "slope": [0.05, -0.02]}, dim),
+        q=make_field({"family": "sinusoidal", "base": 1.9 + gap, "amp": 0.1,
+                      "wave": [1.0, 2.0]}, dim),
+        a=make_field({"family": "bump", "base": 0.5, "amp": 0.3, "center": [0.3, 0.6]}, dim),
+        b=make_field(0.5, dim))
+    assert all(fld.steady for fld in steady.values())
+    seen = []
+
+    def counted(fld):
+        return replace(fld, _fn=lambda x, t: seen.append(np.ndim(t)) or fld._fn(x, t))
+
+    args = dict(dim=dim, horizon=0.3, alpha=0.9, lipschitz_probe_resolution=17,
+                time_probe_resolution=9)
+    report = ExponentData(**args, **{k: counted(f) for k, f in steady.items()}).validate()
+    assert len(seen) == 4  # one time slice per field
+    # the same fields, not marked steady, are probed at all nine times
+    full = ExponentData(**args, **{k: replace(f, steady=False) for k, f in steady.items()})
+    assert report.passed == (gap < 0.5)
+    assert report == full.validate()
+    assert report.as_dict() == full.validate().as_dict()

@@ -201,6 +201,43 @@ def test_kernels_match_the_masked_definition(seed):
     assert np.all(np.abs(got - jac) <= 1e-15 * scale[..., None, None])
 
 
+def _wrapped_vector_kernel(a, b, p, q, xi, eps):
+    """vector_kernel as it read with one errstate per power and per term."""
+    def powf(base, exponent):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.power(np.asarray(base, dtype=float), exponent)
+
+    def term(coef, exponent, beta):
+        coef = np.asarray(coef, dtype=float)
+        with np.errstate(invalid="ignore"):
+            return np.where(coef != 0.0, coef * powf(beta, exponent), 0.0)
+
+    xi = np.asarray(xi, dtype=float)
+    beta = np.asarray(eps, dtype=float) ** 2 + sum(xi[..., i] * xi[..., i]
+                                                  for i in range(xi.shape[-1]))
+    dens = term(a, (np.asarray(p) - 2.0) / 2.0, beta) + term(b, (np.asarray(q) - 2.0) / 2.0, beta)
+    return np.where(beta > 0.0, dens, 0.0)[..., None] * xi
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-200, 1e-3, 0.3])
+@pytest.mark.parametrize("seed", range(3))
+def test_vector_kernel_equals_the_wrapped_formula_bitwise(seed, eps):
+    rng = np.random.default_rng(seed)
+    n, dim = 4000, 2 + seed % 2
+    a = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7)  # zero coefficients
+    b = rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7)
+    p, q = rng.uniform(1.05, 4.5, size=(2, n))  # half-exponents of both signs
+    xi = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-6, 2, size=(n, 1))
+    xi[::7] = 0.0  # beta = 0 at eps = 0 (and at eps = 1e-200, whose square underflows)
+    xi[3::11] *= 1e120  # the power overflows where p or q is large
+    xi[5::13] = 1e200  # beta itself overflows
+    with np.errstate(all="ignore"):
+        got = flux.vector_kernel(a, b, p, q, xi, eps)
+        want = _wrapped_vector_kernel(a, b, p, q, xi, eps)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_zero_coefficient_term_is_zero_where_the_power_overflows():
     xi = np.array([1e200, 0.0])
     with np.errstate(over="ignore"):  # beta itself overflows to inf

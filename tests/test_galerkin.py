@@ -361,6 +361,39 @@ def test_step_matrix_equals_dense_gram_form(dim, m_per_dim, order):
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("dim, m_per_dim, dense", [(2, 4, True), (2, 6, True), (2, 8, True),
+                                                   (2, 16, False), (3, 3, False)])
+def test_dense_and_sum_factorized_residual_contractions_agree(dim, m_per_dim, dense):
+    basis = build_basis(dim, m_per_dim)
+    grid = spaces.tensor_gauss_legendre(dim, SolverConfig(m_per_dim, 0.1, 0.1).resolved_quad_order)
+    ws = Workspace(basis, grid)
+    assert (ws.dense is not None) == dense
+    assert dense == (grid.space_nodes.size * basis.size <= galerkin.DENSE_ENTRIES)
+    rng = np.random.default_rng(dim * 100 + m_per_dim)
+    coeffs, fvec = rng.normal(size=basis.size), rng.normal(size=ws.x.shape)
+    wf = ws.w[:, None] * fvec
+    table = basis.gradients(ws.x).reshape(-1, basis.size)
+    by_table = ((table @ coeffs).reshape(ws.x.shape), wf.reshape(-1) @ table)
+    by_axis = (basis.lattice(ws.lines, coeffs, 1), basis.lattice_adjoint(ws.lines, wf, 1))
+    got = (ws.gradient_of(coeffs), ws.stiffness(fvec))
+    for chosen, other, out in zip(*(by_table, by_axis) if dense else (by_axis, by_table), got):
+        assert np.array_equal(out, chosen)
+        assert np.abs(other - chosen).max() <= 1e-13 * np.abs(chosen).max()
+
+
+def test_discretization_tables_are_built_once_and_read_only():
+    assert build_basis(2, 5) is build_basis(2, 5)
+    assert spaces.tensor_gauss_legendre(2, 20) is spaces.tensor_gauss_legendre(2, 20)
+    basis, grid = build_basis(2, 5), spaces.tensor_gauss_legendre(2, 20)
+    first, second = Workspace(basis, grid), Workspace(basis, grid)
+    assert first.lines is second.lines and first.dense is second.dense
+    assert first.newton_inverses is not second.newton_inverses  # the caches of one solve
+    for arr in (basis.modes, basis.eigenvalues, grid.space_nodes, grid.space_weights,
+                first.lines, first.dense):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_workspace_rejects_non_tensor_grid():
     basis = build_basis(2, 3)
     grid = spaces.tensor_gauss_legendre(2, 8)

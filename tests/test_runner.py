@@ -674,3 +674,27 @@ def test_source_certificate_flags_nonvanishing_boundary(tmp_path):
     config2 = runner.load_config(write_config(tmp_path, raw2, "s2.yaml"))
     _, manifest2, _ = runner.perform_run(config2, tmp_path / "out2")
     assert manifest2["source_certificate"]["boundary_zero"]
+
+
+def test_source_certificate_evaluates_each_shifted_lattice_once(monkeypatch):
+    config = runner.load_config(SCENARIOS / "forced_mms.yaml")
+    f_field, data = config.source_field(), config.data
+    calls = []
+    original = galerkin._mode_factors
+    monkeypatch.setattr(galerkin, "_mode_factors",
+                        lambda single, x: calls.append(len(x)) or original(single, x))
+    cert = runner._source_certificate(f_field, data)
+    # the boundary, then the four shifted lattices, each at all five times
+    assert len(calls) == 1 + 2 * data.dim
+    # the same values as one evaluation per lattice and time
+    pts = fields.lattice_points(data.dim, 33)
+    boundary = pts[np.any((pts == 0.0) | (pts == 1.0), axis=1)]
+    times = np.linspace(0.0, data.horizon, 5)
+    h = 1e-6
+    gsq = 0.0
+    for t in times:
+        g = np.stack([(f_field(pts + e, t) - f_field(pts - e, t)) / (2.0 * h)
+                      for e in h * np.eye(data.dim)], axis=-1)
+        gsq = max(gsq, float(np.sum(g * g) / len(pts)))
+    assert cert["grad_sq_mean_max"] == gsq
+    assert cert["boundary_max"] == max(float(np.abs(f_field(boundary, t)).max()) for t in times)
