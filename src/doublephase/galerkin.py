@@ -12,7 +12,8 @@ convex in the gradient for eps > 0) solved by a chord Newton method: an
 iteration first tries the inverse of the last Newton matrix built for its
 step size, and keeps that step only when it cuts the residual by CHORD_RHO;
 otherwise it builds the Newton matrix from the exact flux Jacobian at the
-current iterate and takes a damped Newton step.  Either way an iterate is
+current iterate and takes a damped Newton step, starting from a polynomial
+extrapolation of the accepted checkpoints (`solve`).  Either way an iterate is
 accepted only within the Newton tolerance, so the per-step discrete energy
 inequality holds up to that tolerance and is recorded per step.  Exponents
 and coefficients are frozen at the step's end time inside the solve,
@@ -299,6 +300,18 @@ def _discretization_tables(basis: EigenBasis, grid: QuadratureGrid) -> tuple:
     return lines, pairs, dense
 
 
+def discretization(dim: int, cfg: SolverConfig) -> tuple:
+    """The basis and quadrature grid of a solve on cfg, their tables built.
+
+    Each is built once per process, so a pool worker forked after this call
+    inherits them.
+    """
+    basis = build_basis(dim, cfg.m_per_dim)
+    grid = tensor_gauss_legendre(dim, cfg.resolved_quad_order)
+    _discretization_tables(basis, grid)
+    return basis, grid
+
+
 class Workspace:
     """Basis tables on the solver quadrature grid, and the caches of one solve.
 
@@ -559,15 +572,19 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
     Deterministic for a fixed configuration.  A failed step is retried on
     halved substeps up to cfg.tau_retry_cap splittings; a step that still
     fails aborts the solve with the partial trajectory attached.
-    `guess`, the (K+1, m) coefficients of a neighbour on the same basis and
-    time grid, starts step k's Newton from guess[k+1] + (u_k - guess[k]).
+
+    Step k's Newton starts from a predictor.  Without a guess it extrapolates
+    the accepted checkpoints: u_0 at k = 0, 2 u_1 - u_0 at k = 1, and the
+    quadratic 3 (u_k - u_{k-1}) + u_{k-2} after that.  `guess`, the (K+1, m)
+    coefficients of a neighbour on the same basis and time grid, replaces it
+    with guess[k+1] + (u_k - guess[k]).  The halved substeps of a retried step
+    start from their own initial state.
     """
     data.report.raise_if_failed()
-    basis = build_basis(data.dim, cfg.m_per_dim)
+    basis, grid = discretization(data.dim, cfg)
     n_steps = max(1, int(round(data.horizon / cfg.tau)))
     if guess is not None and np.shape(guess) != (n_steps + 1, basis.size):
         raise ValueError(f"guess shape {np.shape(guess)} is not {(n_steps + 1, basis.size)}")
-    grid = tensor_gauss_legendre(data.dim, cfg.resolved_quad_order)
     ws = Workspace(basis, grid)
     tau = data.horizon / n_steps
     t, u = 0.0, ws.project(u0)
@@ -578,7 +595,15 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
     running_ut = 0.0
 
     for k in range(n_steps):
-        start = None if guess is None else guess[k + 1] + (u - guess[k])
+        # the checkpoints are uniform in t (a retried step records one full step)
+        if guess is not None:
+            start = guess[k + 1] + (u - guess[k])
+        elif k == 0:
+            start = None
+        elif k == 1:
+            start = 2.0 * u - rows[-2][1]
+        else:
+            start = 3.0 * (u - rows[-2][1]) + rows[-3][1]
         try:
             t, u, st = _advance(u, t, tau, 0, data, f_field, cfg, ws, start)
         except StepFailure as exc:

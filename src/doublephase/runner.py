@@ -28,7 +28,8 @@ import yaml
 
 from . import __version__, diagnostics as dg
 from .fields import ConfigurationError, ExponentData, Field, integer, lattice_points, make_field
-from .galerkin import SolverConfig, SolverError, Trajectory, manufactured_source, solve
+from .galerkin import (SolverConfig, SolverError, Trajectory, discretization,
+                       manufactured_source, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +610,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         # imported here: a serial run never loads the process-pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
+        # built here, the members' and the stability solves' discretizations
+        # are inherited by forked workers instead of built in each
+        for solver in [m.solver for m in members.values()] + ([config.solver] if jobs else []):
+            discretization(config.data.dim, solver)
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results, outcomes = _run_jobs(pool.submit, config, chunks, rows, row_dirs)
     else:

@@ -663,6 +663,50 @@ def test_warm_started_solve_matches_cold_solve_in_fewer_iterations():
     assert warm.newton_iters.sum() < cold.newton_iters.sum()
 
 
+def recorded_starts(monkeypatch, fail_call=None):
+    """Record (t, dt, start) of every step_implicit call; the fail_call-th call (1-based) fails."""
+    calls, original = [], galerkin.step_implicit
+
+    def recording(u, t, tau, data, f_field, cfg, ws, start=None):
+        calls.append((t, tau, None if start is None else start.copy()))
+        if len(calls) == fail_call:
+            raise StepFailure("forced")
+        return original(u, t, tau, data, f_field, cfg, ws, start)
+
+    monkeypatch.setattr(galerkin, "step_implicit", recording)
+    return calls
+
+
+def test_cold_solve_starts_each_step_from_the_extrapolated_checkpoints(monkeypatch):
+    # heat on one mode: u_k = r^k with r = 1/(1 + lam tau), so the quadratic
+    # predictor misses u_{k+1} by (lam tau)^2 = 0.04 of the step's change
+    calls = recorded_starts(monkeypatch)
+    cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1e-2)
+    c = solve(cfg, data_const(), mode_field([[1, 1, 1.0]]), ZERO2).coeffs
+    starts = [start for _, _, start in calls]
+    assert len(starts) == 10 and starts[0] is None
+    assert np.array_equal(starts[1], 2.0 * c[1] - c[0])
+    for k in range(2, 10):
+        assert np.array_equal(starts[k], 3.0 * (c[k] - c[k - 1]) + c[k - 2])
+        assert np.linalg.norm(starts[k] - c[k + 1]) <= 0.1 * np.linalg.norm(c[k] - c[k + 1])
+
+
+def test_retried_substeps_start_from_their_own_state(monkeypatch):
+    # the first attempt of step 3 fails: its halves start cold, and the merged
+    # step still records one full, uniform step for the next predictor
+    calls = recorded_starts(monkeypatch, fail_call=3)
+    data = data_const(p=1.9, q=2.1, a=0.4, b=0.6)
+    cfg = SolverConfig(m_per_dim=3, eps=5e-2, tau=1e-2)
+    traj = solve(cfg, data, mode_field([[1, 1, 0.8], [2, 1, 0.2]]), ZERO2)
+    c = traj.coeffs
+    assert [(t, dt) for t, dt, _ in calls[2:5]] == [(0.02, 0.01), (0.02, 0.005), (0.025, 0.005)]
+    assert calls[2][2] is not None and calls[3][2] is None and calls[4][2] is None
+    assert traj.times[3] == pytest.approx(0.03)
+    assert traj.newton_residual[3] <= traj.newton_bound[3]
+    assert np.all(traj.newton_residual <= traj.newton_bound)
+    assert np.array_equal(calls[5][2], 3.0 * (c[3] - c[2]) + c[1])
+
+
 def test_solve_samples_steady_data_once_and_moving_data_every_step(monkeypatch):
     # a and the source decay in time; p, q and b are steady
     dim = 2

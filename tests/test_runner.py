@@ -3,13 +3,14 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from doublephase import cli, fields, galerkin, runner
+from doublephase import cli, fields, galerkin, runner, spaces
 from doublephase.fields import ConfigurationError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -442,6 +443,24 @@ def test_parent_runs_no_solve_with_a_worker_pool(tmp_path, monkeypatch, workers,
                                    tmp_path / "sweep")
     assert code == 0
     assert pids.count(parent) == parent_solves
+
+
+def test_pool_sweep_builds_every_discretization_in_the_parent(tmp_path):
+    # members at m 2 and 4, the stability solves at the base m 3; the parent
+    # of a pool solves nothing (test above), so it built each table for the
+    # forked workers to inherit
+    raw = small_stability_raw()
+    raw["sweep"]["m_per_dim"] = [2, 4]
+    config = runner.replace_config(runner.load_config(write_config(tmp_path, raw)), workers=2)
+    tables = galerkin._discretization_tables
+    for cached in (galerkin.build_basis, spaces.tensor_gauss_legendre, tables):
+        cached.cache_clear()
+    assert runner.perform_sweep(config, tmp_path / "sweep")[0] == 0
+    built = tables.cache_info()
+    assert built.currsize == 3
+    for m in (2, 3, 4):
+        galerkin.discretization(2, replace(config.solver, m_per_dim=m))
+    assert tables.cache_info().misses == built.misses
 
 
 @pytest.mark.parametrize("workers", [1, 2])
