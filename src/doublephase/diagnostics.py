@@ -23,20 +23,25 @@ from typing import Sequence
 import numpy as np
 
 from . import flux, spaces
-from .fields import ExponentData, Field, lattice_points, tensor_axis, tensor_points
+from .fields import ExponentData, Field, lattice_axis, lattice_points, tensor_axis, tensor_points
 from .galerkin import SolverConfig, Trajectory, solve
 
 _REL_FLOOR = 1e-30
-# Points per axis of the lattice the sup of |u| is taken on; the sup
-# envelope takes the data sups on the twice-finer 2 * SUP_LATTICE - 1.
+# Points per axis of the lattice the sup of |u| and the sup envelope's data
+# sups are taken on.  Its nodes are every other node of the 129-point
+# lattice (128 = 2 * 64), so its data sups, and the envelope, are never
+# above that finer lattice's: the check is at least as strict.
 SUP_LATTICE = 65
 # Relative growth between consecutive Cauchy distances still read as monotone.
 CAUCHY_TOLERANCE = 0.10
 
 
 def _flux_energy(traj: Trajectory, eps) -> np.ndarray:
-    """int F_eps(z, grad u)|grad u|^2 dx at every checkpoint."""
-    fv = flux.vector_kernel(*traj.fields, traj.grads, eps)
+    """int F_eps(z, grad u)|grad u|^2 dx at every checkpoint; the run's eps reads its density."""
+    if eps == traj.eps:
+        fv = traj.density[..., None] * traj.grads
+    else:
+        fv = flux.vector_kernel(*traj.fields, traj.grads, eps)
     return np.einsum("kmn,kmn,m->k", fv, traj.grads, traj.grid.space_weights, optimize=True)
 
 
@@ -70,7 +75,7 @@ class CoreSeries:
 
 def _lattice_sup(traj: Trajectory, n: int) -> np.ndarray:
     """max |u| over the uniform n^dim lattice at every checkpoint."""
-    lines = traj.basis.line_tables(np.linspace(0.0, 1.0, n))
+    lines = traj.basis.line_tables(lattice_axis(n))
     return np.abs(traj.basis.lattice(lines, traj.coeffs)).max(axis=1)
 
 
@@ -171,20 +176,22 @@ class InterpolationReport:
     implied_constant: float
 
 
-def interpolation_ratio(traj: Trajectory, varsigma: float, beta: float) -> InterpolationReport:
+def interpolation_ratio(traj: Trajectory, varsigma: float, beta: float,
+                        integrability: dict | None = None) -> InterpolationReport:
     """Implied additive constant in the integrated interpolation inequality.
 
     Evaluates alpha * int |grad u|^(s_lower + r_sharp - varsigma) minus
     beta * int F_eps(grad u)|u_xx|^2 over the cylinder; the overshoot is the
     constant the inequality requires, a monitored (unquantified) quantity.
+    `integrability`, a `higher_integrability` table of this trajectory, gives
+    the first integral when it holds varsigma.
     """
-    h = higher_integrability(traj, [varsigma])[float(varsigma)]
-    lhs = traj.data.alpha * h
-    grads = traj.grads
+    if float(varsigma) not in (integrability or {}):
+        integrability = higher_integrability(traj, [varsigma])
+    lhs = traj.data.alpha * integrability[float(varsigma)]
     hess = traj.basis.lattice(traj.lines, traj.coeffs, 2)
     uxx_sq = np.sum(hess ** 2, axis=(-2, -1))
-    dens = flux.density_kernel(*traj.fields, grads, traj.eps)
-    term = traj.spacetime_grid().integrate(dens * uxx_sq)
+    term = traj.spacetime_grid().integrate(traj.density * uxx_sq)
     return InterpolationReport(varsigma=float(varsigma), beta=float(beta), lhs=float(lhs),
                                second_order_term=float(term),
                                implied_constant=float(lhs - beta * term))
@@ -246,17 +253,23 @@ def second_order_flux_norm(traj: Trajectory, margin: float = 1.0 / 64.0,
     if idx[-1] != len(traj.times) - 1:
         idx.append(len(traj.times) - 1)
 
+    flds = (data.a, data.b, data.p, data.q)
+
+    def sampled(t):
+        """a, b, p, q at pts and t, then their gradients."""
+        return data.sample(pts, t) + tuple(fld.grad(pts, t) for fld in flds)
+
+    # steady data take the same values at every t: sampled once per call
+    once = sampled(traj.times[0]) if all(fld.steady for fld in flds) else None
     # one kept checkpoint at a time, so memory does not grow with their number
     accum = np.zeros((len(idx), dim, dim))
     for row, k in enumerate(idx):
-        t = traj.times[k]
         grad_u = traj.basis.lattice(lines, traj.coeffs[k], 1)  # (M, N)
         hess_u = traj.basis.lattice(lines, traj.coeffs[k], 2)  # (M, N, N)
         beta = flux.beta_eps(grad_u, traj.eps)
         log_beta = np.log(beta)[:, None]
         dlog_beta = 2.0 * np.einsum("mk,mik->mi", grad_u, hess_u) / beta[:, None]
-        a, b, p, q = data.sample(pts, t)
-        da, db, dp, dq = (fld.grad(pts, t) for fld in (data.a, data.b, data.p, data.q))
+        a, b, p, q, da, db, dp, dq = once or sampled(traj.times[k])
         dens, d_dens = 0.0, 0.0
         for c, dc, r, dr in ((a, da, p, dp), (b, db, q, dq)):
             # D_i(c beta^e) = beta^e (D_i c + c (log beta D_i e + e D_i log beta)), e = (r-2)/2
@@ -322,14 +335,19 @@ class EnvelopeReport:
 def linf_bound_check(traj: Trajectory, series: CoreSeries, slack: float = 1e-3) -> EnvelopeReport:
     """The series' lattice sup of |u| against ||u0||_inf + int_0^t ||f||_inf ds.
 
-    The lattice maximum underestimates the true sup, which the absolute
-    slack covers; the data sups use a twice-finer lattice.
+    The data sups are lattice maxima on the SUP_LATTICE^N lattice of the
+    series' sup.  A lattice maximum underestimates the true sup, of the data
+    as of u, and the absolute slack covers both.  That lattice is a
+    sub-lattice of the 129^N one, so the envelope is never above the one
+    taken there: a finer data lattice could only loosen the check.  A
+    steady source is sampled once and its sup repeated over the checkpoints.
     """
     sup_u = series.linf
-    fine = lattice_points(traj.data.dim, 2 * SUP_LATTICE - 1)
-    u0_sup = float(np.abs(traj.initial(fine, 0.0)).max())
-    f_sup = np.array([np.abs(traj.source(fine, t)).max() for t in traj.times])
-    envelope = u0_sup + _cumtrapz(f_sup, traj.times) + slack
+    lattice = lattice_points(traj.data.dim, SUP_LATTICE)
+    u0_sup = float(np.abs(traj.initial(lattice, 0.0)).max())
+    times = traj.times[:1] if traj.source.steady else traj.times
+    f_sup = np.array([np.abs(traj.source(lattice, t)).max() for t in times])
+    envelope = u0_sup + _cumtrapz(np.resize(f_sup, traj.times.shape), traj.times) + slack
     return EnvelopeReport(times=traj.times, lattice_sup=sup_u, envelope=envelope,
                           slack=slack, passed=bool(np.all(sup_u <= envelope)))
 

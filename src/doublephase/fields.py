@@ -115,9 +115,14 @@ def tensor_points(axis, dim: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
+def lattice_axis(n: int) -> np.ndarray:
+    """n uniform nodes on [0, 1], both ends included: the axis of every uniform lattice."""
+    return np.linspace(0.0, 1.0, n)
+
+
 def lattice_points(dim: int, n: int) -> np.ndarray:
     """Uniform lattice of n^dim points on the closed unit box."""
-    return tensor_points(np.linspace(0.0, 1.0, n), dim)
+    return tensor_points(lattice_axis(n), dim)
 
 
 def tensor_axis(nodes, dim: int) -> np.ndarray:

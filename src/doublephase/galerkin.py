@@ -528,6 +528,11 @@ class Trajectory:
         return self.basis.lattice(self.lines, self.coeffs, 1)
 
     @cached_property
+    def density(self) -> np.ndarray:
+        """The flux density a beta^((p-2)/2) + b beta^((q-2)/2) at eps, (K+1, M)."""
+        return flux.density_kernel(*self.fields, self.grads, self.eps)
+
+    @cached_property
     def values(self) -> np.ndarray:
         """Values at every checkpoint, (K+1, M)."""
         return self.basis.lattice(self.lines, self.coeffs)

@@ -27,7 +27,8 @@ import numpy as np
 import yaml
 
 from . import __version__, diagnostics as dg
-from .fields import ConfigurationError, ExponentData, Field, integer, lattice_points, make_field
+from .fields import (ConfigurationError, ExponentData, Field, integer, lattice_axis, lattice_points,
+                     make_field)
 from .galerkin import (SolverConfig, SolverError, Trajectory, discretization,
                        manufactured_source, solve)
 
@@ -450,7 +451,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
     checks.append(Check("higher_integrability", "monitor", all(np.isfinite(v) for v in hi.values()),
                         max(hi.values()), None, "gradient modular table (finiteness)"))
 
-    ir = dg.interpolation_ratio(traj, opts.varsigma, opts.beta)
+    ir = dg.interpolation_ratio(traj, opts.varsigma, opts.beta, hi)
     extras["interpolation"] = {"varsigma": ir.varsigma, "beta": ir.beta, "lhs": ir.lhs,
                                "second_order_term": ir.second_order_term,
                                "implied_constant": ir.implied_constant}
@@ -485,13 +486,13 @@ def _write_snapshots(outdir: Path, traj: Trajectory, config: RunConfig):
     if not snaps:
         return
     lat = lattice_points(traj.data.dim, SNAPSHOT_LATTICE)
-    lines = traj.basis.line_tables(np.linspace(0.0, 1.0, SNAPSHOT_LATTICE))
+    lines = traj.basis.line_tables(lattice_axis(SNAPSHOT_LATTICE))
     for t_want in snaps:
         k = int(np.argmin(np.abs(traj.times - t_want)))
         u = traj.basis.lattice(lines, traj.coeffs[k])
         g = traj.basis.lattice(lines, traj.coeffs[k], 1)
-        rows = [list(map(float, lat[i])) + [float(u[i]), float(np.linalg.norm(g[i]))]
-                for i in range(len(lat))]
+        # vecdot runs the dot loop of the one-row norm, so each |grad u| is bitwise that norm
+        rows = np.column_stack([lat, u, np.sqrt(np.vecdot(g, g))]).tolist()
         name = f"snapshot_t{traj.times[k]:.6g}.csv"
         _write_csv(Path(outdir) / name,
                    [f"x{d + 1}" for d in range(traj.data.dim)] + ["u", "grad_norm"], rows)

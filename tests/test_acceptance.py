@@ -15,7 +15,7 @@ import pytest
 
 from doublephase import diagnostics as dg, flux, runner, spaces
 from doublephase.fields import make_field, tensor_points
-from doublephase.galerkin import SolverConfig, build_basis, solve
+from doublephase.galerkin import build_basis, solve
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 LAM11 = 2.0 * math.pi ** 2
@@ -286,39 +286,10 @@ def test_criterion_9_second_order_uniformity(unordered_sweep_result):
             f"difference rates {', '.join(f'{r:.2f}' for r in rates)}")
 
 
-def test_criterion_10_sup_envelope_random_scenarios():
-    rng = np.random.default_rng(1010)
+def test_criterion_10_sup_envelope_random_scenarios(random_sup_trajectories):
     violations = 0
     apriori_violations = 0
-    for _ in range(50):
-        p0 = rng.uniform(1.7, 2.3)
-        q0 = float(np.clip(p0 + rng.uniform(-0.4, 0.4), 1.7, 2.7))
-        a0 = rng.uniform(0.1, 0.9)
-        data = runner.config_from_dict({
-            "name": "random", "dim": 2, "horizon": 0.05, "alpha": 0.45,
-            "fields": {"p": p0, "q": q0, "a": a0, "b": max(0.5 - a0, 0.0) + 0.5},
-            "initial": 0.0, "solver": {"m_per_dim": 4, "eps": 1e-2, "tau": 2.5e-3},
-        }).data
-        # modes capped at 2 and tau at 1e-3 so the initial transient is
-        # resolved; the checkpoint-trapezoid dissipation integral of an
-        # unresolved transient overshoots the energy bound spuriously
-        n_modes = int(rng.integers(1, 4))
-        coeffs, total = [], 0.0
-        for _ in range(n_modes):
-            amp = float(rng.uniform(0.05, 0.5))
-            coeffs.append([int(rng.integers(1, 3)), int(rng.integers(1, 3)), amp])
-            total += amp
-        u0 = make_field({"family": "modes", "coeffs": coeffs}, 2)
-        if rng.integers(0, 2):
-            f = make_field({"family": "modes",
-                            "coeffs": [[int(rng.integers(1, 3)),
-                                        int(rng.integers(1, 3)),
-                                        float(rng.uniform(0.0, 0.5))]],
-                            "tdecay": float(rng.uniform(0.0, 2.0))}, 2)
-        else:
-            f = make_field(float(rng.uniform(0.0, 0.5)), 2)
-        cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3)
-        traj = solve(cfg, data, u0, f)
+    for traj in random_sup_trajectories:
         series = dg.core_series(traj)
         rep = dg.linf_bound_check(traj, series)
         if not rep.passed:

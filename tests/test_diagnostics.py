@@ -1,15 +1,17 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from doublephase import diagnostics as dg, runner, spaces
-from doublephase.fields import ExponentData, Field, make_field
+from doublephase import diagnostics as dg, flux, runner, spaces
+from doublephase.fields import ExponentData, Field, lattice_axis, lattice_points, make_field
 from doublephase.galerkin import EigenBasis, SolverConfig, solve
 
 LAM11 = 2.0 * math.pi ** 2
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def data_const(p=2.0, q=2.0, a=0.5, b=0.5, alpha=0.9, dim=2, horizon=0.1):
@@ -278,6 +280,142 @@ def test_linf_envelope_with_unit_source():
     rep = dg.linf_bound_check(traj, dg.core_series(traj))
     assert rep.passed
     assert rep.envelope[-1] == pytest.approx(1.0 + 0.1 + 1e-3, abs=1e-12)
+
+
+def _envelope_source_calls(monkeypatch, source):
+    """(points, time) of every call one linf_bound_check makes to u0 and to f."""
+    _, traj = _counted_run(source)
+    series = dg.core_series(traj)
+    calls = {"initial": [], "source": []}
+    original = Field.__call__
+
+    def counting(self, x, t):
+        for name in calls:
+            if self is getattr(traj, name):
+                calls[name].append((len(x), float(t)))
+        return original(self, x, t)
+
+    monkeypatch.setattr(Field, "__call__", counting)
+    dg.linf_bound_check(traj, series)
+    return calls, [float(t) for t in traj.times]
+
+
+def test_sup_envelope_samples_a_steady_source_once(monkeypatch):
+    calls, times = _envelope_source_calls(monkeypatch, {"family": "modes", "coeffs": [[1, 1, 0.5]]})
+    assert calls == {"initial": [(dg.SUP_LATTICE ** 2, 0.0)],
+                     "source": [(dg.SUP_LATTICE ** 2, times[0])]}
+
+
+def test_sup_envelope_samples_a_decaying_source_once_per_checkpoint(monkeypatch):
+    decaying = {"family": "modes", "coeffs": [[1, 1, 0.5]], "tdecay": 1.0}
+    calls, times = _envelope_source_calls(monkeypatch, decaying)
+    assert calls == {"initial": [(dg.SUP_LATTICE ** 2, 0.0)],
+                     "source": [(dg.SUP_LATTICE ** 2, t) for t in times]}
+
+
+def _envelope_on(traj, n, slack=1e-3):
+    """The sup envelope with the data sups on the n^dim lattice, f sampled at every checkpoint."""
+    pts = lattice_points(traj.data.dim, n)
+    u0_sup = float(np.abs(traj.initial(pts, 0.0)).max())
+    f_sup = np.array([np.abs(traj.source(pts, t)).max() for t in traj.times])
+    return u0_sup + dg._cumtrapz(f_sup, traj.times) + slack
+
+
+@pytest.fixture(scope="module")
+def forced_mms_traj():
+    config = runner.load_config(SCENARIOS / "forced_mms.yaml")
+    return solve(config.solver, config.data, config.initial, config.source_field())
+
+
+def test_sup_envelope_is_never_above_the_finer_lattice_envelope(forced_mms_traj,
+                                                                random_sup_trajectories):
+    # the sup lattice's axis is every other node of the 129-point axis, so
+    # its data sups, and the envelope with them, can only be lower
+    fine = 2 * dg.SUP_LATTICE - 1
+    assert np.array_equal(lattice_axis(fine)[::2], lattice_axis(dg.SUP_LATTICE))
+    pairs = [(dg.linf_bound_check(traj, dg.core_series(traj)).envelope, _envelope_on(traj, fine))
+             for traj in [forced_mms_traj] + random_sup_trajectories]
+    assert all(np.all(envelope <= finer) for envelope, finer in pairs)
+    # on the manufactured solution the two lattices give the same sups
+    assert np.array_equal(*pairs[0])
+
+
+def test_run_diagnostics_forms_the_eps_density_once(monkeypatch):
+    # core_series and interpolation_ratio share the trajectory's density
+    config, traj = _counted_run()
+    whole = traj.grads.shape  # (K+1, M, N)
+    calls = []
+    for name in ("density_kernel", "vector_kernel"):
+        def counting(a, b, p, q, xi, eps, *rest, _name=name, _kernel=getattr(flux, name)):
+            if np.shape(xi) == whole and eps == traj.eps:
+                calls.append(_name)
+            return _kernel(a, b, p, q, xi, eps, *rest)
+
+        monkeypatch.setattr(flux, name, counting)
+    runner.run_diagnostics(traj, config)
+    assert calls == ["density_kernel"]
+
+
+def test_run_diagnostics_integrates_each_sigma_once(monkeypatch):
+    config, traj = _counted_run()
+    sigmas = []
+    original = dg.higher_integrability
+
+    def counting(tr, sigma_grid):
+        sigmas.extend(float(s) for s in sigma_grid)
+        return original(tr, sigma_grid)
+
+    monkeypatch.setattr(dg, "higher_integrability", counting)
+    _, _, extras = runner.run_diagnostics(traj, config)
+    opts = runner._diagnostics(config)
+    assert opts.varsigma in opts.sigma_grid
+    assert sigmas == list(opts.sigma_grid)
+    # a varsigma the table lacks is integrated on its own
+    sigmas.clear()
+    dg.interpolation_ratio(traj, 0.2, 0.5, extras["higher_integrability"])
+    assert sigmas == [0.2]
+
+
+def test_shared_density_gives_the_kernels_values_bitwise():
+    decaying = {"family": "modes", "coeffs": [[1, 1, 0.5]], "tdecay": 1.0}
+    _, traj = _counted_run(decaying)
+    series = dg.core_series(traj)
+    fv = flux.vector_kernel(*traj.fields, traj.grads, traj.eps)
+    assert np.array_equal(traj.density[..., None] * traj.grads, fv)
+    fe = np.einsum("kmn,kmn,m->k", fv, traj.grads, traj.grid.space_weights, optimize=True)
+    assert np.array_equal(series.flux_energy_eps, fe)
+
+    ir = dg.interpolation_ratio(traj, 0.5, 0.25, dg.higher_integrability(traj, (0.1, 0.5)))
+    h = dg.higher_integrability(traj, [0.5])[0.5]
+    hess = traj.basis.lattice(traj.lines, traj.coeffs, 2)
+    dens = flux.density_kernel(*traj.fields, traj.grads, traj.eps)
+    term = traj.spacetime_grid().integrate(dens * np.sum(hess ** 2, axis=(-2, -1)))
+    assert ir.lhs == traj.data.alpha * h
+    assert ir.second_order_term == term
+    assert ir.implied_constant == traj.data.alpha * h - 0.25 * term
+    assert dg.interpolation_ratio(traj, 0.5, 0.25) == ir
+
+
+def test_second_order_samples_steady_data_once(monkeypatch, heat_traj):
+    # marked unsteady, the same data are sampled at each kept checkpoint and
+    # give the same norms bit for bit
+    data = heat_traj.data
+    unsteady = replace(heat_traj, data=replace(data, **{
+        name: replace(getattr(data, name), steady=False) for name in "abpq"}))
+    calls = []
+    original = ExponentData.sample
+
+    def counting(self, x, t):
+        calls.append(self)
+        return original(self, x, t)
+
+    monkeypatch.setattr(ExponentData, "sample", counting)
+    once = dg.second_order_flux_norm(heat_traj, time_stride=10)
+    assert len(calls) == 1
+    calls.clear()
+    each = dg.second_order_flux_norm(unsteady, time_stride=10)
+    assert len(calls) == 11  # checkpoints 0, 10, ..., 100
+    assert np.array_equal(once.norms, each.norms)
 
 
 def test_eps_continuation_linear_flux_identical():

@@ -154,6 +154,26 @@ def test_run_writes_artifacts_and_passes(tmp_path):
     assert first[0] == "x1,x2,u,grad_norm"
 
 
+def test_snapshot_grad_norm_is_the_per_row_norm(tmp_path):
+    # the column is written from one array, each entry bitwise the norm of its row
+    config = runner.load_config(write_config(tmp_path, small_heat_raw(
+        output={"snapshots": [0.02]})))
+    code, _, traj = runner.perform_run(config, tmp_path / "out")
+    assert code == 0
+    lines = traj.basis.line_tables(fields.lattice_axis(runner.SNAPSHOT_LATTICE))
+    g = traj.basis.lattice(lines, traj.coeffs[-1], 1)
+    rows = (tmp_path / "out" / "snapshot_t0.02.csv").read_text().splitlines()[1:]
+    assert len(rows) == len(g) == runner.SNAPSHOT_LATTICE ** 2
+    assert [float(row.split(",")[-1]) for row in rows] == [np.linalg.norm(gi) for gi in g]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_vecdot_row_norms_are_the_one_row_norms(dim):
+    # the snapshots' |grad u| relies on vecdot summing like the 1-D norm's dot
+    g = np.random.default_rng(dim).standard_normal((20000, dim)) * np.logspace(-8, 8, 20000)[:, None]
+    assert np.array_equal(np.sqrt(np.vecdot(g, g)), [np.linalg.norm(row) for row in g])
+
+
 def test_run_reproducible_byte_identical(tmp_path):
     cfgfile = write_config(tmp_path, small_heat_raw())
     config = runner.load_config(cfgfile)
