@@ -303,24 +303,42 @@ def stability_experiment(traj_u: Trajectory, traj_v: Trajectory) -> GronwallRepo
     the gradient modular int |grad(u-v)|^(s_lower) plus the monotonicity
     pairing of the two gradient fields.
     """
-    st = traj_u.spacetime_grid()
-    if (traj_u.basis.size != traj_v.basis.size
-            or not spaces.same_grid(st, traj_v.spacetime_grid())):
-        raise ValueError("stability experiment needs identical discretizations")
-    dc = traj_u.coeffs - traj_v.coeffs
-    diff = np.einsum("kj,kj->k", dc, dc)
-    fg_sq = st.integrate((traj_u.source_values - traj_v.source_values) ** 2)
-    bound = np.exp(traj_u.horizon) * (diff[0] + fg_sq)
-    slack = 1e-6 * max(1.0, bound)
+    return stability_experiments(traj_u, [traj_v])[0]
 
-    dgrad = traj_u.grads - traj_v.grads
-    grad_mod = st.integrate(flux.powf(np.sqrt(np.sum(dgrad ** 2, axis=-1)), _s_lower(traj_u)))
-    gu = spaces.SampledField(traj_u.grads, st, vector=True)
-    gv = spaces.SampledField(traj_v.grads, st, vector=True)
-    pairing = spaces.pairing_G_eps(gu, gv, traj_u.eps, traj_u.data)
-    return GronwallReport(times=traj_u.times, diff_l2_sq=diff, bound=float(bound),
-                          slack=slack, grad_modular=float(grad_mod), pairing=float(pairing),
-                          passed=bool(np.all(diff <= bound + slack)))
+
+def stability_experiments(traj_u: Trajectory, others) -> list[GronwallReport]:
+    """`stability_experiment` of traj_u against each of others, in order.
+
+    The base's sampled data, exponent and flux field are formed once for
+    all; each pair's values are those of its own `stability_experiment`.
+    The others' gradient and source tables are not cached on them, so the
+    group holds one pair's tables at a time.
+    """
+    st = traj_u.spacetime_grid()
+    s_lower = _s_lower(traj_u)
+    flux_u = flux.vector_kernel(*traj_u.fields, traj_u.grads, traj_u.eps)
+    reports = []
+    for traj_v in others:
+        if (traj_u.basis.size != traj_v.basis.size
+                or not spaces.same_grid(st, traj_v.spacetime_grid())):
+            raise ValueError("stability experiment needs identical discretizations")
+        grads_v = Trajectory.grads.func(traj_v)
+        dc = traj_u.coeffs - traj_v.coeffs
+        diff = np.einsum("kj,kj->k", dc, dc)
+        fg_sq = st.integrate((traj_u.source_values - Trajectory.source_values.func(traj_v)) ** 2)
+        bound = np.exp(traj_u.horizon) * (diff[0] + fg_sq)
+        slack = 1e-6 * max(1.0, bound)
+
+        dgrad = traj_u.grads - grads_v
+        grad_mod = st.integrate(flux.powf(np.sqrt(np.sum(dgrad ** 2, axis=-1)), s_lower))
+        # `spaces.pairing_G_eps` of the two gradient fields, with the base's flux shared
+        flux_v = flux.vector_kernel(*traj_u.fields, grads_v, traj_u.eps)
+        pairing = st.integrate(np.sum((flux_u - flux_v) * dgrad, axis=-1))
+        reports.append(GronwallReport(times=traj_u.times, diff_l2_sq=diff, bound=float(bound),
+                                      slack=slack, grad_modular=float(grad_mod),
+                                      pairing=float(pairing),
+                                      passed=bool(np.all(diff <= bound + slack))))
+    return reports
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,17 @@ Each Newton residual is one flux-kernel call between a gradient and a
 stiffness contraction: one matmul each with a dense gradient table on a small
 basis (DENSE_ENTRIES), sum-factorized one axis at a time on a large one.  A
 discretization's basis, grid and tables are built once per process.
+
+Solves that share the data, the configuration and the discretization can
+march in lockstep (`solve_lockstep`): each step is one `step_implicit` call
+on the stack of their coefficients, which evaluates each round of their
+Newton residuals in one batched call while every member keeps its own
+Newton iteration.  A batch's rows round differently from the same rows
+alone, by about 1e-13 relative, so a member's bits depend on its group.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -267,7 +275,8 @@ class SolverConfig:
 
     def newton_tolerance(self, coeffs) -> np.ndarray:
         """newton_tol * (1 + ||v||) per row v: the bound Newton accepts an iterate v against."""
-        return self.newton_tol * (1.0 + np.linalg.norm(coeffs, axis=-1))
+        # np.linalg.norm(coeffs, axis=-1) bit for bit, without its dispatch
+        return self.newton_tol * (1.0 + np.sqrt(np.add.reduce(coeffs * coeffs, axis=-1)))
 
     @property
     def resolved_quad_order(self) -> int:
@@ -331,27 +340,47 @@ class Workspace:
         self.w = grid.space_weights
         self.lines, self._pairs, self.dense = _discretization_tables(basis, grid)
         self.newton_inverses = {}
-        self._steady = {}  # (id of a steady field, projected?) -> (the field, its array)
+        # (id of a steady field, projected?) -> (the field, its array), and
+        # (id of steady data, False) -> (the data, their fields_at tuple)
+        self._steady = {}
 
     def gradient_of(self, coeffs) -> np.ndarray:
-        """Gradient of the coefficients (m,) on the nodes, (M, N)."""
+        """Gradient of the coefficients (..., m) on the nodes, (..., M, N).
+
+        A stack of B rows is one contraction; its rows can round differently
+        from the same rows contracted alone.
+        """
         if self.dense is None:
             return self.basis.lattice(self.lines, coeffs, 1)
-        return (self.dense @ coeffs).reshape(self.x.shape)
+        return (coeffs @ self.dense.T).reshape(coeffs.shape[:-1] + self.x.shape)
 
     def stiffness(self, fvec) -> np.ndarray:
-        """Projection int F . grad phi_j dx of a flux field fvec (M, N) onto the basis."""
+        """Projection int F . grad phi_j dx of flux fields fvec (..., M, N) onto the basis."""
         wf = self.w[:, None] * fvec
         if self.dense is None:
             return self.basis.lattice_adjoint(self.lines, wf, 1)
-        return wf.reshape(-1) @ self.dense
+        return wf.reshape(fvec.shape[:-2] + (-1,)) @ self.dense
 
     def source_vector(self, f_field: Field, t: float) -> np.ndarray:
         return self._sampled(f_field, t, True)
 
+    def source_vectors(self, f_fields, t: float) -> np.ndarray:
+        """The projected sources of B fields at t, (B, m); the time-dependent
+        ones are projected in one contraction."""
+        moving = [fld for fld in f_fields if not fld.steady]
+        projected = iter(self.basis.lattice_adjoint(
+            self.lines, self.w * np.stack([fld(self.x, t) for fld in moving])) if moving else ())
+        return np.stack([self.source_vector(fld, t) if fld.steady else next(projected)
+                         for fld in f_fields])
+
     def fields_at(self, data: ExponentData, t: float) -> tuple:
-        """(a, b, p, q) on the nodes at time t."""
-        return tuple(self._sampled(fld, t, False) for fld in (data.a, data.b, data.p, data.q))
+        """(a, b, p, q) on the nodes at time t; steady data's tuple is made once."""
+        if (id(data), False) in self._steady:
+            return self._steady[id(data), False][1]
+        out = tuple(self._sampled(fld, t, False) for fld in (data.a, data.b, data.p, data.q))
+        if all(fld.steady for fld in (data.a, data.b, data.p, data.q)):
+            self._steady[id(data), False] = (data, out)
+        return out
 
     def _sampled(self, fld: Field, t: float, projected: bool) -> np.ndarray:
         """fld on the nodes at t, or its projection; a steady field's is made once, read-only."""
@@ -413,8 +442,8 @@ class StepStats:
     ut_sq_increment: float  # tau * ||(U' - U)/tau||^2
 
 
-def step_implicit(u, t: float, tau: float, data: ExponentData, f_field: Field,
-                  cfg: SolverConfig, ws: Workspace, start=None) -> tuple[np.ndarray, StepStats]:
+def step_implicit(u, t: float, tau: float, data: ExponentData, f_field, cfg: SolverConfig, ws,
+                  start=None):
     """One chord-Newton implicit Euler step of the coefficients u from t to t + tau.
 
     Solves V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
@@ -426,60 +455,111 @@ def step_implicit(u, t: float, tau: float, data: ExponentData, f_field: Field,
     a damped Newton step, halving it until the residual decreases.  A step
     builds at most `cfg.newton_max_iter` Newton matrices; chord steps come on
     top, and end on their own since each one kept cuts the residual tenfold.
+
+    In lockstep, u and start are (B, m) stacks of B members on one basis and
+    grid, and f_field and ws sequences of their B sources and Workspaces.
+    Each member keeps its own iterate, chord inverse (in its Workspace),
+    Jacobian count, damping and acceptance, while each round of residuals of
+    the members still iterating is one batched call on the tables and the
+    sampled data of ws[0].  A stack returns (V, per member its StepStats or
+    the StepFailure that ended it); one member returns (v, StepStats) or raises.
     """
-    t1 = t + tau
-    fields = ws.fields_at(data, t1)
-    f_vec = ws.source_vector(f_field, t1)
+    single, t1 = np.ndim(u) == 1, t + tau
+    if single:
+        us, wss, f_vecs = [u], [ws], [ws.source_vector(f_field, t1)]
+    else:
+        us, wss = np.asarray(u), list(ws)
+        f_vecs = wss[0].source_vectors(f_field, t1)
+    fields = wss[0].fields_at(data, t1)
 
-    def residual(v):
-        rhs, grad_v, fvec = ws.rhs(v, fields, cfg.eps, f_vec)
-        return v - u - tau * rhs, grad_v, fvec
+    def residual(idx, cands):
+        """Residuals, gradients, fluxes and residual norms of members idx at cands, in one call."""
+        if len(idx) == 1:  # unstacked: the kernels broadcast a lone member's arrays faster
+            cand, f_vec, u_i = cands[0], f_vecs[idx[0]], us[idx[0]]
+        else:
+            rows = slice(None) if len(idx) == len(us) else list(idx)
+            cand, f_vec, u_i = np.stack(cands), f_vecs[rows], us[rows]
+        rhs, grad_c, fvec_c = wss[0].rhs(cand, fields, cfg.eps, f_vec)
+        res_c = cand - u_i - tau * rhs
+        if len(idx) == 1:
+            return [res_c], [grad_c], [fvec_c], [np.sqrt(res_c @ res_c)]
+        return list(res_c), list(grad_c), list(fvec_c), [np.sqrt(r @ r) for r in res_c]
 
-    v = (u if start is None else start).copy()
-    res, grad_v, fvec = residual(v)
-    norm_res = np.sqrt(res @ res)
-    trace = [norm_res]
-    jacobians = 0
-    while not norm_res <= cfg.newton_tolerance(v):
-        inv = ws.newton_inverses.get(tau)
-        if inv is not None:
-            cand = v - inv @ res
-            res_c, grad_c, fvec_c = residual(cand)
-            norm_c = np.sqrt(res_c @ res_c)
-        if inv is None or not norm_c <= CHORD_RHO * norm_res:
-            if jacobians == cfg.newton_max_iter:
-                raise StepFailure(f"newton did not converge at t={t1:.6g}", trace)
-            jacobians += 1
-            jac_flux = flux.jacobian_kernel(*fields, grad_v, cfg.eps)
+    def attempt(idx, cands, keeps):
+        """Move each member of idx to its candidate where keeps(new norm, old norm); the others."""
+        refused = []
+        for i, cand, res_i, grad_i, fvec_i, norm_i in zip(idx, cands, *residual(idx, cands)):
+            if keeps(norm_i, norm[i]):
+                v[i], res[i], grad_v[i], fvec[i], norm[i] = cand, res_i, grad_i, fvec_i, norm_i
+                traces[i].append(norm_i)
+            else:
+                refused.append(i)
+        return refused
+
+    def fail(i, message, cause=None):
+        # the cause without its traceback, which refers to this frame
+        failures[i] = (message, cause and cause.with_traceback(None))
+
+    v = [x.copy() for x in (us if start is None else [start] if single else start)]
+    members = range(len(us))
+    res, grad_v, fvec, norm = residual(members, v)
+    traces = [[n] for n in norm]
+    jacobians, failures = [0] * len(us), [None] * len(us)
+    active = members
+    while active := [i for i in active if failures[i] is None
+                     and not norm[i] <= cfg.newton_tolerance(v[i])]:
+        chord, cands, fresh = [], [], []
+        for i in active:
+            inv = wss[i].newton_inverses.get(tau)
+            if inv is None:
+                fresh.append(i)
+            else:
+                chord.append(i)
+                cands.append(v[i] - inv @ res[i])
+        if chord:
+            fresh += attempt(chord, cands, lambda new, old: new <= CHORD_RHO * old)
+        deltas = {}
+        for i in fresh:
+            if jacobians[i] == cfg.newton_max_iter:
+                fail(i, f"newton did not converge at t={t1:.6g}")
+                continue
+            jacobians[i] += 1
+            jac_flux = flux.jacobian_kernel(*fields, grad_v[i], cfg.eps)
             # I plus a weighted Gram form of the PSD flux Jacobian: positive
             # definite and well conditioned, so pivoted LU is stable here
-            mat = ws.step_matrix(jac_flux, tau)
+            mat = wss[0].step_matrix(jac_flux, tau)
             try:
-                inv = np.linalg.solve(mat, np.eye(len(v)))
+                inv = np.linalg.solve(mat, np.eye(len(mat)))
             except np.linalg.LinAlgError as exc:
-                raise StepFailure(f"newton solve failed at t={t1:.6g}: {exc}", trace) from exc
-            ws.newton_inverses[tau] = inv
-            delta = -(inv @ res)
-            alpha = 1.0
-            for _ in range(cfg.max_damping_halvings):
-                cand = v + alpha * delta
-                res_c, grad_c, fvec_c = residual(cand)
-                norm_c = np.sqrt(res_c @ res_c)
-                if norm_c < norm_res:
-                    break
-                alpha *= 0.5
-            else:
-                raise StepFailure(f"damping exhausted at t={t1:.6g}", trace)
-        v, res, grad_v, fvec, norm_res = cand, res_c, grad_c, fvec_c, norm_c
-        trace.append(norm_res)
+                fail(i, f"newton solve failed at t={t1:.6g}: {exc}", exc)
+                continue
+            wss[i].newton_inverses[tau] = inv
+            deltas[i] = -(inv @ res[i])
+        damped, alpha = list(deltas), 1.0
+        for _ in range(cfg.max_damping_halvings):
+            if not damped:
+                break
+            damped = attempt(damped, [v[i] + alpha * deltas[i] for i in damped], operator.lt)
+            alpha *= 0.5
+        for i in damped:
+            fail(i, f"damping exhausted at t={t1:.6g}")
 
-    flux_energy = float(ws.w @ np.sum(fvec * grad_v, axis=-1))
-    source_work = float(f_vec @ v)
-    slack = (v @ v - u @ u) / (2.0 * tau) + flux_energy - source_work
-    stats = StepStats(newton_iters=len(trace) - 1, jacobians=jacobians, residual_norm=norm_res,
-                      residual_bound=cfg.newton_tolerance(v), energy_slack=slack,
-                      ut_sq_increment=float((v - u) @ (v - u)) / tau)
-    return v, stats
+    if single and failures[0] is not None:
+        raise StepFailure(failures[0][0], traces[0]) from failures[0][1]
+    stats = []
+    for i in members:
+        if failures[i] is not None:
+            stats.append(StepFailure(failures[i][0], traces[i]))
+            stats[-1].__cause__ = failures[i][1]
+            continue
+        flux_energy = float(wss[0].w @ np.add.reduce(fvec[i] * grad_v[i], axis=-1))
+        source_work = float(f_vecs[i] @ v[i])
+        slack = (v[i] @ v[i] - us[i] @ us[i]) / (2.0 * tau) + flux_energy - source_work
+        stats.append(StepStats(newton_iters=len(traces[i]) - 1, jacobians=jacobians[i],
+                               residual_norm=norm[i], residual_bound=cfg.newton_tolerance(v[i]),
+                               energy_slack=slack,
+                               ut_sq_increment=float((v[i] - us[i]) @ (v[i] - us[i])) / tau))
+    return (v[0], stats[0]) if single else (np.stack(v), stats)
 
 
 @dataclass(eq=False)
@@ -546,7 +626,7 @@ def _advance(u, t, dt, depth, data, f_field, cfg, ws, start=None):
 
     Newton starts from `start`; returns (end time, coefficients, StepStats).
 
-    A module function, not a closure in `solve`: a self-referencing closure
+    A module function, not a closure in `_march`: a self-referencing closure
     is a reference cycle that keeps the Workspace alive until the cyclic
     garbage collector runs.
     """
@@ -586,38 +666,86 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
     start from their own initial state.
     """
     data.report.raise_if_failed()
+    return _march(cfg, data, [u0], [f_field], guess)[0]
+
+
+def solve_lockstep(cfg: SolverConfig, data: ExponentData, initials, sources) -> list[Trajectory]:
+    """`solve` of each pair of initials and sources, marched in lockstep.
+
+    The members share cfg, the data and the discretization.  Each step is
+    one `step_implicit` call on the stack of the members still marching, so
+    each round of their Newton residuals is one batched call.  A member whose
+    step fails leaves the group and is solved again from scratch by `solve`,
+    with its retries by halving and its SolverError.  A member's coefficients
+    depend on its group: they are bit for bit those of the same group solved
+    again, and within rounding (about 1e-13 relative) of its own `solve`.
+    """
+    data.report.raise_if_failed()
+    trajs = _march(cfg, data, list(initials), list(sources))
+    return [solve(cfg, data, u0, f) if traj is None else traj
+            for traj, u0, f in zip(trajs, initials, sources)]
+
+
+def _march(cfg: SolverConfig, data: ExponentData, initials: list, sources: list,
+           guess=None) -> list:
+    """March the members over [0, T] together: per member its Trajectory, or None if a step failed.
+
+    One member steps through `_advance`, and a step that fails even on
+    halved substeps raises SolverError with the partial trajectory.  Several
+    step as one stack, and a member whose step fails stops there.
+    """
     basis, grid = discretization(data.dim, cfg)
     n_steps = max(1, int(round(data.horizon / cfg.tau)))
     if guess is not None and np.shape(guess) != (n_steps + 1, basis.size):
         raise ValueError(f"guess shape {np.shape(guess)} is not {(n_steps + 1, basis.size)}")
-    ws = Workspace(basis, grid)
+    wss = [Workspace(basis, grid) for _ in initials]
     tau = data.horizon / n_steps
-    t, u = 0.0, ws.project(u0)
-
-    # the initial row, then one per step: the trailing Trajectory fields, times to energy_slack
-    rows = [(t, u, 0.0, 0, 0, 0.0, 0.0, 0.0)]
-    head = (data, u0, f_field, cfg, basis, grid, ws.lines)
-    running_ut = 0.0
+    t = 0.0
+    # per member the initial row, then one per step: the trailing Trajectory
+    # fields, times to energy_slack
+    rows = [[(t, ws.project(u0), 0.0, 0, 0, 0.0, 0.0, 0.0)] for ws, u0 in zip(wss, initials)]
+    heads = [(data, u0, f_field, cfg, basis, grid, wss[0].lines)
+             for u0, f_field in zip(initials, sources)]
+    live = list(range(len(initials)))
 
     for k in range(n_steps):
+        if not live:
+            break
         # the checkpoints are uniform in t (a retried step records one full step)
-        if guess is not None:
-            start = guess[k + 1] + (u - guess[k])
-        elif k == 0:
-            start = None
-        elif k == 1:
-            start = 2.0 * u - rows[-2][1]
+        starts = [_predictor(k, rows[i], guess) for i in live]
+        if len(initials) == 1:
+            try:
+                t_next, new, st = _advance(rows[0][-1][1], t, tau, 0, data, sources[0], cfg,
+                                           wss[0], starts[0])
+            except StepFailure as exc:
+                raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
+                                  _trajectory(heads[0], rows[0])) from exc
+            accepted = [(0, new, st)]
         else:
-            start = 3.0 * (u - rows[-2][1]) + rows[-3][1]
-        try:
-            t, u, st = _advance(u, t, tau, 0, data, f_field, cfg, ws, start)
-        except StepFailure as exc:
-            raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
-                              _trajectory(head, rows)) from exc
-        running_ut += st.ut_sq_increment
-        rows.append((t, u, running_ut, st.newton_iters, st.jacobians,
-                     st.residual_norm, st.residual_bound, st.energy_slack))
-    return _trajectory(head, rows)
+            t_next = t + tau
+            new, stats = step_implicit(np.stack([rows[i][-1][1] for i in live]), t, tau, data,
+                                       [sources[i] for i in live], cfg, [wss[i] for i in live],
+                                       None if starts[0] is None else np.stack(starts))
+            accepted = [(i, u, st) for i, u, st in zip(live, new, stats)
+                        if isinstance(st, StepStats)]
+        for i, u, st in accepted:
+            rows[i].append((t_next, u, rows[i][-1][2] + st.ut_sq_increment, st.newton_iters,
+                            st.jacobians, st.residual_norm, st.residual_bound, st.energy_slack))
+        live = [i for i, _, _ in accepted]
+        t = t_next
+    return [_trajectory(heads[i], rows[i]) if i in live else None for i in range(len(initials))]
+
+
+def _predictor(k: int, rows: list, guess=None):
+    """Step k's Newton start from a member's checkpoint rows (`_march`), as in `solve`."""
+    u = rows[-1][1]
+    if guess is not None:
+        return guess[k + 1] + (u - guess[k])
+    if k == 0:
+        return None
+    if k == 1:
+        return 2.0 * u - rows[-2][1]
+    return 3.0 * (u - rows[-2][1]) + rows[-3][1]
 
 
 def _trajectory(head, rows) -> Trajectory:

@@ -30,7 +30,7 @@ from . import __version__, diagnostics as dg
 from .fields import (ConfigurationError, ExponentData, Field, integer, lattice_axis, lattice_points,
                      make_field)
 from .galerkin import (SolverConfig, SolverError, Trajectory, discretization,
-                       manufactured_source, solve)
+                       manufactured_source, solve, solve_lockstep)
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +46,10 @@ SNAPSHOT_LATTICE = 33
 # Largest max/min ratio of a monitor across sweep members that still
 # counts as eps/m-uniform.
 UNIFORMITY_CEILING = 3.0
+# Most Gronwall experiments solved in one lockstep group (`_stability_groups`):
+# the smallest batch whose per-member CPU time came within 10 % of the
+# minimum over batch sizes in every measured run (README, Numerical notes).
+GROUP = 12
 
 
 @dataclass
@@ -603,9 +607,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     row_dirs = [[str(outdir / member.name) for member in row] for row in rows]
     # stability block; on invalid data the members already exit 1
     jobs = _stability_jobs(config, stab) if stab and report.passed else []
-    # one contiguous chunk of stability jobs per worker, each solving its own base
-    chunks = [[jobs[i] for i in idx]
-              for idx in np.array_split(np.arange(len(jobs)), config.workers) if len(idx)]
+    # one contiguous chunk of whole groups per worker, each solving its own base
+    groups = _stability_groups(jobs)
+    chunks = [[groups[i] for i in idx]
+              for idx in np.array_split(np.arange(len(groups)), config.workers) if len(idx)]
 
     if config.workers > 1:
         # imported here: a serial run never loads the process-pool machinery
@@ -734,26 +739,45 @@ def _stability_jobs(config: RunConfig, stab: tuple) -> list[tuple]:
     return jobs
 
 
-def _stability_chunk(config: RunConfig, jobs: list[tuple]):
-    """Worker entry: solve the base, then each job's perturbed pair.
+def _stability_groups(jobs: list) -> list[list]:
+    """The jobs in ceil(len / GROUP) near-equal contiguous groups, fixed by job index.
+
+    A member's bits depend on the group it is solved in (`solve_lockstep`),
+    so the groups never depend on the worker count.
+    """
+    if not jobs:
+        return []
+    parts = np.array_split(np.arange(len(jobs)), -(-len(jobs) // GROUP))
+    return [[jobs[i] for i in idx] for idx in parts]
+
+
+def _stability_chunk(config: RunConfig, groups: list[list]):
+    """Worker entry: solve the base alone, then each group's perturbed solves in lockstep.
 
     Returns (Gronwall reports in job order, None), or (None, message) when a
     solve fails.
     """
     f_field = config.source_field()
-    dim = config.data.dim
     try:
         base = solve(config.solver, config.data, config.initial, f_field)
         reports = []
-        for _, _, u0_row, f_row in jobs:
-            u0p = _field_sum(config.initial, make_field({"family": "modes", "coeffs": [u0_row]}, dim))
-            g_field = f_field if f_row is None else _field_sum(
-                f_field, make_field({"family": "modes", "coeffs": [f_row]}, dim))
-            other = solve(config.solver, config.data, u0p, g_field)
-            reports.append(dg.stability_experiment(base, other))
+        for group in groups:
+            initials, sources = zip(*(_perturbed(config, f_field, job) for job in group))
+            reports.extend(dg.stability_experiments(
+                base, solve_lockstep(config.solver, config.data, initials, sources)))
     except SolverError as exc:
         return None, f"stability experiment: {exc}"
     return reports, None
+
+
+def _perturbed(config: RunConfig, f_field: Field, job: tuple) -> tuple[Field, Field]:
+    """A stability job's initial datum and source: the run's plus the job's mode rows."""
+    _, _, u0_row, f_row = job
+    dim = config.data.dim
+    u0 = _field_sum(config.initial, make_field({"family": "modes", "coeffs": [u0_row]}, dim))
+    if f_row is None:
+        return u0, f_field
+    return u0, _field_sum(f_field, make_field({"family": "modes", "coeffs": [f_row]}, dim))
 
 
 def _stability_block(jobs: list[tuple], reports: list):

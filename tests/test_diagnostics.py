@@ -198,6 +198,41 @@ def test_stability_identical_and_heat_perturbation():
     assert rep2.bound == pytest.approx(math.exp(0.1) * delta ** 2, rel=1e-9)
 
 
+def test_grouped_stability_experiments_equal_the_per_pair_formula(monkeypatch):
+    # the Gronwall quantities of each pair as the per-pair experiment forms
+    # them (data sampled and both fluxes formed in `spaces.pairing_G_eps`),
+    # bit for bit, with the base's flux formed once for the group
+    config = runner.load_config(SCENARIOS / "stability.yaml")
+    data, f = replace(config.data, horizon=0.01), config.source_field()
+    base = solve(config.solver, data, config.initial, f)
+    jobs = runner._stability_jobs(config, runner._sweep(config)[4])[:5]
+    others = [solve(config.solver, data, *runner._perturbed(config, f, job)) for job in jobs]
+    kernel, calls = flux.vector_kernel, []
+    monkeypatch.setattr(flux, "vector_kernel", lambda *args: calls.append(1) or kernel(*args))
+    reports = dg.stability_experiments(base, others)
+    assert len(calls) == 1 + len(others)
+    monkeypatch.setattr(flux, "vector_kernel", kernel)
+    st = base.spacetime_grid()
+    a, b, p, q = data.sample(st.space_nodes, st.time_nodes)
+    gu = spaces.SampledField(base.grads, st, vector=True)
+    for other, rep in zip(others, reports):
+        dc = base.coeffs - other.coeffs
+        diff = np.einsum("kj,kj->k", dc, dc)
+        bound = np.exp(base.horizon) * (
+            diff[0] + st.integrate((base.source_values - other.source_values) ** 2))
+        dgrad = base.grads - other.grads
+        grad_mod = st.integrate(flux.powf(np.sqrt(np.sum(dgrad ** 2, axis=-1)), np.minimum(p, q)))
+        pairing = spaces.pairing_G_eps(gu, spaces.SampledField(other.grads, st, vector=True),
+                                       base.eps, data)
+        assert np.array_equal(rep.diff_l2_sq, diff) and rep.bound == float(bound)
+        assert rep.grad_modular == float(grad_mod) and rep.pairing == float(pairing)
+        assert rep.slack == 1e-6 * max(1.0, bound) and rep.passed
+        assert rep.pairing > 0.0  # p varies in x, so the pairing is no identity 0 == 0
+        one = dg.stability_experiment(base, other)
+        assert (one.bound, one.grad_modular, one.pairing) == (rep.bound, rep.grad_modular,
+                                                              rep.pairing)
+
+
 def _counted_run(source=0.0):
     config = runner.config_from_dict({
         "name": "count_samples", "dim": 2, "horizon": 0.02, "alpha": 0.9,

@@ -771,6 +771,144 @@ def test_newton_accepts_against_the_iterate_it_returns():
     assert stats.residual_norm <= cfg.newton_tolerance(new)
 
 
+def stability_members():
+    """The stability scenario's config and the (u0, f) pairs of its 24 seed-11 Gronwall jobs."""
+    config = runner.load_config(SCENARIOS / "stability.yaml")
+    jobs = runner._stability_jobs(config, runner._sweep(config)[4])
+    f = config.source_field()
+    return config, [runner._perturbed(config, f, job) for job in jobs]
+
+
+def lockstep_in_one_batch(monkeypatch, cfg, data, initials, sources):
+    """`solve_lockstep`, asserting that no member left the group to be solved again alone."""
+    resolved, solve_alone = [], galerkin.solve
+    monkeypatch.setattr(galerkin, "solve", lambda *args: resolved.append(1) or solve_alone(*args))
+    trajs = galerkin.solve_lockstep(cfg, data, initials, sources)
+    monkeypatch.setattr(galerkin, "solve", solve_alone)
+    assert not resolved
+    return trajs
+
+
+def assert_lockstep_matches_solve(monkeypatch, cfg, data, members):
+    """Each member of the runner's lockstep groups against its own `solve`."""
+    for group in runner._stability_groups(members):
+        trajs = lockstep_in_one_batch(monkeypatch, cfg, data, *zip(*group))
+        for (u0, f), traj in zip(group, trajs):
+            alone = solve(cfg, data, u0, f)
+            assert traj.initial is u0 and traj.source is f
+            assert np.array_equal(traj.times, alone.times)
+            # BLAS rounds a batch's rows differently from one row
+            scale = np.abs(alone.coeffs).max()
+            assert np.abs(traj.coeffs - alone.coeffs).max() <= 1e-13 * scale
+            assert np.array_equal(traj.newton_iters, alone.newton_iters)
+            assert np.array_equal(traj.jacobians, alone.jacobians)
+            assert np.all(traj.newton_residual <= traj.newton_bound)
+            # the slack's largest terms are |v|^2 / (2 tau)
+            assert np.abs(traj.energy_slack - alone.energy_slack).max() <= \
+                1e-12 * (1.0 + scale ** 2 / cfg.tau)
+            assert np.abs(traj.ut_sq_accum - alone.ut_sq_accum).max() <= \
+                1e-12 * alone.ut_sq_accum.max()
+
+
+def test_lockstep_members_match_their_own_solves(monkeypatch):
+    config, members = stability_members()
+    assert len(members) == 24
+    assert_lockstep_matches_solve(monkeypatch, config.solver, config.data, members)
+
+
+def test_lockstep_members_match_their_own_solves_without_a_dense_table(monkeypatch):
+    # m_per_dim 9: 784 nodes x 2 x 81 modes exceed DENSE_ENTRIES, so each
+    # batched residual is sum-factorized; four steps, six members
+    config, members = stability_members()
+    cfg = replace(config.solver, m_per_dim=9)
+    assert Workspace(*galerkin.discretization(2, cfg)).dense is None
+    assert_lockstep_matches_solve(monkeypatch, cfg, replace(config.data, horizon=0.01), members[:6])
+
+
+def test_lockstep_takes_steady_and_moving_sources(monkeypatch):
+    # steady sources keep their once-made projections, moving ones are
+    # projected together; the zero member is converged from its first
+    # residual on, so the others' residuals are batched without it
+    data = data_const(p=1.9, q=2.1, a=0.4, b=0.6)
+    cfg = SolverConfig(m_per_dim=3, eps=5e-2, tau=1e-2)
+    u0s = [ZERO2, mode_field([[1, 1, 0.8]]), mode_field([[1, 2, 0.3]]), mode_field([[2, 1, 0.5]])]
+    sources = [ZERO2, ZERO2, mode_field([[1, 2, 0.5]]),
+               make_field({"family": "modes", "coeffs": [[2, 2, 0.4]], "tdecay": 3.0}, 2)]
+    for n in (3, 4):  # all steady, then mixed
+        trajs = lockstep_in_one_batch(monkeypatch, cfg, data, u0s[:n], sources[:n])
+        assert np.all(trajs[0].coeffs == 0.0) and np.all(trajs[0].newton_iters == 0)
+        for u0, f, traj in zip(u0s[1:], sources[1:], trajs[1:]):
+            alone = solve(cfg, data, u0, f)
+            assert np.abs(traj.coeffs - alone.coeffs).max() <= 1e-13 * np.abs(alone.coeffs).max()
+            assert np.array_equal(traj.newton_iters, alone.newton_iters)
+
+
+def test_a_member_failing_in_the_batch_is_solved_again_alone(monkeypatch):
+    # member 4's source (its own: job 4 perturbs the source) projects to NaN
+    # at step 3's end time in every batch (`source_vectors` serves stacks
+    # only), so its step fails there (refused chord, damping exhausted);
+    # alone it is unharmed
+    config, members = stability_members()
+    cfg, data, group = config.solver, config.data, members[:5]
+    alone = [solve(cfg, data, u0, f) for u0, f in group]
+    t3, sampled, target = alone[0].times[3], Workspace.source_vectors, group[4][1]
+    assert sum(f is target for _, f in members) == 1
+
+    def poisoned(self, f_fields, t):
+        vecs = sampled(self, f_fields, t)
+        if t == t3:
+            vecs[[f is target for f in f_fields]] = np.nan
+        return vecs
+
+    monkeypatch.setattr(Workspace, "source_vectors", poisoned)
+    failed, step = [], galerkin.step_implicit
+
+    def recording(u, *args):
+        out = step(u, *args)
+        if np.ndim(u) == 2:
+            failed.extend(st for st in out[1] if isinstance(st, StepFailure))
+        return out
+
+    monkeypatch.setattr(galerkin, "step_implicit", recording)
+    trajs = galerkin.solve_lockstep(cfg, data, *zip(*group))
+    assert [str(st) for st in failed] == [f"damping exhausted at t={t3:.6g}"]
+    for k, (traj, ref) in enumerate(zip(trajs, alone)):
+        assert np.all(traj.newton_residual <= traj.newton_bound)
+        if k == 4:  # solved again by `solve`: its trajectory, bit for bit
+            for name in ("times", "coeffs", "ut_sq_accum", "newton_iters", "jacobians",
+                         "newton_residual", "newton_bound", "energy_slack"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        else:
+            assert np.abs(traj.coeffs - ref.coeffs).max() <= 1e-13 * np.abs(ref.coeffs).max()
+    # when every member fails, the march stops and each is solved alone
+    failed.clear()
+    both = [group[0], group[4]]
+    monkeypatch.setattr(Workspace, "source_vectors", lambda self, f_fields, t: np.full(
+        (len(f_fields), self.basis.size), np.nan) if t == t3 else sampled(self, f_fields, t))
+    trajs = galerkin.solve_lockstep(cfg, data, *zip(*both))
+    assert len(failed) == 2
+    for traj, ref in zip(trajs, [alone[0], alone[4]]):
+        assert np.array_equal(traj.coeffs, ref.coeffs)
+
+
+def test_a_member_that_fails_alone_too_raises_its_own_solver_error():
+    # member 1's source turns NaN after t = 0.01: in the batch and alone, its
+    # step 5 fails, and its solve aborts with the SolverError `solve` gives
+    config, members = stability_members()
+    cfg, data = replace(config.solver, tau_retry_cap=1), config.data
+    u0, f = members[1]
+    broken = Field(dim=2, descriptor={"family": "broken"},
+                   _fn=lambda x, t: f(x, t) + (np.nan if t > 0.0101 else 0.0))
+    group = [members[0], (u0, broken), members[2]]
+    with pytest.raises(SolverError) as alone:
+        solve(cfg, data, u0, broken)
+    with pytest.raises(SolverError) as grouped:
+        galerkin.solve_lockstep(cfg, data, *zip(*group))
+    assert str(grouped.value) == str(alone.value)
+    assert str(alone.value).startswith("step 5/20 failed")
+    assert np.array_equal(grouped.value.partial.coeffs, alone.value.partial.coeffs)
+
+
 def test_m_refinement_cauchy_decreasing():
     # the sweep's basis-refinement study: solve each m, then the gradient
     # Cauchy distances of consecutive members

@@ -437,27 +437,38 @@ def small_stability_raw(**solver):
     return raw
 
 
-def test_stability_outputs_byte_identical_for_any_worker_count(tmp_path):
-    # 3 pairs + 2 shrinking experiments: two chunks at 2 workers, three at 3
+def test_stability_outputs_byte_identical_for_any_worker_count(tmp_path, monkeypatch):
+    # 3 pairs + 2 shrinking experiments in fixed groups of at most GROUP jobs,
+    # each group solved in lockstep, and a worker's chunk holds whole groups:
+    # one group of 5 goes to one chunk at any worker count; groups of 2, 2 and
+    # 1 jobs go to two chunks at 2 workers and three at 3
     config = runner.load_config(write_config(tmp_path, small_stability_raw()))
-    outputs = []
-    for workers in (1, 2, 3):
-        out = tmp_path / f"workers{workers}"
-        code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers), out)
-        assert code == 0
-        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
-    kinds = [line.split(b",")[0] for line in
-             outputs[0][Path("sweep_summary.csv")].splitlines()[1:]]
-    assert kinds.count(b"gronwall_bound") == 3 and kinds.count(b"stability_shrink") == 2
-    assert outputs[0] == outputs[1] == outputs[2]
+    jobs = runner._stability_jobs(config, runner._sweep(config)[4])
+    for group, sizes in ((runner.GROUP, [5]), (2, [2, 2, 1])):
+        monkeypatch.setattr(runner, "GROUP", group)
+        assert [len(g) for g in runner._stability_groups(jobs)] == sizes
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"group{group}" / f"workers{workers}"
+            code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers), out)
+            assert code == 0
+            outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
+        kinds = [line.split(b",")[0] for line in
+                 outputs[0][Path("sweep_summary.csv")].splitlines()[1:]]
+        assert kinds.count(b"gronwall_bound") == 3 and kinds.count(b"stability_shrink") == 2
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 @pytest.mark.parametrize("workers, parent_solves", [(1, 1 + 1 + 3 + 1 + 1), (2, 0)])
 def test_parent_runs_no_solve_with_a_worker_pool(tmp_path, monkeypatch, workers, parent_solves):
-    # one member, then the stability block: base, 3 pairs, halvings + 1 shrinking
+    # one member, then the stability block: base, 3 pairs, halvings + 1 shrinking;
+    # the base goes through `solve`, the others as members of a lockstep group
     parent, pids = os.getpid(), []
-    solve = runner.solve
+    solve, lockstep = runner.solve, runner.solve_lockstep
     monkeypatch.setattr(runner, "solve", lambda *a: pids.append(os.getpid()) or solve(*a))
+    monkeypatch.setattr(runner, "solve_lockstep", lambda cfg, data, initials, sources:
+                        pids.extend([os.getpid()] * len(initials))
+                        or lockstep(cfg, data, initials, sources))
     config = runner.load_config(write_config(tmp_path, small_stability_raw()))
     code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers),
                                    tmp_path / "sweep")
