@@ -83,14 +83,16 @@ def vector_kernel(a, b, p, q, xi, eps) -> np.ndarray:
 
     The arithmetic of `_term` written out under one errstate: the residual
     of every Newton step calls this kernel, and on small bases the calls'
-    overhead, not their arithmetic, is its cost.
+    overhead, not their arithmetic, is its cost.  The solver passes a scalar
+    eps, which skips the zero extension when eps^2 > 0 after one float test;
+    an array eps (per point, as from `monotonicity_gap`) is always extended.
     """
     xi = np.asarray(xi, dtype=float)
     beta = beta_eps(xi, eps)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         dens = (np.where(a != 0.0, a * np.power(beta, (p - 2.0) / 2.0), 0.0)
                 + np.where(b != 0.0, b * np.power(beta, (q - 2.0) / 2.0), 0.0))
-    if not (np.asarray(eps, dtype=float) ** 2 > 0.0).all():  # else beta > 0 everywhere
+    if isinstance(eps, np.ndarray) or not eps ** 2 > 0.0:  # else beta > 0 everywhere
         dens = np.where(beta > 0.0, dens, 0.0)
     return dens[..., None] * xi
 

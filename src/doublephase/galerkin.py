@@ -25,11 +25,11 @@ basis (DENSE_ENTRIES), sum-factorized one axis at a time on a large one.  A
 discretization's basis, grid and tables are built once per process.
 
 Solves that share the data, the configuration and the discretization can
-march in lockstep (`solve_lockstep`): each step is one `step_implicit` call
-on the stack of their coefficients, which evaluates each round of their
-Newton residuals in one batched call while every member keeps its own
-Newton iteration.  A batch's rows round differently from the same rows
-alone, by about 1e-13 relative, so a member's bits depend on its group.
+march in lockstep (`solve_lockstep`; `solve` marches one member): each step
+is one `step_implicit` call on all their coefficients, which evaluates each
+round of their Newton residuals in one batched call while every member
+keeps its own Newton iteration.  A batch's rows round differently from the
+same rows alone, by about 1e-13 relative, so a member's bits depend on its group.
 """
 from __future__ import annotations
 
@@ -361,17 +361,14 @@ class Workspace:
             return self.basis.lattice_adjoint(self.lines, wf, 1)
         return wf.reshape(fvec.shape[:-2] + (-1,)) @ self.dense
 
-    def source_vector(self, f_field: Field, t: float) -> np.ndarray:
-        return self._sampled(f_field, t, True)
-
-    def source_vectors(self, f_fields, t: float) -> np.ndarray:
-        """The projected sources of B fields at t, (B, m); the time-dependent
-        ones are projected in one contraction."""
-        moving = [fld for fld in f_fields if not fld.steady]
-        projected = iter(self.basis.lattice_adjoint(
-            self.lines, self.w * np.stack([fld(self.x, t) for fld in moving])) if moving else ())
-        return np.stack([self.source_vector(fld, t) if fld.steady else next(projected)
-                         for fld in f_fields])
+    def source_vectors(self, f_fields, t: float) -> list:
+        """The projected sources of fields at t, one (m,) row each: a steady one's made
+        once, read-only, and the time-dependent ones in one contraction."""
+        moving = [fld(self.x, t) for fld in f_fields if not fld.steady]
+        projected = iter(self.basis.lattice_adjoint(self.lines, self.w * np.stack(moving))
+                         if moving else ())
+        return [self._sampled(fld, t, True) if fld.steady else next(projected)
+                for fld in f_fields]
 
     def fields_at(self, data: ExponentData, t: float) -> tuple:
         """(a, b, p, q) on the nodes at time t; steady data's tuple is made once."""
@@ -442,34 +439,32 @@ class StepStats:
     ut_sq_increment: float  # tau * ||(U' - U)/tau||^2
 
 
-def step_implicit(u, t: float, tau: float, data: ExponentData, f_field, cfg: SolverConfig, ws,
-                  start=None):
-    """One chord-Newton implicit Euler step of the coefficients u from t to t + tau.
+def step_implicit(us, t: float, tau: float, data: ExponentData, f_fields, cfg: SolverConfig, wss,
+                  starts) -> tuple[list, list]:
+    """One chord-Newton implicit Euler step of each member's coefficients from t to t + tau.
 
-    Solves V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
-    functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v).
-    Newton starts from `start` (default U) and accepts the first iterate v within
-    `cfg.newton_tolerance(v)`.  An iteration first tries the chord step with
-    `ws.newton_inverses[tau]`, kept when it cuts the residual by CHORD_RHO;
-    otherwise it builds and caches the Newton matrix's inverse at v and takes
-    a damped Newton step, halving it until the residual decreases.  A step
-    builds at most `cfg.newton_max_iter` Newton matrices; chord steps come on
-    top, and end on their own since each one kept cuts the residual tenfold.
+    us, starts, f_fields and wss are sequences of the members' coefficient
+    rows, Newton starts (None: the row itself), sources and Workspaces; the
+    members share cfg, the data and the discretization.  Each solves
+    V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
+    functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v),
+    and accepts the first iterate v within `cfg.newton_tolerance(v)`.  An
+    iteration first tries the chord step with its Workspace's
+    `newton_inverses[tau]`, kept when it cuts the residual by CHORD_RHO;
+    otherwise it builds and caches the Newton matrix's inverse at v and
+    takes a damped Newton step, halving it until the residual decreases.  A
+    member builds at most `cfg.newton_max_iter` Newton matrices per step;
+    chord steps come on top, and end on their own since each one kept cuts
+    the residual tenfold.
 
-    In lockstep, u and start are (B, m) stacks of B members on one basis and
-    grid, and f_field and ws sequences of their B sources and Workspaces.
-    Each member keeps its own iterate, chord inverse (in its Workspace),
-    Jacobian count, damping and acceptance, while each round of residuals of
-    the members still iterating is one batched call on the tables and the
-    sampled data of ws[0].  A stack returns (V, per member its StepStats or
-    the StepFailure that ended it); one member returns (v, StepStats) or raises.
+    Each round of residuals of the members still iterating is one call on
+    the tables and sampled data of wss[0], batched for several members and
+    unstacked for one.  Returns per member its new row (a failed member's
+    last iterate) and its StepStats or the StepFailure that ended it; raises
+    the first member's StepFailure when every member failed.
     """
-    single, t1 = np.ndim(u) == 1, t + tau
-    if single:
-        us, wss, f_vecs = [u], [ws], [ws.source_vector(f_field, t1)]
-    else:
-        us, wss = np.asarray(u), list(ws)
-        f_vecs = wss[0].source_vectors(f_field, t1)
+    t1 = t + tau
+    f_vecs = wss[0].source_vectors(f_fields, t1)
     fields = wss[0].fields_at(data, t1)
 
     def residual(idx, cands):
@@ -477,8 +472,8 @@ def step_implicit(u, t: float, tau: float, data: ExponentData, f_field, cfg: Sol
         if len(idx) == 1:  # unstacked: the kernels broadcast a lone member's arrays faster
             cand, f_vec, u_i = cands[0], f_vecs[idx[0]], us[idx[0]]
         else:
-            rows = slice(None) if len(idx) == len(us) else list(idx)
-            cand, f_vec, u_i = np.stack(cands), f_vecs[rows], us[rows]
+            cand, f_vec, u_i = (np.stack(rows) for rows in
+                                (cands, [f_vecs[i] for i in idx], [us[i] for i in idx]))
         rhs, grad_c, fvec_c = wss[0].rhs(cand, fields, cfg.eps, f_vec)
         res_c = cand - u_i - tau * rhs
         if len(idx) == 1:
@@ -500,7 +495,7 @@ def step_implicit(u, t: float, tau: float, data: ExponentData, f_field, cfg: Sol
         # the cause without its traceback, which refers to this frame
         failures[i] = (message, cause and cause.with_traceback(None))
 
-    v = [x.copy() for x in (us if start is None else [start] if single else start)]
+    v = [np.array(u if start is None else start) for u, start in zip(us, starts)]
     members = range(len(us))
     res, grad_v, fvec, norm = residual(members, v)
     traces = [[n] for n in norm]
@@ -544,7 +539,7 @@ def step_implicit(u, t: float, tau: float, data: ExponentData, f_field, cfg: Sol
         for i in damped:
             fail(i, f"damping exhausted at t={t1:.6g}")
 
-    if single and failures[0] is not None:
+    if None not in failures:
         raise StepFailure(failures[0][0], traces[0]) from failures[0][1]
     stats = []
     for i in members:
@@ -559,7 +554,7 @@ def step_implicit(u, t: float, tau: float, data: ExponentData, f_field, cfg: Sol
                                residual_norm=norm[i], residual_bound=cfg.newton_tolerance(v[i]),
                                energy_slack=slack,
                                ut_sq_increment=float((v[i] - us[i]) @ (v[i] - us[i])) / tau))
-    return (v[0], stats[0]) if single else (np.stack(v), stats)
+    return v, stats
 
 
 @dataclass(eq=False)
@@ -621,42 +616,46 @@ class Trajectory:
         return self.grid.with_time(self.times)
 
 
-def _advance(u, t, dt, depth, data, f_field, cfg, ws, start=None):
-    """One implicit step of dt from (t, u), retried on two halved substeps on failure.
+def _advance(u, t, dt, depth, data, f_field, cfg, ws, failure):
+    """Redo a member's step of dt from (t, u), which failed with `failure`, on two substeps of dt/2.
 
-    Newton starts from `start`; returns (end time, coefficients, StepStats).
+    A substep starts Newton from its initial state and, if it fails, is
+    redone the same way one level deeper; at depth cfg.tau_retry_cap the
+    failure is raised instead.  Returns the coefficients and merged StepStats.
 
     A module function, not a closure in `_march`: a self-referencing closure
     is a reference cycle that keeps the Workspace alive until the cyclic
     garbage collector runs.
     """
-    try:
-        new, st = step_implicit(u, t, dt, data, f_field, cfg, ws, start)
-    except StepFailure:
-        if depth >= cfg.tau_retry_cap:
-            raise
-        t_half, half, st1 = _advance(u, t, dt / 2.0, depth + 1, data, f_field, cfg, ws)
-        t_full, full, st2 = _advance(half, t_half, dt / 2.0, depth + 1, data, f_field, cfg, ws)
-        # the larger substep residual, with the bound of the substep state it was accepted at
-        worse = max(st1, st2, key=lambda st: st.residual_norm)
-        merged = StepStats(
-            newton_iters=st1.newton_iters + st2.newton_iters,
-            jacobians=st1.jacobians + st2.jacobians,
-            residual_norm=worse.residual_norm,
-            residual_bound=worse.residual_bound,
-            energy_slack=st1.energy_slack + st2.energy_slack,
-            ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
-        return t_full, full, merged
-    return t + dt, new, st
+    if depth >= cfg.tau_retry_cap:
+        raise failure
+    subs = []
+    for t_sub in (t, t + dt / 2.0):
+        try:
+            (u,), (st,) = step_implicit([u], t_sub, dt / 2.0, data, [f_field], cfg, [ws], [None])
+        except StepFailure as exc:
+            u, st = _advance(u, t_sub, dt / 2.0, depth + 1, data, f_field, cfg, ws, exc)
+        subs.append(st)
+    st1, st2 = subs
+    # the larger substep residual, with the bound of the substep state it was accepted at
+    worse = max(st1, st2, key=lambda st: st.residual_norm)
+    return u, StepStats(
+        newton_iters=st1.newton_iters + st2.newton_iters,
+        jacobians=st1.jacobians + st2.jacobians,
+        residual_norm=worse.residual_norm,
+        residual_bound=worse.residual_bound,
+        energy_slack=st1.energy_slack + st2.energy_slack,
+        ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
 
 
 def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, guess=None) -> Trajectory:
     """March the implicit scheme over [0, T] and record the trajectory.
 
     Raises ValidationError when the data fail their (cached) validation.
-    Deterministic for a fixed configuration.  A failed step is retried on
+    Deterministic for a fixed configuration.  A failed step is redone on
     halved substeps up to cfg.tau_retry_cap splittings; a step that still
-    fails aborts the solve with the partial trajectory attached.
+    fails aborts the solve with the partial trajectory attached.  The
+    checkpoints are uniform in t, retried steps included.
 
     Step k's Newton starts from a predictor.  Without a guess it extrapolates
     the accepted checkpoints: u_0 at k = 0, 2 u_1 - u_0 at k = 1, and the
@@ -665,7 +664,6 @@ def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, gues
     with guess[k+1] + (u_k - guess[k]).  The halved substeps of a retried step
     start from their own initial state.
     """
-    data.report.raise_if_failed()
     return _march(cfg, data, [u0], [f_field], guess)[0]
 
 
@@ -673,27 +671,27 @@ def solve_lockstep(cfg: SolverConfig, data: ExponentData, initials, sources) -> 
     """`solve` of each pair of initials and sources, marched in lockstep.
 
     The members share cfg, the data and the discretization.  Each step is
-    one `step_implicit` call on the stack of the members still marching, so
-    each round of their Newton residuals is one batched call.  A member whose
-    step fails leaves the group and is solved again from scratch by `solve`,
-    with its retries by halving and its SolverError.  A member's coefficients
-    depend on its group: they are bit for bit those of the same group solved
-    again, and within rounding (about 1e-13 relative) of its own `solve`.
+    one `step_implicit` call on all of them, so each round of their Newton
+    residuals is one batched call.  A member whose step fails redoes it alone
+    on halved substeps and rejoins the group at the next step; past the
+    retry cap it aborts the group with the SolverError its `solve` gives.
+    A member's coefficients depend on its group: they are bit for bit those
+    of the same group solved again, and within rounding (about 1e-13
+    relative) of its own `solve`.
     """
-    data.report.raise_if_failed()
-    trajs = _march(cfg, data, list(initials), list(sources))
-    return [solve(cfg, data, u0, f) if traj is None else traj
-            for traj, u0, f in zip(trajs, initials, sources)]
+    return _march(cfg, data, list(initials), list(sources))
 
 
 def _march(cfg: SolverConfig, data: ExponentData, initials: list, sources: list,
-           guess=None) -> list:
-    """March the members over [0, T] together: per member its Trajectory, or None if a step failed.
+           guess=None) -> list[Trajectory]:
+    """March the members over [0, T] together, one `step_implicit` call per step.
 
-    One member steps through `_advance`, and a step that fails even on
-    halved substeps raises SolverError with the partial trajectory.  Several
-    step as one stack, and a member whose step fails stops there.
+    Every member keeps one clock, t_{k+1} = t_k + tau.  A member whose step
+    fails redoes it through `_advance` and stays in the group; a step that
+    fails even on the last halved substeps raises SolverError with that
+    member's partial trajectory.
     """
+    data.report.raise_if_failed()
     basis, grid = discretization(data.dim, cfg)
     n_steps = max(1, int(round(data.horizon / cfg.tau)))
     if guess is not None and np.shape(guess) != (n_steps + 1, basis.size):
@@ -706,34 +704,28 @@ def _march(cfg: SolverConfig, data: ExponentData, initials: list, sources: list,
     rows = [[(t, ws.project(u0), 0.0, 0, 0, 0.0, 0.0, 0.0)] for ws, u0 in zip(wss, initials)]
     heads = [(data, u0, f_field, cfg, basis, grid, wss[0].lines)
              for u0, f_field in zip(initials, sources)]
-    live = list(range(len(initials)))
 
     for k in range(n_steps):
-        if not live:
-            break
-        # the checkpoints are uniform in t (a retried step records one full step)
-        starts = [_predictor(k, rows[i], guess) for i in live]
-        if len(initials) == 1:
-            try:
-                t_next, new, st = _advance(rows[0][-1][1], t, tau, 0, data, sources[0], cfg,
-                                           wss[0], starts[0])
-            except StepFailure as exc:
-                raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
-                                  _trajectory(heads[0], rows[0])) from exc
-            accepted = [(0, new, st)]
-        else:
-            t_next = t + tau
-            new, stats = step_implicit(np.stack([rows[i][-1][1] for i in live]), t, tau, data,
-                                       [sources[i] for i in live], cfg, [wss[i] for i in live],
-                                       None if starts[0] is None else np.stack(starts))
-            accepted = [(i, u, st) for i, u, st in zip(live, new, stats)
-                        if isinstance(st, StepStats)]
-        for i, u, st in accepted:
-            rows[i].append((t_next, u, rows[i][-1][2] + st.ut_sq_increment, st.newton_iters,
+        us = [r[-1][1] for r in rows]
+        starts = [_predictor(k, r, guess) for r in rows]
+        try:
+            new, stats = step_implicit(us, t, tau, data, sources, cfg, wss, starts)
+        except StepFailure as exc:
+            # every member failed, and the first one's failure stands for all;
+            # without its traceback, which refers to this frame
+            new, stats = list(us), [exc.with_traceback(None)] * len(us)
+        for i, st in enumerate(stats):
+            if isinstance(st, StepFailure):
+                try:
+                    new[i], st = _advance(us[i], t, tau, 0, data, sources[i], cfg, wss[i], st)
+                except StepFailure as exc:
+                    # without the traceback whose `_advance` frames refer to it
+                    raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
+                                      _trajectory(heads[i], rows[i])) from exc.with_traceback(None)
+            rows[i].append((t + tau, new[i], rows[i][-1][2] + st.ut_sq_increment, st.newton_iters,
                             st.jacobians, st.residual_norm, st.residual_bound, st.energy_slack))
-        live = [i for i, _, _ in accepted]
-        t = t_next
-    return [_trajectory(heads[i], rows[i]) if i in live else None for i in range(len(initials))]
+        t += tau
+    return [_trajectory(head, r) for head, r in zip(heads, rows)]
 
 
 def _predictor(k: int, rows: list, guess=None):

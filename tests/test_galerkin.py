@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from doublephase import flux, galerkin, runner, spaces
+from doublephase import diagnostics, flux, galerkin, runner, spaces
 from doublephase.fields import ExponentData, Field, ValidationError, make_field, tensor_points
 from doublephase.galerkin import (
     _CHUNK, EigenBasis, SolverConfig, SolverError, StepFailure, Workspace,
@@ -184,7 +184,7 @@ def test_workspace_contractions_equal_dense_forms(dim, m_per_dim):
 
     close(ws.gradient_of(coeffs), np.tensordot(gp, coeffs, axes=([2], [0])))
     close(ws.stiffness(fvec), np.einsum("mn,mnj->j", w[:, None] * fvec, gp))
-    close(ws.source_vector(field, 0.0), phi.T @ (w * field(x, 0.0)))
+    close(ws.source_vectors([field], 0.0)[0], phi.T @ (w * field(x, 0.0)))
     close(ws.project(field), phi.T @ (w * field(x, 0.0)))
 
 
@@ -263,7 +263,7 @@ def test_ode_rhs_zero_and_heat_diagonal():
     basis = build_basis(2, 3)
     grid = spaces.tensor_gauss_legendre(2, 16)
     ws = Workspace(basis, grid)
-    fields, f_vec = data.sample(ws.x, 0.0), ws.source_vector(ZERO2, 0.0)
+    fields, f_vec = data.sample(ws.x, 0.0), ws.source_vectors([ZERO2], 0.0)[0]
     assert np.abs(ws.rhs(np.zeros(basis.size), fields, 0.1, f_vec)[0]).max() == 0.0
     for k in (0, 2, 5):
         e = np.zeros(basis.size); e[k] = 1.0
@@ -290,7 +290,8 @@ def test_ode_rhs_matches_refined_quadrature_oracle():
     vals = {}
     for order in (base_order, 2 * base_order):
         ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
-        vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, ws.source_vector(f, 0.03))[0]
+        f_vec = ws.source_vectors([f], 0.03)[0]
+        vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, f_vec)[0]
     scale = max(1, np.abs(vals[2 * base_order]).max())
     assert np.abs(vals[base_order] - vals[2 * base_order]).max() < 1e-8 * scale
 
@@ -308,7 +309,8 @@ def test_ode_rhs_refined_quadrature_nonquadratic_flux():
     vals = {}
     for order in (SolverConfig(4, 0.1, 0.1).resolved_quad_order, 60):
         ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
-        vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, ws.source_vector(f, 0.03))[0]
+        f_vec = ws.source_vectors([f], 0.03)[0]
+        vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, f_vec)[0]
     scale = max(1, np.abs(vals[60]).max())
     assert np.abs(vals[18] - vals[60]).max() < 1e-4 * scale
 
@@ -319,11 +321,12 @@ def test_step_implicit_zero_and_heat_closed_form():
     basis = build_basis(2, cfg.m_per_dim)
     grid = spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order)
     ws = Workspace(basis, grid)
-    new, stats = step_implicit(np.zeros(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
+    (new,), (stats,) = step_implicit([np.zeros(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg,
+                                     [ws], [None])
     assert np.abs(new).max() == 0.0
 
     e = np.zeros(basis.size); e[0] = 1.0
-    new, stats = step_implicit(e, 0.0, cfg.tau, data, ZERO2, cfg, ws)
+    (new,), (stats,) = step_implicit([e], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
     assert new[0] == pytest.approx(1.0 / (1.0 + LAM11 * cfg.tau), abs=1e-9)
     assert np.abs(new[1:]).max() < 1e-9
     # proximal inequality: (||v||^2-||u||^2)/(2 tau) + flux energy <= work + tol slack
@@ -336,7 +339,7 @@ def test_step_failure_raises_with_trace():
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
     with pytest.raises(StepFailure) as info:
-        step_implicit(np.full(basis.size, 2.0), 0.0, cfg.tau, data, ZERO2, cfg, ws)
+        step_implicit([np.full(basis.size, 2.0)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
     assert len(info.value.trace) >= 1
 
 
@@ -424,8 +427,8 @@ def test_fresh_jacobian_newton_converges_quadratically():
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
     ws.newton_inverses = Forgetful()
     with pytest.raises(StepFailure) as info:
-        step_implicit(ws.project(config.initial), 0.0, cfg.tau, config.data, config.source_field(),
-                      cfg, ws)
+        step_implicit([ws.project(config.initial)], 0.0, cfg.tau, config.data,
+                      [config.source_field()], cfg, [ws], [None])
     r = np.array(info.value.trace)
     assert r[0] > 0.1 and r[3] < 1e-14  # from far off down to rounding
     above = r[:-1] > 1e-7  # below, rounding takes over from the quadratic term
@@ -474,7 +477,8 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
 
     monkeypatch.setattr(flux, "vector_kernel", counting("residual", flux.vector_kernel))
     monkeypatch.setattr(flux, "jacobian_kernel", counting("jacobian", flux.jacobian_kernel))
-    _, stats = step_implicit(np.ones(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
+    _, (stats,) = step_implicit([np.ones(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws],
+                                [None])
     # perfbench reads a residual right after another one as a halving or a chord step
     follow_ups = sum(1 for prev, cur in zip(calls, calls[1:]) if prev == cur == "residual")
     assert calls[0] == "residual"
@@ -496,7 +500,7 @@ def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
     nan_jacobian = np.full((ws.x.shape[0], 2, 2), np.nan)
     monkeypatch.setattr(flux, "jacobian_kernel", lambda *args: nan_jacobian)
     with pytest.raises(StepFailure):
-        step_implicit(np.ones(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
+        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
 
 
 def singular_once(monkeypatch):
@@ -520,7 +524,7 @@ def test_failed_newton_solve_is_a_step_failure(monkeypatch):
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
     with pytest.raises(StepFailure, match="newton solve failed") as info:
-        step_implicit(np.ones(basis.size), 0.0, cfg.tau, data, ZERO2, cfg, ws)
+        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert len(info.value.trace) == 1
 
@@ -542,24 +546,25 @@ def test_retried_step_records_the_bound_of_its_worse_substep(monkeypatch):
     # bound of its own state, which the stored (second half) state does not meet
     substeps = iter([(1, 2e-10, 3e-10), (2, 1e-10, 2e-10)])
 
-    def halves_only(u, t, tau, *args):
-        if tau == 0.1:
-            raise StepFailure("forced")
+    def halves_only(us, t, tau, *args):
+        assert tau == 0.05
         iters, res, bound = next(substeps)
-        return u, galerkin.StepStats(newton_iters=iters, jacobians=iters - 1, residual_norm=res,
-                                     residual_bound=bound, energy_slack=0.0, ut_sq_increment=0.0)
+        return us, [galerkin.StepStats(newton_iters=iters, jacobians=iters - 1, residual_norm=res,
+                                       residual_bound=bound, energy_slack=0.0,
+                                       ut_sq_increment=0.0)]
 
     monkeypatch.setattr(galerkin, "step_implicit", halves_only)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.1)
-    t, _, st = galerkin._advance(np.zeros(4), 0.0, cfg.tau, 0, None, ZERO2, cfg, None)
-    assert t == 0.05 + 0.05
+    _, st = galerkin._advance(np.zeros(4), 0.0, cfg.tau, 0, None, ZERO2, cfg, None,
+                              StepFailure("forced"))
     assert (st.newton_iters, st.jacobians, st.residual_norm, st.residual_bound) == \
         (3, 1, 2e-10, 3e-10)
 
 
 def test_solve_frees_its_workspace_without_the_cycle_collector(monkeypatch):
     # a reference cycle through the workspace would hold its basis tables
-    # (about 11 MB at m_per_dim=16) until the cyclic collector runs
+    # (about 11 MB at m_per_dim=16) until the cyclic collector runs; so would
+    # a kept StepFailure whose traceback refers to the march's frames
     made = []
 
     class Tracked(Workspace):
@@ -568,14 +573,22 @@ def test_solve_frees_its_workspace_without_the_cycle_collector(monkeypatch):
             made.append(weakref.ref(self))
 
     monkeypatch.setattr(galerkin, "Workspace", Tracked)
+    cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
     gc.disable()
     try:
-        solve(SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2), data_const(),
-              mode_field([[1, 1, 1.0]]), ZERO2)
+        # no failure; the last of 10 steps retried; step 3 failing with no
+        # retry; its first half failing at the cap
+        for cap, fail_call in ((4, None), (4, 10), (0, 3), (1, 4)):
+            recorded_starts(monkeypatch, fail_call)
+            try:
+                solve(replace(cfg, tau_retry_cap=cap), data_const(), mode_field([[1, 1, 1.0]]),
+                      ZERO2)
+            except SolverError:
+                assert cap < 4
         alive = [ref() is not None for ref in made]
     finally:
         gc.enable()
-    assert alive == [False]
+    assert alive == [False] * 4
 
 
 def test_solve_heat_benchmark_small():
@@ -664,14 +677,15 @@ def test_warm_started_solve_matches_cold_solve_in_fewer_iterations():
 
 
 def recorded_starts(monkeypatch, fail_call=None):
-    """Record (t, dt, start) of every step_implicit call; the fail_call-th call (1-based) fails."""
+    """Record (t, dt, start) of every one-member step_implicit call; the fail_call-th fails."""
     calls, original = [], galerkin.step_implicit
 
-    def recording(u, t, tau, data, f_field, cfg, ws, start=None):
+    def recording(us, t, tau, data, f_fields, cfg, wss, starts):
+        (start,) = starts
         calls.append((t, tau, None if start is None else start.copy()))
         if len(calls) == fail_call:
             raise StepFailure("forced")
-        return original(u, t, tau, data, f_field, cfg, ws, start)
+        return original(us, t, tau, data, f_fields, cfg, wss, starts)
 
     monkeypatch.setattr(galerkin, "step_implicit", recording)
     return calls
@@ -705,6 +719,32 @@ def test_retried_substeps_start_from_their_own_state(monkeypatch):
     assert traj.newton_residual[3] <= traj.newton_bound[3]
     assert np.all(traj.newton_residual <= traj.newton_bound)
     assert np.array_equal(calls[5][2], 3.0 * (c[3] - c[2]) + c[1])
+
+
+def test_a_retried_step_keeps_the_clock_of_an_unretried_solve(monkeypatch):
+    # the stability base with its step 3 redone on halves: its checkpoints
+    # are those of the unretried solve bit for bit (not (t + tau/2) + tau/2,
+    # which is one ulp off t + tau here), so the Gronwall experiments accept
+    # it against the lockstep members
+    config, members = stability_members()
+    cfg, data, f = config.solver, config.data, config.source_field()
+    plain = solve(cfg, data, config.initial, f)
+    calls, step = [], galerkin.step_implicit
+
+    def third_fails(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise StepFailure("forced")
+        return step(*args)
+
+    monkeypatch.setattr(galerkin, "step_implicit", third_fails)
+    base = solve(cfg, data, config.initial, f)
+    monkeypatch.undo()
+    assert len(calls) == 22 and base.newton_iters[3] > plain.newton_iters[3]  # step 3 on halves
+    assert np.array_equal(base.times, plain.times)
+    reports = diagnostics.stability_experiments(
+        base, galerkin.solve_lockstep(cfg, data, *zip(*members[:3])))
+    assert len(reports) == 3 and all(rep.passed for rep in reports)
 
 
 def test_solve_samples_steady_data_once_and_moving_data_every_step(monkeypatch):
@@ -756,8 +796,8 @@ def test_newton_accepts_against_the_iterate_it_returns():
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
     u = np.zeros(basis.size); u[0] = 10.0
-    exact = step_implicit(u, 0.0, cfg.tau, data, ZERO2, cfg, ws)[0]
-    fields, f_vec = data.sample(ws.x, cfg.tau), ws.source_vector(ZERO2, cfg.tau)
+    (exact,), _ = step_implicit([u], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
+    fields, f_vec = data.sample(ws.x, cfg.tau), ws.source_vectors([ZERO2], cfg.tau)[0]
 
     def residual_norm(v):
         return np.linalg.norm(v - u - cfg.tau * ws.rhs(v, fields, cfg.eps, f_vec)[0])
@@ -766,7 +806,7 @@ def test_newton_accepts_against_the_iterate_it_returns():
     lo, hi = cfg.newton_tolerance(exact), cfg.newton_tolerance(u)
     start = exact + 0.5 * (lo + hi) / residual_norm(exact + d) * d
     assert cfg.newton_tolerance(start) < residual_norm(start) < hi
-    new, stats = step_implicit(u, 0.0, cfg.tau, data, ZERO2, cfg, ws, start)
+    (new,), (stats,) = step_implicit([u], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [start])
     assert stats.newton_iters >= 1
     assert stats.residual_norm <= cfg.newton_tolerance(new)
 
@@ -780,12 +820,13 @@ def stability_members():
 
 
 def lockstep_in_one_batch(monkeypatch, cfg, data, initials, sources):
-    """`solve_lockstep`, asserting that no member left the group to be solved again alone."""
-    resolved, solve_alone = [], galerkin.solve
-    monkeypatch.setattr(galerkin, "solve", lambda *args: resolved.append(1) or solve_alone(*args))
+    """`solve_lockstep`, asserting that every step was one call on the whole group."""
+    sizes, step = [], galerkin.step_implicit
+    monkeypatch.setattr(galerkin, "step_implicit", lambda us, *args: sizes.append(len(us))
+                        or step(us, *args))
     trajs = galerkin.solve_lockstep(cfg, data, initials, sources)
-    monkeypatch.setattr(galerkin, "solve", solve_alone)
-    assert not resolved
+    monkeypatch.setattr(galerkin, "step_implicit", step)
+    assert set(sizes) == {len(initials)}
     return trajs
 
 
@@ -843,70 +884,124 @@ def test_lockstep_takes_steady_and_moving_sources(monkeypatch):
             assert np.array_equal(traj.newton_iters, alone.newton_iters)
 
 
-def test_a_member_failing_in_the_batch_is_solved_again_alone(monkeypatch):
-    # member 4's source (its own: job 4 perturbs the source) projects to NaN
-    # at step 3's end time in every batch (`source_vectors` serves stacks
-    # only), so its step fails there (refused chord, damping exhausted);
-    # alone it is unharmed
-    config, members = stability_members()
-    cfg, data, group = config.solver, config.data, members[:5]
-    alone = [solve(cfg, data, u0, f) for u0, f in group]
-    t3, sampled, target = alone[0].times[3], Workspace.source_vectors, group[4][1]
-    assert sum(f is target for _, f in members) == 1
+def poison_once(monkeypatch, targets, t_end, original=Workspace.source_vectors):
+    """Project the sources in targets to NaN at t_end in the first call that holds one of them.
 
-    def poisoned(self, f_fields, t):
-        vecs = sampled(self, f_fields, t)
-        if t == t3:
-            vecs[[f is target for f in f_fields]] = np.nan
-        return vecs
+    The step that ends at t_end fails there (refused chord, damping
+    exhausted), once: the halved substeps of its retry see the true source.
+    """
+    hit = []
 
-    monkeypatch.setattr(Workspace, "source_vectors", poisoned)
-    failed, step = [], galerkin.step_implicit
+    def poisoning(self, f_fields, t):
+        vecs = original(self, f_fields, t)
+        poisoned = [any(f is g for g in targets) for f in f_fields]
+        if t != t_end or hit or not any(poisoned):
+            return vecs
+        hit.append(t)
+        return [np.full_like(v, np.nan) if bad else v for bad, v in zip(poisoned, vecs)]
 
-    def recording(u, *args):
-        out = step(u, *args)
-        if np.ndim(u) == 2:
-            failed.extend(st for st in out[1] if isinstance(st, StepFailure))
-        return out
+    monkeypatch.setattr(Workspace, "source_vectors", poisoning)
+
+
+def recorded_steps(monkeypatch):
+    """Record, per step_implicit call, its member count, step size and failure texts."""
+    calls, step = [], galerkin.step_implicit
+
+    def recording(us, t, tau, *args):
+        try:
+            new, stats = step(us, t, tau, *args)
+        except StepFailure as exc:
+            calls.append((len(us), tau, [str(exc)]))
+            raise
+        calls.append((len(us), tau, [str(st) for st in stats if isinstance(st, StepFailure)]))
+        return new, stats
 
     monkeypatch.setattr(galerkin, "step_implicit", recording)
-    trajs = galerkin.solve_lockstep(cfg, data, *zip(*group))
-    assert [str(st) for st in failed] == [f"damping exhausted at t={t3:.6g}"]
-    for k, (traj, ref) in enumerate(zip(trajs, alone)):
+    return calls
+
+
+def assert_lockstep_matches(trajs, refs):
+    """Each lockstep member against its reference solve, within the batch's rounding."""
+    for traj, ref in zip(trajs, refs):
+        assert np.array_equal(traj.times, ref.times)
+        assert np.abs(traj.coeffs - ref.coeffs).max() <= 1e-13 * np.abs(ref.coeffs).max()
+        assert np.array_equal(traj.newton_iters, ref.newton_iters)
         assert np.all(traj.newton_residual <= traj.newton_bound)
-        if k == 4:  # solved again by `solve`: its trajectory, bit for bit
-            for name in ("times", "coeffs", "ut_sq_accum", "newton_iters", "jacobians",
-                         "newton_residual", "newton_bound", "energy_slack"):
-                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
-        else:
-            assert np.abs(traj.coeffs - ref.coeffs).max() <= 1e-13 * np.abs(ref.coeffs).max()
-    # when every member fails, the march stops and each is solved alone
-    failed.clear()
-    both = [group[0], group[4]]
-    monkeypatch.setattr(Workspace, "source_vectors", lambda self, f_fields, t: np.full(
-        (len(f_fields), self.basis.size), np.nan) if t == t3 else sampled(self, f_fields, t))
-    trajs = galerkin.solve_lockstep(cfg, data, *zip(*both))
-    assert len(failed) == 2
-    for traj, ref in zip(trajs, [alone[0], alone[4]]):
-        assert np.array_equal(traj.coeffs, ref.coeffs)
 
 
-def test_a_member_that_fails_alone_too_raises_its_own_solver_error():
+def forced_retry_solves(monkeypatch, cfg, data, members, t_end, failing):
+    """Each member's own `solve`; those in failing have the step ending at t_end fail once."""
+    refs = []
+    for k, (u0, f) in enumerate(members):
+        if k in failing:
+            poison_once(monkeypatch, [f], t_end)
+        refs.append(solve(cfg, data, u0, f))
+        monkeypatch.undo()
+    return refs
+
+
+def test_a_member_failing_in_the_batch_retries_alone_and_rejoins(monkeypatch):
+    # member 4's own source (job 4 perturbs the source) projects to NaN at
+    # step 3's end time in the batch: it redoes step 3 alone on two depth-1
+    # substeps and steps with the batch again from step 4 on
+    config, members = stability_members()
+    cfg, data, group = config.solver, config.data, members[:5]
+    target = group[4][1]
+    assert sum(f is target for _, f in members) == 1
+    t3 = solve(cfg, data, *group[0]).times[3]
+    refs = forced_retry_solves(monkeypatch, cfg, data, group, t3, failing={4})
+    assert refs[4].newton_iters[3] > refs[0].newton_iters[3]  # its own solve redid step 3 too
+    poison_once(monkeypatch, [target], t3)
+    calls = recorded_steps(monkeypatch)
+    trajs = galerkin.solve_lockstep(cfg, data, *zip(*group))
+    half = cfg.tau / 2.0
+    assert calls[2] == (5, cfg.tau, [f"damping exhausted at t={t3:.6g}"])
+    assert calls[3:6] == [(1, half, []), (1, half, []), (5, cfg.tau, [])]
+    assert [n for n, _, _ in calls] == [5] * 3 + [1, 1] + [5] * 17
+    assert_lockstep_matches(trajs, refs)
+
+
+def test_every_member_failing_in_the_batch_retries_alone(monkeypatch):
+    # the batch's step 3 fails for both members, so step_implicit raises;
+    # each redoes the step alone, and both march on together
+    config, members = stability_members()
+    cfg, data, group = config.solver, config.data, [members[0], members[4]]
+    t3 = solve(cfg, data, *group[0]).times[3]
+    refs = forced_retry_solves(monkeypatch, cfg, data, group, t3, failing={0, 1})
+    poison_once(monkeypatch, [f for _, f in group], t3)
+    calls = recorded_steps(monkeypatch)
+    trajs = galerkin.solve_lockstep(cfg, data, *zip(*group))
+    assert calls[2] == (2, cfg.tau, [f"damping exhausted at t={t3:.6g}"])
+    assert [n for n, _, _ in calls] == [2] * 3 + [1] * 4 + [2] * 17
+    assert_lockstep_matches(trajs, refs)
+
+
+def test_a_member_that_fails_alone_too_raises_its_own_solver_error(monkeypatch):
     # member 1's source turns NaN after t = 0.01: in the batch and alone, its
-    # step 5 fails, and its solve aborts with the SolverError `solve` gives
+    # step 5 fails on the full step and on the first half of its retry, and
+    # the march aborts with the SolverError `solve` gives
     config, members = stability_members()
     cfg, data = replace(config.solver, tau_retry_cap=1), config.data
     u0, f = members[1]
     broken = Field(dim=2, descriptor={"family": "broken"},
                    _fn=lambda x, t: f(x, t) + (np.nan if t > 0.0101 else 0.0))
-    group = [members[0], (u0, broken), members[2]]
     with pytest.raises(SolverError) as alone:
         solve(cfg, data, u0, broken)
+    assert str(alone.value) == "step 5/20 failed: damping exhausted at t=0.01125"
     with pytest.raises(SolverError) as grouped:
-        galerkin.solve_lockstep(cfg, data, *zip(*group))
+        galerkin.solve_lockstep(cfg, data, *zip(members[0], (u0, broken), members[2]))
     assert str(grouped.value) == str(alone.value)
-    assert str(alone.value).startswith("step 5/20 failed")
-    assert np.array_equal(grouped.value.partial.coeffs, alone.value.partial.coeffs)
+    assert_lockstep_matches([grouped.value.partial], [alone.value.partial])
+    # when member 0 fails the batch's step 5 as well, every member failed; the
+    # abort still reports member 1's own failure, not the batch's
+    t5 = alone.value.partial.times[-1] + cfg.tau
+    poison_once(monkeypatch, [members[0][1]], t5)
+    calls = recorded_steps(monkeypatch)
+    with pytest.raises(SolverError) as both:
+        galerkin.solve_lockstep(cfg, data, *zip(members[0], (u0, broken)))
+    assert calls[4] == (2, cfg.tau, [f"damping exhausted at t={t5:.6g}"])
+    assert [n for n, _, _ in calls[5:]] == [1, 1, 1]  # member 0's two halves, member 1's first
+    assert str(both.value) == str(alone.value)
 
 
 def test_m_refinement_cauchy_decreasing():

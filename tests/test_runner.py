@@ -407,14 +407,14 @@ def test_galerkin_orthogonality_holds_a_retried_step_to_its_substep_bound(tmp_pa
     # the stored state's newton_tol * (1 + |v|) but within its own bound
     step, calls = galerkin.step_implicit, []
 
-    def first_step_retried(u, t, tau, *args):
+    def first_step_retried(us, t, tau, *args):
         calls.append(tau)
         if len(calls) == 1:
             raise galerkin.StepFailure("forced")
-        new, st = step(u, t, tau, *args)
+        new, stats = step(us, t, tau, *args)
         if len(calls) == 2:
-            st.residual_norm, st.residual_bound = 5e-7, 1e-6
-        return new, st
+            stats[0].residual_norm, stats[0].residual_bound = 5e-7, 1e-6
+        return new, stats
 
     monkeypatch.setattr(galerkin, "step_implicit", first_step_retried)
     config = runner.load_config(write_config(tmp_path, small_heat_raw()))
