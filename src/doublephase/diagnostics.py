@@ -364,6 +364,7 @@ def linf_bound_check(traj: Trajectory, series: CoreSeries, slack: float = 1e-3) 
     lattice = lattice_points(traj.data.dim, SUP_LATTICE)
     u0_sup = float(np.abs(traj.initial(lattice, 0.0)).max())
     times = traj.times[:1] if traj.source.steady else traj.times
+    # one checkpoint at a time: `sample_field` would hold (K+1) x SUP_LATTICE^N values at once
     f_sup = np.array([np.abs(traj.source(lattice, t)).max() for t in times])
     envelope = u0_sup + _cumtrapz(np.resize(f_sup, traj.times.shape), traj.times) + slack
     return EnvelopeReport(times=traj.times, lattice_sup=sup_u, envelope=envelope,

@@ -321,28 +321,41 @@ def discretization(dim: int, cfg: SolverConfig) -> tuple:
     return basis, grid
 
 
+def _steady_samples(fields, sample) -> tuple:
+    """sample(field), read-only, for each steady field, once per distinct one; None for the others."""
+    out = []
+    for i, fld in enumerate(fields):
+        vals = next((out[j] for j in range(i) if fields[j] is fld), None)
+        if vals is None and fld.steady:
+            vals = sample(fld)
+            vals.flags.writeable = False
+        out.append(vals)
+    return tuple(out)
+
+
 class Workspace:
-    """Basis tables on the solver quadrature grid, and the caches of one solve.
+    """Basis tables on the solver quadrature grid, and the data, sources and caches of one march.
 
     The grid must be a tensor lattice in `tensor_points` order (as from
     `tensor_gauss_legendre`).  The tables, shared by every Workspace of the
     same basis and grid, come from `_discretization_tables`: a residual's
     gradient and stiffness use the dense gradient table when there is one,
     and are otherwise contracted one axis at a time, like the Newton matrix.
-    `newton_inverses` holds, per step size, the inverse of the last Newton
-    matrix built; steady data are sampled and projected once and kept read-only.
+    Each steady one of the data's (a, b, p, q) and of the members' sources
+    is sampled (a source also projected) here, once and read-only.
+    `newton_inverses[i]` maps a step size to member i's last Newton inverse.
     """
 
-    def __init__(self, basis: EigenBasis, grid: QuadratureGrid):
+    def __init__(self, basis: EigenBasis, grid: QuadratureGrid, data=None, sources=()):
         self.basis = basis
-        self.grid = grid
-        self.x = grid.space_nodes
-        self.w = grid.space_weights
+        self.x, self.w = grid.space_nodes, grid.space_weights
         self.lines, self._pairs, self.dense = _discretization_tables(basis, grid)
-        self.newton_inverses = {}
-        # (id of a steady field, projected?) -> (the field, its array), and
-        # (id of steady data, False) -> (the data, their fields_at tuple)
-        self._steady = {}
+        self.sources = list(sources)
+        self.newton_inverses = [{} for _ in self.sources]
+        self._data = () if data is None else (data.a, data.b, data.p, data.q)
+        self._fields = _steady_samples(self._data, lambda fld: fld(self.x, 0.0))
+        self._source_vecs = _steady_samples(
+            self.sources, lambda f: self.basis.lattice_adjoint(self.lines, self.w * f(self.x, 0.0)))
 
     def gradient_of(self, coeffs) -> np.ndarray:
         """Gradient of the coefficients (..., m) on the nodes, (..., M, N).
@@ -361,35 +374,21 @@ class Workspace:
             return self.basis.lattice_adjoint(self.lines, wf, 1)
         return wf.reshape(fvec.shape[:-2] + (-1,)) @ self.dense
 
-    def source_vectors(self, f_fields, t: float) -> list:
-        """The projected sources of fields at t, one (m,) row each: a steady one's made
-        once, read-only, and the time-dependent ones in one contraction."""
-        moving = [fld(self.x, t) for fld in f_fields if not fld.steady]
+    def source_vectors(self, members, t: float) -> list:
+        """The projected sources of members at t, one (m,) row each: a steady one's made
+        once, and the time-dependent ones in one contraction, in member order."""
+        steady = [self._source_vecs[i] for i in members]
+        moving = [self.sources[i](self.x, t) for i, vec in zip(members, steady) if vec is None]
         projected = iter(self.basis.lattice_adjoint(self.lines, self.w * np.stack(moving))
                          if moving else ())
-        return [self._sampled(fld, t, True) if fld.steady else next(projected)
-                for fld in f_fields]
+        return [next(projected) if vec is None else vec for vec in steady]
 
-    def fields_at(self, data: ExponentData, t: float) -> tuple:
-        """(a, b, p, q) on the nodes at time t; steady data's tuple is made once."""
-        if (id(data), False) in self._steady:
-            return self._steady[id(data), False][1]
-        out = tuple(self._sampled(fld, t, False) for fld in (data.a, data.b, data.p, data.q))
-        if all(fld.steady for fld in (data.a, data.b, data.p, data.q)):
-            self._steady[id(data), False] = (data, out)
-        return out
-
-    def _sampled(self, fld: Field, t: float, projected: bool) -> np.ndarray:
-        """fld on the nodes at t, or its projection; a steady field's is made once, read-only."""
-        key = (id(fld), projected)  # an entry keeps its field alive, so no other field gets its id
-        if key in self._steady:
-            return self._steady[key][1]
-        values = fld(self.x, t)
-        out = self.basis.lattice_adjoint(self.lines, self.w * values) if projected else values
-        if fld.steady:
-            out.flags.writeable = False
-            self._steady[key] = (fld, out)
-        return out
+    def fields_at(self, t: float) -> tuple:
+        """(a, b, p, q) on the nodes at time t; with all four steady, one tuple made once."""
+        if all(vals is not None for vals in self._fields):
+            return self._fields
+        return tuple(fld(self.x, t) if vals is None else vals
+                     for fld, vals in zip(self._data, self._fields))
 
     def project(self, u0: Field) -> np.ndarray:
         """L2 projection of the initial datum onto the basis: its coefficients, checked finite."""
@@ -439,18 +438,18 @@ class StepStats:
     ut_sq_increment: float  # tau * ||(U' - U)/tau||^2
 
 
-def step_implicit(us, t: float, tau: float, data: ExponentData, f_fields, cfg: SolverConfig, wss,
+def step_implicit(us, t: float, tau: float, cfg: SolverConfig, ws: Workspace, members,
                   starts) -> tuple[list, list]:
     """One chord-Newton implicit Euler step of each member's coefficients from t to t + tau.
 
-    us, starts, f_fields and wss are sequences of the members' coefficient
-    rows, Newton starts (None: the row itself), sources and Workspaces; the
-    members share cfg, the data and the discretization.  Each solves
+    members are the indices in ws of the members to step; ws holds the
+    data, their sources and their Newton inverses.  us and starts are their
+    coefficient rows and Newton starts (None: the row itself).  Each solves
     V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
     functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v),
     and accepts the first iterate v within `cfg.newton_tolerance(v)`.  An
-    iteration first tries the chord step with its Workspace's
-    `newton_inverses[tau]`, kept when it cuts the residual by CHORD_RHO;
+    iteration first tries the chord step with the member's
+    `ws.newton_inverses[i][tau]`, kept when it cuts the residual by CHORD_RHO;
     otherwise it builds and caches the Newton matrix's inverse at v and
     takes a damped Newton step, halving it until the residual decreases.  A
     member builds at most `cfg.newton_max_iter` Newton matrices per step;
@@ -458,14 +457,14 @@ def step_implicit(us, t: float, tau: float, data: ExponentData, f_fields, cfg: S
     the residual tenfold.
 
     Each round of residuals of the members still iterating is one call on
-    the tables and sampled data of wss[0], batched for several members and
+    the tables and sampled data of ws, batched for several members and
     unstacked for one.  Returns per member its new row (a failed member's
     last iterate) and its StepStats or the StepFailure that ended it; raises
     the first member's StepFailure when every member failed.
     """
     t1 = t + tau
-    f_vecs = wss[0].source_vectors(f_fields, t1)
-    fields = wss[0].fields_at(data, t1)
+    f_vecs = ws.source_vectors(members, t1)
+    fields = ws.fields_at(t1)
 
     def residual(idx, cands):
         """Residuals, gradients, fluxes and residual norms of members idx at cands, in one call."""
@@ -474,7 +473,7 @@ def step_implicit(us, t: float, tau: float, data: ExponentData, f_fields, cfg: S
         else:
             cand, f_vec, u_i = (np.stack(rows) for rows in
                                 (cands, [f_vecs[i] for i in idx], [us[i] for i in idx]))
-        rhs, grad_c, fvec_c = wss[0].rhs(cand, fields, cfg.eps, f_vec)
+        rhs, grad_c, fvec_c = ws.rhs(cand, fields, cfg.eps, f_vec)
         res_c = cand - u_i - tau * rhs
         if len(idx) == 1:
             return [res_c], [grad_c], [fvec_c], [np.sqrt(res_c @ res_c)]
@@ -496,16 +495,16 @@ def step_implicit(us, t: float, tau: float, data: ExponentData, f_fields, cfg: S
         failures[i] = (message, cause and cause.with_traceback(None))
 
     v = [np.array(u if start is None else start) for u, start in zip(us, starts)]
-    members = range(len(us))
-    res, grad_v, fvec, norm = residual(members, v)
+    batch = range(len(us))
+    res, grad_v, fvec, norm = residual(batch, v)
     traces = [[n] for n in norm]
     jacobians, failures = [0] * len(us), [None] * len(us)
-    active = members
+    active = batch
     while active := [i for i in active if failures[i] is None
                      and not norm[i] <= cfg.newton_tolerance(v[i])]:
         chord, cands, fresh = [], [], []
         for i in active:
-            inv = wss[i].newton_inverses.get(tau)
+            inv = ws.newton_inverses[members[i]].get(tau)
             if inv is None:
                 fresh.append(i)
             else:
@@ -522,13 +521,13 @@ def step_implicit(us, t: float, tau: float, data: ExponentData, f_fields, cfg: S
             jac_flux = flux.jacobian_kernel(*fields, grad_v[i], cfg.eps)
             # I plus a weighted Gram form of the PSD flux Jacobian: positive
             # definite and well conditioned, so pivoted LU is stable here
-            mat = wss[0].step_matrix(jac_flux, tau)
+            mat = ws.step_matrix(jac_flux, tau)
             try:
                 inv = np.linalg.solve(mat, np.eye(len(mat)))
             except np.linalg.LinAlgError as exc:
                 fail(i, f"newton solve failed at t={t1:.6g}: {exc}", exc)
                 continue
-            wss[i].newton_inverses[tau] = inv
+            ws.newton_inverses[members[i]][tau] = inv
             deltas[i] = -(inv @ res[i])
         damped, alpha = list(deltas), 1.0
         for _ in range(cfg.max_damping_halvings):
@@ -542,12 +541,12 @@ def step_implicit(us, t: float, tau: float, data: ExponentData, f_fields, cfg: S
     if None not in failures:
         raise StepFailure(failures[0][0], traces[0]) from failures[0][1]
     stats = []
-    for i in members:
+    for i in batch:
         if failures[i] is not None:
             stats.append(StepFailure(failures[i][0], traces[i]))
             stats[-1].__cause__ = failures[i][1]
             continue
-        flux_energy = float(wss[0].w @ np.add.reduce(fvec[i] * grad_v[i], axis=-1))
+        flux_energy = float(ws.w @ np.add.reduce(fvec[i] * grad_v[i], axis=-1))
         source_work = float(f_vecs[i] @ v[i])
         slack = (v[i] @ v[i] - us[i] @ us[i]) / (2.0 * tau) + flux_energy - source_work
         stats.append(StepStats(newton_iters=len(traces[i]) - 1, jacobians=jacobians[i],
@@ -616,8 +615,8 @@ class Trajectory:
         return self.grid.with_time(self.times)
 
 
-def _advance(u, t, dt, depth, data, f_field, cfg, ws, failure):
-    """Redo a member's step of dt from (t, u), which failed with `failure`, on two substeps of dt/2.
+def _advance(u, t, dt, depth, cfg, ws, i, failure):
+    """Redo member i's step of dt from (t, u), which failed with `failure`, on two substeps of dt/2.
 
     A substep starts Newton from its initial state and, if it fails, is
     redone the same way one level deeper; at depth cfg.tau_retry_cap the
@@ -632,9 +631,9 @@ def _advance(u, t, dt, depth, data, f_field, cfg, ws, failure):
     subs = []
     for t_sub in (t, t + dt / 2.0):
         try:
-            (u,), (st,) = step_implicit([u], t_sub, dt / 2.0, data, [f_field], cfg, [ws], [None])
+            (u,), (st,) = step_implicit([u], t_sub, dt / 2.0, cfg, ws, [i], [None])
         except StepFailure as exc:
-            u, st = _advance(u, t_sub, dt / 2.0, depth + 1, data, f_field, cfg, ws, exc)
+            u, st = _advance(u, t_sub, dt / 2.0, depth + 1, cfg, ws, i, exc)
         subs.append(st)
     st1, st2 = subs
     # the larger substep residual, with the bound of the substep state it was accepted at
@@ -696,20 +695,20 @@ def _march(cfg: SolverConfig, data: ExponentData, initials: list, sources: list,
     n_steps = max(1, int(round(data.horizon / cfg.tau)))
     if guess is not None and np.shape(guess) != (n_steps + 1, basis.size):
         raise ValueError(f"guess shape {np.shape(guess)} is not {(n_steps + 1, basis.size)}")
-    wss = [Workspace(basis, grid) for _ in initials]
+    ws = Workspace(basis, grid, data, sources)
     tau = data.horizon / n_steps
     t = 0.0
     # per member the initial row, then one per step: the trailing Trajectory
     # fields, times to energy_slack
-    rows = [[(t, ws.project(u0), 0.0, 0, 0, 0.0, 0.0, 0.0)] for ws, u0 in zip(wss, initials)]
-    heads = [(data, u0, f_field, cfg, basis, grid, wss[0].lines)
+    rows = [[(t, ws.project(u0), 0.0, 0, 0, 0.0, 0.0, 0.0)] for u0 in initials]
+    heads = [(data, u0, f_field, cfg, basis, grid, ws.lines)
              for u0, f_field in zip(initials, sources)]
 
     for k in range(n_steps):
         us = [r[-1][1] for r in rows]
         starts = [_predictor(k, r, guess) for r in rows]
         try:
-            new, stats = step_implicit(us, t, tau, data, sources, cfg, wss, starts)
+            new, stats = step_implicit(us, t, tau, cfg, ws, range(len(us)), starts)
         except StepFailure as exc:
             # every member failed, and the first one's failure stands for all;
             # without its traceback, which refers to this frame
@@ -717,7 +716,7 @@ def _march(cfg: SolverConfig, data: ExponentData, initials: list, sources: list,
         for i, st in enumerate(stats):
             if isinstance(st, StepFailure):
                 try:
-                    new[i], st = _advance(us[i], t, tau, 0, data, sources[i], cfg, wss[i], st)
+                    new[i], st = _advance(us[i], t, tau, 0, cfg, ws, i, st)
                 except StepFailure as exc:
                     # without the traceback whose `_advance` frames refer to it
                     raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",

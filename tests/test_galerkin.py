@@ -170,13 +170,13 @@ def test_lattice_of_single_mode_basis_equals_dense_tables():
 def test_workspace_contractions_equal_dense_forms(dim, m_per_dim):
     basis = build_basis(dim, m_per_dim)
     grid = spaces.tensor_gauss_legendre(dim, SolverConfig(m_per_dim, 0.1, 0.1).resolved_quad_order)
-    ws = Workspace(basis, grid)
+    field = make_field({"family": "bump", "amp": 1.0, "center": [0.3] * dim}, dim)
+    ws = Workspace(basis, grid, sources=[field])
     x, w = grid.space_nodes, grid.space_weights
     phi, gp = basis.values(x), basis.gradients(x)
     rng = np.random.default_rng(dim * 10 + m_per_dim)
     coeffs = rng.normal(size=basis.size)
     fvec = rng.normal(size=(x.shape[0], dim))
-    field = make_field({"family": "bump", "amp": 1.0, "center": [0.3] * dim}, dim)
 
     def close(got, want):
         assert got.shape == want.shape
@@ -184,7 +184,7 @@ def test_workspace_contractions_equal_dense_forms(dim, m_per_dim):
 
     close(ws.gradient_of(coeffs), np.tensordot(gp, coeffs, axes=([2], [0])))
     close(ws.stiffness(fvec), np.einsum("mn,mnj->j", w[:, None] * fvec, gp))
-    close(ws.source_vectors([field], 0.0)[0], phi.T @ (w * field(x, 0.0)))
+    close(ws.source_vectors([0], 0.0)[0], phi.T @ (w * field(x, 0.0)))
     close(ws.project(field), phi.T @ (w * field(x, 0.0)))
 
 
@@ -262,8 +262,8 @@ def test_ode_rhs_zero_and_heat_diagonal():
     data = data_const()
     basis = build_basis(2, 3)
     grid = spaces.tensor_gauss_legendre(2, 16)
-    ws = Workspace(basis, grid)
-    fields, f_vec = data.sample(ws.x, 0.0), ws.source_vectors([ZERO2], 0.0)[0]
+    ws = Workspace(basis, grid, data, [ZERO2])
+    fields, f_vec = data.sample(ws.x, 0.0), ws.source_vectors([0], 0.0)[0]
     assert np.abs(ws.rhs(np.zeros(basis.size), fields, 0.1, f_vec)[0]).max() == 0.0
     for k in (0, 2, 5):
         e = np.zeros(basis.size); e[k] = 1.0
@@ -289,8 +289,8 @@ def test_ode_rhs_matches_refined_quadrature_oracle():
     base_order = SolverConfig(4, 0.1, 0.1).resolved_quad_order
     vals = {}
     for order in (base_order, 2 * base_order):
-        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
-        f_vec = ws.source_vectors([f], 0.03)[0]
+        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order), sources=[f])
+        f_vec = ws.source_vectors([0], 0.03)[0]
         vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, f_vec)[0]
     scale = max(1, np.abs(vals[2 * base_order]).max())
     assert np.abs(vals[base_order] - vals[2 * base_order]).max() < 1e-8 * scale
@@ -308,8 +308,8 @@ def test_ode_rhs_refined_quadrature_nonquadratic_flux():
     f = mode_field([[1, 2, 0.7]])
     vals = {}
     for order in (SolverConfig(4, 0.1, 0.1).resolved_quad_order, 60):
-        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order))
-        f_vec = ws.source_vectors([f], 0.03)[0]
+        ws = Workspace(basis, spaces.tensor_gauss_legendre(2, order), sources=[f])
+        f_vec = ws.source_vectors([0], 0.03)[0]
         vals[order] = ws.rhs(coeffs, data.sample(ws.x, 0.03), 0.1, f_vec)[0]
     scale = max(1, np.abs(vals[60]).max())
     assert np.abs(vals[18] - vals[60]).max() < 1e-4 * scale
@@ -320,13 +320,12 @@ def test_step_implicit_zero_and_heat_closed_form():
     cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1e-2)
     basis = build_basis(2, cfg.m_per_dim)
     grid = spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order)
-    ws = Workspace(basis, grid)
-    (new,), (stats,) = step_implicit([np.zeros(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg,
-                                     [ws], [None])
+    ws = Workspace(basis, grid, data, [ZERO2])
+    (new,), (stats,) = step_implicit([np.zeros(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
     assert np.abs(new).max() == 0.0
 
     e = np.zeros(basis.size); e[0] = 1.0
-    (new,), (stats,) = step_implicit([e], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
+    (new,), (stats,) = step_implicit([e], 0.0, cfg.tau, cfg, ws, [0], [None])
     assert new[0] == pytest.approx(1.0 / (1.0 + LAM11 * cfg.tau), abs=1e-9)
     assert np.abs(new[1:]).max() < 1e-9
     # proximal inequality: (||v||^2-||u||^2)/(2 tau) + flux energy <= work + tol slack
@@ -337,9 +336,9 @@ def test_step_failure_raises_with_trace():
     data = data_const(p=1.8, q=1.8, a=1.0, b=0.0)
     cfg = SolverConfig(m_per_dim=2, eps=1e-6, tau=50.0, newton_max_iter=1)
     basis = build_basis(2, cfg.m_per_dim)
-    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     with pytest.raises(StepFailure) as info:
-        step_implicit([np.full(basis.size, 2.0)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
+        step_implicit([np.full(basis.size, 2.0)], 0.0, cfg.tau, cfg, ws, [0], [None])
     assert len(info.value.trace) >= 1
 
 
@@ -424,11 +423,11 @@ def test_fresh_jacobian_newton_converges_quadratically():
     cfg = replace(config.solver, m_per_dim=4, eps=1e-2, tau=0.05, newton_tol=1e-300,
                   newton_max_iter=4)
     basis = build_basis(2, cfg.m_per_dim)
-    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
-    ws.newton_inverses = Forgetful()
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), config.data,
+                   [config.source_field()])
+    ws.newton_inverses = [Forgetful()]
     with pytest.raises(StepFailure) as info:
-        step_implicit([ws.project(config.initial)], 0.0, cfg.tau, config.data,
-                      [config.source_field()], cfg, [ws], [None])
+        step_implicit([ws.project(config.initial)], 0.0, cfg.tau, cfg, ws, [0], [None])
     r = np.array(info.value.trace)
     assert r[0] > 0.1 and r[3] < 1e-14  # from far off down to rounding
     above = r[:-1] > 1e-7  # below, rounding takes over from the quadratic term
@@ -450,7 +449,7 @@ def test_wrong_cached_inverse_only_costs_fresh_jacobians(monkeypatch):
     class StaleWorkspace(Workspace):
         def __init__(self, *args):
             super().__init__(*args)
-            self.newton_inverses = Stale()
+            self.newton_inverses = [Stale() for _ in self.newton_inverses]
 
     monkeypatch.setattr(galerkin, "Workspace", StaleWorkspace)
     stale = solve(*args)
@@ -466,7 +465,7 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
     data = data_const(p=1.1, q=2.0)
     cfg = SolverConfig(m_per_dim=3, eps=1e-2, tau=1.0)
     basis = build_basis(2, cfg.m_per_dim)
-    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     calls = []
 
     def counting(name, kernel):
@@ -477,8 +476,7 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
 
     monkeypatch.setattr(flux, "vector_kernel", counting("residual", flux.vector_kernel))
     monkeypatch.setattr(flux, "jacobian_kernel", counting("jacobian", flux.jacobian_kernel))
-    _, (stats,) = step_implicit([np.ones(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws],
-                                [None])
+    _, (stats,) = step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
     # perfbench reads a residual right after another one as a halving or a chord step
     follow_ups = sum(1 for prev, cur in zip(calls, calls[1:]) if prev == cur == "residual")
     assert calls[0] == "residual"
@@ -496,11 +494,11 @@ def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
     data = data_const(p=1.8, q=2.1)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
     basis = build_basis(2, cfg.m_per_dim)
-    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     nan_jacobian = np.full((ws.x.shape[0], 2, 2), np.nan)
     monkeypatch.setattr(flux, "jacobian_kernel", lambda *args: nan_jacobian)
     with pytest.raises(StepFailure):
-        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
+        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
 
 
 def singular_once(monkeypatch):
@@ -522,9 +520,9 @@ def test_failed_newton_solve_is_a_step_failure(monkeypatch):
     data = data_const(p=1.8, q=2.1)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=1e-2)
     basis = build_basis(2, cfg.m_per_dim)
-    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     with pytest.raises(StepFailure, match="newton solve failed") as info:
-        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
+        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert len(info.value.trace) == 1
 
@@ -555,8 +553,7 @@ def test_retried_step_records_the_bound_of_its_worse_substep(monkeypatch):
 
     monkeypatch.setattr(galerkin, "step_implicit", halves_only)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.1)
-    _, st = galerkin._advance(np.zeros(4), 0.0, cfg.tau, 0, None, ZERO2, cfg, None,
-                              StepFailure("forced"))
+    _, st = galerkin._advance(np.zeros(4), 0.0, cfg.tau, 0, cfg, None, 0, StepFailure("forced"))
     assert (st.newton_iters, st.jacobians, st.residual_norm, st.residual_bound) == \
         (3, 1, 2e-10, 3e-10)
 
@@ -680,12 +677,12 @@ def recorded_starts(monkeypatch, fail_call=None):
     """Record (t, dt, start) of every one-member step_implicit call; the fail_call-th fails."""
     calls, original = [], galerkin.step_implicit
 
-    def recording(us, t, tau, data, f_fields, cfg, wss, starts):
+    def recording(us, t, tau, cfg, ws, members, starts):
         (start,) = starts
         calls.append((t, tau, None if start is None else start.copy()))
         if len(calls) == fail_call:
             raise StepFailure("forced")
-        return original(us, t, tau, data, f_fields, cfg, wss, starts)
+        return original(us, t, tau, cfg, ws, members, starts)
 
     monkeypatch.setattr(galerkin, "step_implicit", recording)
     return calls
@@ -768,11 +765,12 @@ def test_solve_samples_steady_data_once_and_moving_data_every_step(monkeypatch):
     monkeypatch.setattr(galerkin.Field, "__call__", counting)
     traj = solve(cfg, data, u0, f)
     nodes = traj.grid.space_nodes
+    # the steady ones once, when the march's Workspace is built, at t = 0
     on_nodes = [(fld, t) for fld, x, t in calls if np.array_equal(x, nodes)]
     for fld, moving in ((data.p, False), (data.q, False), (data.b, False),
                         (data.a, True), (f, True)):
         times = [t for g, t in on_nodes if g is fld]
-        assert times == list(traj.times[1:] if moving else traj.times[1:2])
+        assert times == (list(traj.times[1:]) if moving else [0.0])
     # marked steady or not, the field is the same bit for bit, and so is the solve
     monkeypatch.setattr(galerkin.Field, "__call__", original)
     moving = replace(data, **{k: replace(getattr(data, k), steady=False) for k in "pqab"})
@@ -794,10 +792,10 @@ def test_newton_accepts_against_the_iterate_it_returns():
     data = data_const(p=1.9, q=2.1, a=0.4, b=0.6)
     cfg = SolverConfig(m_per_dim=3, eps=5e-2, tau=2e-2)
     basis = build_basis(2, cfg.m_per_dim)
-    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order))
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     u = np.zeros(basis.size); u[0] = 10.0
-    (exact,), _ = step_implicit([u], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [None])
-    fields, f_vec = data.sample(ws.x, cfg.tau), ws.source_vectors([ZERO2], cfg.tau)[0]
+    (exact,), _ = step_implicit([u], 0.0, cfg.tau, cfg, ws, [0], [None])
+    fields, f_vec = data.sample(ws.x, cfg.tau), ws.source_vectors([0], cfg.tau)[0]
 
     def residual_norm(v):
         return np.linalg.norm(v - u - cfg.tau * ws.rhs(v, fields, cfg.eps, f_vec)[0])
@@ -806,7 +804,7 @@ def test_newton_accepts_against_the_iterate_it_returns():
     lo, hi = cfg.newton_tolerance(exact), cfg.newton_tolerance(u)
     start = exact + 0.5 * (lo + hi) / residual_norm(exact + d) * d
     assert cfg.newton_tolerance(start) < residual_norm(start) < hi
-    (new,), (stats,) = step_implicit([u], 0.0, cfg.tau, data, [ZERO2], cfg, [ws], [start])
+    (new,), (stats,) = step_implicit([u], 0.0, cfg.tau, cfg, ws, [0], [start])
     assert stats.newton_iters >= 1
     assert stats.residual_norm <= cfg.newton_tolerance(new)
 
@@ -892,9 +890,9 @@ def poison_once(monkeypatch, targets, t_end, original=Workspace.source_vectors):
     """
     hit = []
 
-    def poisoning(self, f_fields, t):
-        vecs = original(self, f_fields, t)
-        poisoned = [any(f is g for g in targets) for f in f_fields]
+    def poisoning(self, members, t):
+        vecs = original(self, members, t)
+        poisoned = [any(self.sources[i] is g for g in targets) for i in members]
         if t != t_end or hit or not any(poisoned):
             return vecs
         hit.append(t)
@@ -926,6 +924,7 @@ def assert_lockstep_matches(trajs, refs):
         assert np.array_equal(traj.times, ref.times)
         assert np.abs(traj.coeffs - ref.coeffs).max() <= 1e-13 * np.abs(ref.coeffs).max()
         assert np.array_equal(traj.newton_iters, ref.newton_iters)
+        assert np.array_equal(traj.jacobians, ref.jacobians)
         assert np.all(traj.newton_residual <= traj.newton_bound)
 
 
@@ -959,6 +958,36 @@ def test_a_member_failing_in_the_batch_retries_alone_and_rejoins(monkeypatch):
     assert calls[3:6] == [(1, half, []), (1, half, []), (5, cfg.tau, [])]
     assert [n for n, _, _ in calls] == [5] * 3 + [1, 1] + [5] * 17
     assert_lockstep_matches(trajs, refs)
+
+
+def test_a_retried_member_reads_the_steady_data_of_its_march(monkeypatch):
+    # the retry above: member 4's halved substeps read the one Workspace's
+    # samples of the steady data, which are not sampled again
+    config, members = stability_members()
+    cfg, data, group = config.solver, config.data, members[:5]
+    t3 = solve(cfg, data, *group[0]).times[3]
+    poison_once(monkeypatch, [group[4][1]], t3)
+    calls = recorded_steps(monkeypatch)
+    made, evals = [], []
+    init, call = Workspace.__init__, galerkin.Field.__call__
+
+    def tracked(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    def counting(self, x, t):
+        evals.append((self, np.array(x)))
+        return call(self, x, t)
+
+    monkeypatch.setattr(Workspace, "__init__", tracked)
+    monkeypatch.setattr(galerkin.Field, "__call__", counting)
+    galerkin.solve_lockstep(cfg, data, *zip(*group))
+    assert [n for n, _, _ in calls[2:6]] == [5, 1, 1, 5]  # step 3 retried by member 4 alone
+    nodes = galerkin.discretization(data.dim, cfg)[1].space_nodes
+    for fld in (data.a, data.b, data.p, data.q):
+        assert fld.steady
+        assert sum(g is fld and np.array_equal(x, nodes) for g, x in evals) == 1
+    assert len(made) == 1
 
 
 def test_every_member_failing_in_the_batch_retries_alone(monkeypatch):
