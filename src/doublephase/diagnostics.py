@@ -1,13 +1,15 @@
-"""Inequality monitors and continuation studies over computed trajectories.
+"""Inequality monitors and Cauchy studies over computed trajectories.
 
 Every bound the analysis proves for the continuum problem is evaluated here
 on discrete trajectories: the energy identity, the Gronwall-type a-priori
 energy bound, the eps-free gradient-energy bound, higher gradient
 integrability, the interpolation-inequality budget, the time-derivative
-bound, second-order regularity of the square-root flux, data-stability, the
-sup bound, and the eps-continuation Cauchy study.  `_gradient_cauchy` gives
-the Cauchy distances of any member sequence; the sweep runs its eps and
-basis-refinement studies through it.
+bound, second-order regularity of the square-root flux, data-stability and
+the sup bound.  `_gradient_cauchy` gives the Cauchy distances and pairings
+of any member sequence; the sweep runs its eps-continuation and
+basis-refinement studies through it, and so can any chain of `solve` calls.
+It and the Gronwall study share one gradient distance, `_gradient_distance`,
+and one pairing integrand, `flux.pairing_kernel`.
 
 Checks split into two classes: bounds whose constants the derivations pin
 down exactly (energy identity, Gronwall factor e^T, the small-gradient
@@ -17,14 +19,14 @@ ratios, and the sweep holds their eps/m-uniformity to its ceilings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import flux, spaces
-from .fields import ExponentData, Field, lattice_axis, lattice_points, tensor_axis, tensor_points
-from .galerkin import SolverConfig, Trajectory, solve
+from .fields import ExponentData, lattice_axis, lattice_points, tensor_axis, tensor_points
+from .galerkin import Trajectory
 
 _REL_FLOOR = 1e-30
 # Points per axis of the lattice the sup of |u| and the sup envelope's data
@@ -59,7 +61,7 @@ def _cumtrapz(y, t):
 
 @dataclass(frozen=True)
 class CoreSeries:
-    """The standard per-checkpoint time series of a run."""
+    """The standard per-checkpoint time series of a run, and its int int f^2."""
 
     times: np.ndarray
     l2_sq: np.ndarray
@@ -71,6 +73,7 @@ class CoreSeries:
     ut_sq_accum: np.ndarray
     energy_residual: np.ndarray
     energy_residual_rel: np.ndarray
+    f_sq: float
 
 
 def _lattice_sup(traj: Trajectory, n: int) -> np.ndarray:
@@ -105,7 +108,8 @@ def core_series(traj: Trajectory) -> CoreSeries:
     return CoreSeries(times=times, l2_sq=l2, flux_energy_eps=fe_eps, flux_energy_0=fe_0,
                       grad_l2_sq=grad_l2, source_work=work, linf=linf,
                       ut_sq_accum=traj.ut_sq_accum, energy_residual=residual,
-                      energy_residual_rel=rel)
+                      energy_residual_rel=rel,
+                      f_sq=float(traj.spacetime_grid().integrate(traj.source_values ** 2)))
 
 
 @dataclass(frozen=True)
@@ -129,12 +133,11 @@ APRIORI_CONSTANT = 1.5
 def apriori_energy_bound(traj: Trajectory, series: CoreSeries) -> BoundReport:
     """sup_t ||u||^2 + int_QT F_eps|grad u|^2 against C1 e^T (||f||^2 + ||u0||^2)."""
     lhs = float(series.l2_sq.max() + np.trapezoid(series.flux_energy_eps, traj.times))
-    f_sq = traj.spacetime_grid().integrate(traj.source_values ** 2)
-    rhs = APRIORI_CONSTANT * np.exp(traj.horizon) * (f_sq + series.l2_sq[0])
+    rhs = APRIORI_CONSTANT * np.exp(traj.horizon) * (series.f_sq + series.l2_sq[0])
     slack = 1e-8 * max(1.0, rhs)
     return BoundReport(name="apriori_energy_bound", lhs=lhs, rhs=float(rhs),
                        passed=bool(lhs <= rhs + slack),
-                       detail={"f_sq": float(f_sq), "u0_sq": float(series.l2_sq[0]),
+                       detail={"f_sq": series.f_sq, "u0_sq": float(series.l2_sq[0]),
                                "constant": APRIORI_CONSTANT})
 
 
@@ -197,30 +200,25 @@ def interpolation_ratio(traj: Trajectory, varsigma: float, beta: float,
                                implied_constant=float(lhs - beta * term))
 
 
-def time_derivative_bound(traj: Trajectory) -> BoundReport:
+def time_derivative_bound(traj: Trajectory, series: CoreSeries) -> BoundReport:
     """Accumulated ||u_t||^2 plus the sup of the full-power modular, as a ratio.
 
-    The right-hand side carries the analysis' unquantified constant, so this
-    is a monitored ratio (finiteness asserted, magnitude reported).
+    The right-hand side, 1 + int F_0 |grad u0|^2 + int int f^2 with both
+    integrals from the series, carries the analysis' unquantified constant,
+    so this is a monitored ratio (finiteness asserted, magnitude reported).
     """
     a, b, p, q = traj.fields
-    grads = traj.grads
-    beta = flux.beta_eps(grads, traj.eps)
+    beta = flux.beta_eps(traj.grads, traj.eps)
     full_power = (a * flux.powf(beta, p / 2.0) + b * flux.powf(beta, q / 2.0))
     sup_modular = float((full_power @ traj.grid.space_weights).max())
     lhs = float(traj.ut_sq_accum[-1] + sup_modular)
 
-    g0 = grads[0]
-    a0, b0, p0, q0 = a[0], b[0], p[0], q[0]
-    fv0 = flux.vector_kernel(a0, b0, p0, q0, g0, 0.0)
-    ini = float((np.sum(fv0 * g0, axis=-1)) @ traj.grid.space_weights)
-    f_sq = traj.spacetime_grid().integrate(traj.source_values ** 2)
-    rhs = 1.0 + ini + f_sq
-    return BoundReport(name="time_derivative_bound", lhs=lhs, rhs=float(rhs),
+    ini = float(series.flux_energy_0[0])
+    return BoundReport(name="time_derivative_bound", lhs=lhs, rhs=1.0 + ini + series.f_sq,
                        passed=bool(np.isfinite(lhs)),
                        detail={"ut_sq": float(traj.ut_sq_accum[-1]),
                                "sup_modular": sup_modular, "initial_flux_energy": ini,
-                               "f_sq": float(f_sq)})
+                               "f_sq": series.f_sq})
 
 
 @dataclass(frozen=True)
@@ -295,24 +293,22 @@ class GronwallReport:
     passed: bool
 
 
-def stability_experiment(traj_u: Trajectory, traj_v: Trajectory) -> GronwallReport:
-    """Gronwall stability of two solves on identical grids.
-
-    Checks ||(u-v)(t)||^2 <= e^T (||u0-v0||^2 + ||f-g||^2) at every
-    checkpoint, with f and g the two trajectories' own sources, and reports
-    the gradient modular int |grad(u-v)|^(s_lower) plus the monotonicity
-    pairing of the two gradient fields.
-    """
-    return stability_experiments(traj_u, [traj_v])[0]
+def _gradient_distance(st: spaces.QuadratureGrid, grad_u, grad_v, s_low) -> float:
+    """The gradient distance int |grad u - grad v|^(s_lower) over the cylinder."""
+    d = grad_u - grad_v
+    return st.integrate(flux.powf(np.sqrt(np.sum(d * d, axis=-1)), s_low))
 
 
 def stability_experiments(traj_u: Trajectory, others) -> list[GronwallReport]:
-    """`stability_experiment` of traj_u against each of others, in order.
+    """Gronwall stability of traj_u against each of others, in order.
 
-    The base's sampled data, exponent and flux field are formed once for
-    all; each pair's values are those of its own `stability_experiment`.
-    The others' gradient and source tables are not cached on them, so the
-    group holds one pair's tables at a time.
+    Every pair is solved on identical grids.  Checks ||(u-v)(t)||^2 <= e^T
+    (||u0-v0||^2 + ||f-g||^2) at every checkpoint, with f and g the two
+    trajectories' own sources, and reports the gradient distance of u and v
+    plus the monotonicity pairing of their gradient fields.  The base's
+    sampled data, exponent and flux field are formed once for all.  The
+    others' gradient and source tables are not cached on them, so the group
+    holds one pair's tables at a time.
     """
     st = traj_u.spacetime_grid()
     s_lower = _s_lower(traj_u)
@@ -329,11 +325,9 @@ def stability_experiments(traj_u: Trajectory, others) -> list[GronwallReport]:
         bound = np.exp(traj_u.horizon) * (diff[0] + fg_sq)
         slack = 1e-6 * max(1.0, bound)
 
-        dgrad = traj_u.grads - grads_v
-        grad_mod = st.integrate(flux.powf(np.sqrt(np.sum(dgrad ** 2, axis=-1)), s_lower))
-        # `spaces.pairing_G_eps` of the two gradient fields, with the base's flux shared
-        flux_v = flux.vector_kernel(*traj_u.fields, grads_v, traj_u.eps)
-        pairing = st.integrate(np.sum((flux_u - flux_v) * dgrad, axis=-1))
+        grad_mod = _gradient_distance(st, traj_u.grads, grads_v, s_lower)
+        pairing = st.integrate(flux.pairing_kernel(*traj_u.fields, traj_u.grads, grads_v,
+                                                   traj_u.eps, flux_u))
         reports.append(GronwallReport(times=traj_u.times, diff_l2_sq=diff, bound=float(bound),
                                       slack=slack, grad_modular=float(grad_mod),
                                       pairing=float(pairing),
@@ -374,7 +368,7 @@ def linf_bound_check(traj: Trajectory, series: CoreSeries, slack: float = 1e-3) 
 @dataclass(frozen=True)
 class CauchyReport:
     labels: list
-    distances: np.ndarray    # consecutive gradient modulars
+    distances: np.ndarray    # gradient distances of consecutive members
     pairings: np.ndarray     # monotonicity pairings of consecutive members
     monotone: bool
     final_distance: float
@@ -384,9 +378,10 @@ def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Seq
                      labels) -> CauchyReport:
     """Gradient distances and pairings of consecutive (basis, coeffs, eps) members.
 
-    st is the finest member's space-time grid; a pairing uses the finer member's eps.
+    st is the finest member's space-time grid; a pairing uses the finer
+    member's eps.  The data are sampled once and released after the
+    pairings: held through the distances too, they raise the study's peak.
     """
-    s_low = np.minimum(*data.sample(st.space_nodes, st.time_nodes)[2:])
     axis = tensor_axis(st.space_nodes, data.dim)
     by_basis = {}  # one lattice evaluation per distinct basis, keyed by its modes
     for k, (basis, _, _) in enumerate(members):
@@ -396,15 +391,14 @@ def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Seq
         basis = members[ks[0]][0]
         stacked = np.stack([members[k][1] for k in ks])
         grads.update(zip(ks, basis.lattice(basis.line_tables(axis), stacked, 1)))
-    dist, pair = [], []
-    for k in range(len(members) - 1):
-        d = grads[k] - grads[k + 1]
-        dist.append(st.integrate(flux.powf(np.sqrt(np.sum(d * d, axis=-1)), s_low)))
-        gu = spaces.SampledField(grads[k], st, vector=True)
-        gv = spaces.SampledField(grads[k + 1], st, vector=True)
-        pair.append(spaces.pairing_G_eps(gu, gv, members[k + 1][2], data))
-    dist = np.asarray(dist)
-    return CauchyReport(labels=list(labels), distances=dist, pairings=np.asarray(pair),
+    pairs = range(len(members) - 1)
+    fields = data.sample(st.space_nodes, st.time_nodes)
+    pair = np.array([st.integrate(flux.pairing_kernel(*fields, grads[k], grads[k + 1],
+                                                      members[k + 1][2])) for k in pairs])
+    s_low = np.minimum(*fields[2:])
+    del fields
+    dist = np.array([_gradient_distance(st, grads[k], grads[k + 1], s_low) for k in pairs])
+    return CauchyReport(labels=list(labels), distances=dist, pairings=pair,
                         monotone=decays(dist), final_distance=float(dist[-1]) if len(dist) else 0.0)
 
 
@@ -412,25 +406,4 @@ def decays(values: np.ndarray) -> bool:
     """Each entry within (1 + CAUCHY_TOLERANCE) times the one before, up to 1e-14 * max(1, max)."""
     floor = 1e-14 * max(1.0, float(np.max(values, initial=0.0)))
     return bool(np.all(values[1:] <= (1.0 + CAUCHY_TOLERANCE) * values[:-1] + floor))
-
-
-def eps_continuation_study(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field,
-                           eps_seq: Sequence[float]) -> CauchyReport:
-    """Cauchy study of the vanishing-regularization limit.
-
-    Solves along the decreasing eps sequence and reports the consecutive
-    gradient modulars d_k = int |grad(u_k - u_{k+1})|^(s_lower) together
-    with the monotonicity pairings at the finer eps.  The finest member
-    stands in for the degenerate solution.
-    """
-    eps_seq = list(eps_seq)
-    if any(e2 >= e1 for e1, e2 in zip(eps_seq, eps_seq[1:])):
-        raise ValueError("eps sequence must be strictly decreasing")
-    trajs, guess = [], None
-    for e in eps_seq:  # each member warm-started from the one before it
-        trajs.append(solve(replace(cfg, eps=e), data, u0, f_field, guess))
-        guess = trajs[-1].coeffs
-    return _gradient_cauchy(data, trajs[-1].spacetime_grid(),
-                            [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
-                            [f"eps={e:g}" for e in eps_seq])
 

@@ -146,9 +146,18 @@ def monotonicity_gap(xi, eta, p_val, eps) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     p_val = np.asarray(p_val, dtype=float)
     ones = np.ones(np.broadcast_shapes(xi.shape[:-1], eta.shape[:-1], p_val.shape))
-    fx = vector_kernel(ones, 0.0 * ones, p_val, 2.0, xi, eps)
-    fe = vector_kernel(ones, 0.0 * ones, p_val, 2.0, eta, eps)
-    return np.sum((fx - fe) * (xi - eta), axis=-1)
+    return pairing_kernel(ones, 0.0 * ones, p_val, 2.0, xi, eta, eps)
+
+
+def pairing_kernel(a, b, p, q, xi, eta, eps, flux_xi=None) -> np.ndarray:
+    """Monotonicity pairing integrand (F_eps(xi) xi - F_eps(eta) eta) . (xi - eta).
+
+    flux_xi, the flux vector at xi when the caller already holds it, is not
+    formed again.
+    """
+    if flux_xi is None:
+        flux_xi = vector_kernel(a, b, p, q, xi, eps)
+    return np.sum((flux_xi - vector_kernel(a, b, p, q, eta, eps)) * (xi - eta), axis=-1)
 
 
 def gap_lower_bound(xi, eta, p_val, eps) -> np.ndarray:
@@ -165,17 +174,6 @@ def gap_lower_bound(xi, eta, p_val, eps) -> np.ndarray:
 def sum_power_constant(p: float) -> float:
     """C_p with (s+t)^(p-2) <= C_p (s^(p-2) + t^(p-2)) for s,t >= 0, p >= 2."""
     return max(1.0, 2.0 ** (p - 3.0))
-
-
-def log_inequality_constant(mu: float, zeta: float) -> float:
-    """Constant C with |xi|^zeta |ln|xi|| <= C (1 + |xi|^(zeta+mu)).
-
-    Both branch suprema, sup_{t>=1} t^(-mu) ln t and sup_{t<1} t^mu |ln t|,
-    are the maximum of u*exp(-mu*u) over u >= 0, 1/(e*mu) at u = 1/mu.
-    """
-    if not (0.0 < mu < zeta):
-        raise ValueError("need 0 < mu < zeta")
-    return 1.0 / (np.e * mu)
 
 
 def null_eps_branch_bound(a, b, p, q, eps, s1=0.0, s2=0.0) -> np.ndarray:

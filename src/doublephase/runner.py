@@ -463,7 +463,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
                         ir.implied_constant, None,
                         "additive constant implied by the interpolation inequality"))
 
-    td = dg.time_derivative_bound(traj)
+    td = dg.time_derivative_bound(traj, series)
     extras["time_derivative"] = td.detail | {"lhs": td.lhs, "rhs": td.rhs}
     checks.append(Check("time_derivative_bound", "monitor", td.passed, td.ratio,
                         None, "ratio reported; finiteness asserted"))

@@ -366,11 +366,8 @@ def pairing_G_eps(grad_u: SampledField, grad_v: SampledField, eps: float, data: 
     """
     if not same_grid(grad_u.grid, grad_v.grid):
         raise ValueError("gradient fields must share a grid")
-    a, b, p, q = _spacetime_fields(data, grad_u.grid)
-    fu = flux.vector_kernel(a, b, p, q, grad_u.values, eps)
-    fv = flux.vector_kernel(a, b, p, q, grad_v.values, eps)
-    integrand = np.sum((fu - fv) * (grad_u.values - grad_v.values), axis=-1)
-    return grad_u.grid.integrate(integrand)
+    fields = _spacetime_fields(data, grad_u.grid)
+    return grad_u.grid.integrate(flux.pairing_kernel(*fields, grad_u.values, grad_v.values, eps))
 
 
 @dataclass(frozen=True)

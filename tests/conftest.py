@@ -1,8 +1,10 @@
 """Fixtures shared by more than one test module."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from doublephase import runner
+from doublephase import diagnostics as dg, runner
 from doublephase.fields import make_field
 from doublephase.galerkin import SolverConfig, solve
 
@@ -46,3 +48,21 @@ def random_sup_trajectories():
         cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=1e-3)
         trajs.append(solve(cfg, data, u0, f))
     return trajs
+
+
+@pytest.fixture(scope="session")
+def eps_chain():
+    """The vanishing-regularization Cauchy study of a chain of solves.
+
+    Solves along the eps list, each member warm-started from the one before
+    as in a sweep row, then runs `_gradient_cauchy` on the chain.
+    """
+    def study(cfg, data, u0, f, eps_seq):
+        trajs, guess = [], None
+        for e in eps_seq:
+            trajs.append(solve(replace(cfg, eps=e), data, u0, f, guess))
+            guess = trajs[-1].coeffs
+        return dg._gradient_cauchy(data, trajs[-1].spacetime_grid(),
+                                   [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
+                                   [f"eps={e:g}" for e in eps_seq])
+    return study

@@ -121,7 +121,7 @@ def test_criterion_4_gronwall_stability():
         else:
             g_field = f_field
         other = solve(config.solver, config.data, u0p, g_field)
-        rep = dg.stability_experiment(base, other)
+        rep = dg.stability_experiments(base, [other])[0]
         if not rep.passed:
             violations += 1
     verdict(4, "gronwall stability over 20 pairs", violations == 0,
@@ -209,22 +209,20 @@ def test_criterion_7_higher_integrability_uniform(unordered_sweep_result):
             f"{len(manifest['members'])} members")
 
 
-def test_criterion_8_eps_continuation_decay():
+def test_criterion_8_eps_continuation_decay(eps_chain):
     halvings = [1e-1 * 0.5 ** k for k in range(5)]
     details = []
     all_ok = True
     for name in ("plap_slow", "unordered_sweep"):
         config = scenario(name)
         cfg = replace(config.solver, tau=2.5e-3)
-        rep = dg.eps_continuation_study(cfg, config.data, config.initial,
-                                        config.source_field(), halvings)
+        rep = eps_chain(cfg, config.data, config.initial, config.source_field(), halvings)
         strict = bool(np.all(rep.distances[1:] <= 1.1 * rep.distances[:-1]))
         nonzero = bool(np.all(rep.distances > 0))
         all_ok = all_ok and strict and nonzero and len(rep.distances) == 4
         details.append(f"{name}: d {[f'{d:.2e}' for d in rep.distances]}")
     config = scenario("linear_flux")
-    rep = dg.eps_continuation_study(config.solver, config.data, config.initial,
-                                    config.source_field(), halvings)
+    rep = eps_chain(config.solver, config.data, config.initial, config.source_field(), halvings)
     zero_ok = bool(np.all(rep.distances == 0.0))
     details.append("linear: all zero" if zero_ok else "linear: NONZERO")
     verdict(8, "vanishing-regularization cauchy decay", all_ok and zero_ok,

@@ -49,7 +49,7 @@ def test_zero_solution_all_monitors_trivial():
     ap = dg.apriori_energy_bound(traj, series)
     assert ap.lhs == 0.0 and ap.passed
     # stationary zero state: the sup modular equals the analytic constant
-    td = dg.time_derivative_bound(traj)
+    td = dg.time_derivative_bound(traj, series)
     expect = 0.5 * cfg.eps ** 1.8 + 0.5 * cfg.eps ** 2.1
     assert td.detail["sup_modular"] == pytest.approx(expect, rel=1e-12)
     assert td.detail["ut_sq"] == 0.0
@@ -125,7 +125,7 @@ def test_interpolation_constant_stable_under_tau_halving():
 
 
 def test_time_derivative_bound_heat(heat_traj):
-    rep = dg.time_derivative_bound(heat_traj)
+    rep = dg.time_derivative_bound(heat_traj, dg.core_series(heat_traj))
     assert rep.passed and np.isfinite(rep.ratio)
     # accumulated tau*||u_t||^2 for the discrete heat flow has a closed form
     tau = heat_traj.cfg.tau
@@ -182,13 +182,13 @@ def test_stability_identical_and_heat_perturbation():
     u0 = mode_field([[1, 1, 1.0]])
     base = solve(cfg, data, u0, ZERO2)
     same = solve(cfg, data, u0, ZERO2)
-    rep = dg.stability_experiment(base, same)
+    rep = dg.stability_experiments(base, [same])[0]
     assert rep.passed and np.all(rep.diff_l2_sq == 0.0)
 
     delta = 1e-2
     pert = mode_field([[1, 1, 1.0], [2, 1, delta]])
     other = solve(cfg, data, pert, ZERO2)
-    rep2 = dg.stability_experiment(base, other)
+    rep2 = dg.stability_experiments(base, [other])[0]
     assert rep2.passed
     # linear decoupling: the difference is the (2,1) mode decaying at 5 pi^2
     lam21 = 5.0 * math.pi ** 2
@@ -228,7 +228,7 @@ def test_grouped_stability_experiments_equal_the_per_pair_formula(monkeypatch):
         assert rep.grad_modular == float(grad_mod) and rep.pairing == float(pairing)
         assert rep.slack == 1e-6 * max(1.0, bound) and rep.passed
         assert rep.pairing > 0.0  # p varies in x, so the pairing is no identity 0 == 0
-        one = dg.stability_experiment(base, other)
+        one = dg.stability_experiments(base, [other])[0]
         assert (one.bound, one.grad_modular, one.pairing) == (rep.bound, rep.grad_modular,
                                                               rep.pairing)
 
@@ -453,26 +453,22 @@ def test_second_order_samples_steady_data_once(monkeypatch, heat_traj):
     assert np.array_equal(once.norms, each.norms)
 
 
-def test_eps_continuation_linear_flux_identical():
+def test_eps_continuation_linear_flux_identical(eps_chain):
     data = data_const()
     cfg = SolverConfig(m_per_dim=3, eps=1e-1, tau=5e-3, quad_order=12)
-    rep = dg.eps_continuation_study(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2,
-                                    [1e-1, 5e-2, 2.5e-2])
+    rep = eps_chain(cfg, data, mode_field([[1, 1, 1.0]]), ZERO2, [1e-1, 5e-2, 2.5e-2])
     assert rep.monotone
     assert np.all(rep.distances == 0.0)
     assert np.all(rep.pairings == 0.0)
 
 
-def test_eps_continuation_plap_decreasing():
+def test_eps_continuation_plap_decreasing(eps_chain):
     data = data_const(p=1.8, q=1.8, a=1.0, b=0.0, horizon=0.02)
     cfg = SolverConfig(m_per_dim=4, eps=1e-1, tau=2.5e-3)
-    rep = dg.eps_continuation_study(cfg, data, mode_field([[1, 1, 0.8]]), ZERO2,
-                                    [1e-1, 5e-2, 2.5e-2, 1.25e-2])
+    rep = eps_chain(cfg, data, mode_field([[1, 1, 0.8]]), ZERO2, [1e-1, 5e-2, 2.5e-2, 1.25e-2])
     assert rep.monotone
     assert np.all(rep.distances[:-1] > rep.distances[1:])
     assert np.all(rep.pairings >= 0.0)
-    with pytest.raises(ValueError):
-        dg.eps_continuation_study(cfg, data, ZERO2, ZERO2, [1e-2, 1e-1])
 
 
 def test_gradient_cauchy_builds_one_gradient_table_per_basis(monkeypatch):
@@ -498,7 +494,35 @@ def test_gradient_cauchy_builds_one_gradient_table_per_basis(monkeypatch):
     assert rep.distances.shape == (2,) and np.all(rep.distances > 0.0)
 
 
-def test_one_dimensional_pipeline_end_to_end():
+def test_gradient_cauchy_samples_the_data_once(monkeypatch):
+    # one sample of a, b, p, q serves every pairing and distance of the
+    # study, and its pairings are `spaces.pairing_G_eps` of the gradient
+    # tables it formed, bit for bit
+    data = ExponentData(dim=2, horizon=0.01,
+                        p=make_field({"family": "affine", "base": 1.8, "slope": [0.2, 0.0]}, 2),
+                        q=make_field(2.1, 2), a=make_field(0.5, 2), b=make_field(0.5, 2),
+                        alpha=0.9, lipschitz_probe_resolution=9, time_probe_resolution=3)
+    cfg = SolverConfig(m_per_dim=3, eps=1e-1, tau=2.5e-3)
+    trajs = [solve(replace(cfg, eps=e), data, mode_field([[1, 1, 0.8]]), ZERO2)
+             for e in (1e-1, 5e-2, 2.5e-2, 1.25e-2)]
+    st = trajs[-1].spacetime_grid()
+    samples, tables = [], []
+    sample, lattice = ExponentData.sample, EigenBasis.lattice
+    monkeypatch.setattr(ExponentData, "sample",
+                        lambda self, x, t: samples.append(1) or sample(self, x, t))
+    monkeypatch.setattr(EigenBasis, "lattice",
+                        lambda *args: tables.append(lattice(*args)) or tables[-1])
+    rep = dg._gradient_cauchy(data, st, [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
+                              ["eps"] * len(trajs))
+    monkeypatch.undo()
+    assert len(samples) == 1 and len(tables) == 1
+    grads = [spaces.SampledField(g, st, vector=True) for g in tables[0]]
+    expect = [spaces.pairing_G_eps(gu, gv, tr.eps, data)
+              for gu, gv, tr in zip(grads, grads[1:], trajs[1:])]
+    assert rep.pairings.tolist() == expect and np.all(rep.pairings > 0.0)
+
+
+def test_one_dimensional_pipeline_end_to_end(eps_chain):
     # the whole chain is dimension-generic; in one dimension the critical
     # shift is 4/3 and the admissible gap is 2/3
     from doublephase.fields import ExponentData, make_field
@@ -521,5 +545,5 @@ def test_one_dimensional_pipeline_end_to_end():
     so = dg.second_order_flux_norm(traj, margin=1.0 / 64.0, time_stride=4)
     assert so.norms.shape == (1, 1) and np.isfinite(so.total)
     assert dg.linf_bound_check(traj, series).passed
-    rep = dg.eps_continuation_study(cfg, data, u0, z1, [1e-1, 5e-2, 2.5e-2])
+    rep = eps_chain(cfg, data, u0, z1, [1e-1, 5e-2, 2.5e-2])
     assert rep.monotone

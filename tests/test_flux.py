@@ -82,21 +82,6 @@ def test_null_eps_two_branch_bound():
     assert np.all(lhs <= cap + 2.0 * dens * mag_sq + 1e-12)
 
 
-def test_log_growth_bound():
-    rng = np.random.default_rng(4)
-    n = 100_000
-    zeta = rng.uniform(0.2, 3.0, n)
-    mu = zeta * rng.uniform(0.05, 0.95, n)
-    xi = 10.0 ** rng.uniform(-8, 3, n)
-    lhs = xi ** zeta * np.abs(np.log(xi))
-    consts = np.array([flux.log_inequality_constant(m, z)
-                       for m, z in zip(mu[:50], zeta[:50])])
-    # the constant only depends on mu: check the closed form too
-    assert np.allclose(consts, 1.0 / (np.e * mu[:50]), rtol=1e-6)
-    c = 1.0 / (np.e * mu)
-    assert np.all(lhs <= c * (1.0 + xi ** (zeta + mu)) * (1 + 1e-9))
-
-
 def test_flux_vector_cases_and_extension():
     d = data_const(p=2.0, q=2.0, a=0.6, b=0.4)
     x = np.array([[0.2, 0.9]])

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import pickle
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from doublephase import cli, fields, galerkin, runner, spaces
+from doublephase import cli, diagnostics as dg, fields, galerkin, runner, spaces
 from doublephase.fields import ConfigurationError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -172,6 +173,22 @@ def test_vecdot_row_norms_are_the_one_row_norms(dim):
     # the snapshots' |grad u| relies on vecdot summing like the 1-D norm's dot
     g = np.random.default_rng(dim).standard_normal((20000, dim)) * np.logspace(-8, 8, 20000)[:, None]
     assert np.array_equal(np.sqrt(np.vecdot(g, g)), [np.linalg.norm(row) for row in g])
+
+
+def test_a_run_reports_one_value_per_quantity(tmp_path):
+    # on every bundled run the manifest's t = 0 flux energy is the
+    # timeseries' flux_energy_0 at t = 0, and both bounds that read
+    # int int f^2 read the same number
+    for path in sorted(SCENARIOS.glob("*.yaml")):
+        code, manifest, traj = runner.perform_run(runner.load_config(path), tmp_path / path.stem)
+        if traj is None:
+            continue
+        with open(tmp_path / path.stem / "timeseries.csv") as fh:
+            first = next(csv.DictReader(fh))
+        td = manifest["summary"]["time_derivative"]
+        assert td["initial_flux_energy"] == float(first["flux_energy_0"]), path.stem
+        series = dg.core_series(traj)
+        assert dg.apriori_energy_bound(traj, series).detail["f_sq"] == td["f_sq"], path.stem
 
 
 def test_run_reproducible_byte_identical(tmp_path):

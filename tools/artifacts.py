@@ -4,6 +4,7 @@ Usage (from any directory):
 
     python tools/artifacts.py OUTDIR
     python tools/artifacts.py --compare BEFORE AFTER
+    python tools/artifacts.py --reference DEST
 
 The first form runs ``doublephase run`` on each scenario under
 ``scenarios/`` and ``doublephase sweep`` on each scenario with a top-level
@@ -18,10 +19,16 @@ the last bits of the m_per_dim = 16 sweep members' CSVs.
 
 Where the arithmetic changes, the digests differ and ``--compare`` reads
 the two output directories instead.  It reports every exit code that
-differs, every check whose name or verdict differs (from the manifests),
+differs, every manifest whose exit code or checks' names or verdicts differ,
 and per CSV column the worst |after - before| divided by the column's
 largest |value|.  It exits 1 when an exit code, a check, a file's presence
 or a non-numeric cell differs, or a column deviates by more than 1e-9.
+
+``--reference`` digests into a temporary directory and keeps in DEST, which
+must not exist, what ``--compare`` reads: every CSV, the exit codes, and
+each manifest reduced to its exit code and its checks' names and verdicts.
+The reference set under ``tests/reference/artifacts`` is written this way;
+a Tier-1 test compares a fresh digest against it.
 """
 from __future__ import annotations
 
@@ -34,6 +41,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -87,8 +95,10 @@ def _relative_files(root: Path, pattern: str) -> set:
     return {p.relative_to(root).as_posix() for p in root.rglob(pattern)}
 
 
-def _checks(path: Path) -> list:
-    return [(c["name"], c["passed"]) for c in json.loads(path.read_text()).get("checks", [])]
+def _verdicts(path: Path) -> tuple:
+    """A manifest's exit code and its checks' names and verdicts."""
+    manifest = json.loads(path.read_text())
+    return manifest["exit_code"], [(c["name"], c["passed"]) for c in manifest.get("checks", [])]
 
 
 def _column_deviations(before: Path, after: Path):
@@ -120,8 +130,33 @@ def _column_deviations(before: Path, after: Path):
     return out, problems
 
 
-def compare(before: Path, after: Path) -> int:
-    failures = []
+def write_reference(out: Path, dest: Path) -> None:
+    """Keep what `differences` reads of the digested directory out in dest."""
+    dest.mkdir(parents=True)
+    for path in sorted(out.rglob("*")):
+        target = dest / path.relative_to(out)
+        if path.suffix == ".csv":
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_bytes(path.read_bytes())
+        elif path.name == "manifest.json":
+            code, checks = _verdicts(path)
+            reduced = {"exit_code": code,
+                       "checks": [{"name": name, "passed": passed} for name, passed in checks]}
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(json.dumps(reduced, indent=1) + "\n")
+    record = json.loads((out / "digest.json").read_text())
+    record.pop("files")
+    (dest / "digest.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+def differences(before: Path, after: Path) -> tuple[list, dict]:
+    """The mismatches of two digested directories, and every nonzero column deviation.
+
+    A mismatch is an exit code, a check, a file's presence, a header, a row
+    count or a non-numeric cell that differs, or a column deviation above
+    TOLERANCE.  Deviations are keyed "<csv> <column>", in file order.
+    """
+    failures, deviations = [], {}
     codes_b = json.loads((before / "digest.json").read_text())["exit_codes"]
     codes_a = json.loads((after / "digest.json").read_text())["exit_codes"]
     for key in sorted(codes_b.keys() | codes_a.keys()):
@@ -135,25 +170,29 @@ def compare(before: Path, after: Path) -> int:
 
     manifests = _relative_files(before, "manifest.json") & _relative_files(after, "manifest.json")
     for key in sorted(manifests):
-        checks_b, checks_a = _checks(before / key), _checks(after / key)
-        if checks_b != checks_a:
-            failures.append(f"checks {key}: {checks_b} -> {checks_a}")
+        verdicts_b, verdicts_a = _verdicts(before / key), _verdicts(after / key)
+        if verdicts_b != verdicts_a:
+            failures.append(f"checks {key}: {verdicts_b} -> {verdicts_a}")
 
-    worst = (0.0, "")
     for key in sorted(_relative_files(before, "*.csv") & _relative_files(after, "*.csv")):
-        deviations, problems = _column_deviations(before / key, after / key)
+        columns, problems = _column_deviations(before / key, after / key)
         failures += [f"{key}: {p}" for p in problems]
-        for name, dev in deviations.items():
+        for name, dev in columns.items():
             if dev > 0.0:
-                print(f"{key} {name}: {dev:.3g}")
+                deviations[f"{key} {name}"] = dev
             if dev > TOLERANCE:
                 failures.append(f"{key} {name}: deviation {dev:.3g} > {TOLERANCE:g}")
-            if dev > worst[0]:
-                worst = (dev, f"{key} {name}")
+    return failures, deviations
 
+
+def compare(before: Path, after: Path) -> int:
+    failures, deviations = differences(before, after)
+    for name, dev in deviations.items():
+        print(f"{name}: {dev:.3g}")
     for line in failures:
         print(f"MISMATCH {line}")
-    print(f"worst column deviation {worst[0]:.3g}" + (f" ({worst[1]})" if worst[1] else ""))
+    worst, dev = max(deviations.items(), key=lambda item: item[1], default=("", 0.0))
+    print(f"worst column deviation {dev:.3g}" + (f" ({worst})" if worst else ""))
     print("identical within tolerance" if not failures else f"{len(failures)} mismatches")
     return 1 if failures else 0
 
@@ -165,9 +204,16 @@ def main(argv=None) -> int:
     group.add_argument("outdir", nargs="?", type=Path, help="directory to write and digest")
     group.add_argument("--compare", nargs=2, type=Path, metavar=("BEFORE", "AFTER"),
                        help="compare two digested output directories")
+    group.add_argument("--reference", type=Path, metavar="DEST",
+                       help="write a reference set of the outputs into DEST")
     args = ap.parse_args(argv)
     if args.compare:
         return compare(*(p.resolve() for p in args.compare))
+    if args.reference:
+        with tempfile.TemporaryDirectory() as out:
+            digest(Path(out))
+            write_reference(Path(out), args.reference.resolve())
+        return 0
     return digest(args.outdir.resolve())
 
 
