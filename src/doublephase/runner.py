@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -46,6 +46,12 @@ SNAPSHOT_LATTICE = 33
 # Largest max/min ratio of a monitor across sweep members that still
 # counts as eps/m-uniform.
 UNIFORMITY_CEILING = 3.0
+# The shifts sigma of the higher-integrability table, and the interpolation
+# budget's varsigma (one of them, so its integral is read from the table)
+# and beta.  Every shift lies in (0, 4/(N+2)) for each admitted N.
+SIGMA_GRID = (0.1, 0.3, 0.5)
+VARSIGMA = 0.5
+BETA = 0.5
 # Most Gronwall experiments solved in one lockstep group (`_stability_groups`):
 # the smallest batch whose per-member CPU time came within 10 % of the
 # minimum over batch sizes in every measured run (README, Numerical notes).
@@ -187,32 +193,13 @@ def _solver_values(block) -> dict:
             for k, v in dict(block).items()}
 
 
-@dataclass(frozen=True)
-class Diagnostics:
-    """The diagnostics options of a run; each field default is the option's default."""
-
-    sigma_grid: tuple = (0.1, 0.3, 0.5)
-    varsigma: float = 0.5              # interpolation.varsigma
-    beta: float = 0.5                  # interpolation.beta
-    energy_residual_ceiling: float = 1e-2
-
-
-def _diagnostics(config: RunConfig) -> Diagnostics:
-    """Read the diagnostics block, refusing what a monitor would refuse after the solve."""
-    opts = _block(config.diagnostics, ("sigma_grid", "interpolation", "energy_residual_ceiling"),
-                  "diagnostics")
-    opts |= _block(opts.pop("interpolation", {}), ("varsigma", "beta"), "interpolation")
-    d = Diagnostics(**{k: tuple(_number(s, k) for s in v) if k == "sigma_grid" else _number(v, k)
-                       for k, v in opts.items()})
-    if not d.sigma_grid:
-        raise ValueError("empty sigma_grid")
-    r_sharp = config.data.r_sharp
-    for s in d.sigma_grid + (d.varsigma,):
-        if not 0.0 < s < r_sharp:
-            raise ValueError(f"sigma {s} outside (0, {r_sharp})")
-    if d.energy_residual_ceiling <= 0.0:
-        raise ValueError(f"energy_residual_ceiling {d.energy_residual_ceiling} must be positive")
-    return d
+def _diagnostics(config: RunConfig) -> float:
+    """The diagnostics block's energy_residual_ceiling, refused unless positive."""
+    opts = _block(config.diagnostics, ("energy_residual_ceiling",), "diagnostics")
+    ceiling = _number(opts.get("energy_residual_ceiling", 1e-2), "energy_residual_ceiling")
+    if ceiling <= 0.0:
+        raise ValueError(f"energy_residual_ceiling {ceiling} must be positive")
+    return ceiling
 
 
 def _output(config: RunConfig) -> tuple:
@@ -370,7 +357,7 @@ def _start_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Option
         manifest["failure"] = str(exc)
         partial = exc.partial
         if partial is not None and len(partial.times) > 1:
-            _write_timeseries(outdir, dg.core_series(partial), partial)
+            _write_timeseries(outdir, dg.core_series(partial))
         _write_manifest(outdir, manifest, exit_code=3)
         return 3, manifest, None
     manifest["timings"]["solve"] = time.perf_counter() - t1
@@ -389,7 +376,7 @@ def _finish_run(config: RunConfig, outdir, code: int, manifest: dict,
     manifest["checks"] = [c.as_dict() for c in checks]
     manifest["summary"] = extras
 
-    _write_timeseries(outdir, series, traj)
+    _write_timeseries(outdir, series)
     if "higher_integrability" in extras:
         _write_csv(outdir / "higher_integrability.csv", ["varsigma", "value"],
                    sorted(extras["higher_integrability"].items()))
@@ -407,13 +394,12 @@ def _finish_run(config: RunConfig, outdir, code: int, manifest: dict,
 
 def run_diagnostics(traj: Trajectory, config: RunConfig):
     """Evaluate every per-run monitor; returns (checks, core series, extras)."""
-    opts = _diagnostics(config)
+    res_ceiling = _diagnostics(config)
     checks: list[Check] = []
     extras: dict = {}
 
     series = dg.core_series(traj)
 
-    res_ceiling = opts.energy_residual_ceiling
     worst_rel = float(series.energy_residual_rel.max())
     checks.append(Check("energy_equality", "exact", worst_rel <= res_ceiling,
                         worst_rel, res_ceiling,
@@ -450,15 +436,13 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
                         float((env.lattice_sup - env.envelope).max()), 0.0,
                         "lattice sup of |u| against data envelope"))
 
-    hi = dg.higher_integrability(traj, opts.sigma_grid)
+    hi = dg.higher_integrability(traj, SIGMA_GRID)
     extras["higher_integrability"] = hi
     checks.append(Check("higher_integrability", "monitor", all(np.isfinite(v) for v in hi.values()),
                         max(hi.values()), None, "gradient modular table (finiteness)"))
 
-    ir = dg.interpolation_ratio(traj, opts.varsigma, opts.beta, hi)
-    extras["interpolation"] = {"varsigma": ir.varsigma, "beta": ir.beta, "lhs": ir.lhs,
-                               "second_order_term": ir.second_order_term,
-                               "implied_constant": ir.implied_constant}
+    ir = dg.interpolation_ratio(traj, VARSIGMA, BETA, hi)
+    extras["interpolation"] = asdict(ir)
     checks.append(Check("interpolation_constant", "monitor", np.isfinite(ir.implied_constant),
                         ir.implied_constant, None,
                         "additive constant implied by the interpolation inequality"))
@@ -476,7 +460,7 @@ def run_diagnostics(traj: Trajectory, config: RunConfig):
     return checks, series, extras
 
 
-def _write_timeseries(outdir: Path, series: dg.CoreSeries, traj: Trajectory):
+def _write_timeseries(outdir: Path, series: dg.CoreSeries):
     rows = zip(series.times, series.l2_sq, series.flux_energy_eps, series.flux_energy_0,
                series.grad_l2_sq, series.energy_residual, series.ut_sq_accum, series.linf)
     _write_csv(Path(outdir) / "timeseries.csv",
@@ -520,18 +504,24 @@ def _json_default(obj):
 # sweeps
 
 
-def _member_entry(kind, label, value, passed=None):
-    return {"kind": kind, "label": label, "value": float(value),
-            "passed": ("" if passed is None else bool(passed))}
+def _member_entry(kind, label, value, passed=None) -> list:
+    """One `sweep_summary.csv` row; `passed` None leaves the verdict cell empty."""
+    return [kind, label, float(value), "" if passed is None else str(bool(passed))]
 
 
 def _finish_member(member: RunConfig, outdir: str, started: tuple):
-    """Worker entry: finish one started member run, reduced to what the sweep reads."""
+    """Worker entry: finish one started member run, reduced to what the sweep reads,
+    with the member's own summary rows."""
     code, manifest, traj = _finish_run(member, outdir, *started)
-    return {"name": member.name, "code": code,
+    summary = manifest.get("summary", {})
+    rows = [_member_entry("member_exit", member.name, code, code == 0)]
+    rows += [_member_entry("higher_integrability", f"{member.name}_vs{s:g}", v)
+             for s, v in (summary.get("higher_integrability") or {}).items()]
+    if "second_order_total" in summary:
+        rows.append(_member_entry("second_order_total", member.name, summary["second_order_total"]))
+    return {"name": member.name, "code": code, "rows": rows, "summary": summary,
             "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
-            "grid": None if traj is None else traj.spacetime_grid(),
-            "summary": manifest.get("summary", {})}
+            "grid": None if traj is None else traj.spacetime_grid()}
 
 
 def _run_jobs(submit, config: RunConfig, chunks: list, rows: list, row_dirs: list):
@@ -600,8 +590,6 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     m_list, eps_list, members, final_distance, stab = _sweep(config)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    summary_rows: list[dict] = []
-    worst = 0
 
     rows = [[members[(m, e)] for e in eps_list] for m in m_list]
     row_dirs = [[str(outdir / member.name) for member in row] for row in rows]
@@ -625,17 +613,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     else:
         results, outcomes = _run_jobs(_now, config, chunks, rows, row_dirs)
 
-    by_key = dict(zip(members, results))
-    for res in results:
-        worst = max(worst, res["code"])
-        summary_rows.append(_member_entry("member_exit", res["name"], res["code"],
-                                          res["code"] == 0))
-        for s, v in (res["summary"].get("higher_integrability") or {}).items():
-            summary_rows.append(_member_entry("higher_integrability",
-                                              f"{res['name']}_vs{s:g}", v))
-        if "second_order_total" in res["summary"]:
-            summary_rows.append(_member_entry("second_order_total", res["name"],
-                                              res["summary"]["second_order_total"]))
+    summary_rows = [row for res in results for row in res["rows"]]
 
     # cross-member regression checks
     checks: list[Check] = []
@@ -659,40 +637,29 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
             checks.append(Check(check_name, "regression", ok, ratio, UNIFORMITY_CEILING, detail))
             summary_rows.append(_member_entry(ratio_name, "all", ratio, ok))
 
-    # vanishing-regularization Cauchy study per m row
-    if len(eps_list) > 1:
-        for m in m_list:
-            rows = [by_key[(m, e)] for e in eps_list]
-            if any(r["member"] is None for r in rows):
-                continue
-            rep = dg._gradient_cauchy(config.data, rows[-1]["grid"], [r["member"] for r in rows],
-                                      [f"eps={e:g}" for e in eps_list])
-            for k, d in enumerate(rep.distances):
-                summary_rows.append(_member_entry("eps_cauchy_distance",
-                                                  f"m{m}_k{k}", d))
-            for k, g in enumerate(rep.pairings):
-                summary_rows.append(_member_entry("eps_cauchy_pairing", f"m{m}_k{k}", g, g >= -1e-10))
-            ok = rep.monotone and (final_distance is None or rep.final_distance <= final_distance)
-            checks.append(Check(f"eps_continuation_m{m}", "regression", ok,
-                                rep.final_distance, final_distance,
-                                f"distances {[f'{d:.3g}' for d in rep.distances]}"))
-            summary_rows.append(_member_entry("eps_cauchy_monotone", f"m{m}",
-                                              float(rep.monotone), rep.monotone))
-
-    # basis-refinement Cauchy study at the finest eps
-    if len(m_list) > 1:
-        e = eps_list[-1]
-        rows = [by_key[(m, e)] for m in m_list]
-        if all(r["member"] is not None for r in rows):
-            rep = dg._gradient_cauchy(config.data, rows[-1]["grid"], [r["member"] for r in rows],
-                                      [f"m={m}" for m in m_list])
-            for k, d in enumerate(rep.distances):
-                summary_rows.append(_member_entry("m_cauchy_distance", f"eps{e:g}_k{k}", d))
-            checks.append(Check("m_refinement", "regression", rep.monotone,
-                                rep.final_distance, None,
-                                f"distances {[f'{d:.3g}' for d in rep.distances]}"))
-            summary_rows.append(_member_entry("m_cauchy_monotone", f"eps{e:g}",
-                                              float(rep.monotone), rep.monotone))
+    # Cauchy studies, each (check, row kind, label, members, labels, ceiling): the
+    # vanishing regularization along each m row, then the basis refinement at
+    # the finest eps; a study of one member or with an unsolved one is left out
+    by_key, e = dict(zip(members, results)), eps_list[-1]
+    studies = [(f"eps_continuation_m{m}", "eps", f"m{m}", [by_key[(m, x)] for x in eps_list],
+                [f"eps={x:g}" for x in eps_list], final_distance) for m in m_list]
+    studies.append(("m_refinement", "m", f"eps{e:g}", [by_key[(m, e)] for m in m_list],
+                    [f"m={m}" for m in m_list], None))
+    for check_name, kind, label, study, labels, ceiling in studies:
+        if len(study) < 2 or any(r["member"] is None for r in study):
+            continue
+        rep = dg._gradient_cauchy(config.data, study[-1]["grid"], [r["member"] for r in study],
+                                  labels)
+        summary_rows += [_member_entry(f"{kind}_cauchy_distance", f"{label}_k{k}", d)
+                         for k, d in enumerate(rep.distances)]
+        if kind == "eps":
+            summary_rows += [_member_entry("eps_cauchy_pairing", f"{label}_k{k}", g, g >= -1e-10)
+                             for k, g in enumerate(rep.pairings)]
+        ok = rep.monotone and (ceiling is None or rep.final_distance <= ceiling)
+        checks.append(Check(check_name, "regression", ok, rep.final_distance, ceiling,
+                            f"distances {[f'{d:.3g}' for d in rep.distances]}"))
+        summary_rows.append(_member_entry(f"{kind}_cauchy_monotone", label,
+                                          float(rep.monotone), rep.monotone))
 
     failures = [failure for _, failure in outcomes if failure]
     if jobs and not failures:
@@ -701,9 +668,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         checks.extend(stab_checks)
         summary_rows.extend(stab_rows)
 
-    _write_csv(outdir / "sweep_summary.csv", ["kind", "label", "value", "passed"],
-               [[r["kind"], r["label"], float(r["value"]), str(r["passed"])]
-                for r in summary_rows])
+    _write_csv(outdir / "sweep_summary.csv", ["kind", "label", "value", "passed"], summary_rows)
 
     manifest = {"name": config.name, "version": __version__, "kind": "sweep",
                 "members": [{"name": r["name"], "exit": r["code"]} for r in results],
@@ -711,6 +676,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
                 "config": config.raw}
     if failures:
         manifest["failure"] = failures[0]
+    worst = max(res["code"] for res in results)
     code = 3 if failures else worst if worst else (0 if all(c.passed for c in checks) else 2)
     _write_manifest(outdir, manifest, exit_code=code)
     return code, manifest
@@ -819,7 +785,8 @@ def write_report(run_dir) -> str:
     if not manifest_path.exists():
         raise FileNotFoundError(f"{manifest_path} not found")
     manifest = json.loads(manifest_path.read_text())
-    lines = [f"run: {manifest.get('name')}  (exit {manifest.get('exit_code')})",
+    lines = [f"{manifest.get('kind', 'run')}: {manifest.get('name')}  "
+             f"(exit {manifest.get('exit_code')})",
              f"version: {manifest.get('version')}"]
     if "failure" in manifest:
         lines.append(f"FAILURE: {manifest['failure']}")

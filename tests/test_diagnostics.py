@@ -402,9 +402,8 @@ def test_run_diagnostics_integrates_each_sigma_once(monkeypatch):
 
     monkeypatch.setattr(dg, "higher_integrability", counting)
     _, _, extras = runner.run_diagnostics(traj, config)
-    opts = runner._diagnostics(config)
-    assert opts.varsigma in opts.sigma_grid
-    assert sigmas == list(opts.sigma_grid)
+    assert runner.VARSIGMA in runner.SIGMA_GRID
+    assert sigmas == list(runner.SIGMA_GRID)
     # a varsigma the table lacks is integrated on its own
     sigmas.clear()
     dg.interpolation_ratio(traj, 0.2, 0.5, extras["higher_integrability"])

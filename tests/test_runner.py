@@ -94,7 +94,8 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
                 small_heat_raw(source=manufactured | {"amplitude": float("nan")})),
                ("manufactured rate inf",
                 small_heat_raw(source=manufactured | {"rate": float("inf")})),
-               ("beta nan",
+               # interpolation's varsigma and beta are code constants now
+               (r"unknown diagnostics key\(s\): interpolation",
                 small_heat_raw(diagnostics={"interpolation": {"beta": float("nan")}})),
                ("big", small_heat_raw(source=manufactured | {"amplitude": "big"})),
                ("mode", small_heat_raw(source=manufactured | {"mode": [1]})),
@@ -343,13 +344,14 @@ def test_workers_below_one_exit_1(tmp_path, capsys, monkeypatch, verb):
     ("run", {"diagnostics": {"second_order": {"margin": 1.0 / 32.0, "time_stride": 2}}}),
     ("run", {"diagnostics": {"energy_residual_ceiling": "tight"}}),
     ("run", {"diagnostics": {"interpolation": {"beta": "half"}}}),
+    ("run", {"diagnostics": {"sigma_grid": [0.1, 0.3, 0.5],
+                             "interpolation": {"varsigma": 0.5, "beta": 0.5}}}),
 ])
 def test_out_of_range_diagnostics_options_exit_1(tmp_path, capsys, verb, overrides):
-    # in two dimensions r_sharp = 1: a sigma outside (0, 1) or an empty sigma
-    # grid is refused at load, before the solve; so are unknown keys (the
-    # removed `ceilings`, `time_stride`, `h`, `linf_lattice` and `second_order`
-    # among them, the last two even at their old defaults) and values that
-    # are not numbers
+    # unknown keys are refused at load, before the solve: the removed
+    # `ceilings`, `time_stride`, `h`, `linf_lattice`, `second_order`,
+    # `sigma_grid` and `interpolation` among them, the last four even at their
+    # old defaults; so are values that are not numbers
     cfgfile = write_config(tmp_path, small_heat_raw(**overrides))
     with pytest.raises(ConfigurationError,
                        match="outside|below|empty|positive|unknown|could not convert"):
@@ -633,6 +635,52 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert (out / "plots" / "l2_sq.dat").exists()
     assert cli.main(["validate", str(cfgfile)]) == 0
     assert cli.main(["report", str(tmp_path / "emptydir")]) == 1
+
+
+def test_report_on_a_sweep_directory(tmp_path, capsys):
+    # a residual ceiling no member meets fails every member (exit 2), so the
+    # summary holds [FAIL] rows beside the Cauchy studies' [pass] rows
+    raw = small_heat_raw(name="tiny_sweep", horizon=0.01, sweep={
+        "eps": [1.0e-1, 1.0e-2], "m_per_dim": [2, 3],
+        "diagnostics_overrides": {"energy_residual_ceiling": 1.0e-300}})
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out),
+                     "--workers", "1"]) == 2
+    capsys.readouterr()
+    assert cli.main(["report", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "sweep: tiny_sweep  (exit 2)"
+
+    checks = json.loads((out / "manifest.json").read_text())["checks"]
+    summary = lines.index("sweep summary:")
+    table = [line.split() for line in lines[4:summary - 1]]
+    assert lines[3].split() == ["check", "kind", "verdict", "value", "threshold"]
+    assert [(row[0], row[2]) for row in table] == \
+        [(c["name"], "pass" if c["passed"] else "FAIL") for c in checks]
+    assert [row[0] for row in table] == [
+        "higher_integrability_uniform", "second_order_uniform", "time_derivative_uniform",
+        "eps_continuation_m2", "eps_continuation_m3", "m_refinement"]
+
+    # each kind's rows under its heading, in the summary's order, with the
+    # summary's verdict as a suffix
+    csv_rows = [line.split(",") for line in
+                (out / "sweep_summary.csv").read_text().splitlines()[1:]]
+    suffix = {"": "", "True": "  [pass]", "False": "  [FAIL]"}
+    expected = []
+    for kind in dict.fromkeys(kind for kind, *_ in csv_rows):
+        expected.append(f"  {kind}:")
+        expected += [f"    {label:28s} {float(value):13.6g}{suffix[passed]}"
+                     for k, label, value, passed in csv_rows if k == kind]
+    assert lines[summary + 1:] == expected
+    assert lines[lines.index("  member_exit:") + 1] == f"    {'m2_eps0.1':28s} {2:13d}  [FAIL]"
+    assert lines[lines.index("  eps_cauchy_monotone:") + 1].endswith("1  [pass]")
+    assert lines[lines.index("  eps_cauchy_distance:") + 1].endswith(" 0")
+
+    for kind, label_count in (("eps_cauchy_distance", 2), ("m_cauchy_distance", 1)):
+        values = [float(v) for k, _, v, _ in csv_rows if k == kind]
+        dat = (out / "plots" / f"{kind}.dat").read_text().splitlines()
+        assert len(dat) == label_count
+        assert dat == [f"{i} {v:.17g}" for i, v in enumerate(values)]
 
 
 def test_cli_gap_violation_exit_1(tmp_path):

@@ -15,7 +15,9 @@ every CSV, and the sha256 of every manifest with its wall-clock ``timings``
 removed.  The package is imported from the ``src/`` next to this script, so
 two checkouts compare with one run of the script in each and one ``diff`` of
 the two digests.  The thread count sets the order of BLAS sums, and with it
-the last bits of the m_per_dim = 16 sweep members' CSVs.
+the last bits of the m_per_dim = 16 sweep members' CSVs.  OpenBLAS reads
+it when numpy is first imported, so ``digest`` refuses to run in a process
+that has already imported numpy: it runs in the script's own process.
 
 Where the arithmetic changes, the digests differ and ``--compare`` reads
 the two output directories instead.  It reports every exit code that
@@ -61,6 +63,9 @@ def _manifest_digest(path: Path) -> str:
 
 
 def digest(out: Path) -> int:
+    if "numpy" in sys.modules:
+        raise RuntimeError("digest must run before numpy is imported: the BLAS thread count "
+                           f"is fixed at that import, so blas_threads {BLAS_THREADS} would not hold")
     # read by OpenBLAS when numpy is first imported, which is below
     os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = str(BLAS_THREADS)
     sys.path.insert(0, str(ROOT / "src"))
