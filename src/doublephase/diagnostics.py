@@ -369,18 +369,19 @@ def linf_bound_check(traj: Trajectory, series: CoreSeries, slack: float = 1e-3) 
 class CauchyReport:
     labels: list
     distances: np.ndarray    # gradient distances of consecutive members
-    pairings: np.ndarray     # monotonicity pairings of consecutive members
+    pairings: np.ndarray | None  # monotonicity pairings of consecutive members, if asked
     monotone: bool
     final_distance: float
 
 
 def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Sequence[tuple],
-                     labels) -> CauchyReport:
+                     labels, pairings: bool = True) -> CauchyReport:
     """Gradient distances and pairings of consecutive (basis, coeffs, eps) members.
 
     st is the finest member's space-time grid; a pairing uses the finer
     member's eps.  The data are sampled once and released after the
     pairings: held through the distances too, they raise the study's peak.
+    With ``pairings=False`` they are not computed and the report holds None.
     """
     axis = tensor_axis(st.space_nodes, data.dim)
     by_basis = {}  # one lattice evaluation per distinct basis, keyed by its modes
@@ -394,7 +395,8 @@ def _gradient_cauchy(data: ExponentData, st: spaces.QuadratureGrid, members: Seq
     pairs = range(len(members) - 1)
     fields = data.sample(st.space_nodes, st.time_nodes)
     pair = np.array([st.integrate(flux.pairing_kernel(*fields, grads[k], grads[k + 1],
-                                                      members[k + 1][2])) for k in pairs])
+                                                      members[k + 1][2]))
+                     for k in pairs]) if pairings else None
     s_low = np.minimum(*fields[2:])
     del fields
     dist = np.array([_gradient_distance(st, grads[k], grads[k + 1], s_low) for k in pairs])

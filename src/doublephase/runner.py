@@ -120,7 +120,8 @@ def load_config(path) -> RunConfig:
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot read config: {exc}")
     try:
-        raw = yaml.safe_load(text)
+        # libyaml's parser where PyYAML was built with it; both report the same line
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f"{path}:{mark.line + 1}" if mark else str(path)
@@ -649,7 +650,7 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         if len(study) < 2 or any(r["member"] is None for r in study):
             continue
         rep = dg._gradient_cauchy(config.data, study[-1]["grid"], [r["member"] for r in study],
-                                  labels)
+                                  labels, pairings=kind == "eps")
         summary_rows += [_member_entry(f"{kind}_cauchy_distance", f"{label}_k{k}", d)
                          for k, d in enumerate(rep.distances)]
         if kind == "eps":

@@ -180,13 +180,17 @@ def _modular_allow_inf(mag, r, grid: QuadratureGrid) -> float:
 def luxemburg_norm(f: SampledField, r, rel_tol: float = 1e-10) -> float:
     """Luxemburg norm inf{lam > 0 : modular(f/lam) <= 1}.
 
-    The bracket starts from the constant-exponent closed forms
-    ``A^(1/r_max)``, ``A^(1/r_min)`` and is expanded geometrically (up to 60
-    doublings each way).  Inside it, a safeguarded Illinois false-position
-    iteration runs on log modular(f/lam) against log lam; that relation is
-    linear for a constant exponent, so one step lands on the closed form.
-    Its slope lies in [-r_max, -r_min], so modular(f/lam) >= exp(-r_min*width)
-    places lam within the relative width of the root.  On return,
+    log modular(f/lam) against log lam has slope in [-r_max, -r_min]; it is
+    linear for a constant exponent.  The bracket starts from the closed forms
+    ``A^(1/r_max)``, ``A^(1/r_min)`` with A = modular(f).  An end on the
+    wrong side of the root moves by the slope bound: log lam changes by
+    log modular / r_min, which reaches the root or passes it, by one ulp at
+    least and by a factor 2 at most (so an overflowing or underflowing end
+    doubles or halves, up to 60 steps each way).  Inside the bracket, a
+    safeguarded Illinois false-position iteration runs on the same relation,
+    so one step lands on a constant exponent's closed form.  By the slope
+    bound, modular(f/lam) >= exp(-r_min*width) places lam within the
+    relative width of the root.  On return,
     modular(f/lam) lies in [1 - 10*rel_tol, 1] whenever lam > 0; the width is
     rel_tol tightened by min(1, 10/r_max) so this holds for arbitrarily large
     exponents.
@@ -208,6 +212,14 @@ def luxemburg_norm(f: SampledField, r, rel_tol: float = 1e-10) -> float:
         with np.errstate(divide="ignore"):
             return float(np.log(_modular_allow_inf(mag / lam, r, f.grid)))
 
+    def toward_root(lam, g):
+        # the slope bound from lam, which cannot stop short of the root,
+        # clamped to [one ulp, a factor 2]: a large finite g on a wide
+        # exponent range would otherwise overshoot into underflow
+        if g > 0.0:
+            return max(min(lam * math.exp(g / rmin), 2.0 * lam), math.nextafter(lam, math.inf))
+        return min(max(lam * math.exp(g / rmin), 0.5 * lam), math.nextafter(lam, 0.0))
+
     a0 = _modular_allow_inf(mag, r, f.grid)
     if np.isfinite(a0) and a0 > 0:
         lo, hi = sorted((a0 ** (1.0 / rmin), a0 ** (1.0 / rmax)))
@@ -217,18 +229,18 @@ def luxemburg_norm(f: SampledField, r, rel_tol: float = 1e-10) -> float:
         g_hi = log_mod(hi)
         if g_hi <= 0.0:
             break
-        hi *= 2.0
+        hi = toward_root(hi, g_hi)
     else:
         raise NumericsError("luxemburg bracket expansion failed on the upper end")
     if -g_hi <= rmin * width:
         return hi
     if lo >= hi:
-        lo = hi / 2.0
+        lo = toward_root(hi, g_hi)
     for _ in range(60):
         g_lo = log_mod(lo)
         if g_lo >= 0.0:
             break
-        lo /= 2.0
+        lo = toward_root(lo, g_lo)
     else:
         raise NumericsError("luxemburg bracket expansion failed on the lower end")
 

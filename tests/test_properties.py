@@ -30,9 +30,23 @@ rel_tols = st.sampled_from([1e-10, 1e-8, 1e-6])
 scales = st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
 
 
-@PROPERTY
-@given(values=field_values, r=exponents, rel_tol=rel_tols)
-def test_luxemburg_norm_meets_modular_contract(values, r, rel_tol):
+@st.composite
+def capped_constant_cases(draw):
+    """A constant exponent log-uniform on [1.05, CONJUGATE_CAP], with the field
+    scaled down where needed so that its modular at lam = 1 is finite.  The
+    draw is taken down from the cap, so that hypothesis leans to the cap."""
+    span = math.log(spaces.CONJUGATE_CAP / 1.05)
+    r = max(spaces.CONJUGATE_CAP * math.exp(-draw(st.floats(0.0, span))), 1.05)
+    values = draw(field_values)
+    top = 1e300 ** (1.0 / r)
+    values = values * min(1.0, top / np.abs(values).max())
+    return values, np.full(GRID.n_space, r)
+
+
+@settings(PROPERTY, max_examples=120)
+@given(case=st.tuples(field_values, exponents) | capped_constant_cases(), rel_tol=rel_tols)
+def test_luxemburg_norm_meets_modular_contract(case, rel_tol):
+    values, r = case
     f = spaces.SampledField(values, GRID)
     lam = spaces.luxemburg_norm(f, r, rel_tol=rel_tol)
     assert lam > 0

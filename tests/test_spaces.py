@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from doublephase import flux, spaces
 from doublephase.fields import ExponentData, make_field
@@ -106,6 +106,61 @@ def test_luxemburg_contract_and_rootfind_oracle():
     lam_oracle = optimize.brentq(
         lambda lm: g2.integrate((fv2 / lm) ** rv2) - 1.0, 1e-3, 1e3, xtol=1e-13)
     assert lam == pytest.approx(lam_oracle, rel=1e-9)
+
+
+def test_luxemburg_capped_constant_one_takes_a_few_evaluations(monkeypatch):
+    # the embedding check's norm of 1 with the capped conjugate exponent: the
+    # closed form reads modular 1 + O(1e-10) because one ulp of lambda moves
+    # it by r*eps, and the bracket must close from there without doubling
+    # into underflow and bisecting back
+    g = grid2(8).with_time(np.linspace(0.0, 0.1, 5))
+    ones = spaces.SampledField(np.ones((5, g.n_space)), g)
+    r = np.full((5, g.n_space), spaces.CONJUGATE_CAP)
+    calls = []
+    counted = spaces._modular_allow_inf
+    monkeypatch.setattr(spaces, "_modular_allow_inf", lambda *a: calls.append(1) or counted(*a))
+    lam = spaces.luxemburg_norm(ones, r, rel_tol=1e-10)
+    assert len(calls) <= 4
+    total = g.integrate(np.ones((5, g.n_space)))
+    assert lam == pytest.approx(total ** (1.0 / spaces.CONJUGATE_CAP), rel=1e-12)
+    mod = spaces.modular(spaces.SampledField(ones.values / lam, g), r)
+    assert 1.0 - 1e-9 <= mod <= 1.0
+
+
+def test_luxemburg_with_a_few_capped_nodes_matches_a_log_space_root_find():
+    # Holder's conjugate exponent with r -> 1 at a few nodes: r' jumps from
+    # about 2 to CONJUGATE_CAP, so log modular(f/lam) has slopes 2 and 1e6
+    g = grid2(16)
+    x = g.space_nodes[:, 0]
+    base = 2.0 + np.sin(np.pi * x)
+    base[::37] = 1.0
+    r = spaces.conjugate_exponent(base)
+    assert np.count_nonzero(r == spaces.CONJUGATE_CAP) == len(base[::37])
+    f_vals = 1.0 + x
+    lam = spaces.luxemburg_norm(spaces.SampledField(f_vals, g), r, rel_tol=1e-10)
+    mod = spaces.modular(spaces.SampledField(f_vals / lam, g), r)
+    assert 1.0 - 1e-9 <= mod <= 1.0
+
+    # independent oracle: log modular as a log-sum-exp in u = log lam, which
+    # neither overflows nor underflows, and a bracketing root find on it
+    log_w, log_f = np.log(g.space_weights), np.log(f_vals)
+    u_root = optimize.brentq(lambda u: special.logsumexp(log_w + r * (log_f - u)),
+                             -5.0, 5.0, xtol=1e-15, rtol=4 * np.finfo(float).eps)
+    assert lam == pytest.approx(np.exp(u_root), rel=1e-12)
+
+
+def test_luxemburg_bracket_steps_at_most_a_factor_two():
+    # the modular overflows at lam = 1 and reads e^689 at lam = 2, all of it
+    # from the capped nodes: the slope bound from there, log lam += 689/2,
+    # would put the upper end near 1e150, where every node underflows but
+    # the r = 2 ones, and bisecting back from it does not converge
+    g = grid2(4)
+    capped = np.arange(g.n_space) % 2 == 0
+    r = np.where(capped, spaces.CONJUGATE_CAP, 2.0)
+    f_vals = np.where(capped, 2.0 * 1.00069, 0.01)
+    lam = spaces.luxemburg_norm(spaces.SampledField(f_vals, g), r, rel_tol=1e-10)
+    mod = spaces.modular(spaces.SampledField(f_vals / lam, g), r)
+    assert 1.0 - 1e-9 <= mod <= 1.0
 
 
 def test_luxemburg_bracket_failure_is_numerics_error():
