@@ -784,6 +784,16 @@ def test_sum_of_steady_fields_is_steady_bitwise():
             == fields.sample_field(unmarked, x, times).tobytes())
 
 
+def test_cli_import_leaves_scipy_optimize_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", "import sys, doublephase.cli; "
+                          "print('scipy.optimize' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
+
+
 def test_cli_import_loads_no_scipy_and_no_process_pool():
     # scipy and the pool are imported where they are used (the pool inside
     # perform_sweep): at module level they would add to every command's
