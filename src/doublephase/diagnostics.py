@@ -34,6 +34,9 @@ _REL_FLOOR = 1e-30
 # lattice (128 = 2 * 64), so its data sups, and the envelope, are never
 # above that finer lattice's: the check is at least as strict.
 SUP_LATTICE = 65
+# Kept checkpoints `second_order_flux_norm` evaluates at once: its memory grows
+# with the block, not with their number.
+SECOND_ORDER_BLOCK = 4
 # Relative growth between consecutive Cauchy distances still read as monotone.
 CAUCHY_TOLERANCE = 0.10
 
@@ -44,7 +47,7 @@ def _flux_energy(traj: Trajectory, eps) -> np.ndarray:
         fv = traj.density[..., None] * traj.grads
     else:
         fv = flux.vector_kernel(*traj.fields, traj.grads, eps)
-    return np.einsum("kmn,kmn,m->k", fv, traj.grads, traj.grid.space_weights, optimize=True)
+    return flux._dot_last(fv, traj.grads) @ traj.grid.space_weights
 
 
 def _s_lower(traj: Trajectory) -> np.ndarray:
@@ -95,7 +98,7 @@ def core_series(traj: Trajectory) -> CoreSeries:
     fe_eps = _flux_energy(traj, traj.eps)
     fe_0 = _flux_energy(traj, 0.0)
     grads = traj.grads
-    grad_l2 = np.einsum("kmn,kmn,m->k", grads, grads, traj.grid.space_weights, optimize=True)
+    grad_l2 = flux._dot_last(grads, grads) @ traj.grid.space_weights
     work = (traj.values * traj.source_values) @ traj.grid.space_weights
 
     linf = _lattice_sup(traj, SUP_LATTICE)
@@ -147,7 +150,10 @@ def gradbound_check(traj: Trajectory, series: CoreSeries) -> BoundReport:
     int F_0 |grad u|^2 <= 2 int F_eps |grad u|^2 + int small-gradient branch
     constant; both sides are evaluated on the same quadrature.
     """
-    c3 = flux.null_eps_branch_bound(*traj.fields, traj.eps) @ traj.grid.space_weights
+    # steady data repeat one row: it is formed once and tiled, so the matvec sees the same rows
+    rows = 1 if traj.data.steady else len(traj.times)
+    c3 = flux.null_eps_branch_bound(*(f[:rows] for f in traj.fields), traj.eps)
+    c3 = np.tile(c3, (len(traj.times) // rows, 1)) @ traj.grid.space_weights
     rhs = 2.0 * series.flux_energy_eps + c3
     slack = 1e-8 * np.maximum(1.0, rhs)
     worst = float((series.flux_energy_0 - rhs).max())
@@ -164,7 +170,7 @@ def higher_integrability(traj: Trajectory, sigma_grid: Sequence[float]) -> dict:
         if not (0.0 < s < r_sharp):
             raise ValueError(f"sigma {s} outside (0, {r_sharp})")
     s_low = _s_lower(traj)
-    mag = np.sqrt(np.sum(traj.grads ** 2, axis=-1))
+    mag = np.sqrt(flux._dot_last(traj.grads, traj.grads))
     st = traj.spacetime_grid()
     return {float(s): float(st.integrate(flux.powf(mag, s_low + r_sharp - s)))
             for s in sigma_grid}
@@ -193,7 +199,8 @@ def interpolation_ratio(traj: Trajectory, varsigma: float, beta: float,
         integrability = higher_integrability(traj, [varsigma])
     lhs = traj.data.alpha * integrability[float(varsigma)]
     hess = traj.basis.lattice(traj.lines, traj.coeffs, 2)
-    uxx_sq = np.sum(hess ** 2, axis=(-2, -1))
+    flat = hess.reshape(hess.shape[:-2] + (-1,))
+    uxx_sq = flux._dot_last(flat, flat)
     term = traj.spacetime_grid().integrate(traj.density * uxx_sq)
     return InterpolationReport(varsigma=float(varsigma), beta=float(beta), lhs=float(lhs),
                                second_order_term=float(term),
@@ -258,26 +265,26 @@ def second_order_flux_norm(traj: Trajectory, margin: float = 1.0 / 64.0,
         return data.sample(pts, t) + tuple(fld.grad(pts, t) for fld in flds)
 
     # steady data take the same values at every t: sampled once per call
-    once = sampled(traj.times[0]) if all(fld.steady for fld in flds) else None
-    # one kept checkpoint at a time, so memory does not grow with their number
+    once = sampled(traj.times[0]) if data.steady else None
     accum = np.zeros((len(idx), dim, dim))
-    for row, k in enumerate(idx):
-        grad_u = traj.basis.lattice(lines, traj.coeffs[k], 1)  # (M, N)
-        hess_u = traj.basis.lattice(lines, traj.coeffs[k], 2)  # (M, N, N)
+    for start in range(0, len(idx), SECOND_ORDER_BLOCK):
+        ks = idx[start:start + SECOND_ORDER_BLOCK]
+        grad_u = traj.basis.lattice(lines, traj.coeffs[ks], 1)  # (B, M, N)
+        hess_u = traj.basis.lattice(lines, traj.coeffs[ks], 2)  # (B, M, N, N)
         beta = flux.beta_eps(grad_u, traj.eps)
-        log_beta = np.log(beta)[:, None]
-        dlog_beta = 2.0 * np.einsum("mk,mik->mi", grad_u, hess_u) / beta[:, None]
-        a, b, p, q, da, db, dp, dq = once or sampled(traj.times[k])
+        log_beta = np.log(beta)[..., None]
+        dlog_beta = 2.0 * flux._dot_last(grad_u[..., None, :], hess_u) / beta[..., None]
+        a, b, p, q, da, db, dp, dq = once or map(np.stack, zip(*map(sampled, traj.times[ks])))
         dens, d_dens = 0.0, 0.0
         for c, dc, r, dr in ((a, da, p, dp), (b, db, q, dq)):
             # D_i(c beta^e) = beta^e (D_i c + c (log beta D_i e + e D_i log beta)), e = (r-2)/2
             power = flux.powf(beta, (r - 2.0) / 2.0)
             dens = dens + c * power
-            d_dens = d_dens + power[:, None] * (dc + c[:, None] * (
-                0.5 * dr * log_beta + (0.5 * r - 1.0)[:, None] * dlog_beta))
-        root = np.sqrt(dens)[:, None, None]
-        comp = root * hess_u + d_dens[:, :, None] * grad_u[:, None, :] / (2.0 * root)
-        accum[row] = np.einsum("mij,mij,m->ij", comp, comp, weights)
+            d_dens = d_dens + power[..., None] * (dc + c[..., None] * (
+                0.5 * dr * log_beta + (0.5 * r - 1.0)[..., None] * dlog_beta))
+        root = np.sqrt(dens)[..., None, None]
+        comp = root * hess_u + d_dens[..., None] * grad_u[..., None, :] / (2.0 * root)
+        accum[start:start + len(ks)] = np.einsum("bmij,bmij,m->bij", comp, comp, weights)
     norms = np.trapezoid(accum, traj.times[idx], axis=0)
     return SecondOrderReport(margin=margin, norms=norms, total=float(norms.sum()))
 
@@ -296,7 +303,7 @@ class GronwallReport:
 def _gradient_distance(st: spaces.QuadratureGrid, grad_u, grad_v, s_low) -> float:
     """The gradient distance int |grad u - grad v|^(s_lower) over the cylinder."""
     d = grad_u - grad_v
-    return st.integrate(flux.powf(np.sqrt(np.sum(d * d, axis=-1)), s_low))
+    return st.integrate(flux.powf(np.sqrt(flux._dot_last(d, d)), s_low))
 
 
 def stability_experiments(traj_u: Trajectory, others) -> list[GronwallReport]:

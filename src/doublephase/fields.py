@@ -340,6 +340,11 @@ class ExponentData:
                                      "time_probe_resolution at least 1")
 
     @property
+    def steady(self) -> bool:
+        """Whether a, b, p and q all take the same values at every t."""
+        return all(fld.steady for fld in (self.a, self.b, self.p, self.q))
+
+    @property
     def exponent_floor(self) -> float:
         """Lower admissibility threshold 2N/(N+2) for both exponents."""
         return 2.0 * self.dim / (self.dim + 2.0)
@@ -364,7 +369,7 @@ class ExponentData:
 
     def _probe_values(self):
         x, times = self.probe_lattice()
-        if all(fld.steady for fld in (self.a, self.b, self.p, self.q)):
+        if self.steady:
             # every slice equals the first: the time slope is 0, and the first
             # worst node of the cube lies in the slice at t = 0
             times = times[:1]

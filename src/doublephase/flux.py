@@ -38,9 +38,22 @@ def powf(base, exponent):
 def beta_eps(xi, eps) -> np.ndarray:
     """beta_eps(xi) = eps^2 + |xi|^2 for xi of shape (..., N)."""
     xi = np.asarray(xi, dtype=float)
-    # one pass per component: a reduction over the short last axis is slower
-    mag_sq = sum(xi[..., i] * xi[..., i] for i in range(xi.shape[-1]))
-    return np.asarray(eps, dtype=float) ** 2 + mag_sq
+    return np.asarray(eps, dtype=float) ** 2 + _dot_last(xi, xi)
+
+
+def _dot_last(x, y) -> np.ndarray:
+    """sum_i x[..., i] * y[..., i] over a short last axis of x and y, one component at a time.
+
+    On the N = 1, 2 or 3 components of a gradient, or the 4 entries of a 2D
+    Hessian, the dispatch of a reduction (np.sum, np.einsum) costs more than
+    its arithmetic.  Below 8 components np.sum adds in this same order, so the
+    bits equal np.sum(x * y, axis=-1); a sum that starts from the first
+    product also keeps a signed zero, which np.sum's does not.
+    """
+    out = x[..., 0] * y[..., 0]
+    for i in range(1, x.shape[-1]):
+        out += x[..., i] * y[..., i]
+    return out
 
 
 def _term(coef, exponent, beta):
@@ -52,7 +65,12 @@ def _term(coef, exponent, beta):
     """
     coef = np.asarray(coef, dtype=float)
     with np.errstate(invalid="ignore"):
-        return np.where(coef != 0.0, coef * powf(beta, exponent), 0.0)
+        return _masked(coef, coef * powf(beta, exponent))
+
+
+def _masked(coef, term):
+    """term, exactly 0 where coef is 0; the mask is formed only where coef vanishes somewhere."""
+    return term if np.all(coef) else np.where(coef != 0.0, term, 0.0)
 
 
 def _checked_sum(beta, p_term, q_term, *, what: str):
@@ -74,7 +92,7 @@ def density_kernel(a, b, p, q, xi, eps, s1=0.0, s2=0.0) -> np.ndarray:
                         (b, (np.asarray(q) + s2 - 2.0) / 2.0), what="density")
 
 
-def vector_kernel(a, b, p, q, xi, eps) -> np.ndarray:
+def vector_kernel(a, b, p, q, xi, eps, exponents=None) -> np.ndarray:
     """Flux vector density*xi, extended by zero where beta_eps vanishes.
 
     The extension is continuous because |xi|^(p-1) -> 0 as xi -> 0 for any
@@ -83,15 +101,17 @@ def vector_kernel(a, b, p, q, xi, eps) -> np.ndarray:
 
     The arithmetic of `_term` written out under one errstate: the residual
     of every Newton step calls this kernel, and on small bases the calls'
-    overhead, not their arithmetic, is its cost.  The solver passes a scalar
-    eps, which skips the zero extension when eps^2 > 0 after one float test;
-    an array eps (per point, as from `monotonicity_gap`) is always extended.
+    overhead, not their arithmetic, is its cost.  exponents, the pair
+    ((p-2)/2, (q-2)/2) when the caller already holds it, is not formed
+    again.  The solver passes a scalar eps, which skips the zero extension
+    when eps^2 > 0 after one float test; an array eps (per point, as from
+    `monotonicity_gap`) is always extended.
     """
     xi = np.asarray(xi, dtype=float)
     beta = beta_eps(xi, eps)
+    ea, eb = ((p - 2.0) / 2.0, (q - 2.0) / 2.0) if exponents is None else exponents
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        dens = (np.where(a != 0.0, a * np.power(beta, (p - 2.0) / 2.0), 0.0)
-                + np.where(b != 0.0, b * np.power(beta, (q - 2.0) / 2.0), 0.0))
+        dens = _masked(a, a * np.power(beta, ea)) + _masked(b, b * np.power(beta, eb))
     if isinstance(eps, np.ndarray) or not eps ** 2 > 0.0:  # else beta > 0 everywhere
         dens = np.where(beta > 0.0, dens, 0.0)
     return dens[..., None] * xi
@@ -157,7 +177,7 @@ def pairing_kernel(a, b, p, q, xi, eta, eps, flux_xi=None) -> np.ndarray:
     """
     if flux_xi is None:
         flux_xi = vector_kernel(a, b, p, q, xi, eps)
-    return np.sum((flux_xi - vector_kernel(a, b, p, q, eta, eps)) * (xi - eta), axis=-1)
+    return _dot_last(flux_xi - vector_kernel(a, b, p, q, eta, eps), xi - eta)
 
 
 def gap_lower_bound(xi, eta, p_val, eps) -> np.ndarray:
@@ -167,7 +187,8 @@ def gap_lower_bound(xi, eta, p_val, eps) -> np.ndarray:
     p_val = np.asarray(p_val, dtype=float)
     gx = powf(beta_x, (p_val - 2.0) / 2.0)
     ge = powf(beta_e, (p_val - 2.0) / 2.0)
-    diff = np.sum((np.asarray(xi, float) - np.asarray(eta, float)) ** 2, axis=-1)
+    d = np.asarray(xi, float) - np.asarray(eta, float)
+    diff = _dot_last(d, d)
     return 0.5 * (gx + ge) * diff
 
 

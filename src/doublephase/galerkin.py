@@ -342,7 +342,8 @@ class Workspace:
     gradient and stiffness use the dense gradient table when there is one,
     and are otherwise contracted one axis at a time, like the Newton matrix.
     Each steady one of the data's (a, b, p, q) and of the members' sources
-    is sampled (a source also projected) here, once and read-only.
+    is sampled (a source also projected) here, once and read-only; with all
+    four data steady, so are the residual's flux exponents.
     `newton_inverses[i]` maps a step size to member i's last Newton inverse.
     """
 
@@ -354,6 +355,8 @@ class Workspace:
         self.newton_inverses = [{} for _ in self.sources]
         self._data = () if data is None else (data.a, data.b, data.p, data.q)
         self._fields = _steady_samples(self._data, lambda fld: fld(self.x, 0.0))
+        self._steady = all(vals is not None for vals in self._fields)
+        self._exponents = tuple((r - 2.0) / 2.0 for r in self._fields[2:]) if self._steady else None
         self._source_vecs = _steady_samples(
             self.sources, lambda f: self.basis.lattice_adjoint(self.lines, self.w * f(self.x, 0.0)))
 
@@ -385,7 +388,7 @@ class Workspace:
 
     def fields_at(self, t: float) -> tuple:
         """(a, b, p, q) on the nodes at time t; with all four steady, one tuple made once."""
-        if all(vals is not None for vals in self._fields):
+        if self._steady:
             return self._fields
         return tuple(fld(self.x, t) if vals is None else vals
                      for fld, vals in zip(self._data, self._fields))
@@ -422,9 +425,11 @@ class Workspace:
 
         fields are (a, b, p, q) on the nodes and f_vec the projected source,
         both frozen at one time; returns (rhs, grad u, flux vector field).
+        The steady fields of `fields_at` come with their exponents bound.
         """
         grad = self.gradient_of(coeffs)
-        fvec = flux.vector_kernel(*fields, grad, eps)
+        exponents = self._exponents if fields is self._fields else None
+        fvec = flux.vector_kernel(*fields, grad, eps, exponents)
         return -self.stiffness(fvec) + f_vec, grad, fvec
 
 
@@ -546,7 +551,7 @@ def step_implicit(us, t: float, tau: float, cfg: SolverConfig, ws: Workspace, me
             stats.append(StepFailure(failures[i][0], traces[i]))
             stats[-1].__cause__ = failures[i][1]
             continue
-        flux_energy = float(ws.w @ np.add.reduce(fvec[i] * grad_v[i], axis=-1))
+        flux_energy = float(ws.w @ flux._dot_last(fvec[i], grad_v[i]))
         source_work = float(f_vecs[i] @ v[i])
         slack = (v[i] @ v[i] - us[i] @ us[i]) / (2.0 * tau) + flux_energy - source_work
         stats.append(StepStats(newton_iters=len(traces[i]) - 1, jacobians=jacobians[i],
@@ -774,11 +779,10 @@ def manufactured_source(data: ExponentData, eps: float, mode=(1, 1),
         raise ValueError("manufactured source needs eps > 0")
     mode = tuple(int(m) for m in mode)
     single = mode_basis([mode], len(mode))
-    steady = all(fld.steady for fld in (data.a, data.b, data.p, data.q))
 
     def time_free(x):
         factors = _mode_factors(single, x)
-        return factors + (_data_terms(data, factors[1], x, 0.0) if steady else ())
+        return factors + (_data_terms(data, factors[1], x, 0.0) if data.steady else ())
 
     at_points = point_memo(time_free)
 

@@ -156,7 +156,7 @@ class SampledField:
 
     def magnitude(self) -> np.ndarray:
         if self.vector:
-            return np.sqrt(np.sum(self.values ** 2, axis=-1))
+            return np.sqrt(flux._dot_last(self.values, self.values))
         return np.abs(self.values)
 
 
@@ -454,13 +454,14 @@ def monotone_envelope_check(grad_u: SampledField, grad_v: SampledField, eps: flo
     """
     grid = grad_u.grid
     a, b, p, q = _spacetime_fields(data, grid)
-    du = grad_u.values - grad_v.values
-    dmag = np.sqrt(np.sum(du * du, axis=-1))
+    gu, gv = grad_u.values, grad_v.values
+    du = gu - gv
+    dmag = np.sqrt(flux._dot_last(du, du))
     lhs = grid.integrate(a * flux.powf(dmag, p) + b * flux.powf(dmag, q))
     pairing = pairing_G_eps(grad_u, grad_v, eps, data)
     g = max(pairing, 0.0)
 
-    mag_sq = np.sum(grad_u.values ** 2, axis=-1) + np.sum(grad_v.values ** 2, axis=-1)
+    mag_sq = flux._dot_last(gu, gu) + flux._dot_last(gv, gv)
     s_minus = float(np.minimum(p, q).min())
     s_plus = float(np.maximum(p, q).max())
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from doublephase import diagnostics as dg, runner
-from doublephase.fields import make_field
+from doublephase.fields import ExponentData, make_field
 from doublephase.galerkin import SolverConfig, solve
 
 
@@ -66,3 +66,16 @@ def eps_chain():
                                    [(tr.basis, tr.coeffs, tr.eps) for tr in trajs],
                                    [f"eps={e:g}" for e in eps_seq])
     return study
+
+
+@pytest.fixture(scope="session")
+def moving_data():
+    """Admissible 2D data whose a, b, p and q all change in time."""
+    def field(spec):
+        return make_field(spec, 2)
+    return ExponentData(
+        dim=2, horizon=0.1, alpha=0.3, lipschitz_probe_resolution=9, time_probe_resolution=3,
+        p=field({"family": "sinusoidal", "base": 1.9, "amp": 0.1, "wave": [1.0, 0.5], "tfreq": 5.0}),
+        q=field({"family": "affine", "base": 2.0, "slope": [0.1, 0.0], "tslope": 1.0}),
+        a=field({"family": "bump", "base": 0.4, "amp": 0.3, "tdecay": 3.0}),
+        b=field({"family": "affine", "base": 0.5, "slope": [0.0, 0.2], "tslope": -1.0}))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from doublephase import diagnostics as dg, flux, runner, spaces
-from doublephase.fields import ExponentData, Field, lattice_axis, lattice_points, make_field
+from doublephase.fields import (ExponentData, Field, lattice_axis, lattice_points, make_field,
+                                tensor_axis, tensor_points)
 from doublephase.galerkin import EigenBasis, SolverConfig, solve
 
 LAM11 = 2.0 * math.pi ** 2
@@ -306,6 +307,51 @@ def test_second_order_peak_memory_does_not_grow_with_checkpoints(heat_traj):
     assert peak(1) <= 1.25 * peak(2)
 
 
+def _second_order_one_checkpoint_at_a_time(traj, margin, time_stride):
+    """The norms of `second_order_flux_norm`, formed one kept checkpoint per pass with einsum."""
+    data, dim, scale = traj.data, traj.data.dim, 1.0 - 2.0 * margin
+    axis = margin + scale * tensor_axis(traj.grid.space_nodes, dim)
+    pts, lines = tensor_points(axis, dim), traj.basis.line_tables(axis)
+    weights = scale ** dim * traj.grid.space_weights
+    idx = list(range(0, len(traj.times), time_stride))
+    if idx[-1] != len(traj.times) - 1:
+        idx.append(len(traj.times) - 1)
+    flds = (data.a, data.b, data.p, data.q)
+    accum = np.zeros((len(idx), dim, dim))
+    for row, k in enumerate(idx):
+        grad_u = traj.basis.lattice(lines, traj.coeffs[k], 1)
+        hess_u = traj.basis.lattice(lines, traj.coeffs[k], 2)
+        beta = flux.beta_eps(grad_u, traj.eps)
+        log_beta = np.log(beta)[:, None]
+        dlog_beta = 2.0 * np.einsum("mk,mik->mi", grad_u, hess_u) / beta[:, None]
+        a, b, p, q = data.sample(pts, traj.times[k])
+        da, db, dp, dq = (fld.grad(pts, traj.times[k]) for fld in flds)
+        dens, d_dens = 0.0, 0.0
+        for c, dc, r, dr in ((a, da, p, dp), (b, db, q, dq)):
+            power = flux.powf(beta, (r - 2.0) / 2.0)
+            dens = dens + c * power
+            d_dens = d_dens + power[:, None] * (dc + c[:, None] * (
+                0.5 * dr * log_beta + (0.5 * r - 1.0)[:, None] * dlog_beta))
+        root = np.sqrt(dens)[:, None, None]
+        comp = root * hess_u + d_dens[:, :, None] * grad_u[:, None, :] / (2.0 * root)
+        accum[row] = np.einsum("mij,mij,m->ij", comp, comp, weights)
+    return np.trapezoid(accum, traj.times[idx], axis=0)
+
+
+@pytest.mark.parametrize("moving", [False, True])
+def test_second_order_blocks_equal_one_checkpoint_at_a_time_bitwise(moving, moving_data):
+    # 41 checkpoints: at stride 1 and at K/8 = 5 the last block is partial
+    cfg = SolverConfig(m_per_dim=4, eps=1e-2, tau=2.5e-3)
+    data = moving_data if moving else data_const(p=1.8, q=2.2, horizon=moving_data.horizon)
+    assert data.steady is not moving
+    traj = solve(cfg, data, mode_field([[1, 1, 1.0], [2, 1, 0.3]]), ZERO2)
+    k = len(traj.times) - 1
+    for stride in (1, k // 8):
+        assert (len(range(0, k + 1, stride)) + 1) % dg.SECOND_ORDER_BLOCK != 0
+        got = dg.second_order_flux_norm(traj, margin=1.0 / 64.0, time_stride=stride).norms
+        assert np.array_equal(got, _second_order_one_checkpoint_at_a_time(traj, 1.0 / 64.0, stride))
+
+
 def test_linf_envelope_with_unit_source():
     # f = 1 pumps the sup envelope linearly: max|u| <= ||u0||_inf + t + slack
     data = data_const()
@@ -416,8 +462,12 @@ def test_shared_density_gives_the_kernels_values_bitwise():
     series = dg.core_series(traj)
     fv = flux.vector_kernel(*traj.fields, traj.grads, traj.eps)
     assert np.array_equal(traj.density[..., None] * traj.grads, fv)
-    fe = np.einsum("kmn,kmn,m->k", fv, traj.grads, traj.grid.space_weights, optimize=True)
+    fe = np.sum(fv * traj.grads, axis=-1) @ traj.grid.space_weights
     assert np.array_equal(series.flux_energy_eps, fe)
+    # the einsum this contraction replaced adds the same nonnegative terms in
+    # another order: each sum is within (n - 1) ulp-sized steps of the exact one
+    old = np.einsum("kmn,kmn,m->k", fv, traj.grads, traj.grid.space_weights, optimize=True)
+    assert np.all(np.abs(fe - old) <= 2 * (fv[0].size + 2) * np.finfo(float).eps * old)
 
     ir = dg.interpolation_ratio(traj, 0.5, 0.25, dg.higher_integrability(traj, (0.1, 0.5)))
     h = dg.higher_integrability(traj, [0.5])[0.5]

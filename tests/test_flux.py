@@ -31,6 +31,40 @@ def test_beta_interchange_sandwich_exact():
     assert np.all(beta_mu <= 2.0 ** mu * (1.0 + mag2mu))
 
 
+def _short_axis_pairs(rng, n):
+    """(x, y) with n last-axis components: contiguous, broadcast over the leading axes, sliced."""
+    x = rng.normal(size=(6, 50, n)) * 10.0 ** rng.uniform(-8, 8, size=(6, 50, n))
+    return [(x, rng.normal(size=(6, 50, n))),
+            (rng.normal(size=(50, n)), rng.normal(size=(6, 1, n))),
+            (rng.normal(size=(6, 50, 2 * n))[..., ::2], x[::-1, :, ::-1])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dot_last_equals_the_reduction_bitwise(n):
+    rng = np.random.default_rng(n)
+    for x, y in _short_axis_pairs(rng, n):
+        assert np.array_equal(flux._dot_last(x, y), np.sum(x * y, axis=-1))
+    # a sum of negative zeros keeps its sign; np.sum's starts from +0.0
+    zeros = np.array([[-0.0] * n, [0.0] * n])
+    assert np.signbit(flux._dot_last(zeros, np.ones(n))).tolist() == [True, False]
+    assert not np.signbit(np.sum(zeros * np.ones(n), axis=-1)).any()
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dot_last_over_flattened_hessians(dim):
+    # the interpolation monitor sums D^2 u squared over its N^2 entries this way
+    h = np.random.default_rng(dim).normal(size=(5, 40, dim, dim))
+    flat = h.reshape(h.shape[:-2] + (-1,))
+    got, want = flux._dot_last(flat, flat), np.sum(h ** 2, axis=(-2, -1))
+    if dim <= 2:
+        assert np.array_equal(got, want)
+    else:
+        # 9 entries reach numpy's pairwise sum, which adds blocks of 8 in 8
+        # accumulators: the roundings differ, by a few ulp
+        assert not np.array_equal(got, want)
+        assert np.allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 def test_density_constant_cases():
     d = data_const(p=2.0, q=2.0, a=1.0, b=0.0)
     x = np.array([[0.3, 0.4]])
@@ -218,9 +252,10 @@ def test_vector_kernel_equals_the_wrapped_formula_bitwise(seed, eps):
     xi[5::13] = 1e200  # beta itself overflows
     with np.errstate(all="ignore"):
         got = flux.vector_kernel(a, b, p, q, xi, eps)
+        bound = flux.vector_kernel(a, b, p, q, xi, eps, ((p - 2.0) / 2.0, (q - 2.0) / 2.0))
         want = _wrapped_vector_kernel(a, b, p, q, xi, eps)
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes() == bound.tobytes()
 
 
 def test_zero_coefficient_term_is_zero_where_the_power_overflows():

@@ -272,6 +272,28 @@ def test_ode_rhs_zero_and_heat_diagonal():
         assert np.abs(rhs - expect).max() < 1e-9 * basis.eigenvalues[k]
 
 
+@pytest.mark.parametrize("which", ["sweep", "zero_a", "moving"])
+def test_rhs_with_bound_exponents_equals_the_kernel_bitwise(monkeypatch, moving_data, which):
+    # steady data bind (p-2)/2 and (q-2)/2 once per Workspace; the kernel
+    # forms them itself for moving data and for fields passed from outside
+    data = {"sweep": runner.load_config(SCENARIOS / "unordered_sweep.yaml").data,
+            "zero_a": data_const(p=1.5, q=2.5, a=0.0, b=1.0), "moving": moving_data}[which]
+    basis = build_basis(2, 4)
+    ws = Workspace(basis, spaces.tensor_gauss_legendre(2, 12), data, [ZERO2])
+    coeffs = np.random.default_rng(3).normal(size=(2, basis.size))
+    bound = []
+    kernel = flux.vector_kernel
+    monkeypatch.setattr(flux, "vector_kernel", lambda *args: bound.append(args[6]) or kernel(*args))
+    for t in (0.0, 0.07):
+        fields, f_vec = ws.fields_at(t), ws.source_vectors([0], t)[0]
+        rhs, grad, fvec = ws.rhs(coeffs, fields, 1e-2, f_vec)
+        want = kernel(*fields, grad, 1e-2)
+        assert np.array_equal(fvec, want)
+        assert np.array_equal(rhs, -ws.stiffness(want) + f_vec)
+        ws.rhs(coeffs, tuple(np.copy(f) for f in fields), 1e-2, f_vec)
+    assert [e is not None for e in bound] == [which != "moving", False] * 2
+
+
 def test_ode_rhs_matches_refined_quadrature_oracle():
     # quadratic exponents with genuinely variable coefficients: the assembly
     # integrand is trigonometric-times-affine and the default rule matches a

@@ -856,3 +856,19 @@ def test_source_certificate_evaluates_each_shifted_lattice_once(monkeypatch):
         gsq = max(gsq, float(np.sum(g * g) / len(pts)))
     assert cert["grad_sq_mean_max"] == gsq
     assert cert["boundary_max"] == max(float(np.abs(f_field(boundary, t)).max()) for t in times)
+
+
+def test_source_certificate_samples_a_steady_source_at_one_time():
+    data = runner.load_config(SCENARIOS / "stability.yaml").data
+    steady = fields.make_field({"family": "bump", "base": 0.1, "amp": 0.5}, data.dim)
+    times = []
+
+    def timed(fld):
+        return replace(fld, _fn=lambda x, t: times.append(float(t)) or fld(x, t))
+
+    cert = runner._source_certificate(timed(steady), data)
+    assert set(times) == {0.0} and len(times) == 1 + 2 * data.dim
+    # marked moving, the same field is probed at all five times, to the same certificate
+    times.clear()
+    assert runner._source_certificate(timed(replace(steady, steady=False)), data) == cert
+    assert len(set(times)) == 5
