@@ -321,18 +321,13 @@ def _source_certificate(f_field: Field, data: ExponentData, n: int = 33) -> dict
             "grad_sq_mean_max": gsq, "grad_finite": bool(np.isfinite(gsq))}
 
 
-def perform_run(config: RunConfig, outdir) -> tuple[int, dict, Optional[Trajectory]]:
-    """Execute one scenario run; returns (exit_code, manifest, trajectory).
+def perform_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Optional[Trajectory]]:
+    """Execute one scenario run, its solve warm-started from `guess` (see `solve`);
+    returns (exit_code, manifest, trajectory), without a trajectory when it failed.
 
     Exit codes: 0 all assertions passed, 1 validation failure, 2 assertion
     failure, 3 solver failure.
     """
-    return _finish_run(config, outdir, *_start_run(config, outdir))
-
-
-def _start_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Optional[Trajectory]]:
-    """Validate and solve, warm-started from `guess`; returns (exit_code, manifest,
-    trajectory), where a failed run has written its manifest and has no trajectory."""
     t0 = time.perf_counter()
     # data that cannot even be probed raise ConfigurationError here, before
     # the output directory exists
@@ -363,15 +358,7 @@ def _start_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Option
         _write_manifest(outdir, manifest, exit_code=3)
         return 3, manifest, None
     manifest["timings"]["solve"] = time.perf_counter() - t1
-    return 0, manifest, traj
 
-
-def _finish_run(config: RunConfig, outdir, code: int, manifest: dict,
-                traj: Optional[Trajectory]) -> tuple[int, dict, Optional[Trajectory]]:
-    """Run the diagnostics of a started run and write its artifacts."""
-    if traj is None:
-        return code, manifest, None
-    outdir = Path(outdir)
     t2 = time.perf_counter()
     checks, series, extras = run_diagnostics(traj, config)
     manifest["timings"]["diagnostics"] = time.perf_counter() - t2
@@ -511,50 +498,29 @@ def _member_entry(kind, label, value, passed=None) -> list:
     return [kind, label, float(value), "" if passed is None else str(bool(passed))]
 
 
-def _finish_member(member: RunConfig, outdir: str, started: tuple):
-    """Worker entry: finish one started member run, reduced to what the sweep reads,
-    with the member's own summary rows."""
-    code, manifest, traj = _finish_run(member, outdir, *started)
-    summary = manifest.get("summary", {})
-    rows = [_member_entry("member_exit", member.name, code, code == 0)]
-    rows += [_member_entry("higher_integrability", f"{member.name}_vs{s:g}", v)
-             for s, v in (summary.get("higher_integrability") or {}).items()]
-    if "second_order_total" in summary:
-        rows.append(_member_entry("second_order_total", member.name, summary["second_order_total"]))
-    return {"name": member.name, "code": code, "rows": rows, "summary": summary,
-            "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
-            "grid": None if traj is None else traj.spacetime_grid()}
+def _sweep_row(row: list[RunConfig], dirs: list[str]) -> list[dict]:
+    """Worker entry: run one m row's members in eps order, each warm-started from
+    the one before (cold after a member with no trajectory).
 
-
-def _run_jobs(submit, config: RunConfig, chunks: list, rows: list, row_dirs: list):
-    """Run the members and the stability chunks through `submit` (a pool's, or
-    `_now`); returns the member results in row order and the chunk outcomes.
-
-    A member's solve is submitted once the member before it in its row is
-    solved, warm-started from it (cold when that one has no trajectory), and
-    its diagnostics once it is solved itself, so they overlap later solves.
-    The chunks go in after the rows' first solves.
+    Returns each member reduced to what the sweep reads, with its own summary rows.
     """
-    starting = [submit(_start_run, row[0], dirs[0]) for row, dirs in zip(rows, row_dirs)]
-    outcomes = [submit(_stability_chunk, config, chunk) for chunk in chunks]
-    finishing = [[] for _ in rows]
-    for i in range(len(rows[0])):
-        for r, (row, dirs) in enumerate(zip(rows, row_dirs)):
-            started = starting[r].result()  # (exit code, manifest, trajectory or None)
-            if i + 1 < len(row):
-                guess = None if started[2] is None else started[2].coeffs
-                starting[r] = submit(_start_run, row[i + 1], dirs[i + 1], guess)
-            finishing[r].append(submit(_finish_member, row[i], dirs[i], started))
-    return [job.result() for row in finishing for job in row], [job.result() for job in outcomes]
-
-
-def _now(fn, *args):
-    """The serial sweep's `submit`: run the job at once and return its finished future."""
-    from concurrent.futures import Future
-
-    future = Future()
-    future.set_result(fn(*args))
-    return future
+    results, guess = [], None
+    for member, outdir in zip(row, dirs):
+        code, manifest, traj = perform_run(member, outdir, guess)
+        guess = None if traj is None else traj.coeffs
+        summary = manifest.get("summary", {})
+        rows = [_member_entry("member_exit", member.name, code, code == 0)]
+        rows += [_member_entry("higher_integrability", f"{member.name}_vs{s:g}", v)
+                 for s, v in (summary.get("higher_integrability") or {}).items()]
+        if "second_order_total" in summary:
+            rows.append(_member_entry("second_order_total", member.name,
+                                      summary["second_order_total"]))
+        results.append({"name": member.name, "code": code, "rows": rows, "summary": summary,
+                        "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
+                        "grid": None if traj is None else traj.spacetime_grid()})
+        # the trajectory's cached diagnostic tables are not kept through the next run
+        del traj
+    return results
 
 
 def replace_config(config: RunConfig, **kw) -> RunConfig:
@@ -580,9 +546,11 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     Sweep axes: an eps list and an m list form a cross product of members;
     each m row solves its eps list by continuation and feeds the
     vanishing-regularization Cauchy study, and at the finest eps the m list
-    feeds the basis-refinement study.  A pool runs each member's solve and
-    its diagnostics as two jobs (`_run_jobs`).  A stability block adds
-    Gronwall experiments, run in the same pool.  Member failures are
+    feeds the basis-refinement study.  Each m row is one job (`_sweep_row`),
+    and a stability block adds Gronwall experiments in chunks of lockstep
+    groups, one job each (`_stability_chunk`); the jobs run one after another
+    at one worker, and above it in one process pool of at most one worker per
+    job.  Member failures are
     recorded and the sweep continues; the exit status reflects the worst
     member, and a failed stability solve drops the block's rows and exits 3.
     """
@@ -602,7 +570,17 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     chunks = [[groups[i] for i in idx]
               for idx in np.array_split(np.arange(len(groups)), config.workers) if len(idx)]
 
-    if config.workers > 1:
+    def run(mapper):
+        # the rows, then the chunks: a pool's map submits both before the rows
+        # are read, the builtin map runs each when it is read
+        row_results = mapper(_sweep_row, rows, row_dirs)
+        outcomes = mapper(_stability_chunk, [config] * len(chunks), chunks)
+        return [res for row in row_results for res in row], list(outcomes)
+
+    # no more workers than jobs: a single job (one row, no stability block)
+    # runs here, without the pool's start-up
+    workers = min(config.workers, len(rows) + len(chunks))
+    if workers > 1:
         # imported here: a serial run never loads the process-pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
@@ -610,10 +588,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         # are inherited by forked workers instead of built in each
         for solver in [m.solver for m in members.values()] + ([config.solver] if jobs else []):
             discretization(config.data.dim, solver)
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results, outcomes = _run_jobs(pool.submit, config, chunks, rows, row_dirs)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results, outcomes = run(pool.map)
     else:
-        results, outcomes = _run_jobs(_now, config, chunks, rows, row_dirs)
+        results, outcomes = run(map)
 
     summary_rows = [row for res in results for row in res["rows"]]
 

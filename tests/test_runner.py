@@ -443,6 +443,35 @@ def test_sweep_row_warm_starts_each_member_from_the_one_before(tmp_path, monkeyp
         assert guesses[m, e] is trajs[m, prev].coeffs  # the previous member's coeffs
 
 
+def test_sweep_members_equal_runs_warm_started_from_the_previous_member(tmp_path):
+    # a sweep member is `perform_run` of the member, given the coefficients of
+    # the member before it in its row as its guess; p varies, so the guess
+    # moves the Newton iterates
+    raw = small_heat_raw(fields={"p": {"family": "affine", "base": 1.9, "slope": [0.1, 0.0]},
+                                 "q": 2.0, "a": 0.5, "b": 0.5},
+                         sweep={"eps": [1.0e-1, 1.0e-2]})
+    raw["horizon"] = 0.01
+    config = runner.load_config(write_config(tmp_path, raw))
+    assert runner.perform_sweep(config, tmp_path / "sweep")[0] == 0
+    members, guess = runner._sweep(config)[2], None
+    for eps in (1.0e-1, 1.0e-2):
+        member = members[(3, eps)]
+        code, _, traj = runner.perform_run(member, tmp_path / "runs" / member.name, guess)
+        assert code == 0
+        files = sorted(p.name for p in (tmp_path / "runs" / member.name).glob("*.csv"))
+        assert "timeseries.csv" in files and "second_order.csv" in files
+        assert files == sorted(p.name for p in (tmp_path / "sweep" / member.name).glob("*.csv"))
+        for name in files:
+            assert ((tmp_path / "runs" / member.name / name).read_bytes()
+                    == (tmp_path / "sweep" / member.name / name).read_bytes())
+        guess = traj.coeffs
+    # the warm start reaches the solve: a cold second member differs
+    cold = tmp_path / "cold"
+    runner.perform_run(members[(3, 1.0e-2)], cold)
+    assert ((cold / "timeseries.csv").read_bytes()
+            != (tmp_path / "sweep" / "m3_eps0.01" / "timeseries.csv").read_bytes())
+
+
 def test_galerkin_orthogonality_holds_a_retried_step_to_its_substep_bound(tmp_path, monkeypatch):
     # step 1 is retried on halves, and the first half records a residual above
     # the stored state's newton_tol * (1 + |v|) but within its own bound
@@ -515,6 +544,18 @@ def test_parent_runs_no_solve_with_a_worker_pool(tmp_path, monkeypatch, workers,
                                    tmp_path / "sweep")
     assert code == 0
     assert pids.count(parent) == parent_solves
+
+
+def test_single_job_sweep_runs_in_the_parent_at_any_worker_count(tmp_path, monkeypatch):
+    # one m row and no stability block make one job, and a pool never has
+    # more workers than jobs: at 3 workers the row still solves here
+    pids, solve = [], runner.solve
+    monkeypatch.setattr(runner, "solve", lambda *a: pids.append(os.getpid()) or solve(*a))
+    raw = small_heat_raw(sweep={"eps": [1.0e-1, 1.0e-2]})
+    raw["horizon"] = 0.01
+    config = runner.replace_config(runner.load_config(write_config(tmp_path, raw)), workers=3)
+    assert runner.perform_sweep(config, tmp_path / "sweep")[0] == 0
+    assert pids == [os.getpid()] * 2
 
 
 def test_pool_sweep_builds_every_discretization_in_the_parent(tmp_path):
@@ -794,18 +835,26 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert out.strip() == "False"
 
 
-def test_cli_import_loads_no_scipy_and_no_process_pool():
+def test_cli_import_loads_no_scipy_and_no_process_pool(tmp_path):
     # scipy and the pool are imported where they are used (the pool inside
     # perform_sweep): at module level they would add to every command's
-    # start-up, which perfbench's setup_s measures on every workload
+    # start-up, which perfbench's setup_s measures on every workload; a
+    # serial sweep never loads the pool either
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", "import sys, doublephase.cli; print(sorted("
-                          "m for m in sys.modules if m.split('.')[0] in ('scipy', "
-                          "'multiprocessing') or m.startswith('concurrent.futures')))"],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    raw = small_heat_raw(sweep={"eps": [1.0e-2], "m_per_dim": [2, 3]}, workers=1)
+    raw["horizon"] = 0.01
+    cfgfile = write_config(tmp_path, raw)
+    listing = ("; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', "
+               "'multiprocessing') or m.startswith('concurrent.futures')))")
+    for work in ("import sys, doublephase.cli",
+                 "import sys; from doublephase import runner; assert runner.perform_sweep("
+                 "runner.load_config(sys.argv[1]), sys.argv[2])[0] == 0"):
+        out = subprocess.run([sys.executable, "-c", work + listing, str(cfgfile),
+                              str(tmp_path / "sweep")],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
 
 
 def test_cli_malformed_config_exit_1(tmp_path):
