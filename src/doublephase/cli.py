@@ -6,8 +6,9 @@ Verbs:
     doublephase report <run_dir>       print the digest, emit plots/*.dat
     doublephase validate <config.yaml> check the data assumptions only
 
-Exit codes: 0 all assertions passed, 1 malformed config or validation
-failure, 2 assertion failure (details in the manifest), 3 solver failure.
+Exit codes: 0 all assertions passed, 1 usage error, malformed config or
+validation failure, 2 assertion failure (details in the manifest), 3 solver
+failure.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .fields import ConfigurationError
-from .runner import load_config, perform_run, perform_sweep, replace_config, write_report
+from .runner import load_config, perform_run, perform_sweep, write_report
 
 
 def _default_outdir(config_path: str, suffix: str = "") -> str:
@@ -31,12 +32,10 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute one scenario")
     run_p.add_argument("config")
     run_p.add_argument("--outdir", default=None)
-    run_p.add_argument("--workers", type=int, default=None)
 
     sweep_p = sub.add_parser("sweep", help="execute the configured sweep")
     sweep_p.add_argument("config")
     sweep_p.add_argument("--outdir", default=None)
-    sweep_p.add_argument("--workers", type=int, default=None)
 
     rep_p = sub.add_parser("report", help="digest a run directory")
     rep_p.add_argument("run_dir")
@@ -44,7 +43,12 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="validate the data assumptions")
     val_p.add_argument("config")
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the help (0) or a usage error (2); a usage
+        # error is a malformed invocation, exit 1, since 2 is an assertion failure
+        return 1 if exc.code else 0
     try:
         return _dispatch(args)
     except ConfigurationError as exc:
@@ -56,12 +60,6 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.verb in ("run", "sweep", "validate"):
         config = load_config(args.config)
-        workers = getattr(args, "workers", None)
-        if workers is not None:
-            try:
-                config = replace_config(config, workers=workers)
-            except ValueError as exc:
-                raise ConfigurationError(f"--workers: {exc}") from exc
 
     if args.verb == "validate":
         report = config.data.validate()

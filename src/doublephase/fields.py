@@ -313,9 +313,9 @@ STRICT_MARGIN = 1e-9
 class ExponentData:
     """The data of the problem: exponents, coefficients, domain, horizon.
 
-    Immutable; all evaluations are pure, so instances are safe to share
-    across workers, and the validation report is computed once per instance
-    (`report`) and pickles with it.
+    Immutable; all evaluations are pure, so one instance is shared by every
+    member of a sweep, and the validation report is computed once per
+    instance (`report`) and pickles with it.
     """
 
     dim: int

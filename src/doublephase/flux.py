@@ -7,8 +7,9 @@ shifted flux density is
 
 the flux vector is ``density * xi`` (with shifts s1 = s2 = 0), and the energy
 density ``(a/p) beta_eps^(p/2) + (b/q) beta_eps^(q/2)`` has the flux vector as
-its xi-gradient.  All kernels are pure functions of arrays and are safe to
-call from any number of workers.
+its xi-gradient.  All kernels are pure functions of arrays, elementwise over
+the leading axes, so one call on a stack of gradients (B, M, N) serves B
+solves: the solver stacks a lockstep group's members this way.
 
 Evaluation policy at the degenerate point (eps = 0, xi = 0): the flux vector
 and the monotonicity gap extend continuously by zero, while the raw density

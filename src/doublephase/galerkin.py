@@ -312,8 +312,8 @@ def _discretization_tables(basis: EigenBasis, grid: QuadratureGrid) -> tuple:
 def discretization(dim: int, cfg: SolverConfig) -> tuple:
     """The basis and quadrature grid of a solve on cfg, their tables built.
 
-    Each is built once per process, so a pool worker forked after this call
-    inherits them.
+    Each is built once per process and shared by every solve on cfg's basis
+    and grid.
     """
     basis = build_basis(dim, cfg.m_per_dim)
     grid = tensor_gauss_legendre(dim, cfg.resolved_quad_order)
@@ -463,9 +463,10 @@ def step_implicit(us, t: float, tau: float, cfg: SolverConfig, ws: Workspace, me
 
     Each round of residuals of the members still iterating is one call on
     the tables and sampled data of ws, batched for several members and
-    unstacked for one.  Returns per member its new row (a failed member's
-    last iterate) and its StepStats or the StepFailure that ended it; raises
-    the first member's StepFailure when every member failed.
+    unstacked for one, and so is each round's flux Jacobians of the members
+    that build a Newton matrix.  Returns per member its new row (a failed
+    member's last iterate) and its StepStats or the StepFailure that ended
+    it; raises the first member's StepFailure when every member failed.
     """
     t1 = t + tau
     f_vecs = ws.source_vectors(members, t1)
@@ -495,6 +496,14 @@ def step_implicit(us, t: float, tau: float, cfg: SolverConfig, ws: Workspace, me
                 refused.append(i)
         return refused
 
+    def jacobians_at(idx):
+        """Flux Jacobians of members idx at their iterates, in one call."""
+        if not idx:
+            return []
+        if len(idx) == 1:  # unstacked, as in `residual`
+            return [flux.jacobian_kernel(*fields, grad_v[idx[0]], cfg.eps)]
+        return flux.jacobian_kernel(*fields, np.stack([grad_v[i] for i in idx]), cfg.eps)
+
     def fail(i, message, cause=None):
         # the cause without its traceback, which refers to this frame
         failures[i] = (message, cause and cause.with_traceback(None))
@@ -517,13 +526,13 @@ def step_implicit(us, t: float, tau: float, cfg: SolverConfig, ws: Workspace, me
                 cands.append(v[i] - inv @ res[i])
         if chord:
             fresh += attempt(chord, cands, lambda new, old: new <= CHORD_RHO * old)
-        deltas = {}
         for i in fresh:
             if jacobians[i] == cfg.newton_max_iter:
                 fail(i, f"newton did not converge at t={t1:.6g}")
-                continue
+        fresh = [i for i in fresh if failures[i] is None]
+        deltas = {}
+        for i, jac_flux in zip(fresh, jacobians_at(fresh)):
             jacobians[i] += 1
-            jac_flux = flux.jacobian_kernel(*fields, grad_v[i], cfg.eps)
             # I plus a weighted Gram form of the PSD flux Jacobian: positive
             # definite and well conditioned, so pivoted LU is stable here
             mat = ws.step_matrix(jac_flux, tau)

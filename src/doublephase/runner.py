@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -29,8 +28,8 @@ import yaml
 from . import __version__, diagnostics as dg
 from .fields import (ConfigurationError, ExponentData, Field, integer, lattice_axis, lattice_points,
                      make_field)
-from .galerkin import (SolverConfig, SolverError, Trajectory, discretization,
-                       manufactured_source, solve, solve_lockstep)
+from .galerkin import (SolverConfig, SolverError, Trajectory, manufactured_source, solve,
+                       solve_lockstep)
 
 
 # ---------------------------------------------------------------------------
@@ -68,13 +67,8 @@ class RunConfig:
     diagnostics: dict
     sweep: dict
     output: dict
-    workers: int
     seed: int
     raw: dict
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError(f"workers {self.workers} is below 1")
 
     def source_field(self) -> Field:
         return resolve_source(self.source_descriptor, self.data, self.solver.eps)
@@ -140,7 +134,7 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
 
     try:
         _block(raw, ("name", "dim", "horizon", "alpha", "fields", "initial", "source", "solver",
-                     "diagnostics", "sweep", "output", "workers", "seed"), "top-level")
+                     "diagnostics", "sweep", "output", "seed"), "top-level")
         dim = integer(need("dim"), "dim")
         fields = _block(need("fields"), ("p", "q", "a", "b"), "fields")
         data = ExponentData(
@@ -157,8 +151,6 @@ def config_from_dict(raw, where: str = "<config>") -> RunConfig:
             diagnostics=dict(raw.get("diagnostics", {})),
             sweep=dict(raw.get("sweep", {})),
             output=dict(raw.get("output", {})),
-            workers=integer(raw.get("workers", os.environ.get("DOUBLEPHASE_WORKERS", "1")),
-                            "workers"),
             seed=integer(raw.get("seed", 0), "seed"),
             raw=raw,
         )
@@ -334,8 +326,7 @@ def perform_run(config: RunConfig, outdir, guess=None) -> tuple[int, dict, Optio
     report = config.data.report
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"name": config.name, "version": __version__,
-                      "seed": config.seed, "workers": config.workers,
+    manifest: dict = {"name": config.name, "version": __version__, "seed": config.seed,
                       "config": config.raw, "timings": {}}
     manifest["validation"] = report.as_dict()
     manifest["timings"]["validate"] = time.perf_counter() - t0
@@ -499,7 +490,7 @@ def _member_entry(kind, label, value, passed=None) -> list:
 
 
 def _sweep_row(row: list[RunConfig], dirs: list[str]) -> list[dict]:
-    """Worker entry: run one m row's members in eps order, each warm-started from
+    """Run one m row's members in eps order, each warm-started from
     the one before (cold after a member with no trajectory).
 
     Returns each member reduced to what the sweep reads, with its own summary rows.
@@ -546,11 +537,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     Sweep axes: an eps list and an m list form a cross product of members;
     each m row solves its eps list by continuation and feeds the
     vanishing-regularization Cauchy study, and at the finest eps the m list
-    feeds the basis-refinement study.  Each m row is one job (`_sweep_row`),
-    and a stability block adds Gronwall experiments in chunks of lockstep
-    groups, one job each (`_stability_chunk`); the jobs run one after another
-    at one worker, and above it in one process pool of at most one worker per
-    job.  Member failures are
+    feeds the basis-refinement study.  The m rows run one after another
+    (`_sweep_row`), then a stability block's Gronwall experiments, in
+    lockstep groups against one base solve (`_stability_chunk`), all in the
+    calling process.  Member failures are
     recorded and the sweep continues; the exit status reflects the worst
     member, and a failed stability solve drops the block's rows and exits 3.
     """
@@ -561,37 +551,13 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    rows = [[members[(m, e)] for e in eps_list] for m in m_list]
-    row_dirs = [[str(outdir / member.name) for member in row] for row in rows]
+    results = []
+    for m in m_list:
+        row = [members[(m, e)] for e in eps_list]
+        results += _sweep_row(row, [str(outdir / member.name) for member in row])
     # stability block; on invalid data the members already exit 1
     jobs = _stability_jobs(config, stab) if stab and report.passed else []
-    # one contiguous chunk of whole groups per worker, each solving its own base
-    groups = _stability_groups(jobs)
-    chunks = [[groups[i] for i in idx]
-              for idx in np.array_split(np.arange(len(groups)), config.workers) if len(idx)]
-
-    def run(mapper):
-        # the rows, then the chunks: a pool's map submits both before the rows
-        # are read, the builtin map runs each when it is read
-        row_results = mapper(_sweep_row, rows, row_dirs)
-        outcomes = mapper(_stability_chunk, [config] * len(chunks), chunks)
-        return [res for row in row_results for res in row], list(outcomes)
-
-    # no more workers than jobs: a single job (one row, no stability block)
-    # runs here, without the pool's start-up
-    workers = min(config.workers, len(rows) + len(chunks))
-    if workers > 1:
-        # imported here: a serial run never loads the process-pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        # built here, the members' and the stability solves' discretizations
-        # are inherited by forked workers instead of built in each
-        for solver in [m.solver for m in members.values()] + ([config.solver] if jobs else []):
-            discretization(config.data.dim, solver)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results, outcomes = run(pool.map)
-    else:
-        results, outcomes = run(map)
+    reports, failure = _stability_chunk(config, _stability_groups(jobs)) if jobs else ([], None)
 
     summary_rows = [row for res in results for row in res["rows"]]
 
@@ -641,10 +607,8 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
         summary_rows.append(_member_entry(f"{kind}_cauchy_monotone", label,
                                           float(rep.monotone), rep.monotone))
 
-    failures = [failure for _, failure in outcomes if failure]
-    if jobs and not failures:
-        stab_checks, stab_rows = _stability_block(
-            jobs, [rep for reports, _ in outcomes for rep in reports])
+    if jobs and not failure:
+        stab_checks, stab_rows = _stability_block(jobs, reports)
         checks.extend(stab_checks)
         summary_rows.extend(stab_rows)
 
@@ -654,10 +618,10 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
                 "members": [{"name": r["name"], "exit": r["code"]} for r in results],
                 "checks": [c.as_dict() for c in checks],
                 "config": config.raw}
-    if failures:
-        manifest["failure"] = failures[0]
+    if failure:
+        manifest["failure"] = failure
     worst = max(res["code"] for res in results)
-    code = 3 if failures else worst if worst else (0 if all(c.passed for c in checks) else 2)
+    code = 3 if failure else worst if worst else (0 if all(c.passed for c in checks) else 2)
     _write_manifest(outdir, manifest, exit_code=code)
     return code, manifest
 
@@ -688,17 +652,14 @@ def _stability_jobs(config: RunConfig, stab: tuple) -> list[tuple]:
 def _stability_groups(jobs: list) -> list[list]:
     """The jobs in ceil(len / GROUP) near-equal contiguous groups, fixed by job index.
 
-    A member's bits depend on the group it is solved in (`solve_lockstep`),
-    so the groups never depend on the worker count.
+    A member's bits depend on the group it is solved in (`solve_lockstep`).
     """
-    if not jobs:
-        return []
     parts = np.array_split(np.arange(len(jobs)), -(-len(jobs) // GROUP))
     return [[jobs[i] for i in idx] for idx in parts]
 
 
 def _stability_chunk(config: RunConfig, groups: list[list]):
-    """Worker entry: solve the base alone, then each group's perturbed solves in lockstep.
+    """Solve the base alone, then each group's perturbed solves in lockstep.
 
     Returns (Gronwall reports in job order, None), or (None, message) when a
     solve fails.

@@ -961,6 +961,37 @@ def forced_retry_solves(monkeypatch, cfg, data, members, t_end, failing):
     return refs
 
 
+def test_lockstep_round_builds_its_jacobians_in_one_call(monkeypatch):
+    # perfbench reads a step's kernel calls as: one initial residual, then a
+    # residual after each Jacobian call and after each residual (a chord step
+    # or a halving); so a round's fresh members get their Jacobians from one
+    # call on stacked gradients, whose rows equal each member's own call
+    config, members = stability_members()
+    data = replace(config.data, horizon=0.01)
+    steps, sizes = [], []
+    step, vector, jacobian = galerkin.step_implicit, flux.vector_kernel, flux.jacobian_kernel
+
+    def batched(a, b, p, q, xi, eps):
+        steps[-1].append("jacobian")
+        jac = jacobian(a, b, p, q, xi, eps)
+        if xi.ndim == 3:
+            for row, grad in zip(jac, xi):
+                assert np.array_equal(row, jacobian(a, b, p, q, grad, eps))
+        sizes.append(len(xi) if xi.ndim == 3 else 1)
+        return jac
+
+    monkeypatch.setattr(galerkin, "step_implicit", lambda *a: steps.append([]) or step(*a))
+    monkeypatch.setattr(flux, "vector_kernel", lambda *a: steps[-1].append("residual")
+                        or vector(*a))
+    monkeypatch.setattr(flux, "jacobian_kernel", batched)
+    trajs = galerkin.solve_lockstep(config.solver, data, *zip(*members[:runner.GROUP]))
+    assert max(sizes) > 1
+    assert sum(sizes) == sum(int(traj.jacobians.sum()) for traj in trajs)
+    for calls in steps:
+        assert calls[0] == calls[-1] == "residual"
+        assert ["jacobian", "jacobian"] not in [calls[i:i + 2] for i in range(len(calls))]
+
+
 def test_a_member_failing_in_the_batch_retries_alone_and_rejoins(monkeypatch):
     # member 4's own source (job 4 perturbs the source) projects to NaN at
     # step 3's end time in the batch: it redoes step 3 alone on two depth-1

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from doublephase import cli, diagnostics as dg, fields, flux, galerkin, runner, spaces
+from doublephase import cli, diagnostics as dg, fields, flux, galerkin, runner
 from doublephase.fields import ConfigurationError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
@@ -38,7 +38,7 @@ def write_config(tmp_path, raw, name="scenario.yaml"):
     return path
 
 
-def test_load_config_errors(tmp_path, capsys, monkeypatch):
+def test_load_config_errors(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     with pytest.raises(ConfigurationError, match="cannot read"):
         runner.load_config(missing)
@@ -72,7 +72,8 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
                ("seed 1.5", small_heat_raw(seed=1.5)),
                ("seed True", small_heat_raw(seed=True)),
                ("horizon inf", small_heat_raw(horizon=float("inf"))),
-               ("workers 0 is below 1", small_heat_raw(workers=0)),
+               # the removed process pool's setting
+               (r"unknown top-level key\(s\): workers", small_heat_raw(workers=1)),
                ("one", small_heat_raw(seed="one")),
                ("horizn", small_heat_raw(horizn=0.02)),
                ("fields key", small_heat_raw(fields=fields | {"c": 1.0})),
@@ -100,11 +101,8 @@ def test_load_config_errors(tmp_path, capsys, monkeypatch):
                ("big", small_heat_raw(source=manufactured | {"amplitude": "big"})),
                ("mode", small_heat_raw(source=manufactured | {"mode": [1]})),
                ("mode", small_heat_raw(source=manufactured | {"mode": [0, 1]})),
-               ("woops", small_heat_raw(source={"family": "woops"})),
-               ("two", small_heat_raw())]  # last: it sets the variable for the rest
+               ("woops", small_heat_raw(source={"family": "woops"}))]
     for i, (match, raw) in enumerate(refused):
-        if match == "two":
-            monkeypatch.setenv("DOUBLEPHASE_WORKERS", "two")
         cfgfile = write_config(tmp_path, raw, f"refused{i}.yaml")
         with pytest.raises(ConfigurationError, match=match):
             runner.load_config(cfgfile)
@@ -336,17 +334,22 @@ def test_sweep_axes_out_of_order_exit_1(tmp_path, capsys, axes):
 
 
 @pytest.mark.parametrize("verb", ["run", "sweep"])
-def test_workers_below_one_exit_1(tmp_path, capsys, monkeypatch, verb):
-    # DOUBLEPHASE_WORKERS=0 and --workers 0 are refused as the `workers` key
-    # is: an error line and no output directory, where a sweep used to crash
+def test_usage_errors_exit_1(tmp_path, capsys, verb):
+    # argparse exits 2 on a usage error, which the CLI reserves for an
+    # assertion failure: a stale `--workers` flag (the process pool is gone)
+    # and a missing config print argparse's message and exit 1, and write
+    # nothing; --help still exits 0
     cfgfile = write_config(tmp_path, small_heat_raw(sweep={"eps": [1.0e-2]}))
-    for env, flag in (("0", []), ("1", ["--workers", "0"])):
-        monkeypatch.setenv("DOUBLEPHASE_WORKERS", env)
-        out = tmp_path / f"out{env}"
-        assert cli.main([verb, str(cfgfile), "--outdir", str(out)] + flag) == 1
+    out = tmp_path / "out"
+    for argv, message in (([str(cfgfile), "--outdir", str(out), "--workers", "2"],
+                           "unrecognized arguments: --workers 2"),
+                          (["--outdir", str(out)], "the following arguments are required: config")):
+        assert cli.main([verb] + argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "0 is below 1" in err
+        assert err.startswith("usage: doublephase") and message in err
         assert not out.exists()
+    assert cli.main([verb, "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: doublephase")
 
 
 @pytest.mark.parametrize("verb, overrides", [
@@ -400,23 +403,6 @@ def test_sweep_single_member_matches_run(tmp_path):
     base = runner.config_from_dict(small_heat_raw(
         solver=raw["solver"] | {"newton_max_iter": 3.0}))
     assert runner._sweep(over)[2][(3, 1.0e-2)].solver == base.solver
-
-
-def test_sweep_outputs_byte_identical_for_any_worker_count(tmp_path):
-    raw = small_heat_raw(fields={"p": {"family": "affine", "base": 1.9, "slope": [0.1, 0.0]},
-                                 "q": 2.0, "a": 0.5, "b": 0.5},
-                         sweep={"eps": [1.0e-1, 1.0e-2], "m_per_dim": [3, 4]})
-    raw["horizon"] = 0.01
-    config = runner.load_config(write_config(tmp_path, raw))
-    outputs = []
-    for workers in (1, 2, 3):  # 3: more workers than m rows
-        out = tmp_path / f"workers{workers}"
-        code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers), out)
-        assert code == 0
-        outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
-    assert Path("sweep_summary.csv") in outputs[0]
-    assert len([p for p in outputs[0] if p.name == "timeseries.csv"]) == 4
-    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sweep_row_warm_starts_each_member_from_the_one_before(tmp_path, monkeypatch):
@@ -507,85 +493,33 @@ def small_stability_raw(**solver):
     return raw
 
 
-def test_stability_outputs_byte_identical_for_any_worker_count(tmp_path, monkeypatch):
-    # 3 pairs + 2 shrinking experiments in fixed groups of at most GROUP jobs,
-    # each group solved in lockstep, and a worker's chunk holds whole groups:
-    # one group of 5 goes to one chunk at any worker count; groups of 2, 2 and
-    # 1 jobs go to two chunks at 2 workers and three at 3
-    config = runner.load_config(write_config(tmp_path, small_stability_raw()))
-    jobs = runner._stability_jobs(config, runner._sweep(config)[4])
-    for group, sizes in ((runner.GROUP, [5]), (2, [2, 2, 1])):
-        monkeypatch.setattr(runner, "GROUP", group)
-        assert [len(g) for g in runner._stability_groups(jobs)] == sizes
-        outputs = []
-        for workers in (1, 2, 3):
-            out = tmp_path / f"group{group}" / f"workers{workers}"
-            code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers), out)
-            assert code == 0
-            outputs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*.csv")})
-        kinds = [line.split(b",")[0] for line in
-                 outputs[0][Path("sweep_summary.csv")].splitlines()[1:]]
-        assert kinds.count(b"gronwall_bound") == 3 and kinds.count(b"stability_shrink") == 2
-        assert outputs[0] == outputs[1] == outputs[2]
-
-
-@pytest.mark.parametrize("workers, parent_solves", [(1, 1 + 1 + 3 + 1 + 1), (2, 0)])
-def test_parent_runs_no_solve_with_a_worker_pool(tmp_path, monkeypatch, workers, parent_solves):
-    # one member, then the stability block: base, 3 pairs, halvings + 1 shrinking;
-    # the base goes through `solve`, the others as members of a lockstep group
-    parent, pids = os.getpid(), []
+def test_sweep_solves_the_stability_base_once(tmp_path, monkeypatch):
+    # one member, then the stability block: 3 pairs and halvings + 1 = 2
+    # shrinking experiments, in fixed lockstep groups of at most GROUP jobs,
+    # all measured against one base solve
+    solves, groups = [], []
     solve, lockstep = runner.solve, runner.solve_lockstep
-    monkeypatch.setattr(runner, "solve", lambda *a: pids.append(os.getpid()) or solve(*a))
+    monkeypatch.setattr(runner, "GROUP", 2)
+    monkeypatch.setattr(runner, "solve", lambda *a: solves.append(a) or solve(*a))
     monkeypatch.setattr(runner, "solve_lockstep", lambda cfg, data, initials, sources:
-                        pids.extend([os.getpid()] * len(initials))
-                        or lockstep(cfg, data, initials, sources))
+                        groups.append(len(initials)) or lockstep(cfg, data, initials, sources))
     config = runner.load_config(write_config(tmp_path, small_stability_raw()))
-    code, _ = runner.perform_sweep(runner.replace_config(config, workers=workers),
-                                   tmp_path / "sweep")
+    code, _ = runner.perform_sweep(config, tmp_path / "sweep")
     assert code == 0
-    assert pids.count(parent) == parent_solves
+    assert len(solves) == 1 + 1 and groups == [2, 2, 1]
+    kinds = [line.split(",")[0] for line in
+             (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()[1:]]
+    assert kinds.count("gronwall_bound") == 3 and kinds.count("stability_shrink") == 2
 
 
-def test_single_job_sweep_runs_in_the_parent_at_any_worker_count(tmp_path, monkeypatch):
-    # one m row and no stability block make one job, and a pool never has
-    # more workers than jobs: at 3 workers the row still solves here
-    pids, solve = [], runner.solve
-    monkeypatch.setattr(runner, "solve", lambda *a: pids.append(os.getpid()) or solve(*a))
-    raw = small_heat_raw(sweep={"eps": [1.0e-1, 1.0e-2]})
-    raw["horizon"] = 0.01
-    config = runner.replace_config(runner.load_config(write_config(tmp_path, raw)), workers=3)
-    assert runner.perform_sweep(config, tmp_path / "sweep")[0] == 0
-    assert pids == [os.getpid()] * 2
-
-
-def test_pool_sweep_builds_every_discretization_in_the_parent(tmp_path):
-    # members at m 2 and 4, the stability solves at the base m 3; the parent
-    # of a pool solves nothing (test above), so it built each table for the
-    # forked workers to inherit
-    raw = small_stability_raw()
-    raw["sweep"]["m_per_dim"] = [2, 4]
-    config = runner.replace_config(runner.load_config(write_config(tmp_path, raw)), workers=2)
-    tables = galerkin._discretization_tables
-    for cached in (galerkin.build_basis, spaces.tensor_gauss_legendre, tables):
-        cached.cache_clear()
-    assert runner.perform_sweep(config, tmp_path / "sweep")[0] == 0
-    built = tables.cache_info()
-    assert built.currsize == 3
-    for m in (2, 3, 4):
-        galerkin.discretization(2, replace(config.solver, m_per_dim=m))
-    assert tables.cache_info().misses == built.misses
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_stability_solver_failure_writes_the_summary_and_exits_3(tmp_path, capsys, workers):
+def test_stability_solver_failure_writes_the_summary_and_exits_3(tmp_path, capsys):
     # the member keeps the default Newton tolerance; the stability solves get one no
-    # iterate meets, which reaches the pool workers as a scenario value
+    # iterate meets
     raw = small_stability_raw(newton_tol=1e-300, tau_retry_cap=0, max_damping_halvings=1)
     raw["sweep"]["solver_overrides"] = {"newton_tol": 1e-10, "tau_retry_cap": 4,
                                         "max_damping_halvings": 20}
     out = tmp_path / "sweep"
-    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out),
-                     "--workers", str(workers)]) == 3
+    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out)]) == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["exit_code"] == 3 and manifest["failure"].startswith("stability experiment")
     assert [m["exit"] for m in manifest["members"]] == [0]
@@ -620,22 +554,11 @@ def test_sweep_validates_the_data_once(tmp_path, monkeypatch):
     assert len(calls) == 1 and calls[0] is config.data
 
 
-def test_sweep_member_manifests_record_the_sweep_workers(tmp_path):
-    raw = small_heat_raw(sweep={"eps": [1.0e-1, 1.0e-2]})
-    raw["horizon"] = 0.01
-    cfgfile = write_config(tmp_path, raw)
-    out = tmp_path / "sweep"
-    assert cli.main(["sweep", str(cfgfile), "--outdir", str(out), "--workers", "2"]) == 0
-    for name in ("m3_eps0.1", "m3_eps0.01"):
-        assert json.loads((out / name / "manifest.json").read_text())["workers"] == 2
-
-
 def test_sweep_with_stability_block_on_invalid_data_exit_1(tmp_path):
     raw = yaml.safe_load((SCENARIOS / "stability.yaml").read_text())
     raw["fields"]["q"] = 2.6  # |p - q| above 2/(N+2)
     out = tmp_path / "sweep"
-    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out),
-                     "--workers", "1"]) == 1
+    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out)]) == 1
     assert json.loads((out / "manifest.json").read_text())["exit_code"] == 1
     kinds = [line.split(",")[0] for line in
              (out / "sweep_summary.csv").read_text().splitlines()[1:]]
@@ -707,8 +630,7 @@ def test_report_on_a_sweep_directory(tmp_path, capsys):
         "eps": [1.0e-1, 1.0e-2], "m_per_dim": [2, 3],
         "diagnostics_overrides": {"energy_residual_ceiling": 1.0e-300}})
     out = tmp_path / "sweep"
-    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out),
-                     "--workers", "1"]) == 2
+    assert cli.main(["sweep", str(write_config(tmp_path, raw)), "--outdir", str(out)]) == 2
     capsys.readouterr()
     assert cli.main(["report", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -836,15 +758,15 @@ def test_cli_import_leaves_scipy_optimize_out():
 
 
 def test_cli_import_loads_no_scipy_and_no_process_pool(tmp_path):
-    # scipy and the pool are imported where they are used (the pool inside
-    # perform_sweep): at module level they would add to every command's
-    # start-up, which perfbench's setup_s measures on every workload; a
-    # serial sweep never loads the pool either
+    # scipy is imported where it is used: at module level it would add to
+    # every command's start-up, which perfbench's setup_s measures on every
+    # workload; a sweep with two m rows and a stability block runs in this
+    # process and loads no process-pool machinery either
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    raw = small_heat_raw(sweep={"eps": [1.0e-2], "m_per_dim": [2, 3]}, workers=1)
-    raw["horizon"] = 0.01
+    raw = small_stability_raw()
+    raw["sweep"]["m_per_dim"] = [2, 3]
     cfgfile = write_config(tmp_path, raw)
     listing = ("; print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', "
                "'multiprocessing') or m.startswith('concurrent.futures')))")

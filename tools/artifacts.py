@@ -8,7 +8,7 @@ Usage (from any directory):
 
 The first form runs ``doublephase run`` on each scenario under
 ``scenarios/`` and ``doublephase sweep`` on each scenario with a top-level
-``sweep:`` block, all with ``--workers 1`` and one BLAS thread, writing into
+``sweep:`` block, all with one BLAS thread, writing into
 OUTDIR/run/<name> and OUTDIR/sweep/<name>.  Then it writes OUTDIR/digest.json
 with the BLAS thread count, the exit code of every command, the sha256 of
 every CSV, and the sha256 of every manifest with its wall-clock ``timings``
@@ -79,7 +79,7 @@ def digest(out: Path) -> int:
     for verb, scenario in commands:
         target = out / verb / scenario.stem
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([verb, str(scenario), "--outdir", str(target), "--workers", "1"])
+            code = cli.main([verb, str(scenario), "--outdir", str(target)])
         exit_codes[f"{verb}/{scenario.stem}"] = code
         print(f"{verb} {scenario.stem}: exit {code}")
 
