@@ -37,6 +37,8 @@ SUP_LATTICE = 65
 # Kept checkpoints `second_order_flux_norm` evaluates at once: its memory grows
 # with the block, not with their number.
 SECOND_ORDER_BLOCK = 4
+# Checkpoints `_lattice_sup` evaluates on the sup lattice at once, for the same reason.
+SUP_BLOCK = 8
 # Relative growth between consecutive Cauchy distances still read as monotone.
 CAUCHY_TOLERANCE = 0.10
 
@@ -80,9 +82,16 @@ class CoreSeries:
 
 
 def _lattice_sup(traj: Trajectory, n: int) -> np.ndarray:
-    """max |u| over the uniform n^dim lattice at every checkpoint."""
+    """max |u| over the uniform n^dim lattice at every checkpoint, SUP_BLOCK checkpoints at a time.
+
+    Taken as max(max u, -min u), which equals it bit for bit without an |u| copy.
+    """
     lines = traj.basis.line_tables(lattice_axis(n))
-    return np.abs(traj.basis.lattice(lines, traj.coeffs)).max(axis=1)
+    sup = np.empty(len(traj.coeffs))
+    for start in range(0, len(sup), SUP_BLOCK):
+        u = traj.basis.lattice(lines, traj.coeffs[start:start + SUP_BLOCK])
+        sup[start:start + SUP_BLOCK] = np.maximum(u.max(axis=1), -u.min(axis=1))
+    return sup
 
 
 def core_series(traj: Trajectory) -> CoreSeries:
@@ -313,9 +322,10 @@ def stability_experiments(traj_u: Trajectory, others) -> list[GronwallReport]:
     (||u0-v0||^2 + ||f-g||^2) at every checkpoint, with f and g the two
     trajectories' own sources, and reports the gradient distance of u and v
     plus the monotonicity pairing of their gradient fields.  The base's
-    sampled data, exponent and flux field are formed once for all.  The
-    others' gradient and source tables are not cached on them, so the group
-    holds one pair's tables at a time.
+    sampled data, exponent and flux field are formed once for all, and so
+    are its source values for each other whose source is the base's own.
+    The others' gradient and source tables are not cached on them, so the
+    group holds one pair's tables at a time.
     """
     st = traj_u.spacetime_grid()
     s_lower = _s_lower(traj_u)
@@ -328,7 +338,9 @@ def stability_experiments(traj_u: Trajectory, others) -> list[GronwallReport]:
         grads_v = Trajectory.grads.func(traj_v)
         dc = traj_u.coeffs - traj_v.coeffs
         diff = np.einsum("kj,kj->k", dc, dc)
-        fg_sq = st.integrate((traj_u.source_values - Trajectory.source_values.func(traj_v)) ** 2)
+        g = (traj_u.source_values if traj_v.source is traj_u.source
+             else Trajectory.source_values.func(traj_v))
+        fg_sq = st.integrate((traj_u.source_values - g) ** 2)
         bound = np.exp(traj_u.horizon) * (diff[0] + fg_sq)
         slack = 1e-6 * max(1.0, bound)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -63,10 +63,6 @@ class Field:
                 f"field family {self.descriptor.get('family')!r} has no closed-form gradient")
         return self._grad(_as_points(x), np.asarray(t, dtype=float))
 
-    def __reduce__(self):
-        # pickles as its descriptor; a family make_field does not know fails at unpickle
-        return make_field, (dict(self.descriptor), self.dim)
-
 
 def sample_field(fld, x, t) -> np.ndarray:
     """fld at points x: (M,) for a scalar t, (K, M) for K times, one time at a time.
@@ -82,28 +78,39 @@ def sample_field(fld, x, t) -> np.ndarray:
     return np.stack([fld(x, tk) for tk in t], axis=0)
 
 
+class _Entry:
+    """The last (key, value, weak reference to the points) of a `point_memo`."""
+
+    __slots__ = ("last", "__weakref__")
+
+
+def _drop(entry_ref, _):
+    """Clear a `point_memo` entry, if the memo still exists, when its points are freed."""
+    entry = entry_ref()
+    if entry is not None:
+        entry.last = (None, None)
+
+
 def point_memo(build: Callable) -> Callable:
     """build(x) memoized for the last point set x (M, N), keyed by its shape and bytes.
 
     The key and its value are stored and read as one tuple, so a key is
     never paired with another point set's value.  The entry is dropped when
     the array x is freed, so that a long-lived field keeps no table of a
-    point set nobody holds.
+    point set nobody holds.  The drop holds the entry by a weak reference:
+    no reference cycle keeps a freed memo's table until the cyclic garbage
+    collector runs.
     """
-    entry = (None, None)
-
-    def drop(_):
-        nonlocal entry
-        entry = (None, None)
+    entry = _Entry()
+    entry.last = (None, None)
 
     def at(x):
-        nonlocal entry
         key = (x.shape, x.tobytes())
-        last = entry
+        last = entry.last
         if last[0] != key:
             # a replaced entry takes its weak reference along, so that
             # reference's callback can no longer drop the new entry
-            last = entry = (key, build(x), weakref.ref(x, drop))
+            last = entry.last = (key, build(x), weakref.ref(x, partial(_drop, weakref.ref(entry))))
         return last[1]
 
     return at
@@ -315,7 +322,7 @@ class ExponentData:
 
     Immutable; all evaluations are pure, so one instance is shared by every
     member of a sweep, and the validation report is computed once per
-    instance (`report`) and pickles with it.
+    instance (`report`).
     """
 
     dim: int

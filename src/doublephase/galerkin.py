@@ -25,15 +25,15 @@ basis (DENSE_ENTRIES), sum-factorized one axis at a time on a large one.  A
 discretization's basis, grid and tables are built once per process.
 
 Solves that share the data, the configuration and the discretization can
-march in lockstep (`solve_lockstep`; `solve` marches one member): each step
-is one `step_implicit` call on all their coefficients, which evaluates each
-round of their Newton residuals in one batched call while every member
-keeps its own Newton iteration.  A batch's rows round differently from the
-same rows alone, by about 1e-13 relative, so a member's bits depend on its group.
+march in lockstep (`solve_lockstep`; `solve` marches one member, on the
+same code): each step is one `step_implicit` call on all their stacked
+coefficients, which evaluates each round of their Newton residuals in one
+batched call while every member keeps its own Newton iteration.  A batch's
+rows round differently from the same rows alone, by about 1e-13 relative,
+so a member's bits depend on its group.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
@@ -341,24 +341,37 @@ class Workspace:
     same basis and grid, come from `_discretization_tables`: a residual's
     gradient and stiffness use the dense gradient table when there is one,
     and are otherwise contracted one axis at a time, like the Newton matrix.
-    Each steady one of the data's (a, b, p, q) and of the members' sources
-    is sampled (a source also projected) here, once and read-only; with all
-    four data steady, so are the residual's flux exponents.
-    `newton_inverses[i]` maps a step size to member i's last Newton inverse.
+    Each steady one of the data's (a, b, p, q) is sampled here, once and
+    read-only; with all four steady, so are the residual's flux exponents.
+    The members' sources are taken once per distinct object: a steady one is
+    sampled and projected here, a time-dependent one once per
+    `source_vectors` call.  `inverses(tau)` holds the members' last Newton
+    inverses for each step size.
     """
 
     def __init__(self, basis: EigenBasis, grid: QuadratureGrid, data=None, sources=()):
         self.basis = basis
         self.x, self.w = grid.space_nodes, grid.space_weights
         self.lines, self._pairs, self.dense = _discretization_tables(basis, grid)
+        self._node_weights = np.repeat(self.w, basis.dim)
         self.sources = list(sources)
-        self.newton_inverses = [{} for _ in self.sources]
+        self.newton_inverses = {}
         self._data = () if data is None else (data.a, data.b, data.p, data.q)
         self._fields = _steady_samples(self._data, lambda fld: fld(self.x, 0.0))
         self._steady = all(vals is not None for vals in self._fields)
         self._exponents = tuple((r - 2.0) / 2.0 for r in self._fields[2:]) if self._steady else None
-        self._source_vecs = _steady_samples(
-            self.sources, lambda f: self.basis.lattice_adjoint(self.lines, self.w * f(self.x, 0.0)))
+        # each member's index among the distinct source objects, whose steady
+        # ones are projected here, once, and the time-dependent ones per call
+        self._distinct = list({id(f): f for f in self.sources}.values())
+        index = {id(f): j for j, f in enumerate(self._distinct)}
+        self._source_index = [index[id(f)] for f in self.sources]
+        self._moving = {j for j, f in enumerate(self._distinct) if not f.steady}
+        self._steady_rows = {}
+        self._source_vecs = np.zeros((len(self._distinct), basis.size))
+        for j, f in enumerate(self._distinct):
+            if j not in self._moving:
+                vals = f(self.x, 0.0)
+                self._source_vecs[j] = self.basis.lattice_adjoint(self.lines, self.w * vals)
 
     def gradient_of(self, coeffs) -> np.ndarray:
         """Gradient of the coefficients (..., m) on the nodes, (..., M, N).
@@ -372,19 +385,40 @@ class Workspace:
 
     def stiffness(self, fvec) -> np.ndarray:
         """Projection int F . grad phi_j dx of flux fields fvec (..., M, N) onto the basis."""
-        wf = self.w[:, None] * fvec
+        # the weights repeated per component: one flat product, whose inner loop runs
+        # over every entry, not over the N components of one node
+        wf = fvec.reshape(fvec.shape[:-2] + (-1,)) * self._node_weights
         if self.dense is None:
-            return self.basis.lattice_adjoint(self.lines, wf, 1)
-        return wf.reshape(fvec.shape[:-2] + (-1,)) @ self.dense
+            return self.basis.lattice_adjoint(self.lines, wf.reshape(fvec.shape), 1)
+        return wf @ self.dense
 
-    def source_vectors(self, members, t: float) -> list:
-        """The projected sources of members at t, one (m,) row each: a steady one's made
-        once, and the time-dependent ones in one contraction, in member order."""
-        steady = [self._source_vecs[i] for i in members]
-        moving = [self.sources[i](self.x, t) for i, vec in zip(members, steady) if vec is None]
-        projected = iter(self.basis.lattice_adjoint(self.lines, self.w * np.stack(moving))
-                         if moving else ())
-        return [next(projected) if vec is None else vec for vec in steady]
+    def source_vectors(self, members, t: float) -> np.ndarray:
+        """The projected sources of members at t, (B, m): the steady ones made once, and each
+        distinct time-dependent one sampled once, all of them in one contraction."""
+        index = [self._source_index[i] for i in members]
+        if not self._moving:  # the same rows at every t, made once per member set
+            key = tuple(index)
+            if key not in self._steady_rows:
+                self._steady_rows[key] = self._source_vecs[index]
+                self._steady_rows[key].flags.writeable = False
+            return self._steady_rows[key]
+        vecs = self._source_vecs
+        moving = [j for j in dict.fromkeys(index) if j in self._moving]
+        if moving:
+            vals = np.stack([self._distinct[j](self.x, t) for j in moving])
+            projected = self.basis.lattice_adjoint(self.lines, self.w * vals)
+            if moving == index:  # each member's own time-dependent source
+                return projected
+            vecs = vecs.copy()
+            vecs[moving] = projected
+        return vecs[index]
+
+    def inverses(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """The members' last Newton inverses at step size tau, (n, m, m), and which exist, (n,)."""
+        if tau not in self.newton_inverses:
+            n, m = len(self.sources), self.basis.size
+            self.newton_inverses[tau] = np.empty((n, m, m)), np.zeros(n, dtype=bool)
+        return self.newton_inverses[tau]
 
     def fields_at(self, t: float) -> tuple:
         """(a, b, p, q) on the nodes at time t; with all four steady, one tuple made once."""
@@ -435,138 +469,185 @@ class Workspace:
 
 @dataclass
 class StepStats:
-    newton_iters: int
-    jacobians: int  # Newton matrices built from a fresh flux Jacobian
-    residual_norm: float
-    residual_bound: float  # the Newton tolerance the residual was accepted against
-    energy_slack: float
-    ut_sq_increment: float  # tau * ||(U' - U)/tau||^2
+    """The records of one implicit step, per member: each a (B,) array."""
+
+    newton_iters: np.ndarray
+    jacobians: np.ndarray  # Newton matrices built from a fresh flux Jacobian
+    residual_norm: np.ndarray
+    residual_bound: np.ndarray  # the Newton tolerance the residual was accepted against
+    energy_slack: np.ndarray
+    ut_sq_increment: np.ndarray  # tau * ||(U' - U)/tau||^2
+    failures: list  # None, or the StepFailure that ended the member's step
+
+
+# The StepStats records a Trajectory keeps per checkpoint.
+_RECORDS = ("newton_iters", "jacobians", "residual_norm", "residual_bound", "energy_slack",
+            "ut_sq_increment")
 
 
 def step_implicit(us, t: float, tau: float, cfg: SolverConfig, ws: Workspace, members,
-                  starts) -> tuple[list, list]:
+                  starts=None) -> tuple[np.ndarray, StepStats]:
     """One chord-Newton implicit Euler step of each member's coefficients from t to t + tau.
 
     members are the indices in ws of the members to step; ws holds the
-    data, their sources and their Newton inverses.  us and starts are their
-    coefficient rows and Newton starts (None: the row itself).  Each solves
-    V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
+    data, their sources and their Newton inverses.  us (B, m) are their
+    coefficients and starts (B, m) their Newton starts (None: us).  Each
+    solves V = U + tau*rhs(V, t+tau), which minimizes the convex per-step
     functional  ||V-U||^2/2 + tau*(int energy_kernel(grad v) - int f v),
     and accepts the first iterate v within `cfg.newton_tolerance(v)`.  An
-    iteration first tries the chord step with the member's
-    `ws.newton_inverses[i][tau]`, kept when it cuts the residual by CHORD_RHO;
+    iteration first tries the chord step with the member's inverse in
+    `ws.inverses(tau)`, kept when it cuts the residual by CHORD_RHO;
     otherwise it builds and caches the Newton matrix's inverse at v and
     takes a damped Newton step, halving it until the residual decreases.  A
     member builds at most `cfg.newton_max_iter` Newton matrices per step;
     chord steps come on top, and end on their own since each one kept cuts
     the residual tenfold.
 
+    The members' iterates, residuals, gradients, fluxes, residual norms and
+    tolerances are stacked (B, ...) arrays, and the members of a round are
+    index lists into them (a slice, so views, when every member takes part).
     Each round of residuals of the members still iterating is one call on
     the tables and sampled data of ws, batched for several members and
     unstacked for one, and so is each round's flux Jacobians of the members
-    that build a Newton matrix.  Returns per member its new row (a failed
-    member's last iterate) and its StepStats or the StepFailure that ended
-    it; raises the first member's StepFailure when every member failed.
+    that build a Newton matrix.  Their chord steps and Newton steps are each
+    one batch of matrix-vector products, and their norms and energy terms
+    one `np.vecdot` (a BLAS dot per row): each row is that member's own
+    product bit for bit.  Returns the new rows (a failed member's last
+    iterate) and the StepStats; raises the first member's StepFailure when
+    every member failed.
     """
     t1 = t + tau
+    us = np.asarray(us, dtype=float)
+    members = list(members)
     f_vecs = ws.source_vectors(members, t1)
     fields = ws.fields_at(t1)
+    v = np.array(us if starts is None else starts, dtype=float)
+    n = len(v)
+    every = list(range(n))
+    own = members == list(range(len(ws.sources)))  # ws holds just these members, in order
 
-    def residual(idx, cands):
-        """Residuals, gradients, fluxes and residual norms of members idx at cands, in one call."""
-        if len(idx) == 1:  # unstacked: the kernels broadcast a lone member's arrays faster
-            cand, f_vec, u_i = cands[0], f_vecs[idx[0]], us[idx[0]]
+    def rows(idx):
+        """Members idx (a list) as an index of the stacked arrays."""
+        return slice(None) if idx == every else idx
+
+    def ws_rows(idx):
+        """Members idx as an index of ws's stacked inverses."""
+        return rows(idx) if own else [members[i] for i in idx]
+
+    def residual(sel, cand):
+        """Residuals, gradients, fluxes and residual norms of members `sel` at cand, in one call."""
+        if len(cand) == 1:  # unstacked: the kernels broadcast a lone member's arrays faster
+            u, f_vec = us[sel][0], f_vecs[sel][0]
+            rhs, grad_c, fvec_c = ws.rhs(cand[0], fields, cfg.eps, f_vec)
+            res_c = cand[0] - u - tau * rhs
+            return res_c[None], grad_c[None], fvec_c[None], np.sqrt([res_c @ res_c])
+        rhs, grad_c, fvec_c = ws.rhs(cand, fields, cfg.eps, f_vecs[sel])
+        res_c = cand - us[sel] - tau * rhs
+        return res_c, grad_c, fvec_c, np.sqrt(np.vecdot(res_c, res_c))
+
+    def attempt(idx, cand, keeps):
+        """Move each member of idx to its row of cand where keeps(new norm, old norm).
+
+        Returns, per member of idx, whether it moved."""
+        nonlocal v, res, grad_v, fvec, norm, tol
+        sel = rows(idx)
+        res_c, grad_c, fvec_c, norm_c = residual(sel, cand)
+        kept = keeps(norm_c, norm[sel])
+        moved = kept.tolist()
+        if not all(moved):
+            idx = [i for i, k in zip(idx, moved) if k]
+            sel, cand, res_c, grad_c, fvec_c, norm_c = (
+                rows(idx), *(a[kept] for a in (cand, res_c, grad_c, fvec_c, norm_c)))
+        state = cand, res_c, grad_c, fvec_c, norm_c, cfg.newton_tolerance(cand)
+        if idx == every:  # the candidates become the state, uncopied
+            v, res, grad_v, fvec, norm, tol = state
         else:
-            cand, f_vec, u_i = (np.stack(rows) for rows in
-                                (cands, [f_vecs[i] for i in idx], [us[i] for i in idx]))
-        rhs, grad_c, fvec_c = ws.rhs(cand, fields, cfg.eps, f_vec)
-        res_c = cand - u_i - tau * rhs
-        if len(idx) == 1:
-            return [res_c], [grad_c], [fvec_c], [np.sqrt(res_c @ res_c)]
-        return list(res_c), list(grad_c), list(fvec_c), [np.sqrt(r @ r) for r in res_c]
-
-    def attempt(idx, cands, keeps):
-        """Move each member of idx to its candidate where keeps(new norm, old norm); the others."""
-        refused = []
-        for i, cand, res_i, grad_i, fvec_i, norm_i in zip(idx, cands, *residual(idx, cands)):
-            if keeps(norm_i, norm[i]):
-                v[i], res[i], grad_v[i], fvec[i], norm[i] = cand, res_i, grad_i, fvec_i, norm_i
-                traces[i].append(norm_i)
-            else:
-                refused.append(i)
-        return refused
-
-    def jacobians_at(idx):
-        """Flux Jacobians of members idx at their iterates, in one call."""
-        if not idx:
-            return []
-        if len(idx) == 1:  # unstacked, as in `residual`
-            return [flux.jacobian_kernel(*fields, grad_v[idx[0]], cfg.eps)]
-        return flux.jacobian_kernel(*fields, np.stack([grad_v[i] for i in idx]), cfg.eps)
+            v[sel], res[sel], grad_v[sel], fvec[sel], norm[sel], tol[sel] = state
+        for i in idx:
+            iters[i] += 1
+        history.append((idx, norm_c.tolist()))
+        return moved
 
     def fail(i, message, cause=None):
         # the cause without its traceback, which refers to this frame
         failures[i] = (message, cause and cause.with_traceback(None))
 
-    v = [np.array(u if start is None else start) for u, start in zip(us, starts)]
-    batch = range(len(us))
-    res, grad_v, fvec, norm = residual(batch, v)
-    traces = [[n] for n in norm]
-    jacobians, failures = [0] * len(us), [None] * len(us)
-    active = batch
-    while active := [i for i in active if failures[i] is None
-                     and not norm[i] <= cfg.newton_tolerance(v[i])]:
-        chord, cands, fresh = [], [], []
-        for i in active:
-            inv = ws.newton_inverses[members[i]].get(tau)
-            if inv is None:
-                fresh.append(i)
-            else:
-                chord.append(i)
-                cands.append(v[i] - inv @ res[i])
+    def trace(i):
+        """Member i's accepted residual norms, the first iterate's first."""
+        return [r for idx, norms in history for j, r in zip(idx, norms) if j == i]
+
+    res, grad_v, fvec, norm = residual(slice(None), v)
+    tol = cfg.newton_tolerance(v)
+    history = [(every, norm.tolist())]
+    iters, jacobians, failures = [0] * n, [0] * n, {}
+    while active := [i for i, done in enumerate((norm <= tol).tolist())
+                     if not done and i not in failures]:
+        inverses, built = ws.inverses(tau)
+        has = built[ws_rows(active)].tolist()
+        fresh = [i for i, h in zip(active, has) if not h]
+        chord = [i for i, h in zip(active, has) if h]
         if chord:
-            fresh += attempt(chord, cands, lambda new, old: new <= CHORD_RHO * old)
+            sel = rows(chord)
+            step = np.matmul(inverses[ws_rows(chord)], res[sel][..., None])[..., 0]
+            kept = attempt(chord, v[sel] - step, lambda new, old: new <= CHORD_RHO * old)
+            fresh += [i for i, k in zip(chord, kept) if not k]
         for i in fresh:
             if jacobians[i] == cfg.newton_max_iter:
                 fail(i, f"newton did not converge at t={t1:.6g}")
-        fresh = [i for i in fresh if failures[i] is None]
-        deltas = {}
-        for i, jac_flux in zip(fresh, jacobians_at(fresh)):
+        fresh = [i for i in fresh if i not in failures]
+        if not fresh:
+            continue
+        sel = rows(fresh)
+        if len(fresh) == 1:  # unstacked, as in `residual`
+            jac = flux.jacobian_kernel(*fields, grad_v[sel][0], cfg.eps)[None]
+        else:
+            jac = flux.jacobian_kernel(*fields, grad_v[sel], cfg.eps)
+        damped = []
+        for i, jac_flux in zip(fresh, jac):
             jacobians[i] += 1
             # I plus a weighted Gram form of the PSD flux Jacobian: positive
             # definite and well conditioned, so pivoted LU is stable here
             mat = ws.step_matrix(jac_flux, tau)
             try:
-                inv = np.linalg.solve(mat, np.eye(len(mat)))
+                inverses[members[i]] = np.linalg.solve(mat, np.eye(len(mat)))
             except np.linalg.LinAlgError as exc:
                 fail(i, f"newton solve failed at t={t1:.6g}: {exc}", exc)
                 continue
-            ws.newton_inverses[members[i]][tau] = inv
-            deltas[i] = -(inv @ res[i])
-        damped, alpha = list(deltas), 1.0
+            built[members[i]] = True
+            damped.append(i)
+        sel = rows(damped)
+        delta = -np.matmul(inverses[ws_rows(damped)], res[sel][..., None])[..., 0]
+        alpha = 1.0
         for _ in range(cfg.max_damping_halvings):
             if not damped:
                 break
-            damped = attempt(damped, [v[i] + alpha * deltas[i] for i in damped], operator.lt)
+            kept = attempt(damped, v[rows(damped)] + alpha * delta, np.less)
+            if any(kept):
+                damped = [i for i, k in zip(damped, kept) if not k]
+                delta = delta[np.logical_not(kept)]
             alpha *= 0.5
         for i in damped:
             fail(i, f"damping exhausted at t={t1:.6g}")
 
-    if None not in failures:
-        raise StepFailure(failures[0][0], traces[0]) from failures[0][1]
-    stats = []
-    for i in batch:
-        if failures[i] is not None:
-            stats.append(StepFailure(failures[i][0], traces[i]))
-            stats[-1].__cause__ = failures[i][1]
-            continue
-        flux_energy = float(ws.w @ flux._dot_last(fvec[i], grad_v[i]))
-        source_work = float(f_vecs[i] @ v[i])
-        slack = (v[i] @ v[i] - us[i] @ us[i]) / (2.0 * tau) + flux_energy - source_work
-        stats.append(StepStats(newton_iters=len(traces[i]) - 1, jacobians=jacobians[i],
-                               residual_norm=norm[i], residual_bound=cfg.newton_tolerance(v[i]),
-                               energy_slack=slack,
-                               ut_sq_increment=float((v[i] - us[i]) @ (v[i] - us[i])) / tau))
+    if len(failures) == n:
+        message, cause = failures[0]
+        raise StepFailure(message, trace(0)) from cause
+    # the records of the members that did not fail
+    ok = rows([i for i in every if i not in failures])
+    v_ok, u_ok = v[ok], us[ok]
+    flux_energy = np.vecdot(flux._dot_last(fvec[ok], grad_v[ok]), ws.w)
+    slack = ((np.vecdot(v_ok, v_ok) - np.vecdot(u_ok, u_ok)) / (2.0 * tau) + flux_energy
+             - np.vecdot(f_vecs[ok], v_ok))
+    du = v_ok - u_ok
+    records = [norm[ok], tol[ok], slack, np.vecdot(du, du) / tau]
+    if failures:
+        for k, values in enumerate(records):
+            records[k] = np.zeros(n)
+            records[k][ok] = values
+    stats = StepStats(np.array(iters), np.array(jacobians), *records, failures=[None] * n)
+    for i, (message, cause) in failures.items():
+        stats.failures[i] = StepFailure(message, trace(i))
+        stats.failures[i].__cause__ = cause
     return v, stats
 
 
@@ -634,7 +715,8 @@ def _advance(u, t, dt, depth, cfg, ws, i, failure):
 
     A substep starts Newton from its initial state and, if it fails, is
     redone the same way one level deeper; at depth cfg.tau_retry_cap the
-    failure is raised instead.  Returns the coefficients and merged StepStats.
+    failure is raised instead.  Returns the coefficients and the merged
+    StepStats of the one member.
 
     A module function, not a closure in `_march`: a self-referencing closure
     is a reference cycle that keeps the Workspace alive until the cyclic
@@ -645,20 +727,21 @@ def _advance(u, t, dt, depth, cfg, ws, i, failure):
     subs = []
     for t_sub in (t, t + dt / 2.0):
         try:
-            (u,), (st,) = step_implicit([u], t_sub, dt / 2.0, cfg, ws, [i], [None])
+            (u,), st = step_implicit([u], t_sub, dt / 2.0, cfg, ws, [i])
         except StepFailure as exc:
             u, st = _advance(u, t_sub, dt / 2.0, depth + 1, cfg, ws, i, exc)
         subs.append(st)
     st1, st2 = subs
     # the larger substep residual, with the bound of the substep state it was accepted at
-    worse = max(st1, st2, key=lambda st: st.residual_norm)
+    worse = st2 if st2.residual_norm[0] > st1.residual_norm[0] else st1
     return u, StepStats(
         newton_iters=st1.newton_iters + st2.newton_iters,
         jacobians=st1.jacobians + st2.jacobians,
         residual_norm=worse.residual_norm,
         residual_bound=worse.residual_bound,
         energy_slack=st1.energy_slack + st2.energy_slack,
-        ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment)
+        ut_sq_increment=st1.ut_sq_increment + st2.ut_sq_increment,
+        failures=[None])
 
 
 def solve(cfg: SolverConfig, data: ExponentData, u0: Field, f_field: Field, guess=None) -> Trajectory:
@@ -699,10 +782,11 @@ def _march(cfg: SolverConfig, data: ExponentData, initials: list, sources: list,
            guess=None) -> list[Trajectory]:
     """March the members over [0, T] together, one `step_implicit` call per step.
 
-    Every member keeps one clock, t_{k+1} = t_k + tau.  A member whose step
-    fails redoes it through `_advance` and stays in the group; a step that
-    fails even on the last halved substeps raises SolverError with that
-    member's partial trajectory.
+    Every member keeps one clock, t_{k+1} = t_k + tau.  The checkpoints are
+    one (K+1, B, m) array, and each step's records one StepStats of (B,)
+    arrays.  A member whose step fails redoes it through `_advance` and
+    stays in the group; a step that fails even on the last halved substeps
+    raises SolverError with that member's partial trajectory.
     """
     data.report.raise_if_failed()
     basis, grid = discretization(data.dim, cfg)
@@ -711,51 +795,74 @@ def _march(cfg: SolverConfig, data: ExponentData, initials: list, sources: list,
         raise ValueError(f"guess shape {np.shape(guess)} is not {(n_steps + 1, basis.size)}")
     ws = Workspace(basis, grid, data, sources)
     tau = data.horizon / n_steps
-    t = 0.0
-    # per member the initial row, then one per step: the trailing Trajectory
-    # fields, times to energy_slack
-    rows = [[(t, ws.project(u0), 0.0, 0, 0, 0.0, 0.0, 0.0)] for u0 in initials]
+    every = list(range(len(initials)))
+    times = np.zeros(n_steps + 1)
+    coeffs = np.empty((n_steps + 1, len(every), basis.size))
+    coeffs[0] = [ws.project(u0) for u0 in initials]
+    steps = [_blank_stats(len(every), [None] * len(every))]
     heads = [(data, u0, f_field, cfg, basis, grid, ws.lines)
              for u0, f_field in zip(initials, sources)]
 
+    t = 0.0
     for k in range(n_steps):
-        us = [r[-1][1] for r in rows]
-        starts = [_predictor(k, r, guess) for r in rows]
+        us = coeffs[k]
         try:
-            new, stats = step_implicit(us, t, tau, cfg, ws, range(len(us)), starts)
+            new, stats = step_implicit(us, t, tau, cfg, ws, every, _predictor(k, coeffs, guess))
         except StepFailure as exc:
             # every member failed, and the first one's failure stands for all;
             # without its traceback, which refers to this frame
-            new, stats = list(us), [exc.with_traceback(None)] * len(us)
-        for i, st in enumerate(stats):
-            if isinstance(st, StepFailure):
-                try:
-                    new[i], st = _advance(us[i], t, tau, 0, cfg, ws, i, st)
-                except StepFailure as exc:
-                    # without the traceback whose `_advance` frames refer to it
-                    raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
-                                      _trajectory(heads[i], rows[i])) from exc.with_traceback(None)
-            rows[i].append((t + tau, new[i], rows[i][-1][2] + st.ut_sq_increment, st.newton_iters,
-                            st.jacobians, st.residual_norm, st.residual_bound, st.energy_slack))
-        t += tau
-    return [_trajectory(head, r) for head, r in zip(heads, rows)]
+            new = us.copy()
+            stats = _blank_stats(len(every), [exc.with_traceback(None)] * len(every))
+        for i, failure in enumerate(stats.failures):
+            if failure is None:
+                continue
+            try:
+                new[i], sub = _advance(us[i], t, tau, 0, cfg, ws, i, failure)
+            except StepFailure as exc:
+                # without the traceback whose `_advance` frames refer to it
+                raise SolverError(f"step {k + 1}/{n_steps} failed: {exc}",
+                                  _trajectory(heads[i], times, coeffs, _stacked(steps), i)
+                                  ) from exc.with_traceback(None)
+            for name in _RECORDS:
+                getattr(stats, name)[i] = getattr(sub, name)[0]
+        steps.append(stats)
+        coeffs[k + 1] = new
+        t = times[k + 1] = t + tau
+    records = _stacked(steps)
+    return [_trajectory(head, times, coeffs, records, i) for i, head in enumerate(heads)]
 
 
-def _predictor(k: int, rows: list, guess=None):
-    """Step k's Newton start from a member's checkpoint rows (`_march`), as in `solve`."""
-    u = rows[-1][1]
+def _predictor(k: int, coeffs, guess=None):
+    """Step k's Newton starts from the march's checkpoints coeffs (K+1, B, m), as in `solve`."""
+    u = coeffs[k]
     if guess is not None:
         return guess[k + 1] + (u - guess[k])
     if k == 0:
         return None
     if k == 1:
-        return 2.0 * u - rows[-2][1]
-    return 3.0 * (u - rows[-2][1]) + rows[-3][1]
+        return 2.0 * u - coeffs[0]
+    return 3.0 * (u - coeffs[k - 1]) + coeffs[k - 2]
 
 
-def _trajectory(head, rows) -> Trajectory:
-    """The Trajectory of a solve's leading fields and its checkpoint rows."""
-    return Trajectory(*head, *(np.asarray(col) for col in zip(*rows)))
+def _blank_stats(n: int, failures: list) -> StepStats:
+    """The StepStats of n members with every record 0."""
+    return StepStats(*(np.zeros(n, dtype=int) for _ in range(2)),
+                     *(np.zeros(n) for _ in range(4)), failures)
+
+
+def _stacked(steps: list) -> dict:
+    """The records a Trajectory keeps of each StepStats in steps, as (len(steps), B) arrays."""
+    return {name: np.concatenate([getattr(st, name) for st in steps]).reshape(len(steps), -1)
+            for name in _RECORDS}
+
+
+def _trajectory(head, times, coeffs, records: dict, i: int) -> Trajectory:
+    """Member i's Trajectory over the checkpoints of the march's `_stacked` records."""
+    k = len(records["newton_iters"])
+    rec = {name: np.ascontiguousarray(col[:, i]) for name, col in records.items()}
+    return Trajectory(*head, times[:k], np.ascontiguousarray(coeffs[:k, i]),
+                      np.cumsum(rec["ut_sq_increment"]), rec["newton_iters"], rec["jacobians"],
+                      rec["residual_norm"], rec["residual_bound"], rec["energy_slack"])
 
 
 def _mode_factors(single: EigenBasis, x) -> tuple:

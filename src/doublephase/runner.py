@@ -27,7 +27,7 @@ import yaml
 
 from . import __version__, diagnostics as dg
 from .fields import (ConfigurationError, ExponentData, Field, integer, lattice_axis, lattice_points,
-                     make_field)
+                     make_field, point_memo)
 from .galerkin import (SolverConfig, SolverError, Trajectory, manufactured_source, solve,
                        solve_lockstep)
 
@@ -489,15 +489,20 @@ def _member_entry(kind, label, value, passed=None) -> list:
     return [kind, label, float(value), "" if passed is None else str(bool(passed))]
 
 
-def _sweep_row(row: list[RunConfig], dirs: list[str]) -> list[dict]:
+def _sweep_row(row: list[RunConfig], dirs: list[str], base_solver: Optional[SolverConfig]
+               ) -> tuple[list[dict], Optional[Trajectory]]:
     """Run one m row's members in eps order, each warm-started from
     the one before (cold after a member with no trajectory).
 
-    Returns each member reduced to what the sweep reads, with its own summary rows.
+    Returns each member reduced to what the sweep reads, with its own
+    summary rows, and the trajectory of a member solved cold on
+    base_solver (None when there is none).
     """
-    results, guess = [], None
+    results, guess, kept = [], None, None
     for member, outdir in zip(row, dirs):
         code, manifest, traj = perform_run(member, outdir, guess)
+        if traj is not None and guess is None and member.solver == base_solver:
+            kept = traj
         guess = None if traj is None else traj.coeffs
         summary = manifest.get("summary", {})
         rows = [_member_entry("member_exit", member.name, code, code == 0)]
@@ -509,9 +514,10 @@ def _sweep_row(row: list[RunConfig], dirs: list[str]) -> list[dict]:
         results.append({"name": member.name, "code": code, "rows": rows, "summary": summary,
                         "member": None if traj is None else (traj.basis, traj.coeffs, traj.eps),
                         "grid": None if traj is None else traj.spacetime_grid()})
-        # the trajectory's cached diagnostic tables are not kept through the next run
+        # the trajectory's cached diagnostic tables are not kept through the
+        # next run, but for the stability base's, which the Gronwall pairs read
         del traj
-    return results
+    return results, kept
 
 
 def replace_config(config: RunConfig, **kw) -> RunConfig:
@@ -539,8 +545,9 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     vanishing-regularization Cauchy study, and at the finest eps the m list
     feeds the basis-refinement study.  The m rows run one after another
     (`_sweep_row`), then a stability block's Gronwall experiments, in
-    lockstep groups against one base solve (`_stability_chunk`), all in the
-    calling process.  Member failures are
+    lockstep groups against one base trajectory (`_stability_chunk`): the
+    member solved cold on the sweep's own SolverConfig when there is one,
+    all in the calling process.  Member failures are
     recorded and the sweep continues; the exit status reflects the worst
     member, and a failed stability solve drops the block's rows and exits 3.
     """
@@ -551,13 +558,17 @@ def perform_sweep(config: RunConfig, outdir) -> tuple[int, dict]:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    results = []
+    results, base = [], None
     for m in m_list:
         row = [members[(m, e)] for e in eps_list]
-        results += _sweep_row(row, [str(outdir / member.name) for member in row])
+        row_results, kept = _sweep_row(row, [str(outdir / member.name) for member in row],
+                                       config.solver if stab else None)
+        results += row_results
+        base = kept if base is None else base
     # stability block; on invalid data the members already exit 1
     jobs = _stability_jobs(config, stab) if stab and report.passed else []
-    reports, failure = _stability_chunk(config, _stability_groups(jobs)) if jobs else ([], None)
+    reports, failure = (_stability_chunk(config, _stability_groups(jobs), base) if jobs
+                        else ([], None))
 
     summary_rows = [row for res in results for row in res["rows"]]
 
@@ -658,18 +669,21 @@ def _stability_groups(jobs: list) -> list[list]:
     return [[jobs[i] for i in idx] for idx in parts]
 
 
-def _stability_chunk(config: RunConfig, groups: list[list]):
-    """Solve the base alone, then each group's perturbed solves in lockstep.
+def _stability_chunk(config: RunConfig, groups: list[list], base: Optional[Trajectory]):
+    """Solve each group's perturbed solves in lockstep, against the base trajectory.
 
+    `base` is a trajectory of config's initial datum and source solved cold
+    on config.solver, such as a sweep member's; when it is None the base is
+    solved here.  The perturbed sources are built on the base's source.
     Returns (Gronwall reports in job order, None), or (None, message) when a
     solve fails.
     """
-    f_field = config.source_field()
     try:
-        base = solve(config.solver, config.data, config.initial, f_field)
+        if base is None:
+            base = solve(config.solver, config.data, config.initial, config.source_field())
         reports = []
         for group in groups:
-            initials, sources = zip(*(_perturbed(config, f_field, job) for job in group))
+            initials, sources = zip(*(_perturbed(config, base.source, job) for job in group))
             reports.extend(dg.stability_experiments(
                 base, solve_lockstep(config.solver, config.data, initials, sources)))
     except SolverError as exc:
@@ -709,10 +723,15 @@ def _stability_block(jobs: list[tuple], reports: list):
 
 
 def _field_sum(f1: Field, f2: Field) -> Field:
-    """f1 + f2, steady when both terms are."""
+    """f1 + f2, steady when both terms are; a steady f2 is evaluated once per point set."""
+    if f2.steady:
+        second = point_memo(lambda x: f2(x, 0.0))
+        fn = lambda x, t: f1(x, t) + second(x)
+    else:
+        fn = lambda x, t: f1(x, t) + f2(x, t)
     return Field(dim=f1.dim, descriptor={"family": "sum",
                                          "terms": [dict(f1.descriptor), dict(f2.descriptor)]},
-                 _fn=lambda x, t: f1(x, t) + f2(x, t), steady=f1.steady and f2.steady)
+                 _fn=fn, steady=f1.steady and f2.steady)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,24 @@ def test_stability_identical_and_heat_perturbation():
     assert rep2.bound == pytest.approx(math.exp(0.1) * delta ** 2, rel=1e-9)
 
 
+def test_stability_pairs_on_the_base_source_reuse_its_values(monkeypatch):
+    # a pair whose source is the base's own object reads the base's source
+    # values; a pair with its own source samples it at every checkpoint
+    data, cfg = data_const(p=1.9, q=2.1), SolverConfig(m_per_dim=3, eps=1e-2, tau=1e-2)
+    f, g = (make_field({"family": "modes", "coeffs": [[2, 1, amp]], "tdecay": 1.0}, 2)
+            for amp in (0.3, 0.4))
+    base = solve(cfg, data, mode_field([[1, 1, 1.0]]), f)
+    others = [solve(cfg, data, mode_field([[1, 1, 0.9]]), src) for src in (f, g)]
+    base.source_values
+    calls, call = [], Field.__call__
+    monkeypatch.setattr(Field, "__call__",
+                        lambda self, x, t: calls.append(self) or call(self, x, t))
+    reports = dg.stability_experiments(base, others)
+    assert [fld for fld in calls if fld in (f, g)] == [g] * len(base.times)
+    assert reports[0].bound == pytest.approx(np.exp(data.horizon) * reports[0].diff_l2_sq[0],
+                                             rel=1e-15)
+
+
 def test_grouped_stability_experiments_equal_the_per_pair_formula(monkeypatch):
     # the Gronwall quantities of each pair as the per-pair experiment forms
     # them (data sampled and both fluxes formed in `spaces.pairing_G_eps`),
@@ -350,6 +368,18 @@ def test_second_order_blocks_equal_one_checkpoint_at_a_time_bitwise(moving, movi
         assert (len(range(0, k + 1, stride)) + 1) % dg.SECOND_ORDER_BLOCK != 0
         got = dg.second_order_flux_norm(traj, margin=1.0 / 64.0, time_stride=stride).norms
         assert np.array_equal(got, _second_order_one_checkpoint_at_a_time(traj, 1.0 / 64.0, stride))
+
+
+def test_lattice_sup_in_blocks_equals_the_whole_table_bitwise():
+    # 101 checkpoints, not a multiple of SUP_BLOCK: max(max u, -min u) per
+    # block of checkpoints is max |u| of the whole table, bit for bit
+    cfg = SolverConfig(m_per_dim=8, eps=1e-2, tau=1e-3)
+    traj = solve(cfg, data_const(p=1.9, q=2.1), mode_field([[1, 1, 1.0], [2, 3, -0.4]]),
+                 mode_field([[3, 1, 2.0]]))
+    assert len(traj.times) == 101 and len(traj.times) % dg.SUP_BLOCK
+    lines = traj.basis.line_tables(lattice_axis(dg.SUP_LATTICE))
+    whole = np.abs(traj.basis.lattice(lines, traj.coeffs)).max(axis=1)
+    assert dg._lattice_sup(traj, dg.SUP_LATTICE).tobytes() == whole.tobytes()
 
 
 def test_linf_envelope_with_unit_source():

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -314,6 +316,21 @@ def test_point_memo_drops_its_entry_when_the_points_are_freed():
     del x
     at(same)
     assert built == [10, 10]
+
+
+def test_a_freed_point_memo_frees_its_table_without_the_cycle_collector():
+    x = np.random.default_rng(4).uniform(size=(10, 2))
+    table = np.ones(10)
+    at = point_memo(lambda pts: table)
+    at(x)
+    freed = weakref.ref(table)
+    del table
+    gc.disable()
+    try:
+        del at
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def _counted(fld, calls):

@@ -343,15 +343,15 @@ def test_step_implicit_zero_and_heat_closed_form():
     basis = build_basis(2, cfg.m_per_dim)
     grid = spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order)
     ws = Workspace(basis, grid, data, [ZERO2])
-    (new,), (stats,) = step_implicit([np.zeros(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
+    (new,), stats = step_implicit([np.zeros(basis.size)], 0.0, cfg.tau, cfg, ws, [0])
     assert np.abs(new).max() == 0.0
 
     e = np.zeros(basis.size); e[0] = 1.0
-    (new,), (stats,) = step_implicit([e], 0.0, cfg.tau, cfg, ws, [0], [None])
+    (new,), stats = step_implicit([e], 0.0, cfg.tau, cfg, ws, [0])
     assert new[0] == pytest.approx(1.0 / (1.0 + LAM11 * cfg.tau), abs=1e-9)
     assert np.abs(new[1:]).max() < 1e-9
     # proximal inequality: (||v||^2-||u||^2)/(2 tau) + flux energy <= work + tol slack
-    assert stats.energy_slack <= cfg.newton_tol * 2.0 / cfg.tau
+    assert stats.energy_slack[0] <= cfg.newton_tol * 2.0 / cfg.tau
 
 
 def test_step_failure_raises_with_trace():
@@ -360,7 +360,7 @@ def test_step_failure_raises_with_trace():
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     with pytest.raises(StepFailure) as info:
-        step_implicit([np.full(basis.size, 2.0)], 0.0, cfg.tau, cfg, ws, [0], [None])
+        step_implicit([np.full(basis.size, 2.0)], 0.0, cfg.tau, cfg, ws, [0])
     assert len(info.value.trace) >= 1
 
 
@@ -430,13 +430,6 @@ def test_workspace_rejects_non_tensor_grid():
             Workspace(basis, bad)
 
 
-class Forgetful(dict):
-    """A Newton-inverse cache that keeps nothing: every iteration builds a fresh Jacobian."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 def test_fresh_jacobian_newton_converges_quadratically():
     # an inexact Newton matrix (one without the a != b cross terms, or one
     # scaled by 0.9) converges only linearly: r2 / r1^2 reads 4.3 and 2.9 here
@@ -447,9 +440,10 @@ def test_fresh_jacobian_newton_converges_quadratically():
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), config.data,
                    [config.source_field()])
-    ws.newton_inverses = [Forgetful()]
+    # every round finds no inverse to take a chord step with
+    ws.inverses = lambda tau: (np.empty((1, basis.size, basis.size)), np.zeros(1, dtype=bool))
     with pytest.raises(StepFailure) as info:
-        step_implicit([ws.project(config.initial)], 0.0, cfg.tau, cfg, ws, [0], [None])
+        step_implicit([ws.project(config.initial)], 0.0, cfg.tau, cfg, ws, [0])
     r = np.array(info.value.trace)
     assert r[0] > 0.1 and r[3] < 1e-14  # from far off down to rounding
     above = r[:-1] > 1e-7  # below, rounding takes over from the quadratic term
@@ -464,14 +458,9 @@ def test_wrong_cached_inverse_only_costs_fresh_jacobians(monkeypatch):
     clean = solve(*args)
     wrong = -np.eye(clean.basis.size)  # every chord step goes the wrong way
 
-    class Stale(dict):
-        def get(self, key, default=None):
-            return wrong
-
     class StaleWorkspace(Workspace):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.newton_inverses = [Stale() for _ in self.newton_inverses]
+        def inverses(self, tau):  # every round finds the wrong inverse, and keeps none
+            return wrong[None].copy(), np.ones(1, dtype=bool)
 
     monkeypatch.setattr(galerkin, "Workspace", StaleWorkspace)
     stale = solve(*args)
@@ -498,16 +487,17 @@ def test_step_calls_each_flux_kernel_once_per_residual_and_iteration(monkeypatch
 
     monkeypatch.setattr(flux, "vector_kernel", counting("residual", flux.vector_kernel))
     monkeypatch.setattr(flux, "jacobian_kernel", counting("jacobian", flux.jacobian_kernel))
-    _, (stats,) = step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
+    _, stats = step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0])
+    (iters,), (jacobians,) = stats.newton_iters, stats.jacobians
     # perfbench reads a residual right after another one as a halving or a chord step
     follow_ups = sum(1 for prev, cur in zip(calls, calls[1:]) if prev == cur == "residual")
     assert calls[0] == "residual"
-    assert calls.count("jacobian") == stats.jacobians
-    assert calls.count("residual") == 1 + stats.jacobians + follow_ups
+    assert calls.count("jacobian") == jacobians
+    assert calls.count("residual") == 1 + jacobians + follow_ups
     # one residual per iteration, one per refused chord step (every fresh
     # build but the first, on an empty cache) and one per halving
-    halvings = calls.count("residual") - 1 - stats.newton_iters - (stats.jacobians - 1)
-    assert stats.newton_iters > stats.jacobians > 1 and halvings > 0  # every branch ran
+    halvings = calls.count("residual") - 1 - iters - (jacobians - 1)
+    assert iters > jacobians > 1 and halvings > 0  # every branch ran
 
 
 def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
@@ -520,7 +510,7 @@ def test_non_finite_newton_matrix_fails_the_step(monkeypatch):
     nan_jacobian = np.full((ws.x.shape[0], 2, 2), np.nan)
     monkeypatch.setattr(flux, "jacobian_kernel", lambda *args: nan_jacobian)
     with pytest.raises(StepFailure):
-        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
+        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0])
 
 
 def singular_once(monkeypatch):
@@ -544,7 +534,7 @@ def test_failed_newton_solve_is_a_step_failure(monkeypatch):
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     with pytest.raises(StepFailure, match="newton solve failed") as info:
-        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0], [None])
+        step_implicit([np.ones(basis.size)], 0.0, cfg.tau, cfg, ws, [0])
     assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
     assert len(info.value.trace) == 1
 
@@ -569,14 +559,15 @@ def test_retried_step_records_the_bound_of_its_worse_substep(monkeypatch):
     def halves_only(us, t, tau, *args):
         assert tau == 0.05
         iters, res, bound = next(substeps)
-        return us, [galerkin.StepStats(newton_iters=iters, jacobians=iters - 1, residual_norm=res,
-                                       residual_bound=bound, energy_slack=0.0,
-                                       ut_sq_increment=0.0)]
+        return us, galerkin.StepStats(
+            newton_iters=np.array([iters]), jacobians=np.array([iters - 1]),
+            residual_norm=np.array([res]), residual_bound=np.array([bound]),
+            energy_slack=np.zeros(1), ut_sq_increment=np.zeros(1), failures=[None])
 
     monkeypatch.setattr(galerkin, "step_implicit", halves_only)
     cfg = SolverConfig(m_per_dim=2, eps=1e-2, tau=0.1)
     _, st = galerkin._advance(np.zeros(4), 0.0, cfg.tau, 0, cfg, None, 0, StepFailure("forced"))
-    assert (st.newton_iters, st.jacobians, st.residual_norm, st.residual_bound) == \
+    assert (st.newton_iters[0], st.jacobians[0], st.residual_norm[0], st.residual_bound[0]) == \
         (3, 1, 2e-10, 3e-10)
 
 
@@ -699,9 +690,8 @@ def recorded_starts(monkeypatch, fail_call=None):
     """Record (t, dt, start) of every one-member step_implicit call; the fail_call-th fails."""
     calls, original = [], galerkin.step_implicit
 
-    def recording(us, t, tau, cfg, ws, members, starts):
-        (start,) = starts
-        calls.append((t, tau, None if start is None else start.copy()))
+    def recording(us, t, tau, cfg, ws, members, starts=None):
+        calls.append((t, tau, None if starts is None else starts[0].copy()))
         if len(calls) == fail_call:
             raise StepFailure("forced")
         return original(us, t, tau, cfg, ws, members, starts)
@@ -816,7 +806,7 @@ def test_newton_accepts_against_the_iterate_it_returns():
     basis = build_basis(2, cfg.m_per_dim)
     ws = Workspace(basis, spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order), data, [ZERO2])
     u = np.zeros(basis.size); u[0] = 10.0
-    (exact,), _ = step_implicit([u], 0.0, cfg.tau, cfg, ws, [0], [None])
+    (exact,), _ = step_implicit([u], 0.0, cfg.tau, cfg, ws, [0])
     fields, f_vec = data.sample(ws.x, cfg.tau), ws.source_vectors([0], cfg.tau)[0]
 
     def residual_norm(v):
@@ -826,9 +816,9 @@ def test_newton_accepts_against_the_iterate_it_returns():
     lo, hi = cfg.newton_tolerance(exact), cfg.newton_tolerance(u)
     start = exact + 0.5 * (lo + hi) / residual_norm(exact + d) * d
     assert cfg.newton_tolerance(start) < residual_norm(start) < hi
-    (new,), (stats,) = step_implicit([u], 0.0, cfg.tau, cfg, ws, [0], [start])
-    assert stats.newton_iters >= 1
-    assert stats.residual_norm <= cfg.newton_tolerance(new)
+    (new,), stats = step_implicit([u], 0.0, cfg.tau, cfg, ws, [0], [start])
+    assert stats.newton_iters[0] >= 1
+    assert stats.residual_norm[0] <= cfg.newton_tolerance(new)
 
 
 def stability_members():
@@ -904,6 +894,54 @@ def test_lockstep_takes_steady_and_moving_sources(monkeypatch):
             assert np.array_equal(traj.newton_iters, alone.newton_iters)
 
 
+def test_lockstep_samples_a_shared_source_once_per_step(monkeypatch):
+    # three members share one moving source object and a fourth has its own:
+    # each step samples and projects each distinct source once, and the
+    # members march as they do on equal copies of the shared source
+    data = data_const(p=1.9, q=2.1, a=0.4, b=0.6)
+    cfg = SolverConfig(m_per_dim=3, eps=5e-2, tau=1e-2)
+    shared = make_field({"family": "modes", "coeffs": [[1, 2, 0.5]], "tdecay": 2.0}, 2)
+    own = make_field({"family": "modes", "coeffs": [[2, 2, 0.4]], "tdecay": 3.0}, 2)
+    u0s = [mode_field([[1, 1, amp]]) for amp in (0.8, 0.5, -0.3, 0.6)]
+    calls, call = [], galerkin.Field.__call__
+    monkeypatch.setattr(galerkin.Field, "__call__",
+                        lambda self, x, t: calls.append((self, float(t))) or call(self, x, t))
+    trajs = lockstep_in_one_batch(monkeypatch, cfg, data, u0s, [shared] * 3 + [own])
+    monkeypatch.undo()
+    for fld in (shared, own):
+        assert [t for g, t in calls if g is fld] == list(trajs[0].times[1:])
+    copies = [make_field(shared.descriptor, 2) for _ in range(3)]
+    assert_lockstep_matches(trajs, galerkin.solve_lockstep(cfg, data, u0s, copies + [own]))
+
+
+def test_a_stacked_step_matches_each_members_own_step():
+    # a four-member step, one member at rest: the first step builds every
+    # Newton inverse, the second takes chord steps on them; each member takes
+    # the iterations and Jacobians of its own step, to within rounding
+    data = data_const(p=1.9, q=2.1, a=0.4, b=0.6)
+    cfg = SolverConfig(m_per_dim=3, eps=5e-2, tau=1e-2)
+    basis = build_basis(2, cfg.m_per_dim)
+    grid = spaces.tensor_gauss_legendre(2, cfg.resolved_quad_order)
+    sources = [ZERO2, ZERO2, mode_field([[1, 2, 0.5]]),
+               make_field({"family": "modes", "coeffs": [[2, 2, 0.4]], "tdecay": 3.0}, 2)]
+    group, alone = Workspace(basis, grid, data, sources), [Workspace(basis, grid, data, [f])
+                                                            for f in sources]
+    us = np.stack([np.zeros(basis.size)] + [group.project(mode_field([[1, 1, amp], [2, 1, 0.2]]))
+                                            for amp in (0.8, -0.5, 0.3)])
+    for t in (0.0, cfg.tau):
+        new, stats = step_implicit(us, t, cfg.tau, cfg, group, range(4))
+        assert stats.failures == [None] * 4
+        assert stats.newton_iters[0] == 0 and np.all(new[0] == 0.0)
+        assert np.all(stats.residual_norm <= stats.residual_bound)
+        for i, ws in enumerate(alone):
+            (own,), st = step_implicit(us[i:i + 1], t, cfg.tau, cfg, ws, [0])
+            assert np.abs(new[i] - own).max() <= 1e-12 * np.abs(own).max()
+            assert (stats.newton_iters[i], stats.jacobians[i]) == (st.newton_iters[0],
+                                                                  st.jacobians[0])
+        assert stats.jacobians[1:].min() > 0 if t == 0.0 else stats.jacobians.max() == 0
+        us = new
+
+
 def poison_once(monkeypatch, targets, t_end, original=Workspace.source_vectors):
     """Project the sources in targets to NaN at t_end in the first call that holds one of them.
 
@@ -918,7 +956,8 @@ def poison_once(monkeypatch, targets, t_end, original=Workspace.source_vectors):
         if t != t_end or hit or not any(poisoned):
             return vecs
         hit.append(t)
-        return [np.full_like(v, np.nan) if bad else v for bad, v in zip(poisoned, vecs)]
+        vecs[np.array(poisoned)] = np.nan
+        return vecs
 
     monkeypatch.setattr(Workspace, "source_vectors", poisoning)
 
@@ -933,7 +972,7 @@ def recorded_steps(monkeypatch):
         except StepFailure as exc:
             calls.append((len(us), tau, [str(exc)]))
             raise
-        calls.append((len(us), tau, [str(st) for st in stats if isinstance(st, StepFailure)]))
+        calls.append((len(us), tau, [str(f) for f in stats.failures if f is not None]))
         return new, stats
 
     monkeypatch.setattr(galerkin, "step_implicit", recording)

@@ -1,7 +1,6 @@
 import csv
 import json
 import os
-import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -469,7 +468,7 @@ def test_galerkin_orthogonality_holds_a_retried_step_to_its_substep_bound(tmp_pa
             raise galerkin.StepFailure("forced")
         new, stats = step(us, t, tau, *args)
         if len(calls) == 2:
-            stats[0].residual_norm, stats[0].residual_bound = 5e-7, 1e-6
+            stats.residual_norm[0], stats.residual_bound[0] = 5e-7, 1e-6
         return new, stats
 
     monkeypatch.setattr(galerkin, "step_implicit", first_step_retried)
@@ -493,23 +492,63 @@ def small_stability_raw(**solver):
     return raw
 
 
-def test_sweep_solves_the_stability_base_once(tmp_path, monkeypatch):
-    # one member, then the stability block: 3 pairs and halvings + 1 = 2
-    # shrinking experiments, in fixed lockstep groups of at most GROUP jobs,
-    # all measured against one base solve
+def stability_sweep_solves(tmp_path, monkeypatch, **overrides):
+    """The small stability sweep at GROUP 2 with these solver_overrides: the
+    `solve` calls, the lockstep group sizes, and the summary's row kinds."""
     solves, groups = [], []
     solve, lockstep = runner.solve, runner.solve_lockstep
     monkeypatch.setattr(runner, "GROUP", 2)
     monkeypatch.setattr(runner, "solve", lambda *a: solves.append(a) or solve(*a))
     monkeypatch.setattr(runner, "solve_lockstep", lambda cfg, data, initials, sources:
                         groups.append(len(initials)) or lockstep(cfg, data, initials, sources))
-    config = runner.load_config(write_config(tmp_path, small_stability_raw()))
+    raw = small_stability_raw()
+    raw["sweep"]["solver_overrides"] = overrides
+    config = runner.load_config(write_config(tmp_path, raw))
     code, _ = runner.perform_sweep(config, tmp_path / "sweep")
     assert code == 0
-    assert len(solves) == 1 + 1 and groups == [2, 2, 1]
     kinds = [line.split(",")[0] for line in
              (tmp_path / "sweep" / "sweep_summary.csv").read_text().splitlines()[1:]]
+    return solves, groups, kinds
+
+
+def test_sweep_solves_the_stability_base_once(tmp_path, monkeypatch):
+    # one member, then the stability block: 3 pairs and halvings + 1 = 2
+    # shrinking experiments, in fixed lockstep groups of at most GROUP jobs,
+    # all measured against one base: the member, solved cold on the sweep's
+    # own solver
+    solves, groups, kinds = stability_sweep_solves(tmp_path, monkeypatch)
+    assert len(solves) == 1 and groups == [2, 2, 1]
     assert kinds.count("gronwall_bound") == 3 and kinds.count("stability_shrink") == 2
+
+
+def test_sweep_solves_its_own_stability_base_when_the_member_differs(tmp_path, monkeypatch):
+    # solver_overrides give the member another solver, so the base is solved apart
+    solves, groups, kinds = stability_sweep_solves(tmp_path, monkeypatch, newton_tol=1e-11)
+    assert len(solves) == 1 + 1 and groups == [2, 2, 1]
+    assert solves[0][0].newton_tol == 1e-11 and solves[1][0].newton_tol == 1e-10
+    assert kinds.count("gronwall_bound") == 3 and kinds.count("stability_shrink") == 2
+
+
+def test_gronwall_rows_equal_those_against_a_separately_solved_base(tmp_path, monkeypatch):
+    # with eps [0.1, 0.01] the sweep's own member (eps 0.01) is warm-started,
+    # so the base is solved apart; with eps [0.01] alone the member is the
+    # base.  Either way the Gronwall rows are the same bytes.
+    solves, solve = [], runner.solve
+    monkeypatch.setattr(runner, "solve", lambda *a: solves.append(a) or solve(*a))
+
+    def gronwall_rows(eps):
+        raw = small_stability_raw()
+        raw["sweep"]["eps"] = eps
+        out = tmp_path / f"sweep{len(eps)}"
+        assert runner.perform_sweep(runner.load_config(write_config(tmp_path, raw)), out)[0] == 0
+        return [line for line in (out / "sweep_summary.csv").read_text().splitlines()
+                if line.startswith(("gronwall_", "stability_shrink"))]
+
+    shared = gronwall_rows([1.0e-2])
+    assert len(solves) == 1
+    apart = gronwall_rows([1.0e-1, 1.0e-2])
+    assert len(solves) == 1 + 3
+    assert len(shared) == 3 * 3 + 2 and apart == shared
 
 
 def test_stability_solver_failure_writes_the_summary_and_exits_3(tmp_path, capsys):
@@ -563,38 +602,6 @@ def test_sweep_with_stability_block_on_invalid_data_exit_1(tmp_path):
     kinds = [line.split(",")[0] for line in
              (out / "sweep_summary.csv").read_text().splitlines()[1:]]
     assert kinds == ["member_exit"]
-
-
-@pytest.mark.parametrize("family", [
-    2.5,
-    {"family": "affine", "base": 2.0, "slope": [0.1, -0.2], "tslope": 0.3},
-    {"family": "sinusoidal", "base": 1.0, "amp": 0.4, "wave": [1.0, 2.0], "tfreq": 1.0},
-    {"family": "bump", "amp": 0.5, "center": [0.4, 0.6], "width": 0.2, "tdecay": 1.0},
-    {"family": "modes", "coeffs": [[1, 2, 0.5], [3, 1, -0.25]], "tdecay": 2.0},
-    {"family": "bubble", "amp": 3.0, "tdecay": 0.5},
-])
-def test_run_config_pickles_for_every_field_family(tmp_path, family):
-    config = runner.load_config(write_config(tmp_path, small_heat_raw(initial=family)))
-    clone = pickle.loads(pickle.dumps(config))
-    x = np.random.default_rng(5).uniform(0.0, 1.0, (7, 2))
-    for t in (0.0, 0.013):
-        assert np.array_equal(clone.initial(x, t), config.initial(x, t))
-        for got, want in zip(clone.data.sample(x, t), config.data.sample(x, t)):
-            assert np.array_equal(got, want)
-    assert clone.initial.descriptor == config.initial.descriptor
-    assert clone.solver == config.solver and clone.raw == config.raw
-
-
-def test_pickled_data_carry_their_report_and_sums_refuse_to_unpickle(tmp_path, monkeypatch):
-    config = runner.load_config(write_config(tmp_path, small_heat_raw()))
-    report = config.data.report
-    monkeypatch.setattr(fields.ExponentData, "validate", lambda self: pytest.fail("validated"))
-    assert pickle.loads(pickle.dumps(config.data)).report == report
-    total = runner._field_sum(config.initial, config.initial)
-    with pytest.raises(ConfigurationError, match="sum"):
-        pickle.loads(pickle.dumps(total))
-    with pytest.raises(NotImplementedError, match="sum"):
-        total.grad(np.full((1, 2), 0.5), 0.0)  # nor does it have a closed-form gradient
 
 
 def test_m_sweep_on_heat_has_zero_distances(tmp_path):
@@ -745,6 +752,18 @@ def test_sum_of_steady_fields_is_steady_bitwise():
     x, times = fields.lattice_points(dim, 9), np.linspace(0.0, 0.1, 4)
     assert (fields.sample_field(total, x, times).tobytes()
             == fields.sample_field(unmarked, x, times).tobytes())
+    # the steady second term is evaluated once per point set, with the bits of every call
+    calls = []
+    counted = fields.Field(dim=dim, descriptor=modes.descriptor, steady=True,
+                           _fn=lambda x, t: calls.append(t) or modes(x, t))
+    for first in (steady, moving):
+        calls.clear()
+        total = runner._field_sum(first, counted)
+        for t in times:
+            assert total(x, t).tobytes() == (first(x, t) + modes(x, t)).tobytes()
+        assert len(calls) == 1
+    with pytest.raises(NotImplementedError, match="sum"):
+        total.grad(np.full((1, 2), 0.5), 0.0)  # a sum has no closed-form gradient
 
 
 def test_cli_import_leaves_scipy_optimize_out():
